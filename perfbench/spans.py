@@ -5,8 +5,13 @@ for timing wrappers; nothing under ``src/`` is edited.  Each span is kept in
 memory as ``[name, start, end, parent, request, rows, rss_growth_kb]`` and
 written out as JSON lines when the run ends.  Spans opened on one thread nest,
 so the children of a span never overlap: its self time is its duration minus
-the durations of its children.  Growth of ``ru_maxrss`` is credited the same
-way, to the innermost span that was open while the peak rose.
+the durations of its children.
+
+``ru_maxrss`` is process-wide, so growth is credited once: every span start
+and end reads it under the tracer's lock, and an increase over the last read
+goes to the innermost span open on the reading thread.  The per-span figures
+therefore add up to at most the process's real peak growth; growth caused on
+one thread may be credited to a span on another that read it first.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ class Tracer:
         # Re-entrant: submit holds it across the wrapped call, which records a span.
         self._lock = threading.RLock()
         self._patches: List[tuple] = []
+        self._peak_kb = _maxrss_kb()
 
     # -- recording -----------------------------------------------------------
     @contextlib.contextmanager
@@ -75,24 +81,34 @@ class Tracer:
             stack = self._local.stack = []
         return stack
 
+    def _credit_rss(self, index: int) -> None:
+        """Credit growth of the peak since the last read to span ``index``.
+
+        Called with the lock held; ``index`` -1 (no open span) drops it.
+        """
+        now = _maxrss_kb()
+        if now > self._peak_kb:
+            if index >= 0:
+                self.spans[index][RSS_KB] += now - self._peak_kb
+            self._peak_kb = now
+
     def call(self, name: str, function: Callable, args, kwargs, rows: Optional[Callable] = None):
         """Run ``function`` inside a span; ``rows(args, result)`` counts its rows."""
         stack = self._stack()
-        record = [
-            name, 0.0, 0.0, stack[-1] if stack else -1,
-            getattr(self._local, "request", None), 0, 0,
-        ]
+        parent = stack[-1] if stack else -1
+        record = [name, 0.0, 0.0, parent, getattr(self._local, "request", None), 0, 0]
         with self._lock:
             index = len(self.spans)
             self.spans.append(record)
+            self._credit_rss(parent)
         stack.append(index)
-        rss = _maxrss_kb()
         record[START] = time.perf_counter()
         try:
             result = function(*args, **kwargs)
         finally:
             record[END] = time.perf_counter()
-            record[RSS_KB] = _maxrss_kb() - rss
+            with self._lock:
+                self._credit_rss(index)
             stack.pop()
             self._local.last = index
         if rows is not None:
@@ -167,6 +183,7 @@ def install(tracer: Tracer) -> None:
     tracer.wrap(pipeline.NECSystem, "protect_batch", "pipeline.protect_batch")
     tracer.wrap(registry.EnrollmentRegistry, "load_system", "registry.load_system")
     tracer.wrap(encoder.SpectralEncoder, "embed", "encoder.embed")
+    tracer.wrap(training.ExampleStream, "example_at", "training.example")
     tracer.wrap(training.SelectorTrainer, "step_batch", "training.step")
     tracer.wrap(training.SelectorTrainer, "batch_loss", "training.forward")
     tracer.wrap(tensor.Tensor, "backward", "training.backward")
@@ -284,11 +301,9 @@ def layer_metrics(
     """
     spans = tracer.spans
     child_s: Dict[int, float] = defaultdict(float)
-    child_kb: Dict[int, int] = defaultdict(int)
     for record in spans:
         if record[PARENT] >= 0:
             child_s[record[PARENT]] += record[END] - record[START]
-            child_kb[record[PARENT]] += record[RSS_KB]
     everywhere: Dict[str, List[int]] = defaultdict(list)
     timed: Dict[str, List[int]] = defaultdict(list)
     for index, record in enumerate(spans):
@@ -355,8 +370,8 @@ def layer_metrics(
         ),
         "registry.load_system_ms": mean(durations("registry.load_system", everywhere)),
         "encoder.embed_ms": mean(durations("encoder.embed", everywhere)),
-        # Example synthesis runs before the timed steps; the train workload
-        # reports these two itself.
+        # The timed steps read pre-built examples; the traced train run
+        # measures synthesis after them and reports these two itself.
         "training.example_ms": 0.0,
         "training.data_wait_ratio": 0.0,
         "training.forward_ms": _per(total("training.forward"), steps),
@@ -365,9 +380,9 @@ def layer_metrics(
         "fftconv.ms_per_step": _per(total("fftconv.forward") + total("fftconv.backward"), steps),
     })
     growth_kb: Dict[str, int] = defaultdict(int)
-    for index, record in enumerate(spans):
+    for record in spans:
         layer = record[NAME].split(".")[0]
-        growth_kb["stft" if layer == "istft" else layer] += record[RSS_KB] - child_kb[index]
+        growth_kb["stft" if layer == "istft" else layer] += record[RSS_KB]
     for layer in RSS_LAYERS:
         metrics[f"{layer}.rss_growth_mb"] = growth_kb[layer] / 1024.0
     return metrics

@@ -113,36 +113,40 @@ def speech_mixture(
     return mixed.data[:num_samples]
 
 
-def make_training_examples(config, corpus, targets, others, seed: int, workdir: Path) -> None:
-    """``TRAIN_EXAMPLES`` examples of the default ``ExampleStream``, timed."""
+def seeded_corpus(config: NECConfig, seed: int):
+    """The seed's corpus and its target and interfering speakers."""
+    corpus = SyntheticCorpus(
+        num_speakers=2 * TENANTS, sample_rate=config.sample_rate, seed=seed
+    )
+    targets, others = corpus.split_speakers(TENANTS, TENANTS)
+    return corpus, targets, others
+
+
+def example_stream(config: NECConfig, seed: int) -> ExampleStream:
+    """The default ``ExampleStream`` of the seed, its d-vectors computed."""
+    corpus, targets, others = seeded_corpus(config, seed)
     stream = ExampleStream(
         corpus, SpectralEncoder(config, seed=seed), config, targets, others,
         training=TrainingConfig(), seed=seed,
     )
     for target in targets:  # enrollment: the stream caches each d-vector
         stream.d_vector_for(target)
-    begun = time.perf_counter()
-    examples = stream.take(TRAIN_EXAMPLES)
-    example_ms = 1000.0 * (time.perf_counter() - begun) / TRAIN_EXAMPLES
-    np.savez(
-        workdir / "inputs.npz",
-        train_mixed=np.stack([example.mixed_spectrogram for example in examples]),
-        train_background=np.stack([example.background_spectrogram for example in examples]),
-        train_d_vectors=np.stack([example.d_vector for example in examples]),
-        train_example_ms=np.float64(example_ms),
-    )
+    return stream
 
 
 def make_inputs(workload: str, seed: int, seconds: int, workdir: Path) -> None:
     config = NECConfig.default()
     segment = config.segment_samples
-    corpus = SyntheticCorpus(
-        num_speakers=2 * TENANTS, sample_rate=config.sample_rate, seed=seed
-    )
-    targets, others = corpus.split_speakers(TENANTS, TENANTS)
     if workload == "train":
-        make_training_examples(config, corpus, targets, others, seed, workdir)
+        examples = example_stream(config, seed).take(TRAIN_EXAMPLES)
+        np.savez(
+            workdir / "inputs.npz",
+            train_mixed=np.stack([example.mixed_spectrogram for example in examples]),
+            train_background=np.stack([example.background_spectrogram for example in examples]),
+            train_d_vectors=np.stack([example.d_vector for example in examples]),
+        )
         return
+    corpus, targets, others = seeded_corpus(config, seed)
     rng = np.random.default_rng(derive_seed(seed, 1))
     arrays: Dict[str, np.ndarray] = {}
     if workload == "live":
@@ -754,14 +758,34 @@ class ExampleCycle:
 
     def __init__(self, examples: List[TrainingExample]) -> None:
         self.examples = examples
-        self.wait_s = 0.0
 
     def iterate(self, start: int = 0, count: Optional[int] = None, prefetch=None):
         for index in range(start, start + count):
-            begun = time.perf_counter()
-            example = self.examples[index % len(self.examples)]
-            self.wait_s += time.perf_counter() - begun
-            yield example
+            yield self.examples[index % len(self.examples)]
+
+
+def probe_example_synthesis(ctx: Context) -> Dict[str, float]:
+    """Traced runs only: one default step on a live ``ExampleStream``.
+
+    With the default ``prefetch=0`` the step builds its examples inline, so
+    the time spent in ``ExampleStream.example_at`` is the time the step
+    waited for data.  A fresh trainer takes the step, so the loss check of
+    the timed trainer is unaffected.
+    """
+    stream = example_stream(ctx.config, int(ctx.args.seed))
+    trainer = SelectorTrainer(Selector(ctx.config, seed=int(ctx.args.seed)), config=TrainingConfig())
+    begun = time.perf_counter()
+    trainer.fit_streaming(stream, steps=1)
+    ended = time.perf_counter()
+    examples = [
+        record[tracing.END] - record[tracing.START]
+        for record in ctx.tracer.spans
+        if record[tracing.NAME] == "training.example" and begun <= record[tracing.START] < ended
+    ]
+    return {
+        "training.example_ms": 1000.0 * float(np.mean(examples)),
+        "training.data_wait_ratio": sum(examples) / (ended - begun),
+    }
 
 
 def run_train(ctx: Context) -> Dict[str, object]:
@@ -770,8 +794,10 @@ def run_train(ctx: Context) -> Dict[str, object]:
     The examples were synthesised by ``ExampleStream`` in the inputs step, so
     the timed steps measure autograd, ``fftconv`` and the optimiser only:
     inline synthesis cost 0.8-1.6 s per batch depending on the noise drawn,
-    which made the step time a property of the seed.  The loss check compares
-    the mean loss of the first timed batch before and after the timed steps.
+    which made the step time a property of the seed.  The traced run measures
+    synthesis on its own, after the timed steps
+    (:func:`probe_example_synthesis`).  The loss check compares the mean loss
+    of the first timed batch before and after the timed steps.
     """
     config = ctx.config
     training = TrainingConfig()
@@ -793,7 +819,6 @@ def run_train(ctx: Context) -> Dict[str, object]:
 
     losses: List[float] = []
     durations: List[float] = []
-    stream.wait_s = 0.0
     start = time.perf_counter()
     cpu_start = cpu_seconds()
     step = 0
@@ -806,6 +831,7 @@ def run_train(ctx: Context) -> Dict[str, object]:
     end = time.perf_counter()
     cpu = cpu_seconds() - cpu_start
     peak = peak_rss_mb()
+    synthesis = probe_example_synthesis(ctx) if ctx.tracer else {}
     ctx.end_window()
 
     initial_loss = losses[0]
@@ -825,10 +851,7 @@ def run_train(ctx: Context) -> Dict[str, object]:
         },
         "window": (start, end),
         "segments": 0,
-        "layer_extras": {
-            "training.example_ms": float(ctx.inputs["train_example_ms"]),
-            "training.data_wait_ratio": stream.wait_s / (end - start),
-        },
+        "layer_extras": synthesis,
         "metrics": {
             "latency_p50_ms": percentile_ms(durations, 50),
             "latency_p90_ms": percentile_ms(durations, 90),
