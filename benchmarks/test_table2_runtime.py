@@ -1,15 +1,7 @@
-"""Table II: per-module latency of NEC vs VoiceFilter, plus batched-protect throughput."""
+"""Table II: per-module latency of NEC vs VoiceFilter."""
 
 from repro.core.config import NECConfig
-from repro.eval.runtime import run_batched_runtime_analysis, run_runtime_analysis
-
-#: Floor for the batched-protect gate.  Fresh-process runs measure 2.3-2.6x,
-#: but late in a full-suite run — with the CPU clock fully ramped by earlier
-#: benchmarks — the memory-bound batched side gains less from the higher
-#: clock than the compute-bound loop and the ratio settles at 1.9-2.0x, so a
-#: 2.0 gate was losing coin flips to the thermal regime rather than to any
-#: code change (results stay bit-identical throughout).
-MIN_PROTECT_SPEEDUP = 1.7
+from repro.eval.runtime import run_runtime_analysis
 
 
 def test_table2_runtime_analysis(benchmark):
@@ -26,31 +18,3 @@ def test_table2_runtime_analysis(benchmark):
     assert result.nec.selector_ms < result.voicefilter.selector_ms
     assert result.nec.broadcast_ms < 1000.0
 
-
-def test_batched_protect_throughput(benchmark):
-    """The batched inference engine vs the seed's segment-at-a-time loop.
-
-    Multi-segment ``protect`` stacks every segment into one Selector forward
-    pass; the looped reference path (the seed implementation, kept as
-    ``protect_looped``) pays the full STFT + forward + im2col-index cost per
-    segment.  Results are bit-identical; only the throughput differs.
-    """
-    def _analysis_with_retry():
-        """One retry if the throughput gate narrowly misses (machine noise)."""
-        result = run_batched_runtime_analysis(
-            config=NECConfig.default(), num_segments=4, repetitions=1
-        )
-        if result.speedup < MIN_PROTECT_SPEEDUP:
-            second = run_batched_runtime_analysis(
-                config=NECConfig.default(), num_segments=4, repetitions=1
-            )
-            if second.speedup > result.speedup:
-                result = second
-        return result
-
-    result = benchmark.pedantic(_analysis_with_retry, rounds=1, iterations=1)
-    print("\n[Table II+] Batched vs looped multi-segment protect:")
-    print(result.table())
-    print(f"  batched speed-up: {result.speedup:.2f}x (bit-identical: {result.results_identical})")
-    assert result.results_identical
-    assert result.speedup >= MIN_PROTECT_SPEEDUP

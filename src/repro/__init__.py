@@ -15,8 +15,8 @@ Public entry points:
 * :mod:`repro.nn`, :mod:`repro.dsp`, :mod:`repro.asr`, :mod:`repro.metrics` —
   the substrates everything above is built on.
 
-See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for
-paper-vs-measured results.
+See ``docs/architecture.md`` for the system inventory and its figure/table
+map for which benchmark regenerates each paper result.
 """
 
 from repro.core.config import NECConfig

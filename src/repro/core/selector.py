@@ -383,7 +383,8 @@ class StreamBatch:
         self._closed = False
         self.ticks = 0
         self.segments_coalesced = 0
-        self.batch_sizes: List[int] = []
+        self.empty_ticks = 0
+        self.max_batch_size = 0
 
     @property
     def pending_segments(self) -> int:
@@ -454,7 +455,7 @@ class StreamBatch:
             pending, self._pending = self._pending, []
         if not pending:
             self.ticks += 1
-            self.batch_sizes.append(0)
+            self.empty_ticks += 1
             return 0
         counts = [request.mixed_spectrograms.shape[0] for request in pending]
         if sum(counts) == 0:
@@ -463,7 +464,7 @@ class StreamBatch:
             for request in pending:
                 request.shadow_spectrograms = request.mixed_spectrograms[:0]
             self.ticks += 1
-            self.batch_sizes.append(0)
+            self.empty_ticks += 1
             return 0
         specs = np.concatenate([request.mixed_spectrograms for request in pending], axis=0)
         vectors = np.concatenate(
@@ -509,5 +510,5 @@ class StreamBatch:
             offset += count
         self.ticks += 1
         self.segments_coalesced += specs.shape[0]
-        self.batch_sizes.append(int(specs.shape[0]))
+        self.max_batch_size = max(self.max_batch_size, int(specs.shape[0]))
         return int(specs.shape[0])

@@ -2,9 +2,8 @@
 
 Every experiment exposes a ``run_*`` function returning a result dataclass and
 a ``format_*`` helper that prints the same rows/series the paper reports.  The
-mapping between experiments and paper artefacts is listed in ``DESIGN.md``
-(per-experiment index) and the measured numbers are recorded in
-``EXPERIMENTS.md``.
+mapping between experiments, benchmarks and paper artefacts is the
+figure/table map in ``docs/architecture.md``.
 """
 
 from repro.eval.common import (
@@ -25,23 +24,7 @@ from repro.eval.overall import run_overall_benchmark, OverallResult
 from repro.eval.user_study import run_user_study, UserStudyResult
 from repro.eval.distance import run_waveform_distance_study, run_loudness_study, run_sonr_study
 from repro.eval.comparison import run_comparison_study, ComparisonResult
-from repro.eval.runtime import (
-    run_runtime_analysis,
-    run_batched_runtime_analysis,
-    run_eval_fastpath_analysis,
-    run_streaming_rtf_analysis,
-    run_perf_trajectory,
-    run_training_analysis,
-    RuntimeResult,
-    BatchedRuntimeResult,
-    EvalFastpathResult,
-    KernelTiming,
-    StreamingRuntimeResult,
-    StreamChunkTiming,
-    StreamScalingTiming,
-    TrainingBenchResult,
-    TrainingScaleSide,
-)
+from repro.eval.runtime import run_runtime_analysis, RuntimeResult
 from repro.eval.device_study import run_device_study, DeviceStudyResult
 from repro.eval.multi_recorder import run_multi_recorder_study, MultiRecorderResult
 from repro.eval.ablation import run_output_mode_ablation, run_dilation_ablation
@@ -86,20 +69,7 @@ __all__ = [
     "run_comparison_study",
     "ComparisonResult",
     "run_runtime_analysis",
-    "run_batched_runtime_analysis",
-    "run_eval_fastpath_analysis",
-    "run_streaming_rtf_analysis",
-    "run_perf_trajectory",
-    "run_training_analysis",
-    "TrainingBenchResult",
-    "TrainingScaleSide",
-    "BatchedRuntimeResult",
-    "EvalFastpathResult",
-    "KernelTiming",
     "RuntimeResult",
-    "StreamingRuntimeResult",
-    "StreamChunkTiming",
-    "StreamScalingTiming",
     "run_device_study",
     "DeviceStudyResult",
     "run_multi_recorder_study",

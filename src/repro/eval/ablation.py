@@ -1,4 +1,5 @@
-"""Ablations of the Selector design choices called out in DESIGN.md (E14)."""
+"""Ablations of the Selector design choices (``docs/architecture.md``,
+"The Selector's two output heads" and the figure/table map)."""
 
 from __future__ import annotations
 

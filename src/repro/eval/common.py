@@ -9,7 +9,7 @@ Scale note: the paper trains a one-fits-all Selector on LibriSpeech for many
 GPU-hours.  On this numpy substrate the Selector is trained for a few dozen
 steps on mixtures that include the evaluated target speakers (with disjoint
 sentences), which preserves the qualitative behaviour the experiments measure;
-the deviation is recorded in EXPERIMENTS.md.
+the deviation is noted in ``docs/architecture.md`` (figure/table map).
 """
 
 from __future__ import annotations

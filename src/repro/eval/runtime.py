@@ -1,13 +1,10 @@
-"""Running-time analysis: NEC vs VoiceFilter (paper Table II), plus the
-evaluation fast-path benchmark (old vs new DTW/iSTFT/filter/driver kernels)."""
+"""Running-time analysis: NEC vs VoiceFilter (paper Table II)."""
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -144,1292 +141,3 @@ def run_runtime_analysis(
         encoder_ms=encoder_ms, selector_ms=voicefilter_ms, broadcast_ms=broadcast_ms
     )
     return RuntimeResult(nec=nec, voicefilter=voicefilter_timing, audio_seconds=audio_seconds)
-
-
-@dataclass
-class BatchedRuntimeResult:
-    """Throughput of the batched protect engine vs the looped reference path."""
-
-    num_segments: int
-    looped_ms: float
-    batched_ms: float
-    results_identical: bool
-
-    @property
-    def speedup(self) -> float:
-        """Throughput multiple of the batched engine over the looped path."""
-        if self.batched_ms <= 0:
-            return float("inf")
-        return self.looped_ms / self.batched_ms
-
-    @property
-    def looped_ms_per_segment(self) -> float:
-        return self.looped_ms / max(self.num_segments, 1)
-
-    @property
-    def batched_ms_per_segment(self) -> float:
-        return self.batched_ms / max(self.num_segments, 1)
-
-    def table(self) -> str:
-        rows = [
-            ["looped (seed)", self.num_segments, self.looped_ms, self.looped_ms_per_segment],
-            ["batched engine", self.num_segments, self.batched_ms, self.batched_ms_per_segment],
-        ]
-        return format_table(["protect path", "segments", "total (ms)", "per segment (ms)"], rows)
-
-
-def run_batched_runtime_analysis(
-    config: Optional[NECConfig] = None,
-    num_segments: int = 4,
-    repetitions: int = 1,
-    seed: int = 0,
-) -> BatchedRuntimeResult:
-    """Time multi-segment ``protect`` on the batched engine vs the looped path.
-
-    The looped path (:meth:`NECSystem.protect_looped`) is the seed
-    implementation — one STFT + Selector forward per segment, with the Selector
-    recomputing its im2col index arrays every call.  The batched engine stacks
-    all segments into one forward pass.  Both paths produce bit-identical
-    results (checked and reported in ``results_identical``).
-    """
-    from repro.audio.signal import AudioSignal
-    from repro.core.pipeline import NECSystem
-
-    config = (config or NECConfig.default()).validate()
-    rng = np.random.default_rng(seed)
-    system = NECSystem(config, seed=seed)
-    reference = AudioSignal(
-        rng.normal(scale=0.1, size=config.segment_samples), config.sample_rate
-    )
-    system.enroll([reference])
-    audio = AudioSignal(
-        rng.normal(scale=0.1, size=num_segments * config.segment_samples),
-        config.sample_rate,
-    )
-
-    looped_result = system.protect_looped(audio)
-    batched_result = system.protect(audio)
-    identical = bool(
-        np.array_equal(looped_result.shadow_wave.data, batched_result.shadow_wave.data)
-        and np.array_equal(
-            looped_result.shadow_spectrogram, batched_result.shadow_spectrogram
-        )
-        and np.array_equal(
-            looped_result.record_spectrogram, batched_result.record_spectrogram
-        )
-    )
-
-    looped_ms = _time_call(lambda: system.protect_looped(audio), repetitions)
-    batched_ms = _time_call(lambda: system.protect(audio), repetitions)
-    return BatchedRuntimeResult(
-        num_segments=num_segments,
-        looped_ms=looped_ms,
-        batched_ms=batched_ms,
-        results_identical=identical,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Evaluation fast path: old vs new DTW / iSTFT / filter-plan / driver kernels
-# ---------------------------------------------------------------------------
-def _time_call_best(function, repetitions: int) -> float:
-    """Best-of-N wall-clock latency of ``function()`` in milliseconds.
-
-    The minimum over repetitions (after one warm-up call) is the standard
-    robust estimator for speedup comparisons on shared machines: every source
-    of noise only ever adds time.
-    """
-    function()  # warm-up: exclude one-time allocation/caching effects
-    best = float("inf")
-    for _ in range(max(repetitions, 1)):
-        start = time.perf_counter()
-        function()
-        best = min(best, time.perf_counter() - start)
-    return 1000.0 * best
-
-
-@dataclass
-class KernelTiming:
-    """Old-vs-new timing of one evaluation kernel, with its equivalence check."""
-
-    name: str
-    reference_ms: float
-    fast_ms: float
-    equivalent: bool
-    max_abs_difference: float
-
-    @property
-    def speedup(self) -> float:
-        if self.fast_ms <= 0:
-            return float("inf")
-        return self.reference_ms / self.fast_ms
-
-
-@dataclass
-class EvalFastpathResult:
-    """The evaluation fast-path benchmark: per-kernel timings and speedups."""
-
-    kernels: List[KernelTiming] = field(default_factory=list)
-
-    def kernel(self, name: str) -> KernelTiming:
-        for timing in self.kernels:
-            if timing.name == name:
-                return timing
-        raise KeyError(f"no kernel named '{name}'")
-
-    @property
-    def all_equivalent(self) -> bool:
-        return all(timing.equivalent for timing in self.kernels)
-
-    def table(self) -> str:
-        rows = [
-            [
-                timing.name,
-                timing.reference_ms,
-                timing.fast_ms,
-                timing.speedup,
-                str(timing.equivalent),
-                f"{timing.max_abs_difference:.2e}",
-            ]
-            for timing in self.kernels
-        ]
-        return format_table(
-            ["kernel", "reference (ms)", "fast (ms)", "speedup", "equivalent", "max |diff|"],
-            rows,
-        )
-
-    def to_dict(self) -> Dict:
-        """JSON-ready payload for the ``BENCH_evalpath.json`` perf artifact."""
-        return {
-            "benchmark": "eval_fastpath",
-            "all_equivalent": self.all_equivalent,
-            "kernels": [
-                {
-                    "name": timing.name,
-                    "reference_ms": timing.reference_ms,
-                    "fast_ms": timing.fast_ms,
-                    "speedup": timing.speedup,
-                    "equivalent": timing.equivalent,
-                    "max_abs_difference": timing.max_abs_difference,
-                }
-                for timing in self.kernels
-            ],
-        }
-
-
-def _dtw_kernel_timing(repetitions: int, seed: int) -> KernelTiming:
-    """The recogniser kernel: one segment scored against a full template bank."""
-    from repro.asr.dtw import dtw_distance_many, dtw_distance_reference
-
-    rng = np.random.default_rng(seed)
-    # Shapes mirror the recogniser: ~0.4 s word segments at hop 160 with
-    # 13 MFCCs + deltas, against a lexicon-sized bank of two speakers each.
-    features = rng.normal(size=(40, 26))
-    bank = [rng.normal(size=(int(n), 26)) for n in rng.integers(15, 60, size=60)]
-
-    reference = np.array([dtw_distance_reference(features, t) for t in bank])
-    exact = dtw_distance_many(features, bank)
-    abandoned = dtw_distance_many(features, bank, early_abandon=True)
-    max_diff = float(np.abs(exact - reference).max())
-    equivalent = (
-        max_diff <= 1e-10
-        and float(abandoned.min()) == float(exact.min())
-        and int(np.argmin(abandoned)) == int(np.argmin(exact))
-    )
-    reference_ms = _time_call_best(
-        lambda: [dtw_distance_reference(features, t) for t in bank], repetitions
-    )
-    fast_ms = _time_call_best(
-        lambda: dtw_distance_many(features, bank, early_abandon=True), repetitions
-    )
-    return KernelTiming("dtw_recognizer", reference_ms, fast_ms, equivalent, max_diff)
-
-
-def _istft_kernel_timing(config: NECConfig, repetitions: int, seed: int) -> KernelTiming:
-    """Batched inverse STFT at the configured geometry (the serving shape)."""
-    from repro.dsp.stft import batch_istft, batch_istft_reference, batch_stft
-
-    rng = np.random.default_rng(seed)
-    num_clips = 16
-    length = config.segment_samples
-    signals = rng.normal(scale=0.1, size=(num_clips, length))
-    spectra = batch_stft(signals, config.n_fft, config.win_length, config.hop_length)
-
-    fast = batch_istft(spectra, config.win_length, config.hop_length, length=length)
-    reference = batch_istft_reference(
-        spectra, config.win_length, config.hop_length, length=length
-    )
-    max_diff = float(np.abs(fast - reference).max())
-    reference_ms = _time_call_best(
-        lambda: batch_istft_reference(
-            spectra, config.win_length, config.hop_length, length=length
-        ),
-        repetitions,
-    )
-    fast_ms = _time_call_best(
-        lambda: batch_istft(spectra, config.win_length, config.hop_length, length=length),
-        repetitions,
-    )
-    return KernelTiming("batch_istft", reference_ms, fast_ms, max_diff <= 1e-10, max_diff)
-
-
-def _filter_plan_timing(repetitions: int, seed: int) -> KernelTiming:
-    """Butterworth design caching on the 192 kHz channel-simulation filter."""
-    from scipy import signal as sps
-
-    from repro.dsp.filters import lowpass_filter
-
-    rng = np.random.default_rng(seed)
-    rate = 192_000
-    signal = rng.normal(scale=0.1, size=rate // 10)  # 100 ms at the channel rate
-
-    def reference_call():
-        sos = sps.butter(6, 7600.0 / (rate / 2.0), btype="low", output="sos")
-        return sps.sosfiltfilt(sos, signal)
-
-    fast = lowpass_filter(signal, 7600.0, rate, order=6)
-    reference = reference_call()
-    max_diff = float(np.abs(fast - reference).max())
-    reference_ms = _time_call_best(reference_call, repetitions)
-    fast_ms = _time_call_best(lambda: lowpass_filter(signal, 7600.0, rate, order=6), repetitions)
-    return KernelTiming("butter_plan", reference_ms, fast_ms, max_diff == 0.0, max_diff)
-
-
-def _driver_timing(repetitions: int, seed: int) -> KernelTiming:
-    """The batched eval driver vs the seed's per-instance protect loop.
-
-    Runs at the benchmark harness's geometry (``NECConfig.tiny``): that is
-    where per-call dispatch overhead is visible next to the Selector forward.
-    At larger geometries the forward pass dominates and the two paths tie —
-    the driver's value there is the single ``protect_batch`` entry point (and
-    exact equivalence), not latency.
-    """
-    from repro.eval.common import batched_protections, prepare_context
-    from repro.eval.datasets import compile_benchmark_dataset
-
-    context = prepare_context(num_speakers=4, num_targets=2, train=False, seed=seed)
-    dataset = compile_benchmark_dataset(
-        context.corpus,
-        context.target_speakers,
-        context.other_speakers,
-        instances_per_scenario=3,
-        scenarios=("joint", "babble"),
-        duration=2.0 * context.config.segment_seconds,
-        seed=seed,
-    )
-    jobs = [(instance.target_speaker, instance.mixed) for instance in dataset.instances]
-
-    def reference_call():
-        return [context.system_for(speaker).protect(audio) for speaker, audio in jobs]
-
-    fast = batched_protections(context, jobs)
-    reference = reference_call()
-    identical = all(
-        np.array_equal(a.shadow_wave.data, b.shadow_wave.data)
-        and np.array_equal(a.shadow_spectrogram, b.shadow_spectrogram)
-        for a, b in zip(reference, fast)
-    )
-    reference_ms = _time_call_best(reference_call, repetitions)
-    fast_ms = _time_call_best(lambda: batched_protections(context, jobs), repetitions)
-    return KernelTiming("batched_driver", reference_ms, fast_ms, identical, 0.0 if identical else float("inf"))
-
-
-def run_eval_fastpath_analysis(
-    config: Optional[NECConfig] = None,
-    repetitions: int = 3,
-    include_driver: bool = True,
-    seed: int = 0,
-) -> EvalFastpathResult:
-    """Time the evaluation fast path against the seed implementations.
-
-    Four kernels, each reported with a best-of-N latency pair, the speedup and
-    an old-vs-new equivalence flag:
-
-    - ``dtw_recognizer`` — the template recogniser's inner kernel: one word
-      segment against a full template bank (pure-Python double loop vs the
-      batched anti-diagonal :func:`repro.asr.dtw.dtw_distance_many`).
-    - ``batch_istft`` — the waveform-reconstruction kernel at the evaluation
-      geometry (per-clip sequential overlap-add vs one batched irfft + grouped
-      accumulation with a cached window-norm plan).
-    - ``butter_plan`` — the 192 kHz channel filter with and without the
-      memoised Butterworth SOS design.
-    - ``batched_driver`` — per-instance ``protect`` vs the shared
-      speaker-grouped :func:`repro.eval.common.batched_protections` driver
-      (skipped with ``include_driver=False``; it builds a small untrained
-      context).
-
-    ``config`` defaults to the benchmark harness's geometry
-    (:meth:`NECConfig.tiny`) — the shapes whose wall-clock the fast path is
-    built to cut; pass :meth:`NECConfig.default` / :meth:`NECConfig.paper`
-    to measure other geometries.
-    """
-    config = (config or NECConfig.tiny()).validate()
-    kernels = [
-        _dtw_kernel_timing(repetitions, seed),
-        _istft_kernel_timing(config, repetitions, seed),
-        _filter_plan_timing(repetitions, seed),
-    ]
-    if include_driver:
-        kernels.append(_driver_timing(repetitions, seed))
-    return EvalFastpathResult(kernels=kernels)
-
-
-# ---------------------------------------------------------------------------
-# Precision & parallelism kernels, and the persistent perf trajectory
-# ---------------------------------------------------------------------------
-#: Relative waveform tolerance of the float32 inference mode against float64
-#: (measured deviation is ~1e-6; the gate carries two orders of margin).  The
-#: per-metric tolerances live in ``tests/test_precision.py``.
-FLOAT32_WAVE_RTOL = 1e-4
-
-
-def _float32_inference_timing(
-    config: NECConfig, repetitions: int, seed: int
-) -> KernelTiming:
-    """The float32 evaluation fast path vs the float64 reference engine.
-
-    ``reference`` is the batched protect engine under the default float64
-    policy; ``fast`` is the same engine under ``inference_precision("float32")``.
-    The equivalence flag checks the relative waveform deviation against
-    :data:`FLOAT32_WAVE_RTOL` — a tolerance gate, not bit-identity; that is
-    the whole point of the reduced-precision mode.
-    """
-    from repro.audio.signal import AudioSignal
-    from repro.core.pipeline import NECSystem
-    from repro.nn.precision import inference_precision
-
-    rng = np.random.default_rng(seed)
-    system = NECSystem(config, seed=seed)
-    system.enroll(
-        [AudioSignal(rng.normal(scale=0.1, size=config.segment_samples), config.sample_rate)]
-    )
-    matrix = rng.normal(scale=0.1, size=(8, config.segment_samples))
-
-    def fast_call():
-        with inference_precision("float32"):
-            return system.protect_segment_matrix(matrix)
-
-    reference = system.protect_segment_matrix(matrix)
-    fast = fast_call()
-    reference_waves = np.stack([r.shadow_wave.data for r in reference])
-    fast_waves = np.stack([r.shadow_wave.data for r in fast])
-    scale = float(np.abs(reference_waves).max()) or 1.0
-    max_diff = float(np.abs(reference_waves - fast_waves).max())
-    equivalent = max_diff / scale <= FLOAT32_WAVE_RTOL
-    reference_ms = _time_call_best(lambda: system.protect_segment_matrix(matrix), repetitions)
-    fast_ms = _time_call_best(fast_call, repetitions)
-    return KernelTiming("float32_inference", reference_ms, fast_ms, equivalent, max_diff)
-
-
-def _sharding_timing(
-    config: NECConfig,
-    repetitions: int,
-    seed: int,
-    num_workers: Optional[int] = None,
-) -> KernelTiming:
-    """The sharded eval runner vs its inline serial path on protect-shaped work.
-
-    ``reference`` maps one ``protect_segment_matrix`` call per item inline;
-    ``fast`` shards the same items over forked workers.  The equivalence flag
-    asserts **bit-identical** shard results — the contract of
-    :func:`repro.eval.common.run_sharded` — for any worker count; the speedup
-    is only meaningful on multi-core machines (on a single core the fork
-    overhead makes it <= 1x by construction).
-    """
-    from repro.audio.signal import AudioSignal
-    from repro.core.pipeline import NECSystem
-    from repro.eval.common import resolve_num_workers, run_sharded
-
-    workers = resolve_num_workers(num_workers)
-    if workers <= 1:
-        workers = min(os.cpu_count() or 1, 4)
-    rng = np.random.default_rng(seed)
-    system = NECSystem(config, seed=seed)
-    system.enroll(
-        [AudioSignal(rng.normal(scale=0.1, size=config.segment_samples), config.sample_rate)]
-    )
-    items = [rng.normal(scale=0.1, size=(2, config.segment_samples)) for _ in range(8)]
-
-    def work(_index: int, matrix: np.ndarray) -> np.ndarray:
-        results = system.protect_segment_matrix(matrix)
-        return np.stack([result.shadow_wave.data for result in results])
-
-    serial = run_sharded(work, items, num_workers=1)
-    sharded = run_sharded(work, items, num_workers=workers)
-    equivalent = all(np.array_equal(a, b) for a, b in zip(serial, sharded))
-    reference_ms = _time_call_best(lambda: run_sharded(work, items, num_workers=1), repetitions)
-    fast_ms = _time_call_best(
-        lambda: run_sharded(work, items, num_workers=workers), repetitions
-    )
-    return KernelTiming(
-        "sharded_eval", reference_ms, fast_ms, equivalent, 0.0 if equivalent else float("inf")
-    )
-
-
-def _scenario_grid_timing(
-    config: NECConfig,
-    repetitions: int,
-    seed: int,
-    num_workers: Optional[int] = None,
-) -> KernelTiming:
-    """The batched+sharded scenario-grid runner vs the looped per-cell reference.
-
-    ``reference`` protects every scene with an individual ``protect`` call and
-    evaluates cells one by one; ``fast`` routes all protections through
-    :func:`repro.eval.common.batched_protections` and shards the cells over
-    :func:`repro.eval.common.run_sharded`.  Both paths share the same
-    measurement function, and the equivalence flag asserts **bit-identical**
-    cell reports — the contract ``benchmarks/test_scenarios.py`` additionally
-    pins across 1/2/4 workers.  On single-core hosts the fast path runs
-    inline (speedup ~1x from batching alone); the sharded win shows on
-    multi-core machines.
-    """
-    from repro.eval.common import prepare_context, resolve_num_workers
-    from repro.eval.scenarios import (
-        ScenarioGrid,
-        run_scenario_grid,
-        run_scenario_grid_looped,
-    )
-
-    workers = resolve_num_workers(num_workers)
-    if workers <= 1 and (os.cpu_count() or 1) >= 4:
-        workers = min(os.cpu_count() or 1, 4)
-    context = prepare_context(
-        config, num_speakers=4, examples_per_target=2, training_epochs=2, seed=seed
-    )
-    grid = ScenarioGrid(
-        rooms=("anechoic", "small_office"),
-        motions=("static", "walk_away"),
-        crowd_sizes=(2, 3),
-    )
-    reference = run_scenario_grid_looped(context, grid, seed=seed)
-    fast = run_scenario_grid(context, grid, seed=seed, num_workers=workers)
-    equivalent = len(reference.cells) == len(fast.cells) and all(
-        a.to_dict() == b.to_dict() for a, b in zip(reference.cells, fast.cells)
-    )
-    reference_ms = _time_call_best(
-        lambda: run_scenario_grid_looped(context, grid, seed=seed), repetitions
-    )
-    fast_ms = _time_call_best(
-        lambda: run_scenario_grid(context, grid, seed=seed, num_workers=workers), repetitions
-    )
-    return KernelTiming(
-        "scenario_grid", reference_ms, fast_ms, equivalent, 0.0 if equivalent else float("inf")
-    )
-
-
-def _streaming_timing(config: NECConfig, repetitions: int, seed: int) -> KernelTiming:
-    """Cross-stream coalesced inference vs per-stream sequential passes.
-
-    ``reference`` runs one Selector pass per stream (the pre-``StreamBatch``
-    serving pattern); ``fast`` coalesces all streams' pending segments into
-    one :meth:`repro.core.selector.StreamBatch.tick`.  The equivalence flag
-    asserts bit-identical shadows — coalescing must never change a number.
-    The speedup is hardware-shaped: batching amortises dispatch, and on
-    multi-core hosts the tick fans independent chunks out to worker threads;
-    on a single core it hovers near 1x (the full picture lives in
-    :func:`run_streaming_rtf_analysis` / ``BENCH_streaming.json``).
-    """
-    from repro.audio.signal import AudioSignal
-    from repro.core.pipeline import NECSystem
-    from repro.core.selector import StreamBatch
-    from repro.dsp.stft import batch_stft
-
-    rng = np.random.default_rng(seed)
-    system = NECSystem(config, seed=seed)
-    system.enroll(
-        [AudioSignal(rng.normal(scale=0.1, size=config.segment_samples), config.sample_rate)]
-    )
-    embedding = system.embedding
-    num_streams = 8
-    spectrograms = [
-        magnitude_spectrogram(
-            rng.normal(scale=0.1, size=config.segment_samples),
-            config.n_fft,
-            config.win_length,
-            config.hop_length,
-        )[None, :, :]
-        for _ in range(num_streams)
-    ]
-    workers = min(os.cpu_count() or 1, 4)
-    chunk = max(1, -(-num_streams // workers)) if workers > 1 else 4
-    batch = StreamBatch(system.selector, max_batch_segments=chunk, num_workers=workers)
-
-    def sequential():
-        return [
-            system.selector.shadow_spectrogram_batch(spec, embedding)
-            for spec in spectrograms
-        ]
-
-    def coalesced():
-        requests = [batch.submit(spec, embedding) for spec in spectrograms]
-        batch.tick()
-        return [request.shadow_spectrograms for request in requests]
-
-    reference = sequential()
-    fast = coalesced()
-    equivalent = all(np.array_equal(a, b) for a, b in zip(reference, fast))
-    reference_ms = _time_call_best(sequential, repetitions)
-    fast_ms = _time_call_best(coalesced, repetitions)
-    return KernelTiming(
-        "streaming_coalesce", reference_ms, fast_ms, equivalent, 0.0 if equivalent else float("inf")
-    )
-
-
-def _serving_timing(config: NECConfig, repetitions: int, seed: int) -> KernelTiming:
-    """End-to-end service pass vs direct per-stream streaming protectors.
-
-    ``reference`` protects four concurrent streams with a dedicated
-    immediate-mode :class:`~repro.core.pipeline.StreamingProtector` each;
-    ``fast`` routes the same chunks through a live
-    :class:`~repro.serving.service.ProtectionService` — memory-only registry,
-    background tick thread, shared coalescing batch — and collects per
-    session.  The equivalence flag asserts bit-identical shadow waves: the
-    whole serving layer (registry d-vector restore included) must be
-    bit-transparent on top of the stream engine.  The ratio mostly prices the
-    scheduling hop (condition variables, tick thread) against coalescing, so
-    on a single core it hovers near 1x — the gate is the equivalence, the
-    trend over PRs is what the trajectory is for.
-    """
-    from repro.audio.signal import AudioSignal
-    from repro.core.pipeline import NECSystem, StreamingProtector
-    from repro.serving.registry import EnrollmentRegistry
-    from repro.serving.service import ProtectionService
-
-    rng = np.random.default_rng(seed)
-    system = NECSystem(config, seed=seed)
-    system.enroll(
-        [AudioSignal(rng.normal(scale=0.1, size=config.segment_samples), config.sample_rate)]
-    )
-    registry = EnrollmentRegistry(None, config=config)
-    registry.register("tenant", system.embedding)
-    num_streams = 4
-    segment = config.segment_samples
-    stream_audio = [
-        rng.normal(scale=0.1, size=2 * segment) for _ in range(num_streams)
-    ]
-
-    def direct():
-        waves = []
-        for audio in stream_audio:
-            protector = StreamingProtector(system)
-            for start in range(0, audio.size, segment):
-                for result in protector.feed(audio[start : start + segment]):
-                    waves.append(result.shadow_wave.data)
-        return waves
-
-    def served():
-        waves_per_stream = [[] for _ in range(num_streams)]
-        with ProtectionService(
-            registry, system=system, num_workers=1, poll_interval_s=0.005
-        ) as service:
-            sessions = [service.open_session("tenant") for _ in range(num_streams)]
-            for start in range(0, 2 * segment, segment):
-                for index, session in enumerate(sessions):
-                    session.feed(stream_audio[index][start : start + segment])
-                for index, session in enumerate(sessions):
-                    while len(waves_per_stream[index]) < start // segment + 1:
-                        for result in session.collect(wait=True):
-                            waves_per_stream[index].append(result.shadow_wave.data)
-        return [wave for stream in waves_per_stream for wave in stream]
-
-    reference = direct()
-    fast = served()
-    equivalent = len(reference) == len(fast) and all(
-        np.array_equal(a, b) for a, b in zip(reference, fast)
-    )
-    reference_ms = _time_call_best(direct, repetitions)
-    fast_ms = _time_call_best(served, repetitions)
-    return KernelTiming(
-        "serving_e2e", reference_ms, fast_ms, equivalent, 0.0 if equivalent else float("inf")
-    )
-
-
-def _train_minibatch_timing(config: NECConfig, repetitions: int, seed: int) -> KernelTiming:
-    """One minibatched training step vs the per-example reference loop.
-
-    ``reference`` takes one :meth:`SelectorTrainer.step` per example (the
-    seed engine: one autograd graph, one im2col construction, one backward
-    per example); ``fast`` takes **one** :meth:`SelectorTrainer.step_batch`
-    over the same examples stacked into a single ``(N, F, T)`` graph.  Both
-    sides see one pass over the same ``batch_size`` examples, so the ratio is
-    step throughput at equal data.  The equivalence flag checks the minibatch
-    SGD contract via :func:`repro.nn.grad_check.check_batched_gradients`: the
-    batched backward's gradients must equal the mean of the per-example
-    gradients to float64 accumulation-order tolerance.
-    """
-    from repro.audio.corpus import SyntheticCorpus
-    from repro.core.config import TrainingConfig
-    from repro.core.training import ExampleStream, SelectorTrainer
-    from repro.nn.grad_check import check_batched_gradients
-
-    training = TrainingConfig(batch_size=8, num_examples_per_target=4, seed=seed)
-    corpus = SyntheticCorpus(num_speakers=4, sample_rate=config.sample_rate, seed=seed)
-    targets, others = corpus.split_speakers(2, None)
-    encoder = SpectralEncoder(config, seed=seed)
-    stream = ExampleStream(
-        corpus, encoder, config, targets, others, training=training, seed=seed
-    )
-    examples = stream.take(training.batch_size)
-
-    # Gradient equivalence on one shared parameter set.
-    checker = SelectorTrainer(Selector(config, seed=seed), config=training)
-    try:
-        max_error = check_batched_gradients(
-            lambda: checker.batch_loss(examples),
-            [lambda example=example: checker.example_loss(example) for example in examples],
-            checker.optimizer.parameters,
-        )
-        equivalent = True
-    except AssertionError:
-        max_error, equivalent = float("inf"), False
-
-    # Throughput on two identically-seeded trainers (parameter values drift
-    # over repeated timed steps, but the work per step is value-independent).
-    looped = SelectorTrainer(Selector(config, seed=seed), config=training)
-    batched = SelectorTrainer(Selector(config, seed=seed), config=training)
-    reference_ms = _time_call_best(
-        lambda: [looped.step(example) for example in examples], repetitions
-    )
-    fast_ms = _time_call_best(lambda: batched.step_batch(examples), repetitions)
-    return KernelTiming("train_minibatch", reference_ms, fast_ms, equivalent, max_error)
-
-
-@dataclass
-class TrainingScaleSide:
-    """One side of the training scale comparison: a full trained-and-evaluated run."""
-
-    engine: str              # "looped" (the seed per-example loop) or "minibatched"
-    selector_channels: int
-    batch_size: int
-    epochs: int
-    steps: int
-    wall_clock_s: float
-    final_loss: float
-    suppression_db: float    # mean predicted suppression over the eval mixtures
-
-    def to_dict(self) -> Dict:
-        return {
-            "engine": self.engine,
-            "selector_channels": self.selector_channels,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "steps": self.steps,
-            "wall_clock_s": self.wall_clock_s,
-            "final_loss": self.final_loss,
-            "suppression_db": self.suppression_db,
-        }
-
-
-@dataclass
-class TrainingBenchResult:
-    """Minibatched-training benchmark: step throughput plus the scale run.
-
-    ``throughput`` is the ``train_minibatch`` kernel (one batched step vs N
-    looped steps over the same examples, with the gradient-equivalence flag);
-    ``reference`` / ``scaled`` are two complete train-and-evaluate runs showing
-    what the freed wall-clock buys: the seed engine's per-example loop on the
-    stock Selector vs a minibatched run of a **larger** Selector that must
-    finish faster *and* suppress more.
-    """
-
-    throughput: KernelTiming
-    batch_size: int
-    reference: TrainingScaleSide
-    scaled: TrainingScaleSide
-
-    @property
-    def within_wall_clock(self) -> bool:
-        return self.scaled.wall_clock_s < self.reference.wall_clock_s
-
-    @property
-    def better_suppression(self) -> bool:
-        return self.scaled.suppression_db > self.reference.suppression_db
-
-    def table(self) -> str:
-        timing = self.throughput
-        rows = [
-            [
-                side.engine,
-                side.selector_channels,
-                f"{side.batch_size}",
-                side.steps,
-                f"{side.wall_clock_s:.2f}",
-                f"{side.final_loss:.4f}",
-                f"{side.suppression_db:.2f}",
-            ]
-            for side in (self.reference, self.scaled)
-        ]
-        scale = format_table(
-            ["engine", "channels", "batch", "steps", "wall (s)", "final loss", "suppression (dB)"],
-            rows,
-        )
-        return (
-            f"step throughput (batch {self.batch_size}): "
-            f"{timing.reference_ms:.1f} ms looped -> {timing.fast_ms:.1f} ms batched "
-            f"({timing.speedup:.2f}x, gradients equivalent={timing.equivalent})\n" + scale
-        )
-
-    def to_dict(self) -> Dict:
-        """JSON-ready payload for the ``BENCH_training.json`` perf artifact."""
-        timing = self.throughput
-        return {
-            "benchmark": "training",
-            "throughput": {
-                "batch_size": self.batch_size,
-                "looped_ms": timing.reference_ms,
-                "batched_ms": timing.fast_ms,
-                "speedup": timing.speedup,
-                "grads_equivalent": timing.equivalent,
-                "max_abs_difference": timing.max_abs_difference,
-            },
-            "scale_run": {
-                "reference": self.reference.to_dict(),
-                "scaled": self.scaled.to_dict(),
-                "within_wall_clock": self.within_wall_clock,
-                "better_suppression": self.better_suppression,
-            },
-        }
-
-
-def run_training_analysis(
-    config: Optional[NECConfig] = None,
-    repetitions: int = 3,
-    seed: int = 0,
-    scaled_channels: int = 8,
-    reference_epochs: int = 8,
-    scaled_epochs: int = 5,
-) -> TrainingBenchResult:
-    """Benchmark the minibatched training fast path end to end.
-
-    Two measurements:
-
-    - **Step throughput** — the ``train_minibatch`` kernel: one
-      :meth:`SelectorTrainer.step_batch` over a stacked batch vs one
-      :meth:`SelectorTrainer.step` per example, gradient-equivalence checked
-      by :func:`repro.nn.grad_check.check_batched_gradients`.
-    - **Scale run** — what the freed wall-clock buys.  The reference side is
-      the seed engine exactly: the stock Selector trained by the per-example
-      loop (:meth:`SelectorTrainer.fit_looped`).  The scaled side trains a
-      Selector with ``scaled_channels`` channels (vs the stock geometry's 4 at
-      the tiny config) through the minibatched engine for ``scaled_epochs``
-      one-batch epochs.  Both sides then protect the same held-out mixtures;
-      the scaled run must reach **strictly better mean predicted suppression
-      within the reference run's wall-clock**.  Step counts are fixed on both
-      sides, so the suppression numbers are deterministic — only the two
-      wall-clock readings carry timing noise.
-    """
-    from dataclasses import replace as _dc_replace
-
-    from repro.audio.corpus import SyntheticCorpus
-    from repro.audio.mixing import mix_at_snr
-    from repro.core.config import TrainingConfig
-    from repro.core.pipeline import NECSystem
-    from repro.core.seeding import derive_seed
-    from repro.core.training import ExampleStream, SelectorTrainer
-
-    config = (config or NECConfig.tiny()).validate()
-    throughput = _train_minibatch_timing(config, repetitions, seed)
-    batch_size = 8
-
-    corpus = SyntheticCorpus(num_speakers=8, sample_rate=config.sample_rate, seed=seed)
-    targets, others = corpus.split_speakers(2, None)
-
-    def evaluate_suppression(side_config: NECConfig, selector, encoder) -> float:
-        """Mean predicted suppression over fixed held-out mixtures (0 dB SNR)."""
-        values = []
-        for target_index, target in enumerate(targets):
-            system = NECSystem(side_config, encoder=encoder, selector=selector)
-            system.enroll(
-                corpus.reference_audios(
-                    target,
-                    count=side_config.num_reference_audios,
-                    seconds=side_config.reference_seconds,
-                )
-            )
-            for draw in range(3):
-                eval_seed = derive_seed(derive_seed(9999, target_index), draw)
-                target_utt = corpus.utterance(
-                    target,
-                    seed=derive_seed(eval_seed, 0),
-                    duration=side_config.segment_seconds,
-                )
-                other = others[draw % len(others)]
-                other_utt = corpus.utterance(
-                    other,
-                    seed=derive_seed(eval_seed, 1),
-                    duration=side_config.segment_seconds,
-                )
-                mixed, _ = mix_at_snr(target_utt.audio, other_utt.audio, 0.0)
-                result = system.protect(mixed.fit_to(side_config.segment_samples))
-                values.append(result.predicted_suppression_db)
-        return float(np.mean(values))
-
-    def run_side(side_config: NECConfig, engine: str, epochs: int) -> TrainingScaleSide:
-        encoder = SpectralEncoder(side_config, seed=seed)
-        training = TrainingConfig(
-            batch_size=batch_size, num_examples_per_target=4, seed=seed
-        )
-        stream = ExampleStream(
-            corpus, encoder, side_config, targets, others, training=training, seed=seed
-        )
-        examples = stream.take(batch_size)
-        trainer = SelectorTrainer(Selector(side_config, seed=seed), config=training)
-        start = time.perf_counter()
-        if engine == "looped":
-            history = trainer.fit_looped(examples, epochs=epochs, seed=seed)
-        else:
-            history = trainer.fit(examples, epochs=epochs, seed=seed, batch_size=batch_size)
-        wall_clock_s = time.perf_counter() - start
-        return TrainingScaleSide(
-            engine=engine,
-            selector_channels=side_config.selector_channels,
-            batch_size=1 if engine == "looped" else batch_size,
-            epochs=epochs,
-            steps=history.steps,
-            wall_clock_s=wall_clock_s,
-            final_loss=history.final_loss,
-            suppression_db=evaluate_suppression(side_config, trainer.selector, encoder),
-        )
-
-    scaled_config = _dc_replace(config, selector_channels=scaled_channels).validate()
-    reference = run_side(config, "looped", reference_epochs)
-    scaled = run_side(scaled_config, "minibatched", scaled_epochs)
-    return TrainingBenchResult(
-        throughput=throughput,
-        batch_size=batch_size,
-        reference=reference,
-        scaled=scaled,
-    )
-
-
-def _config_signature(config: NECConfig) -> str:
-    """Benchmark-config key for trajectory entries: the timing-relevant geometry."""
-    return (
-        f"{config.sample_rate}hz_fft{config.n_fft}_win{config.win_length}"
-        f"_hop{config.hop_length}_seg{config.segment_samples}"
-    )
-
-
-def run_perf_trajectory(
-    config: Optional[NECConfig] = None,
-    path: Optional[str] = None,
-    label: Optional[str] = None,
-    repetitions: int = 3,
-    seed: int = 0,
-    num_workers: Optional[int] = None,
-) -> Dict:
-    """Re-time every BENCH kernel and record one entry in the trajectory file.
-
-    The trajectory (``BENCH_trajectory.json`` by default, override with
-    ``path`` or the ``BENCH_TRAJECTORY_JSON`` environment variable) is the
-    repo's persistent perf record: one entry per PR/run, each holding the
-    full kernel table — the four evaluation fast-path kernels plus the
-    precision (``float32_inference``), parallelism (``sharded_eval``),
-    cross-stream coalescing (``streaming_coalesce``), end-to-end serving
-    (``serving_e2e``), scenario-matrix (``scenario_grid``) and minibatched
-    training (``train_minibatch``) kernels.  CI
-    records an
-    entry on every run, uploads the file, and fails if any kernel's
-    ``equivalent`` flag is false.
-
-    Entries are keyed by ``(label, config)``: re-running at the same git sha
-    and benchmark geometry *replaces* the earlier entry instead of appending
-    a duplicate, so retried CI runs and local reruns don't pollute the
-    per-PR series.  The ``sharded_eval`` kernel is only recorded on machines
-    with >= 4 cores — below that the fork overhead forces a meaningless
-    sub-1x sample that would pollute the trajectory (its bit-stability is
-    still covered by the tier-1 suite everywhere).
-
-    Returns the recorded entry (the full payload sits at ``path``).
-    """
-    config = (config or NECConfig.tiny()).validate()
-    result = run_eval_fastpath_analysis(config=config, repetitions=repetitions, seed=seed)
-    # train_minibatch runs *before* the serving/scenario kernels: spinning up
-    # and tearing down the ProtectionService leaves allocator/scheduler state
-    # that durably skews later single-core timings (the looped im2col
-    # reference speeds up ~35-45% afterwards while the FFT path barely moves,
-    # compressing the measured ratio well below what a fresh process sees).
-    kernels = list(result.kernels) + [
-        _float32_inference_timing(config, repetitions, seed),
-        _train_minibatch_timing(config, repetitions, seed),
-        _streaming_timing(config, repetitions, seed),
-        _serving_timing(config, repetitions, seed),
-        _scenario_grid_timing(config, repetitions, seed, num_workers=num_workers),
-    ]
-    if (os.cpu_count() or 1) >= 4:
-        kernels.append(_sharding_timing(config, repetitions, seed, num_workers=num_workers))
-
-    if path is None:
-        path = os.environ.get("BENCH_TRAJECTORY_JSON", "") or os.path.join(
-            os.getcwd(), "BENCH_trajectory.json"
-        )
-    payload: Dict = {"benchmark": "perf_trajectory", "entries": []}
-    if os.path.exists(path):
-        try:
-            with open(path) as handle:
-                existing = json.load(handle)
-            if isinstance(existing, dict) and isinstance(existing.get("entries"), list):
-                payload = existing
-        except (OSError, ValueError):  # pragma: no cover - corrupt artifact
-            pass
-    signature = _config_signature(config)
-    entry = {
-        "label": label or os.environ.get("REPRO_BENCH_LABEL", "unlabeled"),
-        "config": signature,
-        "timestamp": time.time(),
-        "all_equivalent": all(timing.equivalent for timing in kernels),
-        "kernels": [
-            {
-                "name": timing.name,
-                "reference_ms": timing.reference_ms,
-                "fast_ms": timing.fast_ms,
-                "speedup": timing.speedup,
-                "equivalent": timing.equivalent,
-                "max_abs_difference": timing.max_abs_difference,
-            }
-            for timing in kernels
-        ],
-    }
-    # Same (label, config) -> replace, don't append: a retried run supersedes
-    # its earlier sample.  Legacy entries carry no config field; they were all
-    # recorded at the default benchmark geometry, so they match it.
-    payload["entries"] = [
-        existing
-        for existing in payload["entries"]
-        if not (
-            existing.get("label") == entry["label"]
-            and existing.get("config", signature) == signature
-        )
-    ]
-    payload["entries"].append(entry)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-    return entry
-
-
-# ---------------------------------------------------------------------------
-# Real-time streaming: ring-buffer pipeline RTF, latency budget, micro-batching
-# ---------------------------------------------------------------------------
-#: Default per-feed latency budget for the streaming benchmark, anchored to the
-#: paper's overshadowing tolerance: a shadow that lags its speech by more than
-#: ~300 ms no longer cancels it in the recording (Sec. IV-C2).  Any single
-#: ``feed`` — including the one that completes a segment and pays the Selector
-#: pass — must return within this budget.
-STREAMING_LATENCY_BUDGET_MS = 300.0
-
-
-@dataclass
-class StreamChunkTiming:
-    """Streaming RTF of one chunk size: one stream fed chunk by chunk."""
-
-    chunk_seconds: float
-    chunk_samples: int
-    feeds: int
-    mean_feed_ms: float
-    worst_feed_ms: float
-    rtf: float                      # total feed wall-clock / audio duration
-    budget_ms: float
-    budget_violations: int
-    equivalent: bool                # concatenated stream output == protect()
-
-    @property
-    def real_time(self) -> bool:
-        return self.rtf < 1.0
-
-
-@dataclass
-class StreamScalingTiming:
-    """N concurrent streams: per-stream sequential vs coalesced tick inference."""
-
-    num_streams: int
-    segments_per_stream: int
-    sequential_ms: float            # all streams, immediate per-stream feeds
-    coalesced_ms: float             # same audio through a shared StreamBatch
-    coalesced_rtf: float            # coalesced wall-clock / total audio duration
-    equivalent: bool                # both modes emit identical shadow waves
-
-    @property
-    def speedup(self) -> float:
-        if self.coalesced_ms <= 0:
-            return float("inf")
-        return self.sequential_ms / self.coalesced_ms
-
-    @property
-    def real_time(self) -> bool:
-        return self.coalesced_rtf < 1.0
-
-
-@dataclass
-class StreamingRuntimeResult:
-    """The streaming fast-path benchmark: per-chunk RTF and stream scaling."""
-
-    sample_rate: int
-    segment_samples: int
-    hop_length: int
-    latency_budget_ms: float
-    num_workers: int
-    chunk_timings: List[StreamChunkTiming] = field(default_factory=list)
-    scaling_timings: List[StreamScalingTiming] = field(default_factory=list)
-
-    @property
-    def all_equivalent(self) -> bool:
-        return all(timing.equivalent for timing in self.chunk_timings) and all(
-            timing.equivalent for timing in self.scaling_timings
-        )
-
-    @property
-    def budget_violations(self) -> int:
-        return sum(timing.budget_violations for timing in self.chunk_timings)
-
-    @property
-    def max_streams_rtf_below_1(self) -> int:
-        """Headline: the largest measured stream count still under RTF 1."""
-        passing = [t.num_streams for t in self.scaling_timings if t.real_time]
-        return max(passing, default=0)
-
-    @property
-    def projected_max_streams_per_core(self) -> int:
-        """RTF-linear projection from the largest measured stream count."""
-        if not self.scaling_timings:
-            return 0
-        largest = max(self.scaling_timings, key=lambda t: t.num_streams)
-        if largest.coalesced_rtf <= 0:
-            return largest.num_streams
-        return int(largest.num_streams / largest.coalesced_rtf)
-
-    def scaling(self, num_streams: int) -> StreamScalingTiming:
-        for timing in self.scaling_timings:
-            if timing.num_streams == num_streams:
-                return timing
-        raise KeyError(f"no scaling point at {num_streams} streams")
-
-    def table(self) -> str:
-        chunk_rows = [
-            [
-                f"{timing.chunk_seconds*1000:.0f} ms chunks",
-                timing.feeds,
-                timing.mean_feed_ms,
-                timing.worst_feed_ms,
-                f"{timing.rtf:.3f}",
-                timing.budget_violations,
-                str(timing.equivalent),
-            ]
-            for timing in self.chunk_timings
-        ]
-        chunk_table = format_table(
-            ["stream", "feeds", "mean feed (ms)", "worst feed (ms)", "RTF", "over budget", "exact"],
-            chunk_rows,
-        )
-        scaling_rows = [
-            [
-                timing.num_streams,
-                timing.sequential_ms,
-                timing.coalesced_ms,
-                f"{timing.speedup:.2f}x",
-                f"{timing.coalesced_rtf:.3f}",
-                str(timing.equivalent),
-            ]
-            for timing in self.scaling_timings
-        ]
-        scaling_table = format_table(
-            ["streams", "sequential (ms)", "coalesced (ms)", "speedup", "RTF", "exact"],
-            scaling_rows,
-        )
-        return chunk_table + "\n\n" + scaling_table
-
-    def to_dict(self) -> Dict:
-        """JSON-ready payload for the ``BENCH_streaming.json`` perf artifact."""
-        return {
-            "benchmark": "streaming_rtf",
-            "sample_rate": self.sample_rate,
-            "segment_samples": self.segment_samples,
-            "hop_length": self.hop_length,
-            "latency_budget_ms": self.latency_budget_ms,
-            "num_workers": self.num_workers,
-            "all_equivalent": self.all_equivalent,
-            "budget_violations": self.budget_violations,
-            "max_streams_rtf_below_1": self.max_streams_rtf_below_1,
-            "projected_max_streams_per_core": self.projected_max_streams_per_core,
-            "chunks": [
-                {
-                    "chunk_seconds": timing.chunk_seconds,
-                    "chunk_samples": timing.chunk_samples,
-                    "feeds": timing.feeds,
-                    "mean_feed_ms": timing.mean_feed_ms,
-                    "worst_feed_ms": timing.worst_feed_ms,
-                    "rtf": timing.rtf,
-                    "budget_ms": timing.budget_ms,
-                    "budget_violations": timing.budget_violations,
-                    "equivalent": timing.equivalent,
-                }
-                for timing in self.chunk_timings
-            ],
-            "scaling": [
-                {
-                    "num_streams": timing.num_streams,
-                    "segments_per_stream": timing.segments_per_stream,
-                    "sequential_ms": timing.sequential_ms,
-                    "coalesced_ms": timing.coalesced_ms,
-                    "speedup": timing.speedup,
-                    "rtf": timing.coalesced_rtf,
-                    "equivalent": timing.equivalent,
-                }
-                for timing in self.scaling_timings
-            ],
-        }
-
-
-def run_streaming_rtf_analysis(
-    config: Optional[NECConfig] = None,
-    chunk_seconds: tuple = (0.01, 0.1, 1.0),
-    stream_counts: tuple = (1, 2, 4, 8),
-    segments_per_stream: int = 2,
-    clip_segments: float = 2.34,
-    latency_budget_ms: float = STREAMING_LATENCY_BUDGET_MS,
-    repetitions: int = 2,
-    seed: int = 0,
-    num_workers: Optional[int] = None,
-) -> StreamingRuntimeResult:
-    """Benchmark the real-time streaming fast path end to end.
-
-    Two studies, both on the paper's deployment timing (``config`` defaults to
-    :meth:`NECConfig.default`: 16 kHz, hop 160, 1 s segments):
-
-    - **Chunk-size RTF** — one stream fed chunk by chunk through the
-      ring-buffer :class:`~repro.core.pipeline.StreamingProtector` (plus the
-      flush tail), for each chunk duration in ``chunk_seconds``.  Reports the
-      real-time factor (total feed wall-clock over audio duration), per-feed
-      latency, and violations of ``latency_budget_ms`` — the paper's ~300 ms
-      overshadowing tolerance.  The concatenated output is checked
-      sample-exact against :meth:`NECSystem.protect` on the whole clip.
-    - **Stream scaling** — for each count in ``stream_counts``, N concurrent
-      streams each deliver ``segments_per_stream`` segments.  ``sequential``
-      protects each stream's segment with its own immediate feed;
-      ``coalesced`` routes all streams through one shared
-      :class:`~repro.core.selector.StreamBatch` and pays one tick per round.
-      Both modes must emit bit-identical shadow waves.  The headline numbers
-      are the largest stream count with RTF < 1 and the RTF-linear projection
-      of the per-core capacity.
-    """
-    from repro.audio.signal import AudioSignal
-    from repro.core.pipeline import NECSystem, StreamingProtector
-    from repro.core.selector import StreamBatch
-
-    config = (config or NECConfig.default()).validate()
-    rng = np.random.default_rng(seed)
-    system = NECSystem(config, seed=seed)
-    system.enroll(
-        [AudioSignal(rng.normal(scale=0.1, size=config.segment_samples), config.sample_rate)]
-    )
-    segment = config.segment_samples
-    workers = num_workers if num_workers is not None else min(os.cpu_count() or 1, 4)
-
-    # -- chunk-size RTF study -------------------------------------------------
-    clip_samples = int(clip_segments * segment)
-    clip = AudioSignal(rng.normal(scale=0.1, size=clip_samples), config.sample_rate)
-    whole = system.protect(clip)
-    chunk_timings: List[StreamChunkTiming] = []
-    for seconds in chunk_seconds:
-        chunk_samples = max(int(seconds * config.sample_rate), 1)
-
-        def stream_once() -> tuple:
-            protector = StreamingProtector(system, latency_budget_ms=latency_budget_ms)
-            waves = []
-            for start in range(0, clip_samples, chunk_samples):
-                for result in protector.feed(clip.data[start : start + chunk_samples]):
-                    waves.append(result.shadow_wave.data)
-            tail = protector.flush()
-            if tail is not None:
-                waves.append(tail.shadow_wave.data)
-            return np.concatenate(waves), protector.latency
-
-        wave, _ = stream_once()
-        equivalent = bool(np.array_equal(wave, whole.shadow_wave.data))
-        best_stats = None
-        for _ in range(max(repetitions, 1)):
-            _, stats = stream_once()
-            if best_stats is None or stats.total_feed_ms < best_stats.total_feed_ms:
-                best_stats = stats
-        audio_seconds = clip_samples / config.sample_rate
-        chunk_timings.append(
-            StreamChunkTiming(
-                chunk_seconds=float(seconds),
-                chunk_samples=chunk_samples,
-                feeds=best_stats.feeds,
-                mean_feed_ms=best_stats.mean_feed_ms,
-                worst_feed_ms=best_stats.worst_feed_ms,
-                rtf=best_stats.total_feed_ms / 1000.0 / audio_seconds,
-                budget_ms=latency_budget_ms,
-                budget_violations=best_stats.budget_violations,
-                equivalent=equivalent,
-            )
-        )
-
-    # -- stream scaling study -------------------------------------------------
-    scaling_timings: List[StreamScalingTiming] = []
-    max_streams = max(stream_counts)
-    stream_audio = [
-        rng.normal(scale=0.1, size=segments_per_stream * segment)
-        for _ in range(max_streams)
-    ]
-    for count in stream_counts:
-        audio = stream_audio[:count]
-
-        def run_sequential() -> List[np.ndarray]:
-            protectors = [StreamingProtector(system) for _ in range(count)]
-            waves: List[List[np.ndarray]] = [[] for _ in range(count)]
-            for round_index in range(segments_per_stream):
-                start = round_index * segment
-                for index, protector in enumerate(protectors):
-                    for result in protector.feed(audio[index][start : start + segment]):
-                        waves[index].append(result.shadow_wave.data)
-            return [np.concatenate(per_stream) for per_stream in waves]
-
-        def run_coalesced() -> List[np.ndarray]:
-            chunk = max(1, -(-count // workers)) if workers > 1 else 4
-            batch = StreamBatch(
-                system.selector, max_batch_segments=chunk, num_workers=workers
-            )
-            protectors = [
-                StreamingProtector(system, stream_batch=batch) for _ in range(count)
-            ]
-            waves: List[List[np.ndarray]] = [[] for _ in range(count)]
-            for round_index in range(segments_per_stream):
-                start = round_index * segment
-                for index, protector in enumerate(protectors):
-                    protector.feed(audio[index][start : start + segment])
-                batch.tick()
-                for index, protector in enumerate(protectors):
-                    for result in protector.collect():
-                        waves[index].append(result.shadow_wave.data)
-            return [np.concatenate(per_stream) for per_stream in waves]
-
-        sequential_waves = run_sequential()
-        coalesced_waves = run_coalesced()
-        equivalent = all(
-            np.array_equal(a, b) for a, b in zip(sequential_waves, coalesced_waves)
-        )
-        sequential_ms = _time_call_best(run_sequential, repetitions)
-        coalesced_ms = _time_call_best(run_coalesced, repetitions)
-        audio_seconds = count * segments_per_stream * segment / config.sample_rate
-        scaling_timings.append(
-            StreamScalingTiming(
-                num_streams=count,
-                segments_per_stream=segments_per_stream,
-                sequential_ms=sequential_ms,
-                coalesced_ms=coalesced_ms,
-                coalesced_rtf=coalesced_ms / 1000.0 / audio_seconds,
-                equivalent=equivalent,
-            )
-        )
-
-    return StreamingRuntimeResult(
-        sample_rate=config.sample_rate,
-        segment_samples=segment,
-        hop_length=config.hop_length,
-        latency_budget_ms=latency_budget_ms,
-        num_workers=workers,
-        chunk_timings=chunk_timings,
-        scaling_timings=scaling_timings,
-    )

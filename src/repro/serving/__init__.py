@@ -18,17 +18,13 @@ scheduler primitive:
   one Selector pass per tick and drains gracefully on shutdown.
 * :mod:`repro.serving.service` — :class:`ProtectionService`: the front door
   tying registry, sessions and loop together.
-* :mod:`repro.serving.bench` — :func:`run_serving_analysis`: p50/p99 shadow
-  latency and aggregate throughput at 1/8/64 concurrent streams
-  (``BENCH_serving.json``).
 
 Coalescing never changes a number (every stacked row is bit-identical to a
 dedicated per-stream pass), so protection through the service equals direct
 :class:`~repro.core.pipeline.StreamingProtector` use bit for bit — the
-equivalence the benchmark and test-suite pin.
+equivalence the test-suite pins.
 """
 
-from repro.serving.bench import ServingPoint, ServingResult, run_serving_analysis
 from repro.serving.loop import TickLoop
 from repro.serving.registry import EnrollmentRegistry
 from repro.serving.service import ProtectionService, ServiceStats
@@ -39,9 +35,6 @@ __all__ = [
     "ProtectionService",
     "ProtectionSession",
     "ServiceStats",
-    "ServingPoint",
-    "ServingResult",
     "SessionState",
     "TickLoop",
-    "run_serving_analysis",
 ]

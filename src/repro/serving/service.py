@@ -23,7 +23,7 @@ drains every submitted segment, the worker pool is closed
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -42,19 +42,17 @@ class ServiceStats:
     """Aggregate serving counters (scheduling efficiency, not per-stream latency)."""
 
     ticks: int = 0
+    empty_ticks: int = 0
     segments_coalesced: int = 0
-    batch_sizes: List[int] = field(default_factory=list)
+    max_batch_size: int = 0
     sessions_opened: int = 0
     sessions_closed: int = 0
 
     @property
     def mean_batch_size(self) -> float:
-        nonempty = [size for size in self.batch_sizes if size > 0]
-        return float(np.mean(nonempty)) if nonempty else 0.0
-
-    @property
-    def max_batch_size(self) -> int:
-        return max(self.batch_sizes, default=0)
+        """Mean segments per tick that inferred anything."""
+        busy_ticks = self.ticks - self.empty_ticks
+        return self.segments_coalesced / busy_ticks if busy_ticks else 0.0
 
 
 class ProtectionService:
@@ -88,7 +86,6 @@ class ProtectionService:
         num_workers: Optional[int] = None,
         poll_interval_s: float = 0.05,
         coalesce_window_s: float = 0.0,
-        latency_budget_ms: Optional[float] = None,
         autostart: bool = True,
     ) -> None:
         self.registry = registry
@@ -98,7 +95,6 @@ class ProtectionService:
             raise ValueError("system config does not match the registry config")
         self.system = system
         self.config: NECConfig = system.config
-        self.latency_budget_ms = latency_budget_ms
         kwargs = {} if num_workers is None else {"num_workers": num_workers}
         self.batch = StreamBatch(
             system.selector, max_batch_segments=max_batch_segments, **kwargs
@@ -131,7 +127,6 @@ class ProtectionService:
         self,
         tenant_id: str,
         stream_id: Optional[str] = None,
-        latency_budget_ms: Optional[float] = None,
     ) -> ProtectionSession:
         """A new protected stream for an enrolled tenant.
 
@@ -146,17 +141,7 @@ class ProtectionService:
             self.config, encoder=self.system.encoder, selector=self.system.selector
         )
         tenant_system.set_embedding(self.registry.embedding(tenant_id))
-        session = ProtectionSession(
-            self,
-            tenant_id,
-            tenant_system,
-            stream_id=stream_id,
-            latency_budget_ms=(
-                latency_budget_ms
-                if latency_budget_ms is not None
-                else self.latency_budget_ms
-            ),
-        )
+        session = ProtectionSession(self, tenant_id, tenant_system, stream_id=stream_id)
         if session.stream_id in self._sessions:
             raise ValueError(f"stream id '{session.stream_id}' is already open")
         self._sessions[session.stream_id] = session
@@ -211,8 +196,9 @@ class ProtectionService:
 
     def _harvest_stats(self) -> None:
         self.stats.ticks = self.batch.ticks
+        self.stats.empty_ticks = self.batch.empty_ticks
         self.stats.segments_coalesced = self.batch.segments_coalesced
-        self.stats.batch_sizes = list(self.batch.batch_sizes)
+        self.stats.max_batch_size = self.batch.max_batch_size
 
     def __enter__(self) -> "ProtectionService":
         return self

@@ -6,7 +6,7 @@ shared :class:`~repro.core.selector.StreamBatch`, configured with the
 tenant's enrolled d-vector.  The session's job is lifecycle — ``feed`` while
 open, ``flush`` the partial tail, drain outstanding inference on ``close`` —
 plus the per-session latency ledger
-(:class:`~repro.core.pipeline.StreamLatencyStats`) the benchmark aggregates.
+(:class:`~repro.core.pipeline.StreamLatencyStats`).
 
 Sessions never run inference themselves: feeding only buffers samples and
 submits completed segments to the shared batch; the service's
@@ -70,18 +70,13 @@ class ProtectionSession:
         tenant_id: str,
         system: NECSystem,
         stream_id: Optional[str] = None,
-        latency_budget_ms: Optional[float] = None,
     ) -> None:
         self.service = service
         self.tenant_id = tenant_id
         self.stream_id = (
             stream_id if stream_id is not None else f"{tenant_id}/{next(_STREAM_COUNTER)}"
         )
-        self.protector = StreamingProtector(
-            system,
-            stream_batch=service.batch,
-            latency_budget_ms=latency_budget_ms,
-        )
+        self.protector = StreamingProtector(system, stream_batch=service.batch)
         self.state = SessionState.OPEN
         self.segments_collected = 0
         #: Results drained by :meth:`close`; clients that close before

@@ -240,6 +240,13 @@ class TestFilterDesignCache:
             signal,
         )
         np.testing.assert_array_equal(bandpass_filter(signal, 500, 2000, SR, order=4), direct)
+        # The 192 kHz microphone anti-aliasing low-pass of the channel model.
+        rate = 192_000
+        wide = rng.normal(size=rate // 10)
+        direct = sps.sosfiltfilt(
+            sps.butter(6, 7600.0 / (rate / 2.0), btype="low", output="sos"), wide
+        )
+        np.testing.assert_array_equal(lowpass_filter(wide, 7600.0, rate, order=6), direct)
 
     def test_returned_design_is_writable_copy(self):
         sos = butter_sos(6, (1000.0,), SR, "low")

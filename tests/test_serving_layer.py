@@ -377,13 +377,4 @@ class TestProtectionService:
         assert len(session.drained_results) == 2
         assert service.stats.sessions_closed == 1
         assert service.stats.segments_coalesced >= 2
-
-    def test_latency_budget_flows_to_sessions(self, tiny_config, system, tmp_path):
-        with _make_service(
-            tiny_config, system, tmp_path, latency_budget_ms=10_000.0
-        ) as service:
-            session = service.open_session("alice")
-            assert session.latency.budget_ms == 10_000.0
-            session.feed(np.zeros(tiny_config.segment_samples))
-            session.collect(wait=True, timeout=60.0)
-            assert session.latency.budget_violations == 0
+        assert 1 <= service.stats.mean_batch_size <= service.stats.max_batch_size

@@ -158,7 +158,7 @@ class TestStreamingISTFT:
 
 
 class TestStreamingProtectorProperty:
-    """Any chunking reproduces protect() exactly, within the latency budget."""
+    """Any chunking reproduces protect() exactly."""
 
     @settings(max_examples=12, deadline=None)
     @given(boundaries=st.lists(st.integers(min_value=1, max_value=12000), max_size=8))
@@ -167,8 +167,7 @@ class TestStreamingProtectorProperty:
         audio = AudioSignal(_noise(clip_samples, seed=11), tiny_config.sample_rate)
         whole = system.protect(audio)
 
-        budget_ms = 300.0
-        protector = StreamingProtector(system, latency_budget_ms=budget_ms)
+        protector = StreamingProtector(system)
         waves = []
         for chunk in _chunkings(audio.data, boundaries):
             for result in protector.feed(chunk):
@@ -180,11 +179,8 @@ class TestStreamingProtectorProperty:
         np.testing.assert_array_equal(
             np.concatenate(waves), whole.shadow_wave.data
         )
-        # Latency accounting: every feed (and the flush) was timed, and on the
-        # benchmark host each stays under the paper's overshadowing tolerance.
+        # Latency accounting: every feed (and the flush) was timed.
         assert protector.latency.feeds > 0
-        assert protector.latency.budget_violations == 0
-        assert protector.latency.worst_feed_ms <= budget_ms
 
     def test_sub_hop_chunks_match_protect(self, system, tiny_config):
         clip_samples = tiny_config.segment_samples + 3 * tiny_config.hop_length // 2
@@ -208,7 +204,7 @@ class TestLatencyAccounting:
         protector.feed(clip[:segment])
         protector.feed(clip[segment:])
         # Shadows come out inside the very feed that completes each segment.
-        assert protector.latency.emit_latency_samples == [0, 0]
+        assert protector.latency.emits == 2
         assert protector.latency.worst_emit_latency_samples == 0
         assert protector.lookahead_samples == tiny_config.segment_samples
 
@@ -222,15 +218,8 @@ class TestLatencyAccounting:
         batch.tick()
         results = protector.collect()
         assert len(results) == 1
-        assert protector.latency.emit_latency_samples == [extra]
-
-    def test_budget_violations_counted(self, system, tiny_config):
-        protector = StreamingProtector(system, latency_budget_ms=0.0)
-        protector.feed(_noise(tiny_config.segment_samples, seed=16))
-        assert protector.latency.budget_violations > 0
-        protector.latency.reset()
-        assert protector.latency.budget_violations == 0
-        assert protector.latency.feeds == 0
+        assert protector.latency.emits == 1
+        assert protector.latency.worst_emit_latency_samples == extra
 
     def test_mean_and_worst_feed_tracked(self, system, tiny_config):
         protector = StreamingProtector(system)
@@ -239,6 +228,9 @@ class TestLatencyAccounting:
         stats = protector.latency
         assert stats.feeds == 2
         assert stats.worst_feed_ms >= stats.mean_feed_ms > 0
+        stats.reset()
+        assert stats.feeds == stats.emits == 0
+        assert stats.worst_feed_ms == stats.mean_feed_ms == 0.0
 
 
 class TestStreamBatch:
@@ -328,8 +320,8 @@ class TestStreamBatch:
     def test_empty_tick_counts(self, system):
         batch = StreamBatch(system.selector)
         assert batch.tick() == 0
-        assert batch.ticks == 1
-        assert batch.batch_sizes == [0]
+        assert batch.ticks == batch.empty_ticks == 1
+        assert batch.max_batch_size == 0
 
     def test_tick_with_only_zero_segment_submissions(self, system, tiny_config):
         """Regression: all-empty pending requests used to crash the tick.
@@ -349,7 +341,7 @@ class TestStreamBatch:
         for request in requests:
             assert request.done
             assert request.shadow_spectrograms.shape == (0, frequency_bins, frames)
-        assert batch.batch_sizes[-1] == 0
+        assert batch.empty_ticks == 1
 
     def test_tick_mixing_empty_and_real_submissions(self, system, tiny_config):
         segment = tiny_config.segment_samples
