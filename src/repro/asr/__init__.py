@@ -11,14 +11,13 @@ signal — clean speech decodes well, overlapped or shadow-cancelled speech
 decodes badly — which is exactly the role WER plays in the paper's Fig. 11.
 """
 
-from repro.asr.dtw import dtw_distance, dtw_distance_many, dtw_distance_reference
+from repro.asr.dtw import dtw_distance, dtw_distance_many
 from repro.asr.segmentation import segment_words
 from repro.asr.recognizer import TemplateRecognizer, TranscriptionResult, clear_template_cache
 
 __all__ = [
     "dtw_distance",
     "dtw_distance_many",
-    "dtw_distance_reference",
     "segment_words",
     "TemplateRecognizer",
     "TranscriptionResult",

@@ -1,14 +1,14 @@
 """Dynamic time warping over feature sequences.
 
-Two implementations live here:
+Two kernels live here:
 
-- :func:`dtw_distance_reference` — the seed's pure-Python double loop, kept as
-  the numerical ground truth.
-- :func:`dtw_distance` — the evaluation fast path: the same recurrence swept
+- :func:`dtw_distance` — the evaluation fast path: the DTW recurrence swept
   along anti-diagonals, so each sweep step is one vectorised ``np.minimum``
   over a whole diagonal instead of a Python-level inner loop.  Every cell is
   still computed as ``local_cost + min(three predecessors)`` — min and add are
-  order-exact — so the result is **bit-identical** to the reference.
+  order-exact — so the result is **bit-identical** to the seed's pure-Python
+  double loop (the oracle in ``tests/oracles.py``, pinned in
+  ``tests/test_fastpath.py``).
 - :func:`dtw_distance_many` — one segment against a whole template bank: the
   pairwise frame distances of *all* templates come from a single stacked Gram
   product (``features @ templates.T``) and the accumulation runs batched over
@@ -44,32 +44,6 @@ def _local_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(squared, 0.0))
 
 
-def dtw_distance_reference(sequence_a: np.ndarray, sequence_b: np.ndarray) -> float:
-    """Normalised DTW distance between two ``(frames, features)`` sequences.
-
-    The seed implementation: an O(rows x cols) Python double loop over the
-    accumulation matrix.  Kept as the ground truth the vectorised kernels are
-    verified against (they are bit-identical to it).
-    """
-    a = _as_sequence(sequence_a)
-    b = _as_sequence(sequence_b)
-    if a.shape[1] != b.shape[1]:
-        raise ValueError("feature dimensionality mismatch")
-
-    local = _local_cost(a, b)
-    rows, cols = local.shape
-    accumulated = np.full((rows + 1, cols + 1), np.inf)
-    accumulated[0, 0] = 0.0
-    for i in range(1, rows + 1):
-        row_cost = local[i - 1]
-        for j in range(1, cols + 1):
-            best_previous = min(
-                accumulated[i - 1, j], accumulated[i, j - 1], accumulated[i - 1, j - 1]
-            )
-            accumulated[i, j] = row_cost[j - 1] + best_previous
-    return float(accumulated[rows, cols] / (rows + cols))
-
-
 def dtw_distance(sequence_a: np.ndarray, sequence_b: np.ndarray) -> float:
     """Normalised DTW distance between two ``(frames, features)`` sequences.
 
@@ -79,8 +53,8 @@ def dtw_distance(sequence_a: np.ndarray, sequence_b: np.ndarray) -> float:
 
     Vectorised anti-diagonal formulation: cells on diagonal ``i + j = d``
     depend only on diagonals ``d - 1`` and ``d - 2``, so each diagonal is one
-    fused ``np.minimum`` + add over the whole frontier.  Bit-identical to
-    :func:`dtw_distance_reference`.
+    fused ``np.minimum`` + add over the whole frontier.  Bit-identical to the
+    double-loop oracle in ``tests/oracles.py``.
     """
     a = _as_sequence(sequence_a)
     b = _as_sequence(sequence_b)

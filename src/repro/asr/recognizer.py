@@ -7,7 +7,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.asr.dtw import dtw_distance_many, dtw_distance_reference
+from repro.asr.dtw import dtw_distance_many
 from repro.asr.segmentation import segment_words
 from repro.audio.lexicon import LEXICON
 from repro.audio.signal import AudioSignal
@@ -88,7 +88,8 @@ class TemplateRecognizer:
             _TEMPLATE_CACHE[cache_key] = self._templates
         # Flat view of the bank for the batched DTW kernel: one template list
         # plus the word each entry decodes to, in the same iteration order the
-        # reference per-template loop uses (so tie-breaking matches exactly).
+        # per-template loop of ``tests/oracles.py`` uses (so tie-breaking
+        # matches exactly).
         self._template_words: List[str] = []
         self._template_bank: List[np.ndarray] = []
         for word, templates in self._templates.items():
@@ -134,7 +135,7 @@ class TemplateRecognizer:
 
         All templates are scored in a single :func:`dtw_distance_many` call
         (shared Gram blocks, anti-diagonal accumulation, early abandoning by
-        the running best); ``np.argmin`` keeps the reference loop's
+        the running best); ``np.argmin`` keeps the per-template loop's
         first-strictly-smaller tie-breaking because the bank preserves the
         template iteration order.
         """
@@ -146,20 +147,6 @@ class TemplateRecognizer:
         if not np.isfinite(best_distance) or best_distance > self.rejection_threshold:
             return self.OOV_TOKEN, best_distance
         return self._template_words[index], best_distance
-
-    def _classify_segment_reference(self, features: np.ndarray) -> tuple:
-        """The seed per-template loop, kept as the equivalence ground truth."""
-        best_word = self.OOV_TOKEN
-        best_distance = np.inf
-        for word, templates in self._templates.items():
-            for template in templates:
-                distance = dtw_distance_reference(features, template)
-                if distance < best_distance:
-                    best_distance = distance
-                    best_word = word
-        if best_distance > self.rejection_threshold:
-            return self.OOV_TOKEN, best_distance
-        return best_word, best_distance
 
     def transcribe(self, audio: AudioSignal | np.ndarray) -> TranscriptionResult:
         """Decode an utterance into a word sequence."""

@@ -1,14 +1,17 @@
 """The end-to-end NEC system: enroll, protect, broadcast, record.
 
-Shadow generation runs on a **batched inference engine**: an arbitrary-length
-clip is split into segments, every segment's spectrogram is stacked into one
-``(N, 1, T, F)`` batch, and a single gradient-free Selector forward pass
-produces all shadow spectrograms at once (:meth:`NECSystem.protect`).  The
-same engine powers :meth:`NECSystem.protect_batch` (many clips per call, for
-serving) and :class:`StreamingProtector` (chunked audio in, shadow waves out,
-with carried-over state).  The segment-at-a-time reference path is kept as
-:meth:`NECSystem.protect_looped`; both paths are numerically identical and the
-equivalence is pinned by tests.
+Shadow generation runs on one gradient-free engine: an arbitrary-length clip
+is split into segments, stacked into a ``(N, segment_samples)`` matrix, and
+transformed by one batched STFT; the Selector infers the shadow spectrograms
+(:meth:`Selector.shadow_spectrogram_batch`, at most
+:data:`~repro.core.selector.ROWS_PER_PASS` rows per pass) and one batched
+iSTFT inverts them (:meth:`NECSystem.protect`).  The same engine powers
+:meth:`NECSystem.protect_batch` (many clips per call) and
+:class:`StreamingProtector` (chunked audio in, shadow waves out, with
+carried-over state), whose every Selector pass goes through a
+:class:`~repro.core.selector.StreamBatch`.  Each path is bit-identical to
+protecting one segment at a time; that oracle lives in ``tests/oracles.py``
+and the equivalence is pinned by ``tests/test_pipeline_batch.py``.
 """
 
 from __future__ import annotations
@@ -24,11 +27,7 @@ from repro.channel.recorder import Recorder, SceneSource
 from repro.channel.ultrasound import UltrasoundSpeaker
 from repro.core.config import NECConfig
 from repro.core.encoder import SpeakerEncoder, SpectralEncoder
-from repro.core.overshadow import (
-    apply_offsets,
-    shadow_waveform,
-    superpose_spectrograms,
-)
+from repro.core.overshadow import apply_offsets, superpose_spectrograms
 from repro.core.selector import Selector, StreamBatch, StreamRequest
 from repro.dsp.stft import (
     StreamingISTFT,
@@ -36,7 +35,6 @@ from repro.dsp.stft import (
     batch_istft,
     batch_stft,
     magnitude,
-    magnitude_spectrogram,
 )
 from repro.nn.precision import active_policy
 
@@ -149,37 +147,17 @@ class NECSystem:
                 f"expected {self.config.sample_rate} Hz audio, got {audio.sample_rate}"
             )
 
-    def protect_segment(self, mixed_segment: AudioSignal) -> ProtectionResult:
-        """Run the Selector on one segment and build the shadow wave."""
-        self._check_sample_rate(mixed_segment)
-        mixed_spec = magnitude_spectrogram(
-            mixed_segment.data,
-            self.config.n_fft,
-            self.config.win_length,
-            self.config.hop_length,
-        )
-        shadow_spec = self.selector.shadow_spectrogram(mixed_spec, self.embedding)
-        record_spec = superpose_spectrograms(mixed_spec, shadow_spec)
-        shadow_wave = shadow_waveform(mixed_segment, shadow_spec, self.config)
-        return ProtectionResult(
-            mixed_audio=mixed_segment,
-            mixed_spectrogram=mixed_spec,
-            shadow_spectrogram=shadow_spec,
-            shadow_wave=shadow_wave,
-            record_spectrogram=record_spec,
-        )
-
-    def protect_segment_matrix(
-        self, segment_matrix: np.ndarray, max_batch_segments: int = 16
-    ) -> List[ProtectionResult]:
+    def protect_segment_matrix(self, segment_matrix: np.ndarray) -> List[ProtectionResult]:
         """The batched engine core: protect ``(N, segment_samples)`` stacked segments.
 
-        One complex STFT and one Selector forward pass cover the whole batch
-        (chunked at ``max_batch_segments`` to bound the im2col working set).
-        Returns one full-segment :class:`ProtectionResult` per row, each
-        bit-identical to :meth:`protect_segment` on that row (under the default
-        float64 policy; under a reduced-precision policy the whole engine runs
-        in the policy's dtype, gated by ``tests/test_precision.py``).
+        One complex STFT, one :meth:`Selector.shadow_spectrogram_batch` call
+        (which bounds its own passes at :data:`~repro.core.selector.ROWS_PER_PASS`
+        rows) and one batched iSTFT cover the whole matrix.  Returns one
+        full-segment :class:`ProtectionResult` per row, each bit-identical to
+        protecting that row alone under the default float64 policy (pinned
+        by ``tests/test_pipeline_batch.py`` against the per-segment oracle in
+        ``tests/oracles.py``; under a reduced-precision policy the whole
+        engine runs in the policy's dtype, gated by ``tests/test_precision.py``).
         """
         policy = active_policy()
         matrix = policy.real(np.asarray(segment_matrix))
@@ -189,39 +167,32 @@ class NECSystem:
                 f"got shape {matrix.shape}"
             )
         embedding = self.embedding  # fail fast if not enrolled
-        results: List[ProtectionResult] = []
-        batch_size = max(max_batch_segments, 1)
-        for start in range(0, matrix.shape[0], batch_size):
-            chunk = matrix[start : start + batch_size]
-            stfts = batch_stft(
-                chunk, self.config.n_fft, self.config.win_length, self.config.hop_length
-            )  # (n, F, T) complex
-            mixed_specs = magnitude(stfts)
-            shadow_specs = self.selector.shadow_spectrogram_batch(mixed_specs, embedding)
-            record_specs = superpose_spectrograms(mixed_specs, shadow_specs)
-            # One batched iSTFT inverts every shadow of the chunk at once.
-            # Each row of batch_istft equals istft of that row bit for bit
-            # (pinned by the test suite), so this matches the per-row
-            # shadow_waveform_from_stft loop it replaced exactly while
-            # keeping the inversion out of Python-level iteration.
-            phases = np.exp(1j * np.angle(stfts))
-            waves = batch_istft(
-                shadow_specs * phases,
-                self.config.win_length,
-                self.config.hop_length,
-                length=self.config.segment_samples,
+        stfts = batch_stft(
+            matrix, self.config.n_fft, self.config.win_length, self.config.hop_length
+        )  # (N, F, T) complex
+        mixed_specs = magnitude(stfts)
+        shadow_specs = self.selector.shadow_spectrogram_batch(mixed_specs, embedding)
+        record_specs = superpose_spectrograms(mixed_specs, shadow_specs)
+        # One batched iSTFT inverts every shadow at once; each row of
+        # batch_istft equals istft of that row bit for bit (pinned by the
+        # test suite).
+        phases = np.exp(1j * np.angle(stfts))
+        waves = batch_istft(
+            shadow_specs * phases,
+            self.config.win_length,
+            self.config.hop_length,
+            length=self.config.segment_samples,
+        )
+        return [
+            ProtectionResult(
+                mixed_audio=AudioSignal(matrix[row], self.config.sample_rate),
+                mixed_spectrogram=mixed_specs[row],
+                shadow_spectrogram=shadow_specs[row],
+                shadow_wave=AudioSignal(waves[row], self.config.sample_rate),
+                record_spectrogram=record_specs[row],
             )
-            for row in range(chunk.shape[0]):
-                results.append(
-                    ProtectionResult(
-                        mixed_audio=AudioSignal(chunk[row], self.config.sample_rate),
-                        mixed_spectrogram=mixed_specs[row],
-                        shadow_spectrogram=shadow_specs[row],
-                        shadow_wave=AudioSignal(waves[row], self.config.sample_rate),
-                        record_spectrogram=record_specs[row],
-                    )
-                )
-        return results
+            for row in range(matrix.shape[0])
+        ]
 
     def _assemble(
         self, mixed_audio: AudioSignal, results: Sequence[ProtectionResult]
@@ -260,41 +231,26 @@ class NECSystem:
     def protect(self, mixed_audio: AudioSignal) -> ProtectionResult:
         """Protect an arbitrary-length mixed audio via the batched engine.
 
-        All segments go through one stacked STFT and one Selector forward pass;
-        the result is numerically identical to :meth:`protect_looped` (the
-        original segment-at-a-time path) at a multiple of its throughput.
+        All segments go through one stacked STFT, the Selector and one
+        batched iSTFT; the result is bit-identical to protecting the clip one
+        segment at a time (pinned against the looped oracle in
+        ``tests/oracles.py``).
         """
         results = self.protect_segment_matrix(self._segment_matrix(mixed_audio))
         return self._assemble(mixed_audio, results)
 
-    def protect_looped(self, mixed_audio: AudioSignal) -> ProtectionResult:
-        """Reference implementation: protect one segment at a time.
-
-        Kept as the numerical ground truth the batched engine is verified
-        against, and as the baseline of the batched-vs-looped benchmark.
-        """
-        results = [self.protect_segment(segment) for segment in self._segments(mixed_audio)]
-        return self._assemble(mixed_audio, results)
-
-    def protect_batch(
-        self,
-        mixed_audios: Sequence[AudioSignal],
-        max_batch_segments: int = 16,
-    ) -> List[ProtectionResult]:
+    def protect_batch(self, mixed_audios: Sequence[AudioSignal]) -> List[ProtectionResult]:
         """Protect many clips in one call — the serving entry point.
 
-        Segments of *all* clips are stacked into one matrix so short clips
-        share forward passes instead of each paying a full one; the results
-        are then split and reassembled per clip.  ``protect_batch([a, b])``
-        returns exactly ``[protect(a), protect(b)]``.
+        Segments of *all* clips are stacked into one matrix so the clips
+        share the STFT and iSTFT calls; the results are then split and
+        reassembled per clip.  ``protect_batch([a, b])`` returns exactly
+        ``[protect(a), protect(b)]``.
         """
         if not mixed_audios:
             return []
         matrices = [self._segment_matrix(audio) for audio in mixed_audios]
-        stacked = np.concatenate(matrices, axis=0)
-        segment_results = self.protect_segment_matrix(
-            stacked, max_batch_segments=max_batch_segments
-        )
+        segment_results = self.protect_segment_matrix(np.concatenate(matrices, axis=0))
         assembled: List[ProtectionResult] = []
         offset = 0
         for audio, matrix in zip(mixed_audios, matrices):
@@ -383,8 +339,8 @@ class StreamLatencyStats:
     Every :meth:`StreamingProtector.feed` (and the final flush) records its
     wall-clock; every emitted segment records how many samples had been fed
     past its completion point before its shadow came out (zero when the shadow
-    is emitted inside the very feed that completed the segment; positive under
-    deferred :class:`~repro.core.selector.StreamBatch` scheduling).  The
+    is emitted inside the very feed that completed the segment; positive when
+    a shared :class:`~repro.core.selector.StreamBatch` ticks it later).  The
     algorithmic floor on top of that is always one segment of lookahead — the
     Selector needs the whole segment spectrogram before any shadow exists.
 
@@ -429,7 +385,12 @@ class _PendingSegment:
     stft: np.ndarray                # (F, T) complex frames, policy dtype
     completed_at_samples: int       # samples_fed when the segment completed
     trim_to: Optional[int] = None   # emitted wave length (flush tails)
-    request: Optional[StreamRequest] = None  # deferred mode only
+    request: Optional[StreamRequest] = None  # set once submitted
+
+    @property
+    def stream_samples(self) -> int:
+        """Stream audio this segment covers: the zero pad of a tail is not."""
+        return self.trim_to if self.trim_to is not None else self.raw.size
 
 
 class StreamingProtector:
@@ -445,11 +406,13 @@ class StreamingProtector:
     - the **incremental STFT** (:class:`~repro.dsp.stft.StreamingSTFT`)
       transforms only the frames each chunk completes, so the segment
       spectrogram is already standing when its last sample arrives;
-    - a completed segment runs one gradient-free Selector pass — immediately,
-      or coalesced with other streams' segments when attached to a
-      :class:`~repro.core.selector.StreamBatch` (``feed`` then returns
-      nothing and finished results are picked up with :meth:`collect` after
-      ``stream_batch.tick()``);
+    - a completed segment is submitted to a
+      :class:`~repro.core.selector.StreamBatch` for its gradient-free
+      Selector pass.  Without a ``stream_batch`` the protector owns a private
+      batch and ticks it inside :meth:`feed` / :meth:`flush`, which return
+      the results; attached to a shared ``stream_batch`` (the serving layer's)
+      ``feed`` returns nothing, and finished results are picked up with
+      :meth:`collect` after ``stream_batch.tick()``;
     - the shadow spectrogram is inverted through the tail-carrying
       :class:`~repro.dsp.stft.StreamingISTFT` and emitted.
 
@@ -469,20 +432,19 @@ class StreamingProtector:
     def __init__(
         self,
         system: NECSystem,
-        max_batch_segments: int = 16,
         stream_batch: Optional[StreamBatch] = None,
     ) -> None:
         self.system = system
-        self.max_batch_segments = max_batch_segments
         self.stream_batch = stream_batch
+        self._batch = stream_batch if stream_batch is not None else StreamBatch(system.selector)
         config = system.config
         self._segment = config.segment_samples
         self._ring = np.zeros(self._segment, dtype=np.float64)
         self._fill = 0
         self._stft = StreamingSTFT(config.n_fft, config.win_length, config.hop_length)
         self._frames: List[np.ndarray] = []
-        self._ready: List[_PendingSegment] = []      # completed, inference pending
-        self._submitted: List[_PendingSegment] = []  # deferred: awaiting a tick
+        self._ready: List[_PendingSegment] = []      # completed, not yet submitted
+        self._submitted: List[_PendingSegment] = []  # submitted, not yet collected
         self._segments_completed = 0
         self._segments_emitted = 0
         self._samples_fed = 0
@@ -492,12 +454,8 @@ class StreamingProtector:
     @property
     def pending_samples(self) -> int:
         """Samples fed but not yet covered by an emitted shadow."""
-        ready = sum(segment.raw.size for segment in self._ready)
-        submitted = sum(
-            segment.trim_to if segment.trim_to is not None else segment.raw.size
-            for segment in self._submitted
-        )
-        return int(self._fill + ready + submitted)
+        queued = self._ready + self._submitted
+        return int(self._fill + sum(segment.stream_samples for segment in queued))
 
     @property
     def pending_inference_segments(self) -> int:
@@ -507,11 +465,7 @@ class StreamingProtector:
     @property
     def next_result_ready(self) -> bool:
         """True when :meth:`collect` would return at least one result now."""
-        return bool(
-            self._submitted
-            and self._submitted[0].request is not None
-            and self._submitted[0].request.done
-        )
+        return bool(self._submitted and self._submitted[0].request.done)
 
     @property
     def segments_emitted(self) -> int:
@@ -589,7 +543,7 @@ class StreamingProtector:
         head = inverter.feed(shadow_spec * phase)
         tail = inverter.flush(length=self._segment)
         wave = np.concatenate([head, tail]) if head.size else tail
-        emitted_length = segment.trim_to if segment.trim_to is not None else self._segment
+        emitted_length = segment.stream_samples
         shadow_wave = AudioSignal(wave, config.sample_rate).trim_to(emitted_length)
         self._segments_emitted += 1
         self.latency.record_emit(self._samples_fed - segment.completed_at_samples)
@@ -602,33 +556,28 @@ class StreamingProtector:
         )
 
     def _drain_ready(self) -> List[ProtectionResult]:
-        """Stage 2: run (or defer) Selector inference on completed segments."""
+        """Stage 2: submit completed segments; tick them now without a shared batch."""
         if not self._ready:
             return []
         embedding = self.system.embedding  # fail fast *before* consuming state
-        if self.stream_batch is not None:
-            for segment in self._ready:
-                segment.request = self.stream_batch.submit(
-                    magnitude(segment.stft)[None, :, :], embedding
-                )
-            self._submitted.extend(self._ready)
-            self._ready = []
-            return []
-        results: List[ProtectionResult] = []
-        batch = max(self.max_batch_segments, 1)
-        for start in range(0, len(self._ready), batch):
-            group = self._ready[start : start + batch]
-            stfts = np.stack([segment.stft for segment in group])
-            mixed_specs = magnitude(stfts)
-            shadow_specs = self.system.selector.shadow_spectrogram_batch(
-                mixed_specs, embedding
+        for segment in self._ready:
+            segment.request = self._batch.submit(
+                magnitude(segment.stft)[None, :, :], embedding
             )
-            for row, segment in enumerate(group):
-                results.append(
-                    self._build_result(segment, mixed_specs[row], shadow_specs[row])
-                )
+        self._submitted.extend(self._ready)
         self._ready = []
-        return results
+        if self.stream_batch is not None:
+            return []
+        try:
+            self._batch.tick()
+        except BaseException:
+            # Requeue what the failed tick did not finish: the next feed
+            # retries it, so a failed feed never drops stream audio.
+            unfinished = [segment for segment in self._submitted if not segment.request.done]
+            self._submitted = self._submitted[: len(self._submitted) - len(unfinished)]
+            self._ready = unfinished
+            raise
+        return self._collect_done()
 
     # -- streaming -----------------------------------------------------------
     def feed(self, chunk: Union[AudioSignal, np.ndarray]) -> List[ProtectionResult]:
@@ -636,11 +585,10 @@ class StreamingProtector:
 
         Each returned :class:`ProtectionResult` covers one full segment
         (``config.segment_samples`` samples of shadow wave).  Chunks may be of
-        any size, including empty; several segments completed by one chunk are
-        protected in a single batched forward pass.  Attached to a
+        any size, including empty.  Attached to a shared
         :class:`~repro.core.selector.StreamBatch`, completed segments are
-        queued for the next coalescing tick instead and ``feed`` returns
-        ``[]`` — pick results up with :meth:`collect`.  A feed that fails
+        queued for its next tick instead and ``feed`` returns ``[]`` — pick
+        results up with :meth:`collect`.  A feed that fails
         (e.g. before enrollment) never drops stream audio: the buffered
         segments stay queued and the next feed retries them.
         """
@@ -657,16 +605,22 @@ class StreamingProtector:
         return results
 
     def collect(self) -> List[ProtectionResult]:
-        """Results whose coalesced inference tick has run (deferred mode).
+        """Results whose tick has run, when attached to a shared ``stream_batch``.
 
         Returns finished segments in stream order, stopping at the first one
-        still awaiting a :meth:`~repro.core.selector.StreamBatch.tick`.  In
-        immediate mode (no ``stream_batch``) there is never anything to
-        collect — :meth:`feed` returns results directly.
+        still awaiting a :meth:`~repro.core.selector.StreamBatch.tick`.
+        Without a shared batch there is never anything to collect —
+        :meth:`feed` returns results directly.
         """
         started = time.perf_counter()
+        results = self._collect_done()
+        if results:
+            self.latency.record_feed(1000.0 * (time.perf_counter() - started))
+        return results
+
+    def _collect_done(self) -> List[ProtectionResult]:
         results: List[ProtectionResult] = []
-        while self._submitted and self._submitted[0].request is not None and self._submitted[0].request.done:
+        while self._submitted and self._submitted[0].request.done:
             segment = self._submitted.pop(0)
             results.append(
                 self._build_result(
@@ -675,8 +629,6 @@ class StreamingProtector:
                     segment.request.shadow_spectrograms[0],
                 )
             )
-        if results:
-            self.latency.record_feed(1000.0 * (time.perf_counter() - started))
         return results
 
     def flush(self) -> Optional[ProtectionResult]:
@@ -685,8 +637,9 @@ class StreamingProtector:
         The emitted shadow wave is trimmed to the actual number of buffered
         samples so that the concatenation of every emitted wave matches
         :meth:`NECSystem.protect` on the whole stream.  Returns ``None`` when
-        the buffer is empty — and always in deferred mode, where the padded
-        tail is queued for the next tick and comes out of :meth:`collect`.
+        the buffer is empty — and always with a shared ``stream_batch``, where
+        the padded tail is queued for the next tick and comes out of
+        :meth:`collect`.
         """
         if self._ready:
             raise RuntimeError(

@@ -25,9 +25,7 @@ compares both.
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -36,6 +34,12 @@ import numpy as np
 from repro.core.config import NECConfig
 from repro.nn import Conv2d, Dense, Module, ReLU, Tensor
 from repro.nn.precision import active_policy
+
+#: Most segments one gradient-free Selector pass stacks.  At the deployment
+#: geometry (``NECConfig.default()``) stacking 2 to 16 rows saved no time per
+#: segment over one row, while the im2col working set grew by about 170 MB
+#: per row (docs/architecture.md, "Rows per pass").
+ROWS_PER_PASS = 1
 
 
 class Selector(Module):
@@ -209,21 +213,21 @@ class Selector(Module):
         ``mixed_spectrograms``: ``(N, F, T)`` stacked magnitude spectrograms.
         ``d_vector``: either one ``(embedding_dim,)`` reference embedding
         shared by the batch (all segments of one protected speaker's clip) or
-        a ``(N, embedding_dim)`` matrix of per-segment embeddings — the shape
-        the cross-stream micro-batcher (:class:`StreamBatch`) needs, where one
-        tick coalesces segments belonging to *different* enrolled speakers.
+        a ``(N, embedding_dim)`` matrix of per-segment embeddings.
         Returns the raw head output of shape ``(N, T, F)``.
 
-        Every operation mirrors :meth:`forward` exactly — same log-compression
-        constants, same column layout, same matmul shapes per segment (the
-        batch axis only broadcasts) — so under the default float64 policy row
+        The batch runs in passes of at most :data:`ROWS_PER_PASS` rows, so
+        the working set of every gradient-free pass (and every shape the
+        im2col buffer cache keeps) is bounded by construction, whatever
+        ``N`` a caller stacks.  Every operation mirrors :meth:`forward`
+        exactly — same log-compression constants, same column layout, same
+        matmul shapes per segment — so under the default float64 policy row
         ``n`` is bit-identical to ``forward(mixed_spectrograms[n], d_vector)``.
-        The convolutions run through :meth:`Conv2d.infer`, which skips autograd
-        bookkeeping and the per-sample fancy-index construction; this is where
-        the batched engine earns its throughput.  Under a reduced-precision
-        policy (:mod:`repro.nn.precision`) the whole pass runs in the policy's
-        real dtype — the evaluation fast path, gated by the tolerance suite in
-        ``tests/test_precision.py``.
+        The convolutions run through :meth:`Conv2d.infer`, which skips
+        autograd bookkeeping and the per-sample fancy-index construction.
+        Under a reduced-precision policy (:mod:`repro.nn.precision`) the whole
+        pass runs in the policy's real dtype — the evaluation fast path, gated
+        by the tolerance suite in ``tests/test_precision.py``.
         """
         policy = active_policy()
         batch = policy.real(np.asarray(mixed_spectrograms))
@@ -244,6 +248,17 @@ class Selector(Module):
             raise ValueError("d_vector must be (dim,) or (N, dim)")
         if num_segments == 0:
             return np.zeros((0, frames, freq_bins), dtype=policy.real_dtype)
+        passes = []
+        for start in range(0, num_segments, ROWS_PER_PASS):
+            rows = slice(start, start + ROWS_PER_PASS)
+            vectors = d_vector if d_vector.ndim == 1 else d_vector[rows]
+            passes.append(self._forward_rows(batch[rows], vectors))
+        return np.concatenate(passes, axis=0)
+
+    def _forward_rows(self, batch: np.ndarray, d_vector: np.ndarray) -> np.ndarray:
+        """One gradient-free pass over at most :data:`ROWS_PER_PASS` rows."""
+        policy = active_policy()
+        num_segments, freq_bins, frames = batch.shape
 
         # Same dynamic-range compression as forward(): Tensor.log adds its own
         # 1e-12 epsilon on top of the 1e-6 offset.
@@ -330,9 +345,8 @@ class StreamRequest:
     """One stream's pending segment-inference request inside a :class:`StreamBatch`.
 
     ``mixed_spectrograms`` holds the stream's completed segments awaiting
-    inference (``(n, F, T)``); after the coalescing tick, ``shadow_spectrograms``
-    holds the corresponding signed shadows, bit-identical to what a dedicated
-    per-stream pass would have produced.
+    inference (``(n, F, T)``); once a tick has run the request,
+    ``shadow_spectrograms`` holds the corresponding signed shadows.
     """
 
     mixed_spectrograms: np.ndarray  # (n, F, T)
@@ -345,39 +359,28 @@ class StreamRequest:
 
 
 class StreamBatch:
-    """Cross-stream micro-batching of Selector inference (continuous batching).
+    """The queue of Selector inference shared by many streams.
 
-    Many concurrent streaming protectors each complete segments at their own
-    pace; running one Selector pass per stream per segment pays the Python
-    dispatch, im2col setup and small-GEMM cost once *per stream*.  A
-    ``StreamBatch`` instead collects every pending segment — across streams,
-    across enrolled speakers — and runs **one** batched gradient-free pass per
-    :meth:`tick`, exactly the scheduler primitive a multi-tenant serving layer
-    needs.  Coalescing never changes a number: every row of the stacked pass
-    is bit-identical to that stream's dedicated pass (pinned by the test
-    suite), because :meth:`Selector.forward_batch` is row-independent even
-    with per-row d-vectors.
+    Concurrent streaming protectors each complete segments at their own
+    pace and :meth:`submit` them here, each request carrying its speaker's
+    d-vector; :meth:`tick` then runs every queued request in submit order,
+    one :meth:`Selector.shadow_spectrogram_batch` call per request, and marks
+    each request done as soon as its shadows exist.  A request's shadows are
+    exactly what a dedicated per-stream pass produces, whichever streams and
+    speakers share the tick (pinned by the test suite).  Requests are not
+    stacked into one pass: at the deployment geometry stacking saves no time
+    per segment and multiplies the im2col working set, so the only batching
+    left is :data:`ROWS_PER_PASS` inside the Selector.
 
     :meth:`submit` and the pending-queue handoff in :meth:`tick` are
     thread-safe, so producer threads (streaming sessions) may submit while a
     dedicated ticker thread drives inference — the shape of the serving event
-    loop (:mod:`repro.serving`).  The inference itself still runs one tick at
-    a time.  A long-lived process must :meth:`close` the batch (or use it as
-    a context manager) to reclaim the worker threads of the tick fan-out.
+    loop (:mod:`repro.serving`).  :meth:`close` retires the batch: later
+    submits raise.
     """
 
-    def __init__(
-        self,
-        selector: Selector,
-        max_batch_segments: int = 16,
-        num_workers: Optional[int] = None,
-    ) -> None:
+    def __init__(self, selector: Selector) -> None:
         self.selector = selector
-        self.max_batch_segments = max(int(max_batch_segments), 1)
-        if num_workers is None:
-            num_workers = min(os.cpu_count() or 1, 4)
-        self.num_workers = max(int(num_workers), 1)
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._pending: List[StreamRequest] = []
         self._lock = threading.Lock()
         self._closed = False
@@ -417,18 +420,12 @@ class StreamBatch:
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
-        """Shut down the tick worker pool and refuse further submits.
+        """Refuse further submits.
 
-        A ``StreamBatch`` owns up to ``num_workers`` threads once a threaded
-        tick has run; in a long-lived serving process those threads must be
-        reclaimed when the batch is retired (one leaked pool per batch object
-        adds up fast).  Idempotent; ticking an already-drained closed batch is
-        a no-op, but submitting to one raises.
+        Idempotent; ticking an already-drained closed batch is a no-op, but
+        submitting to one raises.
         """
         self._closed = True
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
 
     def __enter__(self) -> "StreamBatch":
         return self
@@ -437,78 +434,25 @@ class StreamBatch:
         self.close()
 
     def tick(self) -> int:
-        """Run one coalesced inference pass over every pending segment.
+        """Run every pending request; returns the number of segments inferred.
 
-        Segments from all queued requests are stacked (chunked at
-        ``max_batch_segments`` to bound the im2col working set, like the
-        batched protect engine) with their per-row d-vectors, inferred in one
-        batched pass per chunk, and the shadows scattered back to their
-        requests.  Returns the number of segments inferred.
-
-        A tick with nothing to infer — no queued requests, or only
-        zero-segment submits (an idle stream heartbeating the scheduler) — is
-        a clean no-op: empty requests are still marked done (their shadow
-        stack is the matching ``(0, F, T)`` empty array) so collectors never
-        wait on a segment that does not exist.
+        Requests run in submit order and each is marked done as soon as its
+        shadows exist.  A zero-segment request (an idle stream heartbeating
+        the scheduler) is marked done with a matching ``(0, F, T)`` shadow
+        stack, so collectors never wait on a segment that does not exist; a
+        tick that infers nothing counts as an empty tick.
         """
         with self._lock:
             pending, self._pending = self._pending, []
-        if not pending:
-            self.ticks += 1
-            self.empty_ticks += 1
-            return 0
-        counts = [request.mixed_spectrograms.shape[0] for request in pending]
-        if sum(counts) == 0:
-            # Every pending request is empty: nothing to stack, nothing to
-            # infer.  (np.concatenate over zero chunk starts would raise.)
-            for request in pending:
-                request.shadow_spectrograms = request.mixed_spectrograms[:0]
-            self.ticks += 1
-            self.empty_ticks += 1
-            return 0
-        specs = np.concatenate([request.mixed_spectrograms for request in pending], axis=0)
-        vectors = np.concatenate(
-            [
-                np.broadcast_to(
-                    np.asarray(request.d_vector).reshape(1, -1),
-                    (count, np.asarray(request.d_vector).size),
-                )
-                for request, count in zip(pending, counts)
-            ],
-            axis=0,
-        )
-        starts = list(range(0, specs.shape[0], self.max_batch_segments))
-        if self.num_workers > 1 and len(starts) > 1 and not self._closed:
-            # Chunks are independent rows, so fanning them out over worker
-            # threads changes nothing but the wall clock: each chunk runs
-            # exactly the pass it would have run serially (numpy releases the
-            # GIL inside the heavy kernels, and the im2col buffers are
-            # thread-local).
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(max_workers=self.num_workers)
-            futures = [
-                self._pool.submit(
-                    self.selector.shadow_spectrogram_batch,
-                    specs[start : start + self.max_batch_segments],
-                    vectors[start : start + self.max_batch_segments],
-                )
-                for start in starts
-            ]
-            shadows = [future.result() for future in futures]
-        else:
-            shadows = [
-                self.selector.shadow_spectrogram_batch(
-                    specs[start : start + self.max_batch_segments],
-                    vectors[start : start + self.max_batch_segments],
-                )
-                for start in starts
-            ]
-        stacked = np.concatenate(shadows, axis=0)
-        offset = 0
-        for request, count in zip(pending, counts):
-            request.shadow_spectrograms = stacked[offset : offset + count]
-            offset += count
+        inferred = 0
+        for request in pending:
+            request.shadow_spectrograms = self.selector.shadow_spectrogram_batch(
+                request.mixed_spectrograms, request.d_vector
+            )
+            inferred += request.mixed_spectrograms.shape[0]
         self.ticks += 1
-        self.segments_coalesced += specs.shape[0]
-        self.max_batch_size = max(self.max_batch_size, int(specs.shape[0]))
-        return int(specs.shape[0])
+        if inferred == 0:
+            self.empty_ticks += 1
+        self.segments_coalesced += inferred
+        self.max_batch_size = max(self.max_batch_size, inferred)
+        return inferred

@@ -7,20 +7,16 @@ background spectrogram ``S_bk`` (everything except the target speaker),
 paper Eq. (6).  The encoder is frozen — only the Selector's parameters are
 optimised — matching the paper's procedure.
 
-Two training engines share that loss:
-
-- the **minibatched fast path** (:meth:`SelectorTrainer.fit`,
-  :meth:`SelectorTrainer.step_batch`): a whole ``(N, F, T)`` batch goes
-  through one autograd graph (:meth:`Selector.forward_batch_train`), so the
-  im2col construction, the convolution GEMMs and the backward col2im are paid
-  once per *batch* instead of once per *example*.  The batch loss is the mean
-  of the per-example losses, so one backward produces exactly the mean of the
-  per-example gradients (pinned per-op and end-to-end by
-  :func:`repro.nn.grad_check.check_batched_gradients`);
-- the **per-example reference loop** (:meth:`SelectorTrainer.fit_looped`):
-  the original engine, kept as the equivalence anchor — ``fit(batch_size=1)``
-  follows the same example order and matches its trained parameters to
-  float64 accumulation-order tolerance (``tests/test_training_batch.py``).
+Every optimiser step runs one engine, :meth:`SelectorTrainer.step_batch`:
+a whole ``(N, F, T)`` batch goes through one autograd graph
+(:meth:`Selector.forward_batch_train`, frequency-domain convolutions), for
+every batch size including one.  The batch loss is the mean of the
+per-example losses, so one backward produces exactly the mean of the
+per-example gradients (pinned per-op and end-to-end by
+:func:`repro.nn.grad_check.check_batched_gradients`).  The original
+per-example loop survives only as a test oracle (``tests/oracles.py``):
+``fit(batch_size=1)`` follows its example order and matches its trained
+parameters and losses to 1e-12 relative (``tests/test_training_batch.py``).
 
 Training data comes from :class:`ExampleStream`, a deterministic synthetic-
 mixture pipeline: example ``i`` is a pure function of ``(base_seed, i)`` via
@@ -154,29 +150,14 @@ class SelectorTrainer:
         )
 
     # -- loss --------------------------------------------------------------------
-    def example_loss(self, example: TrainingExample) -> Tensor:
-        """Eq. (6): ``|| (S_mixed + S_shadow) - S_bk ||^2`` (mean over bins)."""
-        mixed_t = Tensor(example.mixed_spectrogram.T)          # (T, F), constant
-        background_t = Tensor(example.background_spectrogram.T)
-        output = self.selector(
-            Tensor(example.mixed_spectrogram), Tensor(example.d_vector)
-        )  # (T, F)
-        if self.config.output_mode == "mask":
-            record = mixed_t * (1.0 - output)
-        else:
-            record = mixed_t + output
-        diff = record - background_t
-        return (diff * diff).mean()
-
     def batch_loss(self, examples: Sequence[TrainingExample]) -> Tensor:
         """Eq. (6) over a stacked minibatch: the mean of the per-example losses.
 
         All examples must share a spectrogram shape (one ``(N, F, T)`` stack,
         one autograd graph).  Because every example contributes ``T * F`` bins,
-        the mean over ``(N, T, F)`` equals the mean of the per-example
-        :meth:`example_loss` values exactly, so one backward through this loss
-        yields the *mean* of the per-example gradients — the minibatch SGD
-        contract that makes ``fit(batch_size=1)`` match :meth:`fit_looped`.
+        the mean over ``(N, T, F)`` equals the mean of the per-example losses,
+        so one backward through this loss yields the *mean* of the
+        per-example gradients — the minibatch SGD contract.
         """
         if not examples:
             raise ValueError("batch_loss() needs at least one example")
@@ -202,31 +183,16 @@ class SelectorTrainer:
         return (diff * diff).mean()
 
     # -- optimisation -------------------------------------------------------------
-    def step(self, example: TrainingExample) -> float:
-        """One optimisation step on a single example; returns the loss value."""
-        self.optimizer.zero_grad()
-        loss = self.example_loss(example)
-        loss.backward()
-        self.optimizer.step()
-        return float(loss.data)
-
     def step_batch(self, examples: Sequence[TrainingExample]) -> Tuple[float, float]:
         """One optimisation step on a minibatch.
 
         Returns ``(batch_loss, pre_clip_grad_norm)``.  Gradient clipping uses
         ``train_config.grad_clip`` (0 disables); the learning rate is whatever
         ``self.optimizer.lr`` currently holds — :meth:`fit` sets it from the
-        configured schedule before each step.  A single-example batch goes
-        through :meth:`example_loss` (the im2col graph) rather than the
-        frequency-domain batch graph, so ``fit(batch_size=1)`` stays
-        *bit-identical* to :meth:`fit_looped` instead of merely equal to FFT
-        round-off.
+        configured schedule before each step.
         """
         self.optimizer.zero_grad()
-        if len(examples) == 1:
-            loss = self.example_loss(examples[0])
-        else:
-            loss = self.batch_loss(examples)
+        loss = self.batch_loss(examples)
         loss.backward()
         grad_norm = clip_grad_norm(self.optimizer.parameters, self.train_config.grad_clip)
         self.optimizer.step()
@@ -274,8 +240,8 @@ class SelectorTrainer:
         (last batch possibly partial) and takes one :meth:`step_batch` per
         batch under the configured LR schedule, gradient clipping and
         periodic checkpointing.  ``batch_size=1`` visits examples in exactly
-        the order :meth:`fit_looped` would and produces the same trained
-        parameters to float64 accumulation-order tolerance (pinned by
+        the order the per-example oracle in ``tests/oracles.py`` does and
+        matches its trained parameters to 1e-12 relative (pinned by
         ``tests/test_training_batch.py``).
         """
         config = self.train_config
@@ -308,43 +274,6 @@ class SelectorTrainer:
                 for start in range(0, len(order), batch_size)
             )
             step_index = self._run_batches(batches, history, schedule, step_index)
-            if verbose:  # pragma: no cover - logging aid
-                print(f"epoch {epoch + 1}/{epochs}: loss {history.losses[-1]:.4f}")
-        return history
-
-    def fit_looped(
-        self,
-        examples: Sequence[TrainingExample],
-        epochs: Optional[int] = None,
-        shuffle: Optional[bool] = None,
-        seed: Optional[int] = None,
-        verbose: bool = False,
-    ) -> TrainingHistory:
-        """The original per-example reference loop (one step per example).
-
-        Kept as the equivalence anchor for the minibatched fast path: no
-        schedule, no clipping — the constant configured learning rate, exactly
-        the pre-minibatch engine.  ``fit(batch_size=1, lr_schedule='constant',
-        grad_clip=0)`` is pinned to produce the same trained parameters.
-        """
-        config = self.train_config
-        epochs = config.epochs if epochs is None else int(epochs)
-        shuffle = config.shuffle if shuffle is None else bool(shuffle)
-        seed = config.seed if seed is None else int(seed)
-        if not examples:
-            raise ValueError("fit_looped() needs at least one training example")
-        examples = list(examples)
-        history = TrainingHistory(epochs=epochs, batch_size=1)
-        self.optimizer.lr = config.learning_rate
-        rng = np.random.default_rng(seed)
-        order = np.arange(len(examples))
-        for epoch in range(epochs):
-            if shuffle:
-                rng.shuffle(order)
-            for index in order:
-                loss = self.step(examples[index])
-                history.losses.append(loss)
-                history.learning_rates.append(self.optimizer.lr)
             if verbose:  # pragma: no cover - logging aid
                 print(f"epoch {epoch + 1}/{epochs}: loss {history.losses[-1]:.4f}")
         return history
@@ -405,8 +334,8 @@ class SelectorTrainer:
         (:meth:`Selector.forward_batch`): examples are grouped by spectrogram
         shape, chunked at ``batch_size``, and each chunk's losses come from
         one stacked pass.  Each row is bit-identical to the per-example
-        forward, so the result matches :meth:`evaluate_looped` to float64
-        summation-order tolerance at a fraction of the wall clock.
+        forward, so the result matches the per-example oracle in
+        ``tests/oracles.py`` to float64 summation-order tolerance.
         """
         if not examples:
             raise ValueError("evaluate() needs at least one example")
@@ -434,15 +363,6 @@ class SelectorTrainer:
                 diff = record - background_t
                 losses[chunk] = (diff * diff).mean(axis=(1, 2))
         return float(losses.mean())
-
-    def evaluate_looped(self, examples: Sequence[TrainingExample]) -> float:
-        """Per-example reference evaluation (the pre-minibatch engine)."""
-        if not examples:
-            raise ValueError("evaluate_looped() needs at least one example")
-        total = 0.0
-        for example in examples:
-            total += float(self.example_loss(example).data)
-        return total / len(examples)
 
 
 class ExampleStream:

@@ -12,10 +12,8 @@ from repro.dsp.windows import hann_window, hamming_window, rectangular_window, g
 from repro.dsp.stft import (
     stft,
     istft,
-    istft_reference,
     batch_stft,
     batch_istft,
-    batch_istft_reference,
     clear_ola_plan_cache,
     magnitude,
     magnitude_spectrogram,
@@ -64,10 +62,8 @@ __all__ = [
     "get_window",
     "stft",
     "istft",
-    "istft_reference",
     "batch_stft",
     "batch_istft",
-    "batch_istft_reference",
     "clear_ola_plan_cache",
     "magnitude",
     "magnitude_spectrogram",

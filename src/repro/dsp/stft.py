@@ -216,8 +216,9 @@ def _finalize_istft(
     expected: int,
     length: Optional[int],
 ) -> np.ndarray:
-    # Multiplying by the cached masked reciprocal equals the reference's
-    # guarded division to within one ulp (unsafe edge samples stay unscaled).
+    # Multiplying by the cached masked reciprocal equals the sequential
+    # oracle's guarded division (``tests/oracles.py``) to within one ulp
+    # (unsafe edge samples stay unscaled).
     output *= inverse_norm
     if length is not None:
         if length <= expected:
@@ -237,11 +238,12 @@ def batch_istft(
 ) -> np.ndarray:
     """Inverse STFT of a ``(N, F, T)`` batch, returning ``(N, num_samples)``.
 
-    One ``irfft`` over the whole batch and one grouped overlap-add replace the
-    per-clip Python loop of :func:`batch_istft_reference`.  Each row equals
-    :func:`istft` of that spectrum bit for bit, and matches the sequential
-    reference up to overlap-add summation order (<= ~1e-10 absolute).  The
-    active precision policy selects the compute dtype.
+    One ``irfft`` over the whole batch and one grouped overlap-add replace a
+    per-clip Python loop.  Each row equals :func:`istft` of that spectrum bit
+    for bit, and matches the sequential per-frame oracle in
+    ``tests/oracles.py`` (pinned in ``tests/test_fastpath.py``) up to
+    overlap-add summation order (<= ~1e-10 absolute).  The active precision
+    policy selects the compute dtype.
     """
     policy = active_policy()
     spectra = policy.complex(np.asarray(spectra))
@@ -260,26 +262,6 @@ def batch_istft(
     expected = win_length + hop_length * (num_frames - 1)
     output = _overlap_add(frames, win, hop_length, expected)
     return _finalize_istft(output, inverse, expected, length)
-
-
-def batch_istft_reference(
-    spectra: np.ndarray,
-    win_length: int = 400,
-    hop_length: int = 160,
-    window: str = "hann",
-    length: Optional[int] = None,
-) -> np.ndarray:
-    """The seed implementation of :func:`batch_istft`: one sequential
-    :func:`istft_reference` per clip.  Kept as the equivalence ground truth
-    and as the baseline of the evaluation fast-path benchmark."""
-    spectra = np.asarray(spectra)
-    if spectra.ndim != 3:
-        raise ValueError("batch_istft expects a (N, F, T) batch of spectra")
-    waves = [
-        istft_reference(spectrum, win_length, hop_length, window, length=length)
-        for spectrum in spectra
-    ]
-    return np.stack(waves) if waves else np.zeros((0, length or 0))
 
 
 def magnitude_spectrogram(
@@ -486,7 +468,8 @@ class StreamingISTFT:
         """Finalised output blocks ``[first_block, last_block]``, inclusive.
 
         Mirrors :func:`_overlap_add` (tile ``j`` ascending into a zeroed
-        accumulator — the reference's initial assign equals ``0 + x`` exactly)
+        accumulator — a sequential overlap-add's initial assign equals ``0 + x``
+        exactly)
         and :func:`_ola_plan` / :func:`_finalize_istft` (float64 envelope in
         frame-ascending order, masked reciprocal cast to the policy dtype).
         """
@@ -632,8 +615,9 @@ def istft(
     The overlap-add runs through the grouped vectorised scatter of
     :func:`_overlap_add` with a cached window-norm envelope per
     ``(window, win, hop, n_frames)`` plan; it matches the sequential
-    :func:`istft_reference` up to summation order (<= ~1e-10 absolute).
-    The active precision policy selects the compute dtype.
+    per-frame oracle in ``tests/oracles.py`` up to summation order
+    (<= ~1e-10 absolute).  The active precision policy selects the compute
+    dtype.
     """
     policy = active_policy()
     spectrum = policy.complex(np.asarray(spectrum))
@@ -648,43 +632,6 @@ def istft(
     expected = win_length + hop_length * (num_frames - 1)
     output = _overlap_add(frames, win, hop_length, expected)
     return _finalize_istft(output, inverse, expected, length)
-
-
-def istft_reference(
-    spectrum: np.ndarray,
-    win_length: int = 400,
-    hop_length: int = 160,
-    window: str = "hann",
-    length: Optional[int] = None,
-) -> np.ndarray:
-    """The seed implementation of :func:`istft`: sequential per-frame
-    overlap-add with the normalisation envelope re-accumulated per call.
-    Kept as the numerical ground truth of the vectorised path."""
-    spectrum = np.asarray(spectrum)
-    if spectrum.ndim != 2:
-        raise ValueError("istft expects a (F, T) spectrum")
-    n_fft = (spectrum.shape[0] - 1) * 2
-    frames = np.fft.irfft(spectrum.T, n=n_fft, axis=1)[:, :win_length]
-    win = get_window(window, win_length)
-    num_frames = frames.shape[0]
-    expected = win_length + hop_length * (num_frames - 1)
-    output = np.zeros(expected)
-    norm = np.zeros(expected)
-    for index in range(num_frames):
-        start = index * hop_length
-        output[start : start + win_length] += frames[index] * win
-        norm[start : start + win_length] += win ** 2
-    # Only normalise where the window sum carries real weight; at the very
-    # edges the sum tends to zero and dividing there would blow up the first
-    # and last few samples into spikes.
-    safe = norm > max(norm.max() * 1e-2, 1e-10)
-    output[safe] /= norm[safe]
-    if length is not None:
-        if length <= expected:
-            output = output[:length]
-        else:
-            output = np.pad(output, (0, length - expected))
-    return output
 
 
 def reconstruct_waveform(

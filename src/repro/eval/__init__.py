@@ -43,7 +43,6 @@ from repro.eval.scenarios import (
     ScenarioGrid,
     ScenarioGridResult,
     run_scenario_grid,
-    run_scenario_grid_looped,
 )
 
 __all__ = [
@@ -88,5 +87,4 @@ __all__ = [
     "ScenarioGrid",
     "ScenarioGridResult",
     "run_scenario_grid",
-    "run_scenario_grid_looped",
 ]

@@ -63,7 +63,6 @@ class ExperimentContext:
 def batched_protections(
     context: "ExperimentContext",
     jobs: Sequence[Tuple[str, AudioSignal]],
-    max_batch_segments: int = 4,
 ) -> List[ProtectionResult]:
     """The shared batched driver of the evaluation harness.
 
@@ -71,17 +70,12 @@ def batched_protections(
     every instance of a benchmark dataset.  Jobs are grouped per target
     speaker and each group goes through **one**
     :meth:`NECSystem.protect_batch` call, so all segments of all of a
-    speaker's instances share stacked STFTs and Selector forward passes
-    instead of paying one full ``protect`` per instance.  Results come back
-    in job order and are bit-identical to
-    ``[context.system_for(s).protect(a) for s, a in jobs]`` (the batched
-    engine's per-row equivalence is pinned by ``tests/test_pipeline_batch.py``
-    and the driver's by ``tests/test_fastpath.py``).
-
-    The ``max_batch_segments=4`` default is a measured cache sweet spot: the
-    Selector's im2col working set for a 4-segment chunk stays resident where
-    16-segment chunks spill, and chunking never changes the numbers (each
-    row's result is independent of its batch neighbours).
+    speaker's instances share stacked STFT and iSTFT calls instead of paying
+    one full ``protect`` per instance.  Results come back in job order and
+    are bit-identical to ``[context.system_for(s).protect(a) for s, a in jobs]``
+    (the batched engine's per-row equivalence is pinned by
+    ``tests/test_pipeline_batch.py`` and the driver's by
+    ``tests/test_fastpath.py``).
     """
     grouped: Dict[str, List[int]] = {}
     for index, (speaker, _audio) in enumerate(jobs):
@@ -89,10 +83,7 @@ def batched_protections(
     results: List[Optional[ProtectionResult]] = [None] * len(jobs)
     for speaker, indices in grouped.items():
         system = context.system_for(speaker)
-        batch = system.protect_batch(
-            [jobs[index][1] for index in indices],
-            max_batch_segments=max_batch_segments,
-        )
+        batch = system.protect_batch([jobs[index][1] for index in indices])
         for index, result in zip(indices, batch):
             results[index] = result
     return results  # type: ignore[return-value]

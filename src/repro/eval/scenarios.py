@@ -438,9 +438,8 @@ def _measure_cell(
 ) -> CellResult:
     """Simulate one cell's channel and score the claim — pure in ``cell_seed``.
 
-    Shared verbatim by the sharded grid runner and the looped reference
-    runner (the trajectory benchmark's baseline), so the two are bit-identical
-    by construction.
+    Shared verbatim by the sharded grid runner and the looped grid oracle in
+    ``tests/oracles.py``, so the two are bit-identical by construction.
     """
     room = get_room(cell.room)
     motion = get_motion(cell.motion)
@@ -546,31 +545,23 @@ def _prepare_scenes(
     cells: List[ScenarioCell],
     seed: int,
     snr_db: float,
-    batched: bool,
 ) -> Dict[int, _PreparedScene]:
-    """One scene per crowd size, protected either batched or one-by-one.
+    """One scene per crowd size, all protected through :func:`batched_protections`.
 
-    The batched path routes all mixtures through :func:`batched_protections`;
-    the looped path calls ``protect`` per scene — the batched engine pins the
-    two bit-identical, which is what lets the trajectory benchmark gate the
-    grid's fast path against the looped reference.
+    The batched engine pins this bit-identical to one ``protect`` per scene
+    (the looped grid oracle in ``tests/oracles.py``).
     """
     crowd_sizes = sorted({cell.crowd_size for cell in cells})
     scenes = {
         crowd: _prepare_scene(context, crowd, scene_index, seed, snr_db)
         for scene_index, crowd in enumerate(crowd_sizes)
     }
-    if batched:
-        protections = batched_protections(
-            context,
-            [(scenes[crowd].target_speaker, scenes[crowd].mixed) for crowd in crowd_sizes],
-        )
-        for crowd, protection in zip(crowd_sizes, protections):
-            scenes[crowd].protection = protection
-    else:
-        for crowd in crowd_sizes:
-            scene = scenes[crowd]
-            scene.protection = context.system_for(scene.target_speaker).protect(scene.mixed)
+    protections = batched_protections(
+        context,
+        [(scenes[crowd].target_speaker, scenes[crowd].mixed) for crowd in crowd_sizes],
+    )
+    for crowd, protection in zip(crowd_sizes, protections):
+        scenes[crowd].protection = protection
     return scenes
 
 
@@ -604,7 +595,7 @@ def run_scenario_grid(
     thresholds = thresholds if thresholds is not None else ClaimThresholds()
     config = context.config
     cells = grid.cells()
-    scenes = _prepare_scenes(context, cells, seed, snr_db, batched=True)
+    scenes = _prepare_scenes(context, cells, seed, snr_db)
     recognizer = _build_recognizer(device, wer_mode, seed)
 
     def measure(index: int, cell: ScenarioCell) -> CellResult:
@@ -621,41 +612,4 @@ def run_scenario_grid(
         )
 
     results = run_sharded(measure, cells, num_workers=num_workers)
-    return ScenarioGridResult(grid=grid, thresholds=thresholds, cells=results)
-
-
-def run_scenario_grid_looped(
-    context: ExperimentContext,
-    grid: ScenarioGrid,
-    distance_m: float = 0.5,
-    device: str = "Moto Z4",
-    snr_db: float = 0.0,
-    thresholds: Optional[ClaimThresholds] = None,
-    wer_mode: str = "none",
-    seed: int = 0,
-) -> ScenarioGridResult:
-    """Reference implementation: protect per scene, evaluate cells one by one.
-
-    Kept as the numerical ground truth the batched+sharded grid runner is
-    equivalence-gated against in the ``scenario_grid`` kernel of the
-    performance-trajectory benchmark.
-    """
-    thresholds = thresholds if thresholds is not None else ClaimThresholds()
-    cells = grid.cells()
-    scenes = _prepare_scenes(context, cells, seed, snr_db, batched=False)
-    recognizer = _build_recognizer(device, wer_mode, seed)
-    results = [
-        _measure_cell(
-            cell,
-            scenes[cell.crowd_size],
-            derive_seed(seed, index),
-            context.config,
-            distance_m,
-            device,
-            thresholds,
-            recognizer,
-            wer_mode,
-        )
-        for index, cell in enumerate(cells)
-    ]
     return ScenarioGridResult(grid=grid, thresholds=thresholds, cells=results)

@@ -17,11 +17,12 @@ IntPair = Union[int, Tuple[int, int]]
 
 #: Thread-local store of reusable (padded, column) buffer pairs, keyed by the
 #: full im2col signature.  Fresh multi-megabyte allocations dominate the
-#: inference im2col at serving batch sizes (page faults on every call); reusing
-#: warm buffers cuts the column gather several-fold without changing a bit —
-#: the copy is the same, only the destination memory is recycled.  Thread-local
-#: because the coalescing tick may run independent chunks on worker threads
-#: that share the layer objects.
+#: inference im2col (page faults on every call); reusing warm buffers cuts the
+#: column gather several-fold without changing a bit — the copy is the same,
+#: only the destination memory is recycled.  Thread-local because the serving
+#: tick thread and callers on other threads share the layer objects.  The
+#: Selector runs at most ``ROWS_PER_PASS`` rows per pass, which bounds every
+#: key's row count.
 _im2col_buffers = threading.local()
 
 #: Cap on cached shape signatures per thread before the store is dropped;

@@ -1,4 +1,4 @@
-"""Multi-tenant protection serving on top of the continuous-batching engine.
+"""Multi-tenant protection serving on top of the shared inference queue.
 
 The paper's system protects *live* conversations, which in production means
 many concurrent enrolled speakers streaming at once.  This package is the
@@ -14,15 +14,15 @@ scheduler primitive:
   :class:`~repro.core.pipeline.StreamingProtector` attached to the shared
   batch, with per-session :class:`~repro.core.pipeline.StreamLatencyStats`.
 * :mod:`repro.serving.loop` — :class:`TickLoop`: the tick-driving event loop
-  (a stdlib thread) that coalesces pending segments across every session into
-  one Selector pass per tick and drains gracefully on shutdown.
+  (a stdlib thread) that runs the pending segments of every session, tick by
+  tick, and drains gracefully on shutdown.
 * :mod:`repro.serving.service` — :class:`ProtectionService`: the front door
   tying registry, sessions and loop together.
 
-Coalescing never changes a number (every stacked row is bit-identical to a
-dedicated per-stream pass), so protection through the service equals direct
-:class:`~repro.core.pipeline.StreamingProtector` use bit for bit — the
-equivalence the test-suite pins.
+Sharing a tick never changes a number (every request's shadows are
+bit-identical to a dedicated per-stream pass), so protection through the
+service equals direct :class:`~repro.core.pipeline.StreamingProtector` use
+bit for bit — the equivalence the test-suite pins.
 """
 
 from repro.serving.loop import TickLoop

@@ -1,15 +1,14 @@
-"""The tick-driving event loop: one background thread, one coalescing tick.
+"""The tick-driving event loop: one background thread runs all inference.
 
 Sessions feed audio from wherever their traffic arrives (request handlers,
 reader threads, a benchmark loop); completed segments pile up in the shared
 :class:`~repro.core.selector.StreamBatch`.  The :class:`TickLoop` thread is
 the only place inference runs: it wakes when work is submitted (or on a
-coarse poll as a safety net), runs **one** coalesced
-:meth:`~repro.core.selector.StreamBatch.tick` over every pending segment
-across every session, and notifies waiters.  That single-ticker design keeps
-the scheduling trivially fair (FIFO within a tick) and means cross-stream
-micro-batching happens by construction — concurrent sessions land in the same
-tick instead of racing each other for the Selector.
+coarse poll as a safety net), runs one
+:meth:`~repro.core.selector.StreamBatch.tick` over every pending request
+across every session, in submit order, and notifies waiters.  That
+single-ticker design keeps the scheduling trivially fair (FIFO) and keeps
+concurrent sessions from racing each other for the Selector.
 
 Shutdown is graceful by default: the loop stops accepting wakeups, keeps
 ticking until no request is pending (draining every submitted segment so no
@@ -30,22 +29,17 @@ class TickLoop:
 
     ``poll_interval_s`` bounds how long a submitted segment can sit unticked
     if a producer forgets to :meth:`wake` — it is a safety net, not the
-    scheduling mechanism.  ``coalesce_window_s`` (off by default) delays each
-    tick slightly after a wakeup so that near-simultaneous submissions from
-    many sessions merge into one larger batch; latency-sensitive deployments
-    leave it at zero.
+    scheduling mechanism.
     """
 
     def __init__(
         self,
         batch: StreamBatch,
         poll_interval_s: float = 0.05,
-        coalesce_window_s: float = 0.0,
         name: str = "nec-tick-loop",
     ) -> None:
         self.batch = batch
         self.poll_interval_s = float(poll_interval_s)
-        self.coalesce_window_s = float(coalesce_window_s)
         self._name = name
         self._thread: Optional[threading.Thread] = None
         self._wake_cond = threading.Condition()
@@ -91,7 +85,7 @@ class TickLoop:
         """Stop the loop; with ``drain`` (default), tick until nothing is pending.
 
         Draining guarantees every segment submitted before shutdown gets its
-        coalesced Selector pass — sessions can still :meth:`collect` their
+        Selector pass — sessions can still :meth:`collect` their
         results after the loop is gone.  With ``drain=False`` pending requests
         are left unticked (their waiters see the loop stopped and give up).
         """
@@ -167,8 +161,6 @@ class TickLoop:
                 if stopping:
                     break
                 if self.batch.pending_requests:
-                    if self.coalesce_window_s > 0:
-                        time.sleep(self.coalesce_window_s)
                     self._tick_once()
             if self._drain_on_stop:
                 while self.batch.pending_requests:

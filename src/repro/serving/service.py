@@ -10,15 +10,15 @@ costs no extra weights:
 - every open :class:`~repro.serving.session.ProtectionSession` submits its
   completed segments to one shared :class:`~repro.core.selector.StreamBatch`,
   each row carrying that tenant's d-vector;
-- the :class:`~repro.serving.loop.TickLoop` thread coalesces all pending
-  segments — across sessions and tenants — into one Selector pass per tick.
+- the :class:`~repro.serving.loop.TickLoop` thread runs every pending
+  request — across sessions and tenants — one tick at a time.
 
-Because coalescing is bit-transparent (each batched row equals the dedicated
-single-stream pass exactly), the service's shadow waves are bit-identical to
-running a private :class:`~repro.core.pipeline.StreamingProtector` per
-stream; the batch only buys throughput.  Shutdown is graceful: the loop
-drains every submitted segment, the worker pool is closed
-(:meth:`StreamBatch.close`), and closed sessions can still collect.
+Each request's shadows equal the dedicated single-stream pass exactly, so
+the service's shadow waves are bit-identical to running a private
+:class:`~repro.core.pipeline.StreamingProtector` per stream.  Shutdown is
+graceful: the loop drains every submitted segment, the batch is closed to
+new submits (:meth:`StreamBatch.close`), and closed sessions can still
+collect.
 """
 
 from __future__ import annotations
@@ -82,10 +82,7 @@ class ProtectionService:
         self,
         registry: EnrollmentRegistry,
         system: Optional[NECSystem] = None,
-        max_batch_segments: int = 16,
-        num_workers: Optional[int] = None,
         poll_interval_s: float = 0.05,
-        coalesce_window_s: float = 0.0,
         autostart: bool = True,
     ) -> None:
         self.registry = registry
@@ -95,15 +92,8 @@ class ProtectionService:
             raise ValueError("system config does not match the registry config")
         self.system = system
         self.config: NECConfig = system.config
-        kwargs = {} if num_workers is None else {"num_workers": num_workers}
-        self.batch = StreamBatch(
-            system.selector, max_batch_segments=max_batch_segments, **kwargs
-        )
-        self.loop = TickLoop(
-            self.batch,
-            poll_interval_s=poll_interval_s,
-            coalesce_window_s=coalesce_window_s,
-        )
+        self.batch = StreamBatch(system.selector)
+        self.loop = TickLoop(self.batch, poll_interval_s=poll_interval_s)
         self.stats = ServiceStats()
         self._sessions: Dict[str, ProtectionSession] = {}
         self._shutdown = False
@@ -132,8 +122,8 @@ class ProtectionService:
 
         Each session gets its own lightweight :class:`NECSystem` view —
         sharing the service's Selector, encoder and config, carrying only the
-        tenant's d-vector — so concurrent tenants coalesce into the same
-        ticks while each row keeps its own conditioning vector.
+        tenant's d-vector — so concurrent tenants share the same ticks while
+        each request keeps its own conditioning vector.
         """
         if self._shutdown:
             raise RuntimeError("service is shut down; cannot open sessions")
@@ -176,12 +166,12 @@ class ProtectionService:
         )
 
     def shutdown(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Graceful teardown: close sessions, drain the loop, free the pool.
+        """Graceful teardown: close sessions, drain the loop, close the batch.
 
         With ``drain`` (default) every open session is flushed and drained —
         its remaining results land in ``session.drained_results`` — and every
         submitted segment gets its Selector pass before the tick thread exits.
-        The worker pool is always reclaimed (:meth:`StreamBatch.close`).
+        The batch is always closed to new submits (:meth:`StreamBatch.close`).
         Idempotent.
         """
         if self._shutdown:

@@ -10,10 +10,10 @@ plus the per-session latency ledger
 
 Sessions never run inference themselves: feeding only buffers samples and
 submits completed segments to the shared batch; the service's
-:class:`~repro.serving.loop.TickLoop` runs the coalesced Selector pass and
-the session picks results up with :meth:`collect`.  Because the batch's
-per-row bit-identity contract holds regardless of which sessions share a
-tick, the shadow waves a session collects are bit-identical to a dedicated
+:class:`~repro.serving.loop.TickLoop` runs the Selector pass and the session
+picks results up with :meth:`collect`.  Because each request's shadows are
+the same whichever sessions share a tick, the shadow waves a session
+collects are bit-identical to a dedicated
 :class:`~repro.core.pipeline.StreamingProtector` fed the same chunks.
 """
 
@@ -100,11 +100,11 @@ class ProtectionSession:
 
     # -- lifecycle ---------------------------------------------------------
     def feed(self, chunk: Union[AudioSignal, np.ndarray]) -> None:
-        """Buffer a chunk; completed segments join the next coalesced tick.
+        """Buffer a chunk; completed segments join the next tick.
 
-        Never returns results (deferred mode always returns ``[]``); pick
-        them up with :meth:`collect`.  Raises once the session left the OPEN
-        state — a drained/closed stream accepts no more audio.
+        Never returns results (the shared batch ticks on the service's
+        loop); pick them up with :meth:`collect`.  Raises once the session
+        left the OPEN state — a drained/closed stream accepts no more audio.
         """
         if self.state is not SessionState.OPEN:
             raise RuntimeError(

@@ -1,0 +1,258 @@
+"""Equivalence oracles: the slow, one-at-a-time versions of library kernels.
+
+The library keeps one implementation per operation.  The straightforward
+loops it replaced live here, used only by the tests that pin each fast path
+against them:
+
+- :func:`protect_segment`, :func:`protect_looped` — ``NECSystem.protect``,
+  ``protect_batch``, ``StreamingProtector`` (``test_pipeline_batch.py``,
+  ``test_streaming.py``);
+- :func:`istft_reference`, :func:`batch_istft_reference` — ``istft`` and
+  ``batch_istft`` (``test_fastpath.py``);
+- :func:`dtw_distance_reference`, :func:`classify_segment_reference` —
+  ``dtw_distance``, ``dtw_distance_many`` and the recogniser's batched
+  classification (``test_fastpath.py``);
+- :func:`run_scenario_grid_looped` — ``run_scenario_grid``
+  (``test_scenario_grid.py``);
+- :func:`example_loss`, :func:`fit_looped`, :func:`evaluate_looped` —
+  ``SelectorTrainer.batch_loss``, ``fit`` and ``evaluate``
+  (``test_training_batch.py``).
+"""
+
+from __future__ import annotations
+
+from typing import Optional, Sequence
+
+import numpy as np
+
+from repro.asr.dtw import _as_sequence, _local_cost
+from repro.audio.signal import AudioSignal
+from repro.core.overshadow import shadow_waveform, superpose_spectrograms
+from repro.core.pipeline import NECSystem, ProtectionResult
+from repro.core.seeding import derive_seed
+from repro.core.training import SelectorTrainer, TrainingExample, TrainingHistory
+from repro.dsp.stft import magnitude_spectrogram
+from repro.dsp.windows import get_window
+from repro.eval.scenarios import (
+    ClaimThresholds,
+    ScenarioGridResult,
+    _build_recognizer,
+    _measure_cell,
+    _prepare_scene,
+)
+from repro.nn import Tensor
+
+
+# -- protection ---------------------------------------------------------------
+def protect_segment(system: NECSystem, mixed_segment: AudioSignal) -> ProtectionResult:
+    """One segment through the autograd Selector and a single-clip iSTFT."""
+    system._check_sample_rate(mixed_segment)
+    config = system.config
+    mixed_spec = magnitude_spectrogram(
+        mixed_segment.data, config.n_fft, config.win_length, config.hop_length
+    )
+    shadow_spec = system.selector.shadow_spectrogram(mixed_spec, system.embedding)
+    return ProtectionResult(
+        mixed_audio=mixed_segment,
+        mixed_spectrogram=mixed_spec,
+        shadow_spectrogram=shadow_spec,
+        shadow_wave=shadow_waveform(mixed_segment, shadow_spec, config),
+        record_spectrogram=superpose_spectrograms(mixed_spec, shadow_spec),
+    )
+
+
+def protect_looped(system: NECSystem, mixed_audio: AudioSignal) -> ProtectionResult:
+    """``NECSystem.protect`` one segment at a time."""
+    results = [protect_segment(system, segment) for segment in system._segments(mixed_audio)]
+    return system._assemble(mixed_audio, results)
+
+
+# -- inverse STFT ---------------------------------------------------------------
+def istft_reference(
+    spectrum: np.ndarray,
+    win_length: int = 400,
+    hop_length: int = 160,
+    window: str = "hann",
+    length: Optional[int] = None,
+) -> np.ndarray:
+    """Sequential per-frame overlap-add, the envelope re-accumulated per call."""
+    spectrum = np.asarray(spectrum)
+    if spectrum.ndim != 2:
+        raise ValueError("istft expects a (F, T) spectrum")
+    n_fft = (spectrum.shape[0] - 1) * 2
+    frames = np.fft.irfft(spectrum.T, n=n_fft, axis=1)[:, :win_length]
+    win = get_window(window, win_length)
+    num_frames = frames.shape[0]
+    expected = win_length + hop_length * (num_frames - 1)
+    output = np.zeros(expected)
+    norm = np.zeros(expected)
+    for index in range(num_frames):
+        start = index * hop_length
+        output[start : start + win_length] += frames[index] * win
+        norm[start : start + win_length] += win ** 2
+    # Normalise only where the window sum carries real weight.
+    safe = norm > max(norm.max() * 1e-2, 1e-10)
+    output[safe] /= norm[safe]
+    if length is not None:
+        if length <= expected:
+            output = output[:length]
+        else:
+            output = np.pad(output, (0, length - expected))
+    return output
+
+
+def batch_istft_reference(
+    spectra: np.ndarray,
+    win_length: int = 400,
+    hop_length: int = 160,
+    window: str = "hann",
+    length: Optional[int] = None,
+) -> np.ndarray:
+    """One :func:`istft_reference` per clip."""
+    spectra = np.asarray(spectra)
+    if spectra.ndim != 3:
+        raise ValueError("batch_istft expects a (N, F, T) batch of spectra")
+    waves = [
+        istft_reference(spectrum, win_length, hop_length, window, length=length)
+        for spectrum in spectra
+    ]
+    return np.stack(waves) if waves else np.zeros((0, length or 0))
+
+
+# -- recognition --------------------------------------------------------------
+def dtw_distance_reference(sequence_a: np.ndarray, sequence_b: np.ndarray) -> float:
+    """Normalised DTW distance by a pure-Python double loop."""
+    a = _as_sequence(sequence_a)
+    b = _as_sequence(sequence_b)
+    if a.shape[1] != b.shape[1]:
+        raise ValueError("feature dimensionality mismatch")
+    local = _local_cost(a, b)
+    rows, cols = local.shape
+    accumulated = np.full((rows + 1, cols + 1), np.inf)
+    accumulated[0, 0] = 0.0
+    for i in range(1, rows + 1):
+        row_cost = local[i - 1]
+        for j in range(1, cols + 1):
+            best_previous = min(
+                accumulated[i - 1, j], accumulated[i, j - 1], accumulated[i - 1, j - 1]
+            )
+            accumulated[i, j] = row_cost[j - 1] + best_previous
+    return float(accumulated[rows, cols] / (rows + cols))
+
+
+def classify_segment_reference(recognizer, features: np.ndarray) -> tuple:
+    """``TemplateRecognizer._classify_segment`` as a per-template loop."""
+    best_word = recognizer.OOV_TOKEN
+    best_distance = np.inf
+    for word, templates in recognizer._templates.items():
+        for template in templates:
+            distance = dtw_distance_reference(features, template)
+            if distance < best_distance:
+                best_distance = distance
+                best_word = word
+    if best_distance > recognizer.rejection_threshold:
+        return recognizer.OOV_TOKEN, best_distance
+    return best_word, best_distance
+
+
+# -- scenario grid --------------------------------------------------------------
+def run_scenario_grid_looped(
+    context,
+    grid,
+    distance_m: float = 0.5,
+    device: str = "Moto Z4",
+    snr_db: float = 0.0,
+    thresholds: Optional[ClaimThresholds] = None,
+    wer_mode: str = "none",
+    seed: int = 0,
+) -> ScenarioGridResult:
+    """``run_scenario_grid`` with one ``protect`` per scene, cells in order."""
+    thresholds = thresholds if thresholds is not None else ClaimThresholds()
+    cells = grid.cells()
+    scenes = {}
+    for scene_index, crowd in enumerate(sorted({cell.crowd_size for cell in cells})):
+        scene = _prepare_scene(context, crowd, scene_index, seed, snr_db)
+        scene.protection = context.system_for(scene.target_speaker).protect(scene.mixed)
+        scenes[crowd] = scene
+    recognizer = _build_recognizer(device, wer_mode, seed)
+    results = [
+        _measure_cell(
+            cell,
+            scenes[cell.crowd_size],
+            derive_seed(seed, index),
+            context.config,
+            distance_m,
+            device,
+            thresholds,
+            recognizer,
+            wer_mode,
+        )
+        for index, cell in enumerate(cells)
+    ]
+    return ScenarioGridResult(grid=grid, thresholds=thresholds, cells=results)
+
+
+# -- training -------------------------------------------------------------------
+def example_loss(trainer: SelectorTrainer, example: TrainingExample) -> Tensor:
+    """Eq. (6) for one example through the autograd (im2col) Selector graph."""
+    mixed_t = Tensor(example.mixed_spectrogram.T)          # (T, F), constant
+    background_t = Tensor(example.background_spectrogram.T)
+    output = trainer.selector(
+        Tensor(example.mixed_spectrogram), Tensor(example.d_vector)
+    )  # (T, F)
+    if trainer.config.output_mode == "mask":
+        record = mixed_t * (1.0 - output)
+    else:
+        record = mixed_t + output
+    diff = record - background_t
+    return (diff * diff).mean()
+
+
+def step(trainer: SelectorTrainer, example: TrainingExample) -> float:
+    """One optimisation step on a single example; returns the loss value."""
+    trainer.optimizer.zero_grad()
+    loss = example_loss(trainer, example)
+    loss.backward()
+    trainer.optimizer.step()
+    return float(loss.data)
+
+
+def fit_looped(
+    trainer: SelectorTrainer,
+    examples: Sequence[TrainingExample],
+    epochs: Optional[int] = None,
+    shuffle: Optional[bool] = None,
+    seed: Optional[int] = None,
+) -> TrainingHistory:
+    """One :func:`step` per example at the constant configured learning rate.
+
+    No schedule, no clipping: ``fit(batch_size=1)`` under the default
+    constant schedule and ``grad_clip=0`` visits the same examples in the
+    same order.
+    """
+    config = trainer.train_config
+    epochs = config.epochs if epochs is None else int(epochs)
+    shuffle = config.shuffle if shuffle is None else bool(shuffle)
+    seed = config.seed if seed is None else int(seed)
+    if not examples:
+        raise ValueError("fit_looped() needs at least one training example")
+    examples = list(examples)
+    history = TrainingHistory(epochs=epochs, batch_size=1)
+    trainer.optimizer.lr = config.learning_rate
+    rng = np.random.default_rng(seed)
+    order = np.arange(len(examples))
+    for _ in range(epochs):
+        if shuffle:
+            rng.shuffle(order)
+        for index in order:
+            history.losses.append(step(trainer, examples[index]))
+            history.learning_rates.append(trainer.optimizer.lr)
+    return history
+
+
+def evaluate_looped(trainer: SelectorTrainer, examples: Sequence[TrainingExample]) -> float:
+    """Mean of the per-example :func:`example_loss` values."""
+    if not examples:
+        raise ValueError("evaluate_looped() needs at least one example")
+    total = sum(float(example_loss(trainer, example).data) for example in examples)
+    return total / len(examples)

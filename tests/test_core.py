@@ -271,7 +271,7 @@ class TestTrainingAndPipeline:
         from repro.audio.signal import AudioSignal
 
         with pytest.raises(ValueError):
-            system.protect_segment(AudioSignal(np.zeros(16000), 16000))
+            system.protect(AudioSignal(np.zeros(16000), 16000))
 
     def test_broadcast_is_ultrasonic(self, trained, tiny_config):
         corpus, encoder, selector, _tr, targets, others, *_ = trained

@@ -1,16 +1,22 @@
 """Equivalence suites for the evaluation fast path.
 
-Every vectorised kernel introduced by the fast path keeps its seed
-implementation as a ``*_reference`` function; these tests pin the pairs
-together — bit-identical where the reordering is exactness-preserving (DTW
+Every vectorised kernel introduced by the fast path is checked against its
+seed implementation, kept as a ``*_reference`` oracle in
+``tests/oracles.py``; these tests pin the pairs together — bit-identical where the reordering is exactness-preserving (DTW
 min/add, STFT framing, the batched driver) and ``<= 1e-10`` where summation
 order changes (overlap-add accumulation).
 """
 
 import numpy as np
 import pytest
+from oracles import (
+    batch_istft_reference,
+    classify_segment_reference,
+    dtw_distance_reference,
+    istft_reference,
+)
 
-from repro.asr.dtw import dtw_distance, dtw_distance_many, dtw_distance_reference
+from repro.asr.dtw import dtw_distance, dtw_distance_many
 from repro.asr.recognizer import TemplateRecognizer, _TEMPLATE_CACHE
 from repro.dsp.filters import (
     bandpass_filter,
@@ -18,14 +24,7 @@ from repro.dsp.filters import (
     filter_design_cache_info,
     lowpass_filter,
 )
-from repro.dsp.stft import (
-    batch_istft,
-    batch_istft_reference,
-    batch_stft,
-    istft,
-    istft_reference,
-    stft,
-)
+from repro.dsp.stft import batch_istft, batch_stft, istft, stft
 from repro.dsp.windows import get_window
 
 SR = 16000
@@ -281,7 +280,7 @@ class TestRecognizerFastpath:
         for _ in range(5):
             features = rng.normal(size=(rng.integers(2, 40), 26))
             word, distance = recognizer._classify_segment(features)
-            ref_word, ref_distance = recognizer._classify_segment_reference(features)
+            ref_word, ref_distance = classify_segment_reference(recognizer, features)
             assert word == ref_word
             assert distance == pytest.approx(ref_distance, abs=1e-10)
 
@@ -292,7 +291,7 @@ class TestRecognizerFastpath:
         recognizer._templates = {}
         features = np.random.default_rng(0).normal(size=(10, 26))
         assert recognizer._classify_segment(features) == (
-            recognizer._classify_segment_reference(features)
+            classify_segment_reference(recognizer, features)
         )
 
     def test_transcription_unchanged_by_fast_kernel(self):
@@ -310,7 +309,7 @@ class TestRecognizerFastpath:
             if features.shape[0] < 2:
                 continue
             assert recognizer._classify_segment(features)[0] == (
-                recognizer._classify_segment_reference(features)[0]
+                classify_segment_reference(recognizer, features)[0]
             )
             segments_checked += 1
         assert segments_checked == len(result.words)
@@ -386,7 +385,6 @@ class TestBatchedDriver:
         """
         import repro.core.overshadow as overshadow
         import repro.eval.overall as overall
-        from repro.dsp.stft import istft_reference
         from repro.eval.datasets import compile_benchmark_dataset
         from repro.eval.overall import run_overall_benchmark
 
@@ -412,13 +410,9 @@ class TestBatchedDriver:
         monkeypatch.setattr(
             overall,
             "batched_protections",
-            lambda ctx, jobs, **kw: [ctx.system_for(s).protect(a) for s, a in jobs],
+            lambda ctx, jobs: [ctx.system_for(s).protect(a) for s, a in jobs],
         )
-        monkeypatch.setattr(
-            TemplateRecognizer,
-            "_classify_segment",
-            TemplateRecognizer._classify_segment_reference,
-        )
+        monkeypatch.setattr(TemplateRecognizer, "_classify_segment", classify_segment_reference)
         reference = run_overall_benchmark(
             context, dataset=dataset, compute_wer=True, recognizer=recognizer
         )

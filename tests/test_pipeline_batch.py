@@ -1,17 +1,20 @@
 """Tests for the batched inference engine: protect, protect_batch, streaming.
 
 The engine's contract is strict: every batched/streaming path must be
-*bit-identical* to the segment-at-a-time reference path (``protect_looped``),
-so these tests assert exact array equality, not closeness.
+*bit-identical* to the segment-at-a-time oracle (``protect_looped`` in
+``tests/oracles.py``), so these tests assert exact array equality, not
+closeness.
 """
 
 import numpy as np
 import pytest
+from oracles import protect_looped, protect_segment
 
 from repro.audio.signal import AudioSignal
 from repro.core import NECSystem, StreamingProtector
-from repro.core.selector import Selector
-from repro.nn import Conv2d, Tensor
+from repro.core.selector import ROWS_PER_PASS, Selector
+from repro.nn import Conv2d, Tensor, clear_im2col_buffer_cache
+from repro.nn import conv as conv_module
 from repro.nn.precision import inference_precision
 
 
@@ -35,7 +38,7 @@ def _noise(config, num_samples, seed=5):
 class TestBatchedEquivalence:
     def test_multi_segment_protect_matches_looped_exactly(self, system, tiny_config):
         audio = _noise(tiny_config, int(3.4 * tiny_config.segment_samples))
-        looped = system.protect_looped(audio)
+        looped = protect_looped(system, audio)
         batched = system.protect(audio)
         np.testing.assert_array_equal(looped.mixed_spectrogram, batched.mixed_spectrogram)
         np.testing.assert_array_equal(looped.shadow_spectrogram, batched.shadow_spectrogram)
@@ -49,8 +52,8 @@ class TestBatchedEquivalence:
         )
         batched = system.protect_segment_matrix(matrix)
         for row in range(3):
-            single = system.protect_segment(
-                AudioSignal(matrix[row], tiny_config.sample_rate)
+            single = protect_segment(
+                system, AudioSignal(matrix[row], tiny_config.sample_rate)
             )
             np.testing.assert_array_equal(
                 single.shadow_spectrogram, batched[row].shadow_spectrogram
@@ -59,14 +62,21 @@ class TestBatchedEquivalence:
                 single.shadow_wave.data, batched[row].shadow_wave.data
             )
 
-    def test_small_max_batch_chunks_are_equivalent(self, system, tiny_config):
+    def test_matrix_past_rows_per_pass_matches_oracle(self, system, tiny_config):
+        rows = ROWS_PER_PASS + 2
         matrix = np.stack(
-            [_noise(tiny_config, tiny_config.segment_samples, seed=s).data for s in range(5)]
+            [_noise(tiny_config, tiny_config.segment_samples, seed=s).data for s in range(rows)]
         )
-        whole = system.protect_segment_matrix(matrix, max_batch_segments=16)
-        chunked = system.protect_segment_matrix(matrix, max_batch_segments=2)
-        for a, b in zip(whole, chunked):
-            np.testing.assert_array_equal(a.shadow_wave.data, b.shadow_wave.data)
+        clear_im2col_buffer_cache()
+        batched = system.protect_segment_matrix(matrix)
+        cached_rows = [key[0][0] for key in conv_module._im2col_buffer_store()]
+        assert cached_rows and max(cached_rows) <= ROWS_PER_PASS
+        for row in range(rows):
+            single = protect_segment(system, AudioSignal(matrix[row], tiny_config.sample_rate))
+            np.testing.assert_array_equal(
+                single.shadow_spectrogram, batched[row].shadow_spectrogram
+            )
+            np.testing.assert_array_equal(single.shadow_wave.data, batched[row].shadow_wave.data)
 
     def test_segment_matrix_rejects_wrong_width(self, system, tiny_config):
         with pytest.raises(ValueError):
@@ -82,7 +92,7 @@ class TestBatchedEquivalence:
 class TestSegmentationEdgeCases:
     def test_empty_audio(self, system, tiny_config):
         empty = AudioSignal(np.zeros(0), tiny_config.sample_rate)
-        looped = system.protect_looped(empty)
+        looped = protect_looped(system, empty)
         batched = system.protect(empty)
         assert batched.shadow_wave.num_samples == 0
         # One all-zero segment is still analysed; both paths agree on it.
@@ -91,7 +101,7 @@ class TestSegmentationEdgeCases:
 
     def test_exactly_one_segment(self, system, tiny_config):
         audio = _noise(tiny_config, tiny_config.segment_samples)
-        looped = system.protect_looped(audio)
+        looped = protect_looped(system, audio)
         batched = system.protect(audio)
         assert batched.shadow_wave.num_samples == tiny_config.segment_samples
         assert batched.mixed_spectrogram.shape == tiny_config.spectrogram_shape
@@ -105,13 +115,13 @@ class TestSegmentationEdgeCases:
         # ...but the spectrogram covers the full zero-padded segment.
         assert batched.mixed_spectrogram.shape == tiny_config.spectrogram_shape
         np.testing.assert_array_equal(
-            system.protect_looped(audio).shadow_wave.data, batched.shadow_wave.data
+            protect_looped(system, audio).shadow_wave.data, batched.shadow_wave.data
         )
 
     def test_non_multiple_length(self, system, tiny_config):
         segment = tiny_config.segment_samples
         audio = _noise(tiny_config, 2 * segment + segment // 2)
-        looped = system.protect_looped(audio)
+        looped = protect_looped(system, audio)
         batched = system.protect(audio)
         assert batched.shadow_wave.num_samples == audio.num_samples
         # Three segments' worth of frames (the last zero-padded).
@@ -217,9 +227,30 @@ class TestStreamingProtector:
         assert len(results) == 1
         np.testing.assert_array_equal(
             results[0].shadow_wave.data,
-            unenrolled.protect_segment(
-                AudioSignal(audio.data[: tiny_config.segment_samples], tiny_config.sample_rate)
+            protect_segment(
+                unenrolled,
+                AudioSignal(audio.data[: tiny_config.segment_samples], tiny_config.sample_rate),
             ).shadow_wave.data,
+        )
+
+    def test_failed_tick_requeues_segments_for_retry(self, system, tiny_config, monkeypatch):
+        """An inference pass that raises must not drop the segments it held."""
+        audio = _noise(tiny_config, 2 * tiny_config.segment_samples, seed=21)
+        expected = system.protect(audio).shadow_wave.data
+        protector = StreamingProtector(system)
+
+        def failing_pass(*args):
+            raise MemoryError("no room for the pass")
+
+        monkeypatch.setattr(system.selector, "shadow_spectrogram_batch", failing_pass)
+        with pytest.raises(MemoryError):
+            protector.feed(audio)
+        assert protector.pending_samples == audio.num_samples
+        monkeypatch.undo()
+        results = protector.feed(np.zeros(0))
+        assert len(results) == 2
+        np.testing.assert_array_equal(
+            np.concatenate([result.shadow_wave.data for result in results]), expected
         )
 
     def test_sub_hop_chunks_emit_nothing_until_full_segment(self, system, tiny_config):

@@ -8,7 +8,7 @@ mechanics on an untrained context so it stays test-suite cheap:
 * cell validation rejects unknown axis values up front;
 * adversaries are pure, seedable transforms;
 * the grid runner is bit-identical across worker counts and equal to the
-  looped reference implementation;
+  looped oracle in ``tests/oracles.py``;
 * the JSON report round-trips with a consistent summary.
 """
 
@@ -16,6 +16,7 @@ import json
 
 import numpy as np
 import pytest
+from oracles import run_scenario_grid_looped
 
 from repro.audio.signal import AudioSignal
 from repro.eval.adversary import (
@@ -29,7 +30,6 @@ from repro.eval.scenarios import (
     ScenarioCell,
     ScenarioGrid,
     run_scenario_grid,
-    run_scenario_grid_looped,
 )
 
 

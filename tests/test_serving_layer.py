@@ -177,7 +177,7 @@ class TestEnrollmentRegistry:
 
 class TestTickLoop:
     def test_wake_drives_a_tick(self, system, tiny_config):
-        batch = StreamBatch(system.selector, num_workers=1)
+        batch = StreamBatch(system.selector)
         loop = TickLoop(batch, poll_interval_s=0.01).start()
         try:
             spec = np.zeros((1, *tiny_config.spectrogram_shape))
@@ -189,7 +189,7 @@ class TestTickLoop:
             batch.close()
 
     def test_poll_fallback_ticks_without_wake(self, system, tiny_config):
-        batch = StreamBatch(system.selector, num_workers=1)
+        batch = StreamBatch(system.selector)
         loop = TickLoop(batch, poll_interval_s=0.01).start()
         try:
             request = batch.submit(
@@ -202,7 +202,7 @@ class TestTickLoop:
             batch.close()
 
     def test_shutdown_drains_pending_work(self, system, tiny_config):
-        batch = StreamBatch(system.selector, num_workers=1)
+        batch = StreamBatch(system.selector)
         loop = TickLoop(batch, poll_interval_s=5.0).start()  # too slow to poll
         requests = [
             batch.submit(
@@ -220,7 +220,7 @@ class TestTickLoop:
             def shadow_spectrogram_batch(self, specs, vectors):
                 raise RuntimeError("boom")
 
-        batch = StreamBatch(Exploding(), num_workers=1)
+        batch = StreamBatch(Exploding())
         loop = TickLoop(batch, poll_interval_s=0.01).start()
         try:
             batch.submit(
@@ -347,16 +347,13 @@ class TestProtectionService:
         assert total.size == samples.size
 
     def test_shutdown_reclaims_all_threads(self, tiny_config, system, tmp_path):
-        """The tick thread and the StreamBatch worker pool must not leak."""
+        """The tick-loop thread must not outlive the service."""
         before = threading.active_count()
-        service = _make_service(tiny_config, system, tmp_path, num_workers=2)
+        service = _make_service(tiny_config, system, tmp_path)
         session = service.open_session("alice")
-        # Enough segments in one feed to force the threaded tick fan-out.
-        session.feed(
-            np.zeros(4 * tiny_config.segment_samples),
-        )
+        session.feed(np.zeros(4 * tiny_config.segment_samples))
         session.collect(wait=True, timeout=60.0)
-        assert threading.active_count() > before  # loop (and maybe pool) alive
+        assert threading.active_count() > before  # the tick loop is alive
         service.shutdown(timeout=60.0)
         deadline = time.monotonic() + 30.0
         while threading.active_count() > before and time.monotonic() < deadline:

@@ -1,18 +1,15 @@
 """The real-time streaming fast path: incremental kernels, ring pipeline,
-cross-stream micro-batching, and latency accounting.
+the shared inference queue, and latency accounting.
 
 The load-bearing contract: for ANY chunking of a clip — sub-hop dribbles,
 segment-aligned blocks, everything at once — the concatenation of the shadow
 waves emitted by :class:`StreamingProtector` (plus the flush tail) is
 **sample-exact** against :meth:`NECSystem.protect` on the whole clip, and
-coalescing segments across streams through :class:`StreamBatch` never changes
-a bit.  The incremental STFT/iSTFT kernels are pinned against their batch
-counterparts at both a hop-divides-window geometry (the reduced test config)
-and the paper's non-dividing 400/160 geometry.
+sharing a :class:`StreamBatch` tick across streams never changes a bit.  The
+incremental STFT/iSTFT kernels are pinned against their batch counterparts
+at both a hop-divides-window geometry (the reduced test config) and the
+paper's non-dividing 400/160 geometry.
 """
-
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -361,27 +358,6 @@ class TestStreamBatch:
         assert empty.done and empty.shadow_spectrograms.shape[0] == 0
         assert real.done and real.shadow_spectrograms.shape == spectrogram.shape
 
-    def test_close_reclaims_worker_threads(self, system, tiny_config):
-        """Regression: the tick fan-out pool leaked its threads for the
-        lifetime of the process; ``close()`` must shut it down."""
-        segment = tiny_config.segment_samples
-        before = threading.active_count()
-        with StreamBatch(system.selector, max_batch_segments=1, num_workers=2) as batch:
-            for index in range(4):
-                spectrogram = np.abs(
-                    stft(
-                        _noise(segment, seed=70 + index),
-                        tiny_config.n_fft,
-                        tiny_config.win_length,
-                        tiny_config.hop_length,
-                    )
-                )[None, :, :]
-                batch.submit(spectrogram, system.embedding)
-            batch.tick()
-            assert threading.active_count() > before  # pool spun up
-        assert threading.active_count() == before  # ...and reclaimed
-        assert batch.closed
-
     def test_submit_after_close_raises(self, system, tiny_config):
         frequency_bins, frames = tiny_config.spectrogram_shape
         batch = StreamBatch(system.selector)
@@ -405,29 +381,6 @@ class TestStreamBatch:
                 specs, np.zeros((1, 1, tiny_config.embedding_dim))
             )
 
-    def test_serial_and_threaded_ticks_match(self, system, tiny_config):
-        segment = tiny_config.segment_samples
-        serial = StreamBatch(system.selector, max_batch_segments=2, num_workers=1)
-        threaded = StreamBatch(system.selector, max_batch_segments=2, num_workers=4)
-        serial_requests = []
-        threaded_requests = []
-        for index in range(6):
-            spectrogram = np.abs(
-                stft(
-                    _noise(segment, seed=50 + index),
-                    tiny_config.n_fft,
-                    tiny_config.win_length,
-                    tiny_config.hop_length,
-                )
-            )[None, :, :]
-            serial_requests.append(serial.submit(spectrogram, system.embedding))
-            threaded_requests.append(threaded.submit(spectrogram, system.embedding))
-        serial.tick()
-        threaded.tick()
-        for a, b in zip(serial_requests, threaded_requests):
-            np.testing.assert_array_equal(a.shadow_spectrograms, b.shadow_spectrograms)
-
-
 class TestFlushSemantics:
     def test_failed_feed_then_flush_raises_until_retried(self, tiny_config):
         unenrolled = NECSystem(tiny_config, seed=0)
@@ -437,6 +390,13 @@ class TestFlushSemantics:
             protector.feed(audio)
         with pytest.raises(RuntimeError):
             protector.flush()  # a completed segment is still queued
+        # A flush that fails counts its tail's stream samples, not the pad.
+        tail_only = StreamingProtector(unenrolled)
+        partial = tiny_config.segment_samples // 3
+        tail_only.feed(audio[:partial])
+        with pytest.raises(RuntimeError):
+            tail_only.flush()
+        assert tail_only.pending_samples == partial
         rng = np.random.default_rng(61)
         unenrolled.enroll(
             [
@@ -449,6 +409,9 @@ class TestFlushSemantics:
         assert len(protector.feed(np.zeros(0))) == 1
         tail = protector.flush()
         assert tail.shadow_wave.num_samples == 9
+        (retried,) = tail_only.feed(np.zeros(0))
+        assert retried.shadow_wave.num_samples == partial
+        assert tail_only.pending_samples == 0
 
     def test_deferred_flush_tail_is_trimmed(self, system, tiny_config):
         batch = StreamBatch(system.selector)

@@ -9,9 +9,10 @@ This suite pins the three contracts of the batched training engine:
   through the im2col reference — and the full Selector graph's batched
   backward must equal the mean of the per-example backwards
   (:func:`repro.nn.grad_check.check_batched_gradients`).
-- **The fast path degrades to the reference.**  ``fit(batch_size=1)`` is
-  bit-identical to ``fit_looped``; partial last batches and oversized batch
-  sizes behave; batched evaluation matches looped evaluation.
+- **The fast path degrades to the reference.**  ``fit(batch_size=1)`` matches
+  the per-example oracle ``fit_looped`` (``tests/oracles.py``) to 1e-12
+  relative; partial last batches and oversized batch sizes behave; batched
+  evaluation matches looped evaluation.
 - **The data stream is a pure function of its seed.**  ``ExampleStream``
   derives every random draw through :func:`repro.core.seeding.derive_seed`
   chains, so it never reproduces the historical ``seed * 977 + index``
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import evaluate_looped, example_loss, fit_looped
 
 from repro.audio.corpus import SyntheticCorpus
 from repro.core.config import TrainingConfig
@@ -173,7 +175,7 @@ class TestSelectorBatchedGradients:
         trainer = SelectorTrainer(Selector(tiny_config, seed=0))
         max_error = check_batched_gradients(
             lambda: trainer.batch_loss(examples),
-            [lambda e=e: trainer.example_loss(e) for e in examples],
+            [lambda e=e: example_loss(trainer, e) for e in examples],
             trainer.optimizer.parameters,
         )
         assert max_error < 1e-9
@@ -198,7 +200,7 @@ class TestSelectorBatchedGradients:
         examples = stream.take(4)
         trainer = SelectorTrainer(Selector(tiny_config, seed=0))
         batched = float(trainer.batch_loss(examples).data)
-        looped = np.mean([float(trainer.example_loss(e).data) for e in examples])
+        looped = np.mean([float(example_loss(trainer, e).data) for e in examples])
         assert abs(batched - looped) < 1e-11
 
     def test_batch_loss_rejects_ragged_batches(self, tiny_config, corpus):
@@ -215,18 +217,19 @@ class TestSelectorBatchedGradients:
 
 
 class TestFitEquivalenceAndBatching:
-    def test_fit_batch_size_one_is_bit_identical_to_fit_looped(
-        self, tiny_config, corpus
-    ):
+    def test_fit_batch_size_one_matches_fit_looped(self, tiny_config, corpus):
+        """Batches of one run the frequency-domain graph, the oracle the
+        im2col graph: the two agree to FFT round-off, not bit for bit."""
         stream = _stream(tiny_config, corpus)
         examples = stream.take(6)
         looped = SelectorTrainer(Selector(tiny_config, seed=0))
         batched = SelectorTrainer(Selector(tiny_config, seed=0))
-        history_l = looped.fit_looped(examples, epochs=2, seed=3)
+        history_l = fit_looped(looped, examples, epochs=2, seed=3)
         history_b = batched.fit(examples, epochs=2, seed=3, batch_size=1)
-        assert history_b.losses == history_l.losses
+        np.testing.assert_allclose(history_b.losses, history_l.losses, rtol=1e-12, atol=0)
         for p_l, p_b in zip(looped.optimizer.parameters, batched.optimizer.parameters):
-            assert np.array_equal(p_l.data, p_b.data)
+            scale = np.max(np.abs(p_l.data))
+            assert np.max(np.abs(p_b.data - p_l.data)) <= 1e-12 * scale
 
     def test_minibatch_fit_reduces_loss_and_records_schedule(
         self, tiny_config, corpus
@@ -303,7 +306,7 @@ class TestFitEquivalenceAndBatching:
         examples = stream.take(6)
         trainer = SelectorTrainer(Selector(tiny_config, seed=0))
         batched = trainer.evaluate(examples, batch_size=4)
-        looped = trainer.evaluate_looped(examples)
+        looped = evaluate_looped(trainer, examples)
         assert abs(batched - looped) < 1e-11
 
 
