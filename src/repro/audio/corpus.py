@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.audio.lexicon import SENTENCES, random_sentence
+from repro.audio.lexicon import SENTENCES
 from repro.audio.signal import AudioSignal
 from repro.audio.voice import SpeakerProfile, VoiceSynthesizer, random_speaker_profile
 
@@ -103,17 +103,6 @@ class SyntheticCorpus:
         if duration is not None:
             audio = audio.fit_to_duration(duration)
         return Utterance(audio=audio, text=text, speaker_id=speaker_id)
-
-    def random_utterance(
-        self,
-        speaker_id: str,
-        rng: np.random.Generator,
-        num_words: int = 8,
-        duration: Optional[float] = None,
-    ) -> Utterance:
-        """An utterance made of random lexicon words (content-independent test)."""
-        text = random_sentence(rng, num_words=num_words)
-        return self.utterance(speaker_id, text=text, seed=int(rng.integers(2**31)), duration=duration)
 
     def reference_audios(
         self,

@@ -226,7 +226,3 @@ class VoiceSynthesizer:
         if maximum > 0:
             samples = samples * (peak / maximum)
         return AudioSignal(samples, self.sample_rate)
-
-    def word_boundaries(self, text: str) -> List[str]:
-        """The word sequence (ASR ground truth) for a sentence."""
-        return sentence_words(text)

@@ -32,10 +32,6 @@ class DeviceProfile:
 
     # -- derived quantities --------------------------------------------------
     @property
-    def carrier_range_khz(self) -> tuple:
-        return (self.carrier_low_khz, self.carrier_high_khz)
-
-    @property
     def ultrasound_gain(self) -> float:
         """Diaphragm/amplifier gain in the carrier band.
 

@@ -120,7 +120,3 @@ class Recorder:
         audible = mix_signals(audible_parts) if audible_parts else None
         ultrasonic = mix_signals(ultrasonic_parts) if ultrasonic_parts else None
         return self.microphone.record(audible, ultrasonic, rng=self._rng)
-
-    def record_audible(self, signal: AudioSignal, distance_m: float) -> AudioSignal:
-        """Convenience wrapper: record a single audible source."""
-        return self.record_scene([SceneSource(signal, distance_m)])

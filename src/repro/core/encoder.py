@@ -83,9 +83,6 @@ class SpeakerEncoder:
         """Embed one speaker from reference audios; returns a unit-norm vector."""
         raise NotImplementedError
 
-    def embed_single(self, reference: AudioSignal | np.ndarray) -> np.ndarray:
-        return self.embed([reference])
-
 
 class SpectralEncoder(SpeakerEncoder, Module):
     """Training-free d-vector substitute based on LAS / log-mel statistics.

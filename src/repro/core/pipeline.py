@@ -413,8 +413,9 @@ class StreamingProtector:
       the results; attached to a shared ``stream_batch`` (the serving layer's)
       ``feed`` returns nothing, and finished results are picked up with
       :meth:`collect` after ``stream_batch.tick()``;
-    - the shadow spectrogram is inverted through the tail-carrying
-      :class:`~repro.dsp.stft.StreamingISTFT` and emitted.
+    - the shadow spectrogram, with the segment's mixed phase, is fed to a
+      :class:`~repro.dsp.stft.StreamingISTFT`, whose flush inverts it with
+      the same one overlap-add as :meth:`NECSystem.protect`, and emitted.
 
     Concatenating all emitted shadow waves (with a final :meth:`flush`)
     reproduces **exactly** what :meth:`NECSystem.protect` emits for the whole
@@ -540,9 +541,8 @@ class StreamingProtector:
         record_spec = superpose_spectrograms(mixed_spec, shadow_spec)
         phase = np.exp(1j * np.angle(segment.stft))
         inverter = StreamingISTFT(config.win_length, config.hop_length)
-        head = inverter.feed(shadow_spec * phase)
-        tail = inverter.flush(length=self._segment)
-        wave = np.concatenate([head, tail]) if head.size else tail
+        inverter.feed(shadow_spec * phase)
+        wave = inverter.flush(length=self._segment)
         emitted_length = segment.stream_samples
         shadow_wave = AudioSignal(wave, config.sample_rate).trim_to(emitted_length)
         self._segments_emitted += 1

@@ -333,12 +333,6 @@ class Selector(Module):
             return -(output * mixed)
         return output
 
-    def target_estimate(
-        self, mixed_spectrogram: np.ndarray, d_vector: np.ndarray
-    ) -> np.ndarray:
-        """Estimated magnitude spectrogram of the target speaker, shape ``(F, T)``."""
-        return -self.shadow_spectrogram(mixed_spectrogram, d_vector)
-
 
 @dataclass
 class StreamRequest:

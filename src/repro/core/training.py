@@ -136,19 +136,6 @@ class SelectorTrainer:
         self.train_config = train_config
         self.optimizer = Adam(selector.parameters(), lr=train_config.learning_rate)
 
-    # -- dataset construction --------------------------------------------------
-    def make_example(
-        self,
-        mixed_audio: AudioSignal,
-        background_audio: AudioSignal,
-        d_vector: np.ndarray,
-        target_speaker: str = "",
-    ) -> TrainingExample:
-        """Build a training example from waveforms (spectrograms computed here)."""
-        return make_training_example(
-            self.config, mixed_audio, background_audio, d_vector, target_speaker
-        )
-
     # -- loss --------------------------------------------------------------------
     def batch_loss(self, examples: Sequence[TrainingExample]) -> Tensor:
         """Eq. (6) over a stacked minibatch: the mean of the per-example losses.

@@ -17,10 +17,7 @@ from repro.dsp.stft import (
     clear_ola_plan_cache,
     magnitude,
     magnitude_spectrogram,
-    batch_magnitude_spectrogram,
     spectrogram_shape,
-    reconstruct_waveform,
-    griffin_lim,
     StreamingSTFT,
     StreamingISTFT,
 )
@@ -67,10 +64,7 @@ __all__ = [
     "clear_ola_plan_cache",
     "magnitude",
     "magnitude_spectrogram",
-    "batch_magnitude_spectrogram",
     "spectrogram_shape",
-    "reconstruct_waveform",
-    "griffin_lim",
     "StreamingSTFT",
     "StreamingISTFT",
     "long_time_average_spectrum",

@@ -5,11 +5,18 @@ The paper (Sec. IV-B1) uses 3-second 16 kHz clips, an FFT size of 1200
 :func:`stft` / :func:`istft` implement exactly that framing (no centre
 padding), and :func:`spectrogram_shape` reports the resulting ``(F, T)``
 shape so that models can be built against it.
+
+There is one framing kernel (:func:`_frame_spectra`) and one overlap-add
+(:func:`batch_istft`).  The single-clip transforms are the batch kernels on a
+batch of one, :class:`StreamingSTFT` frames each chunk through the same
+kernel, and :class:`StreamingISTFT` holds frames until :meth:`flush`, which
+makes one :func:`batch_istft` call.  Every entry point checks its geometry
+through :func:`_check_geometry`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy import fft as _scipy_fft
@@ -18,11 +25,52 @@ from repro.dsp.windows import get_window
 from repro.nn.precision import active_policy
 
 
-def _frame_starts(num_samples: int, win_length: int, hop_length: int) -> np.ndarray:
+def _check_geometry(win_length: int, hop_length: int, n_fft: Optional[int] = None) -> None:
+    """The one argument check of every transform.
+
+    ``n_fft`` is ``None`` only where it is not known yet
+    (:class:`StreamingISTFT` before its first frames arrive).  A hop longer
+    than the window is allowed: frames then leave gaps, and the batch kernels
+    still invert them.
+    """
+    bound = win_length if n_fft is None else n_fft
+    if hop_length <= 0 or not 0 < win_length <= bound:
+        raise ValueError(
+            "STFT geometry needs 0 < hop_length and 0 < win_length <= n_fft, got "
+            f"n_fft={n_fft}, win_length={win_length}, hop_length={hop_length}"
+        )
+
+
+def _frame_count(num_samples: int, win_length: int, hop_length: int) -> int:
+    """Frames of a signal; one zero-padded frame when it is shorter than a window."""
+    return 1 + max(num_samples - win_length, 0) // hop_length
+
+
+def _frame_spectra(
+    signals: np.ndarray, n_fft: int, win_length: int, hop_length: int, window: str
+) -> np.ndarray:
+    """The one framing kernel: ``(..., num_samples)`` real to ``(..., F, T)`` complex.
+
+    A row shorter than one window is zero-padded to one frame.  Every frame of
+    every row is gathered by one fancy-indexing operation (bit-identical to a
+    per-frame Python loop), windowed, and transformed by one ``rfft``.  Each
+    frame's ``rfft`` is an independent pocketfft row transform, so how rows
+    and frames are batched never changes a value.  scipy's pocketfft is
+    bit-identical to numpy's in float64 and keeps float32 under a
+    reduced-precision policy (:mod:`repro.nn.precision`), which selects the
+    compute dtype.
+    """
+    _check_geometry(win_length, hop_length, n_fft)
+    policy = active_policy()
+    signals = policy.real(np.asarray(signals))
+    num_samples = signals.shape[-1]
     if num_samples < win_length:
-        return np.array([0], dtype=int)
-    count = 1 + (num_samples - win_length) // hop_length
-    return np.arange(count) * hop_length
+        pad = [(0, 0)] * (signals.ndim - 1) + [(0, win_length - num_samples)]
+        signals = np.pad(signals, pad)
+    starts = np.arange(_frame_count(num_samples, win_length, hop_length)) * hop_length
+    frames = signals[..., starts[:, None] + np.arange(win_length)[None, :]]
+    frames = frames * policy.real(get_window(window, win_length))
+    return _scipy_fft.rfft(frames, n=n_fft, axis=-1).swapaxes(-1, -2)
 
 
 def stft(
@@ -34,28 +82,12 @@ def stft(
 ) -> np.ndarray:
     """Complex STFT of a 1-D signal, shape ``(n_fft // 2 + 1, n_frames)``.
 
-    The per-frame gather runs as one fancy-indexing operation over all frames
-    (bit-identical to extracting each frame in a Python loop).  Under a
-    reduced-precision policy (:mod:`repro.nn.precision`) the framing and FFT
-    run in the policy's real dtype and return its complex dtype.
+    Equal to ``batch_stft(signal[None], ...)[0]`` bit for bit.
     """
-    policy = active_policy()
-    signal = policy.real(np.asarray(signal))
+    signal = np.asarray(signal)
     if signal.ndim != 1:
         raise ValueError("stft expects a 1-D signal")
-    if win_length > n_fft:
-        raise ValueError("win_length must be <= n_fft")
-    win = policy.real(get_window(window, win_length))
-    starts = _frame_starts(signal.size, win_length, hop_length)
-    if signal.size < win_length:
-        # One zero-padded frame, exactly like the framing loop produced.
-        signal = np.pad(signal, (0, win_length - signal.size))
-    frames = signal[starts[:, None] + np.arange(win_length)[None, :]]
-    frames = frames * win
-    # scipy's pocketfft: bit-identical to numpy's in float64 (both are
-    # pocketfft; pinned by the test-suite) and dtype-preserving in float32.
-    spectrum = _scipy_fft.rfft(frames, n=n_fft, axis=1)
-    return spectrum.T  # (freq_bins, frames)
+    return _frame_spectra(signal, n_fft, win_length, hop_length, window)
 
 
 def magnitude(spectrum: np.ndarray) -> np.ndarray:
@@ -74,49 +106,42 @@ def batch_stft(
 
     ``signals`` is a ``(N, num_samples)`` array of same-length clips (e.g. the
     stacked segments of :meth:`NECSystem.protect`).  Row ``n`` of the result is
-    bit-identical to ``stft(signals[n], ...)``: the framing is the same, only
-    the frame extraction and FFT run once for the whole batch.  Like
-    :func:`stft`, the active precision policy selects the compute dtype.
+    bit-identical to ``stft(signals[n], ...)``.
     """
-    policy = active_policy()
-    signals = policy.real(np.asarray(signals))
+    signals = np.asarray(signals)
     if signals.ndim != 2:
         raise ValueError("batch_stft expects a (N, num_samples) batch of signals")
-    if win_length > n_fft:
-        raise ValueError("win_length must be <= n_fft")
-    if signals.shape[1] < win_length:
-        # Mirror stft(): a too-short signal yields exactly one zero-padded frame.
-        signals = np.pad(signals, ((0, 0), (0, win_length - signals.shape[1])))
-    win = policy.real(get_window(window, win_length))
-    starts = _frame_starts(signals.shape[1], win_length, hop_length)
-    # (N, T, win): gather every frame of every signal in one indexing op.
-    frames = signals[:, starts[:, None] + np.arange(win_length)[None, :]]
-    frames = frames * win
-    spectrum = _scipy_fft.rfft(frames, n=n_fft, axis=2)
-    return spectrum.transpose(0, 2, 1)  # (N, freq_bins, frames)
+    return _frame_spectra(signals, n_fft, win_length, hop_length, window)
 
 
-def batch_magnitude_spectrogram(
-    signals: np.ndarray,
+def magnitude_spectrogram(
+    signal: np.ndarray,
     n_fft: int = 1200,
     win_length: int = 400,
     hop_length: int = 160,
     window: str = "hann",
 ) -> np.ndarray:
-    """Magnitude spectrograms of a batch of equal-length signals, ``(N, F, T)``."""
-    return magnitude(batch_stft(signals, n_fft, win_length, hop_length, window))
+    """Magnitude spectrogram ``|STFT|`` with shape ``(F, T)`` (paper Eq. 2)."""
+    return magnitude(stft(signal, n_fft, win_length, hop_length, window))
+
+
+def spectrogram_shape(
+    num_samples: int,
+    n_fft: int = 1200,
+    win_length: int = 400,
+    hop_length: int = 160,
+) -> Tuple[int, int]:
+    """``(frequency_bins, frames)`` produced by :func:`stft` for this input size."""
+    _check_geometry(win_length, hop_length, n_fft)
+    return n_fft // 2 + 1, _frame_count(num_samples, win_length, hop_length)
 
 
 #: Cached overlap-add plans keyed on ``(window, win_length, hop_length,
-#: n_frames, dtype)``: the window, the summed window-square normalisation
-#: envelope, its "safe to divide" mask and the masked reciprocal, all in the
-#: requested real dtype.  Every iSTFT of the same geometry (all segments of a
-#: clip, every clip of a benchmark) shares one plan instead of
-#: re-accumulating the envelope per call.
-_OLA_PLAN_CACHE: Dict[
-    Tuple[str, int, int, int, str],
-    Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-] = {}
+#: n_frames, dtype)``: the window and the masked reciprocal of the summed
+#: window-square envelope, both in the requested real dtype.  Every iSTFT of
+#: the same geometry (all segments of a clip, every clip of a benchmark)
+#: shares one plan instead of re-accumulating the envelope per call.
+_OLA_PLAN_CACHE: Dict[Tuple[str, int, int, int, str], Tuple[np.ndarray, np.ndarray]] = {}
 
 
 def clear_ola_plan_cache() -> None:
@@ -129,12 +154,8 @@ def clear_ola_plan_cache() -> None:
 
 
 def _ola_plan(
-    window: str,
-    win_length: int,
-    hop_length: int,
-    num_frames: int,
-    dtype: np.dtype = np.dtype(np.float64),
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    window: str, win_length: int, hop_length: int, num_frames: int, dtype: np.dtype
+) -> Tuple[np.ndarray, np.ndarray]:
     dtype = np.dtype(dtype)
     key = (window, win_length, hop_length, num_frames, dtype.name)
     plan = _OLA_PLAN_CACHE.get(key)
@@ -143,8 +164,7 @@ def _ola_plan(
         # so the float32 plan's mask picks exactly the same samples — and
         # only the finished arrays are cast to the requested dtype.
         win = get_window(window, win_length)
-        expected = win_length + hop_length * (num_frames - 1)
-        norm = np.zeros(max(expected, 0))
+        norm = np.zeros(max(win_length + hop_length * (num_frames - 1), 0))
         win_sq = win**2
         for index in range(num_frames):
             start = index * hop_length
@@ -152,18 +172,13 @@ def _ola_plan(
         # Only normalise where the window sum carries real weight; at the very
         # edges the sum tends to zero and dividing there would blow up the
         # first and last few samples into spikes.
+        inverse = np.ones(norm.shape)
         if norm.size:
             safe = norm > max(norm.max() * 1e-2, 1e-10)
-        else:  # pragma: no cover - zero-frame spectra
-            safe = np.zeros(0, dtype=bool)
-        inverse = np.ones(norm.shape)
-        inverse[safe] = 1.0 / norm[safe]
-        win = win.astype(dtype, copy=False)
-        norm = norm.astype(dtype, copy=False)
-        inverse = inverse.astype(dtype, copy=False)
-        for array in (win, norm, safe, inverse):
+            inverse[safe] = 1.0 / norm[safe]
+        plan = (win.astype(dtype, copy=False), inverse.astype(dtype, copy=False))
+        for array in plan:
             array.setflags(write=False)
-        plan = (win, norm, safe, inverse)
         _OLA_PLAN_CACHE[key] = plan
     return plan
 
@@ -210,25 +225,6 @@ def _overlap_add(frames: np.ndarray, win: np.ndarray, hop_length: int, expected:
     return output[..., :expected]
 
 
-def _finalize_istft(
-    output: np.ndarray,
-    inverse_norm: np.ndarray,
-    expected: int,
-    length: Optional[int],
-) -> np.ndarray:
-    # Multiplying by the cached masked reciprocal equals the sequential
-    # oracle's guarded division (``tests/oracles.py``) to within one ulp
-    # (unsafe edge samples stay unscaled).
-    output *= inverse_norm
-    if length is not None:
-        if length <= expected:
-            output = output[..., :length]
-        else:
-            pad = [(0, 0)] * (output.ndim - 1) + [(0, length - expected)]
-            output = np.pad(output, pad)
-    return output
-
-
 def batch_istft(
     spectra: np.ndarray,
     win_length: int = 400,
@@ -238,366 +234,36 @@ def batch_istft(
 ) -> np.ndarray:
     """Inverse STFT of a ``(N, F, T)`` batch, returning ``(N, num_samples)``.
 
-    One ``irfft`` over the whole batch and one grouped overlap-add replace a
-    per-clip Python loop.  Each row equals :func:`istft` of that spectrum bit
-    for bit, and matches the sequential per-frame oracle in
-    ``tests/oracles.py`` (pinned in ``tests/test_fastpath.py``) up to
-    overlap-add summation order (<= ~1e-10 absolute).  The active precision
-    policy selects the compute dtype.
+    The one inverse kernel: one ``irfft`` over the whole batch, one
+    overlap-add (:func:`_overlap_add`) and one multiply by the cached
+    plan's masked reciprocal envelope.  It matches the sequential per-frame
+    oracle in ``tests/oracles.py`` (pinned in ``tests/test_fastpath.py``) up
+    to overlap-add summation order (<= ~1e-10 absolute); unsafe edge samples
+    stay unscaled, like the oracle's guarded division.  ``length`` trims or
+    zero-pads every row.  The active precision policy selects the compute
+    dtype.
     """
     policy = active_policy()
     spectra = policy.complex(np.asarray(spectra))
     if spectra.ndim != 3:
         raise ValueError("batch_istft expects a (N, F, T) batch of spectra")
+    n_fft = (spectra.shape[1] - 1) * 2
+    _check_geometry(win_length, hop_length, n_fft)
     if spectra.shape[0] == 0:
         return np.zeros((0, length or 0), dtype=policy.real_dtype)
-    n_fft = (spectra.shape[1] - 1) * 2
     num_frames = spectra.shape[2]
     # scipy's pocketfft is measurably faster than numpy's here and produces
     # bit-identical transforms (both are pocketfft; pinned by the test suite).
-    frames = _scipy_fft.irfft(spectra.transpose(0, 2, 1), n=n_fft, axis=2)[:, :, :win_length]
-    win, _norm, _safe, inverse = _ola_plan(
-        window, win_length, hop_length, num_frames, policy.real_dtype
-    )
+    frames = _scipy_fft.irfft(spectra.swapaxes(1, 2), n=n_fft, axis=2)[:, :, :win_length]
+    win, inverse = _ola_plan(window, win_length, hop_length, num_frames, policy.real_dtype)
     expected = win_length + hop_length * (num_frames - 1)
     output = _overlap_add(frames, win, hop_length, expected)
-    return _finalize_istft(output, inverse, expected, length)
-
-
-def magnitude_spectrogram(
-    signal: np.ndarray,
-    n_fft: int = 1200,
-    win_length: int = 400,
-    hop_length: int = 160,
-    window: str = "hann",
-) -> np.ndarray:
-    """Magnitude spectrogram ``|STFT|`` with shape ``(F, T)`` (paper Eq. 2)."""
-    return magnitude(stft(signal, n_fft, win_length, hop_length, window))
-
-
-# ---------------------------------------------------------------------------
-# Incremental (streaming) STFT / iSTFT
-# ---------------------------------------------------------------------------
-class StreamingSTFT:
-    """Incremental STFT: feed sample chunks, get exactly the new frames.
-
-    The real-time pipeline cannot afford to re-transform a whole buffered clip
-    per chunk.  This state object carries the residual samples after the last
-    emitted frame's hop boundary and, per :meth:`feed`, computes only the
-    frames the new chunk completes.  The concatenation of every emitted frame
-    block is **bit-identical** to ``stft(concatenated_chunks, ...)`` for any
-    chunking (including sub-hop chunks): the framing offsets are carried, the
-    same cached window multiplies each frame, and each frame's rfft is an
-    independent pocketfft row transform, so the split into feeds never changes
-    a value.  The active precision policy selects the compute dtype per feed.
-    """
-
-    def __init__(
-        self,
-        n_fft: int = 1200,
-        win_length: int = 400,
-        hop_length: int = 160,
-        window: str = "hann",
-    ) -> None:
-        if win_length > n_fft:
-            raise ValueError("win_length must be <= n_fft")
-        if hop_length <= 0 or hop_length > win_length:
-            raise ValueError("hop_length must be in (0, win_length]")
-        self.n_fft = n_fft
-        self.win_length = win_length
-        self.hop_length = hop_length
-        self.window = window
-        self._carry = np.zeros(0, dtype=np.float64)
-        self._frames_emitted = 0
-        self._samples_fed = 0
-
-    @property
-    def frequency_bins(self) -> int:
-        return self.n_fft // 2 + 1
-
-    @property
-    def pending_samples(self) -> int:
-        """Samples carried over but not yet covered by an emitted frame hop."""
-        return int(self._carry.size)
-
-    @property
-    def frames_emitted(self) -> int:
-        return self._frames_emitted
-
-    @property
-    def samples_fed(self) -> int:
-        return self._samples_fed
-
-    def reset(self) -> None:
-        self._carry = np.zeros(0, dtype=np.float64)
-        self._frames_emitted = 0
-        self._samples_fed = 0
-
-    def feed(self, samples: np.ndarray) -> np.ndarray:
-        """Append samples; return the newly completed frames, shape ``(F, t)``.
-
-        ``t`` may be zero (chunk too small to finish a frame).  Emitted frame
-        ``k`` (globally) equals column ``k`` of the whole-signal STFT.
-        """
-        policy = active_policy()
-        data = policy.real(np.asarray(samples)).reshape(-1)
-        self._samples_fed += int(data.size)
-        carry = policy.real(self._carry)
-        buffer = np.concatenate([carry, data]) if carry.size else data
-        if buffer.size < self.win_length:
-            # Own the storage: `buffer` may alias the caller's chunk.
-            self._carry = buffer.copy()
-            return np.zeros((self.frequency_bins, 0), dtype=policy.complex_dtype)
-        count = 1 + (buffer.size - self.win_length) // self.hop_length
-        win = policy.real(get_window(self.window, self.win_length))
-        starts = np.arange(count) * self.hop_length
-        frames = buffer[starts[:, None] + np.arange(self.win_length)[None, :]] * win
-        spectrum = _scipy_fft.rfft(frames, n=self.n_fft, axis=1)
-        self._carry = buffer[count * self.hop_length :].copy()
-        self._frames_emitted += count
-        return spectrum.T  # (freq_bins, new_frames)
-
-    def flush(self) -> np.ndarray:
-        """Terminal frames of the stream, shape ``(F, t)``.
-
-        Mirrors :func:`stft` end-of-signal semantics exactly: a stream that
-        never filled one analysis window yields the single zero-padded frame
-        ``stft`` would produce; otherwise trailing samples shorter than a
-        window are dropped, exactly like the batch framing.
-        """
-        policy = active_policy()
-        if self._frames_emitted == 0 and self._carry.size:
-            signal = np.pad(
-                policy.real(self._carry), (0, self.win_length - self._carry.size)
-            )
-            win = policy.real(get_window(self.window, self.win_length))
-            spectrum = _scipy_fft.rfft((signal * win)[None, :], n=self.n_fft, axis=1)
-            self._carry = np.zeros(0, dtype=np.float64)
-            self._frames_emitted += 1
-            return spectrum.T
-        self._carry = np.zeros(0, dtype=np.float64)
-        return np.zeros((self.frequency_bins, 0), dtype=policy.complex_dtype)
-
-
-class StreamingISTFT:
-    """Incremental inverse STFT with carried overlap-add tails.
-
-    Feed complex frame blocks, receive the samples no future frame can touch;
-    :meth:`flush` emits the held-back tail.  The concatenation of everything
-    emitted is **bit-identical** to ``istft(all_frames, ...)`` (and therefore
-    to each row of :func:`batch_istft`):
-
-    - When the hop divides the window (the test/benchmark geometries), output
-      block ``b`` is finalised the moment frame ``b`` arrives, accumulated in
-      the exact tile order of :func:`_overlap_add` (window multiply fused,
-      tile ``j`` of frame ``b - j``, ``j`` ascending) with the window-norm
-      envelope accumulated in the exact frame-ascending order of
-      :func:`_ola_plan` — so every emitted sample carries the same bits as the
-      batch kernel's.  Only the last ``win/hop - 1`` hop blocks ride in the
-      carried tail.
-    - Otherwise (e.g. the paper's 400/160 geometry) frames are held and the
-      whole inversion runs through the batch kernel at :meth:`flush` — still
-      bit-identical, just without early emission.
-
-    The emission threshold of the norm envelope's "safe to divide" mask needs
-    the envelope maximum, which is only pinned once one full window of frames
-    has been seen; streams shorter than that also fall back to the batch
-    kernel at flush.
-    """
-
-    def __init__(
-        self,
-        win_length: int = 400,
-        hop_length: int = 160,
-        window: str = "hann",
-    ) -> None:
-        if hop_length <= 0 or hop_length > win_length:
-            raise ValueError("hop_length must be in (0, win_length]")
-        self.win_length = win_length
-        self.hop_length = hop_length
-        self.window = window
-        self.incremental = win_length % hop_length == 0
-        self._tiles = win_length // hop_length if self.incremental else 0
-        self._held: List[np.ndarray] = []  # time-domain frames, (t, win) blocks
-        self._held_offset = 0  # global index of the first held frame
-        self._num_frames = 0
-        self._blocks_emitted = 0
-        self._samples_emitted = 0
-        self._flushed = False
-
-    # -- state -----------------------------------------------------------
-    @property
-    def frames_fed(self) -> int:
-        return self._num_frames
-
-    @property
-    def samples_emitted(self) -> int:
-        return self._samples_emitted
-
-    def reset(self) -> None:
-        self._held = []
-        self._held_offset = 0
-        self._num_frames = 0
-        self._blocks_emitted = 0
-        self._samples_emitted = 0
-        self._flushed = False
-
-    # -- internals -------------------------------------------------------
-    def _held_frames(self) -> np.ndarray:
-        if len(self._held) == 1:
-            return self._held[0]
-        if not self._held:
-            return np.zeros((0, self.win_length))
-        merged = np.concatenate(self._held, axis=0)
-        self._held = [merged]
-        return merged
-
-    def _norm_plan(self) -> Tuple[np.ndarray, float]:
-        """The float64 squared window and the envelope's safe threshold."""
-        win_sq = get_window(self.window, self.win_length) ** 2
-        hop = self.hop_length
-        steady = np.zeros(hop)
-        # Frame-ascending accumulation (j descending), mirroring _ola_plan's
-        # per-frame loop so partial head/tail sums reuse the same bit pattern.
-        for j in reversed(range(self._tiles)):
-            steady += win_sq[j * hop : (j + 1) * hop]
-        threshold = max(float(steady.max()) * 1e-2, 1e-10)
-        return win_sq, threshold
-
-    def _emit_blocks(self, first_block: int, last_block: int, policy) -> np.ndarray:
-        """Finalised output blocks ``[first_block, last_block]``, inclusive.
-
-        Mirrors :func:`_overlap_add` (tile ``j`` ascending into a zeroed
-        accumulator — a sequential overlap-add's initial assign equals ``0 + x``
-        exactly)
-        and :func:`_ola_plan` / :func:`_finalize_istft` (float64 envelope in
-        frame-ascending order, masked reciprocal cast to the policy dtype).
-        """
-        hop, win = self.hop_length, self.win_length
-        count = last_block - first_block + 1
-        if count <= 0:
-            return np.zeros(0, dtype=policy.real_dtype)
-        frames = self._held_frames()
-        window = policy.real(get_window(self.window, win))
-        output = np.zeros((count, hop), dtype=frames.dtype)
-        norm = np.zeros((count, hop))
-        win_sq, threshold = self._norm_plan()
-        blocks = np.arange(first_block, last_block + 1)
-        for j in range(self._tiles):
-            sources = blocks - j  # frame feeding tile j of each block
-            valid = (sources >= 0) & (sources < self._num_frames)
-            if not valid.any():
-                continue
-            tile = slice(j * hop, (j + 1) * hop)
-            rows = sources[valid] - self._held_offset
-            output[valid] += frames[rows, tile] * window[tile]
-        for j in reversed(range(self._tiles)):  # frame-ascending per sample
-            sources = blocks - j
-            valid = (sources >= 0) & (sources < self._num_frames)
-            if valid.any():
-                norm[valid] += win_sq[j * self.hop_length : (j + 1) * self.hop_length]
-        inverse = np.ones_like(norm)
-        safe = norm > threshold
-        inverse[safe] = 1.0 / norm[safe]
-        output *= inverse.astype(policy.real_dtype, copy=False)
-        self._blocks_emitted = last_block + 1
-        flat = output.reshape(-1)
-        self._samples_emitted += flat.size
-        return flat
-
-    def _drop_consumed_frames(self) -> None:
-        """Forget frames no future block can read (older than ``tiles - 1``)."""
-        keep_from = max(self._num_frames - (self._tiles - 1), self._held_offset)
-        if keep_from == self._held_offset:
-            return
-        frames = self._held_frames()
-        self._held = [frames[keep_from - self._held_offset :]]
-        self._held_offset = keep_from
-
-    # -- streaming -------------------------------------------------------
-    def feed(self, spectra: np.ndarray) -> np.ndarray:
-        """Append ``(F, t)`` complex frames; return the finalised samples.
-
-        Emission is withheld while fewer than one window's worth of frames
-        has been seen (see the class note on the envelope threshold) and in
-        the non-dividing-hop fallback mode; :meth:`flush` always completes
-        the stream either way.
-        """
-        if self._flushed:
-            raise RuntimeError("stream already flushed; call reset() first")
-        policy = active_policy()
-        spectra = policy.complex(np.asarray(spectra))
-        if spectra.ndim != 2:
-            raise ValueError("StreamingISTFT.feed expects a (F, t) frame block")
-        if spectra.shape[1]:
-            n_fft = (spectra.shape[0] - 1) * 2
-            frames = _scipy_fft.irfft(spectra.T, n=n_fft, axis=1)[:, : self.win_length]
-            self._held.append(frames)
-            self._num_frames += frames.shape[0]
-        if not self.incremental or self._num_frames < self._tiles:
-            return np.zeros(0, dtype=policy.real_dtype)
-        emitted = self._emit_blocks(self._blocks_emitted, self._num_frames - 1, policy)
-        self._drop_consumed_frames()
-        return emitted
-
-    def flush(self, length: Optional[int] = None) -> np.ndarray:
-        """Emit the carried tail; total output then equals the batch kernel's.
-
-        ``length`` applies to the **whole stream** (like ``istft(length=...)``):
-        the tail is trimmed or zero-padded so everything emitted totals
-        ``length`` samples.  Trimming below what :meth:`feed` already emitted
-        is an error — hold emission (non-incremental mode) if that can occur.
-        """
-        if self._flushed:
-            raise RuntimeError("stream already flushed; call reset() first")
-        policy = active_policy()
-        self._flushed = True
-        if self._num_frames == 0:
-            return np.zeros(length or 0, dtype=policy.real_dtype)
-        if not self.incremental or self._num_frames < self._tiles:
-            # Exact batch-kernel fallback on the full held frame set.
-            frames = self._held_frames()
-            win, _norm, _safe, inverse = _ola_plan(
-                self.window,
-                self.win_length,
-                self.hop_length,
-                self._num_frames,
-                policy.real_dtype,
-            )
-            expected = self.win_length + self.hop_length * (self._num_frames - 1)
-            output = _overlap_add(
-                policy.real(frames), win, self.hop_length, expected
-            )
-            tail = _finalize_istft(output, inverse, expected, length)
-            self._samples_emitted += tail.size
-            return tail
-        last_block = self._num_frames + self._tiles - 2
-        tail = self._emit_blocks(self._blocks_emitted, last_block, policy)
-        expected = self.win_length + self.hop_length * (self._num_frames - 1)
-        tail = tail[: max(expected - (self._samples_emitted - tail.size), 0)]
-        if length is not None:
-            already = self._samples_emitted - tail.size
-            if length < already:
-                raise ValueError(
-                    f"flush(length={length}) below the {already} samples already emitted"
-                )
-            if length - already <= tail.size:
-                tail = tail[: length - already]
-            else:
-                tail = np.pad(tail, (0, length - already - tail.size))
-            self._samples_emitted = already + tail.size
-        return tail
-
-
-def spectrogram_shape(
-    num_samples: int,
-    n_fft: int = 1200,
-    win_length: int = 400,
-    hop_length: int = 160,
-) -> Tuple[int, int]:
-    """``(frequency_bins, frames)`` produced by :func:`stft` for this input size."""
-    frames = _frame_starts(num_samples, win_length, hop_length).size
-    return n_fft // 2 + 1, frames
+    output *= inverse
+    if length is None or length == expected:
+        return output
+    if length < expected:
+        return output[:, :length]
+    return np.pad(output, ((0, 0), (0, length - expected)))
 
 
 def istft(
@@ -607,79 +273,145 @@ def istft(
     window: str = "hann",
     length: Optional[int] = None,
 ) -> np.ndarray:
-    """Inverse STFT via windowed overlap-add.
+    """Inverse STFT via windowed overlap-add of a ``(n_fft // 2 + 1, n_frames)``
+    complex spectrum as produced by :func:`stft`.
 
-    ``spectrum`` is a complex array of shape ``(n_fft // 2 + 1, n_frames)``
-    as produced by :func:`stft`.
-
-    The overlap-add runs through the grouped vectorised scatter of
-    :func:`_overlap_add` with a cached window-norm envelope per
-    ``(window, win, hop, n_frames)`` plan; it matches the sequential
-    per-frame oracle in ``tests/oracles.py`` up to summation order
-    (<= ~1e-10 absolute).  The active precision policy selects the compute
-    dtype.
+    Equal to ``batch_istft(spectrum[None], ...)[0]`` bit for bit.
     """
-    policy = active_policy()
-    spectrum = policy.complex(np.asarray(spectrum))
+    spectrum = np.asarray(spectrum)
     if spectrum.ndim != 2:
         raise ValueError("istft expects a (F, T) spectrum")
-    n_fft = (spectrum.shape[0] - 1) * 2
-    frames = _scipy_fft.irfft(spectrum.T, n=n_fft, axis=1)[:, :win_length]
-    num_frames = frames.shape[0]
-    win, _norm, _safe, inverse = _ola_plan(
-        window, win_length, hop_length, num_frames, policy.real_dtype
-    )
-    expected = win_length + hop_length * (num_frames - 1)
-    output = _overlap_add(frames, win, hop_length, expected)
-    return _finalize_istft(output, inverse, expected, length)
+    return batch_istft(spectrum[None], win_length, hop_length, window, length)[0]
 
 
-def reconstruct_waveform(
-    magnitude_spec: np.ndarray,
-    phase_reference: np.ndarray,
-    win_length: int = 400,
-    hop_length: int = 160,
-    window: str = "hann",
-    length: Optional[int] = None,
-) -> np.ndarray:
-    """Waveform from a magnitude spectrogram and a reference complex STFT.
+# ---------------------------------------------------------------------------
+# Streaming STFT / iSTFT
+# ---------------------------------------------------------------------------
+class StreamingSTFT:
+    """Incremental STFT: feed sample chunks, get exactly the new frames.
 
-    The NEC Selector outputs a magnitude-only shadow spectrogram; to broadcast
-    it we attach the phase of the mixed recording (the same strategy used by
-    masking-based separators such as VoiceFilter) and invert.
+    The real-time pipeline cannot afford to re-transform a whole buffered clip
+    per chunk.  This state object carries the residual samples after the last
+    emitted frame's hop boundary and, per :meth:`feed`, frames only what the
+    new chunk completes through the shared framing kernel.  The concatenation
+    of every emitted frame block is **bit-identical** to
+    ``stft(concatenated_chunks, ...)`` for any chunking (including sub-hop
+    chunks): the framing offsets are carried and each frame's ``rfft`` is an
+    independent row transform.  The active precision policy selects the
+    compute dtype per feed.  Frames must overlap or abut
+    (``hop_length <= win_length``) so that the carry holds every sample a
+    later frame reads.
     """
-    magnitude_spec = active_policy().real(np.asarray(magnitude_spec))
-    phase_reference = np.asarray(phase_reference)
-    if magnitude_spec.shape != phase_reference.shape:
-        raise ValueError(
-            "magnitude and phase reference must have the same shape, got "
-            f"{magnitude_spec.shape} vs {phase_reference.shape}"
-        )
-    phase = np.exp(1j * np.angle(phase_reference))
-    return istft(magnitude_spec * phase, win_length, hop_length, window, length=length)
+
+    def __init__(
+        self,
+        n_fft: int = 1200,
+        win_length: int = 400,
+        hop_length: int = 160,
+        window: str = "hann",
+    ) -> None:
+        _check_geometry(win_length, hop_length, n_fft)
+        if hop_length > win_length:
+            raise ValueError("StreamingSTFT needs hop_length <= win_length")
+        self.n_fft = n_fft
+        self.win_length = win_length
+        self.hop_length = hop_length
+        self.window = window
+        self.reset()
+
+    def reset(self) -> None:
+        self._carry = np.zeros(0, dtype=np.float64)
+        self._framed = False  # a frame was emitted since the last reset
+
+    def _frames(self, signal: np.ndarray) -> np.ndarray:
+        self._framed = True
+        return _frame_spectra(signal, self.n_fft, self.win_length, self.hop_length, self.window)
+
+    def _no_frames(self) -> np.ndarray:
+        return np.zeros((self.n_fft // 2 + 1, 0), dtype=active_policy().complex_dtype)
+
+    def feed(self, samples: np.ndarray) -> np.ndarray:
+        """Append samples; return the newly completed frames, shape ``(F, t)``.
+
+        ``t`` may be zero (chunk too small to finish a frame).  Emitted frame
+        ``k`` (globally) equals column ``k`` of the whole-signal STFT.
+        """
+        policy = active_policy()
+        data = policy.real(np.asarray(samples)).reshape(-1)
+        carry = policy.real(self._carry)
+        buffer = np.concatenate([carry, data]) if carry.size else data
+        if buffer.size < self.win_length:
+            # Own the storage: `buffer` may alias the caller's chunk.
+            self._carry = buffer.copy()
+            return self._no_frames()
+        spectrum = self._frames(buffer)
+        self._carry = buffer[spectrum.shape[1] * self.hop_length :].copy()
+        return spectrum
+
+    def flush(self) -> np.ndarray:
+        """Terminal frames of the stream, shape ``(F, t)``.
+
+        Mirrors :func:`stft` end-of-signal semantics exactly: a stream that
+        never filled one analysis window yields the single zero-padded frame
+        ``stft`` would produce; otherwise trailing samples shorter than a
+        window are dropped, exactly like the batch framing.
+        """
+        carry, self._carry = self._carry, np.zeros(0, dtype=np.float64)
+        if self._framed or not carry.size:
+            return self._no_frames()
+        return self._frames(carry)
 
 
-def griffin_lim(
-    magnitude_spec: np.ndarray,
-    n_iterations: int = 30,
-    win_length: int = 400,
-    hop_length: int = 160,
-    window: str = "hann",
-    length: Optional[int] = None,
-    seed: int = 0,
-) -> np.ndarray:
-    """Griffin-Lim phase reconstruction for magnitude-only spectrograms."""
-    magnitude_spec = np.asarray(magnitude_spec, dtype=np.float64)
-    n_fft = (magnitude_spec.shape[0] - 1) * 2
-    rng = np.random.default_rng(seed)
-    angles = np.exp(2j * np.pi * rng.random(magnitude_spec.shape))
-    for _ in range(max(n_iterations, 1)):
-        wave = istft(magnitude_spec * angles, win_length, hop_length, window, length=length)
-        rebuilt = stft(wave, n_fft, win_length, hop_length, window)
-        if rebuilt.shape[1] < magnitude_spec.shape[1]:
-            pad = magnitude_spec.shape[1] - rebuilt.shape[1]
-            rebuilt = np.pad(rebuilt, ((0, 0), (0, pad)))
-        elif rebuilt.shape[1] > magnitude_spec.shape[1]:
-            rebuilt = rebuilt[:, : magnitude_spec.shape[1]]
-        angles = np.exp(1j * np.angle(rebuilt + 1e-12))
-    return istft(magnitude_spec * angles, win_length, hop_length, window, length=length)
+class StreamingISTFT:
+    """Inverse STFT of a frame stream: :meth:`feed` holds, :meth:`flush` inverts.
+
+    :meth:`feed` keeps each ``(F, t)`` complex frame block and returns an
+    empty block; :meth:`flush` inverts everything fed with one
+    :func:`batch_istft` call, so the output is bit-identical to
+    ``istft(all_frames, ...)`` at any geometry.  A stream is inverted once:
+    after :meth:`flush`, :meth:`feed` and :meth:`flush` raise until
+    :meth:`reset`.
+    """
+
+    def __init__(
+        self,
+        win_length: int = 400,
+        hop_length: int = 160,
+        window: str = "hann",
+    ) -> None:
+        _check_geometry(win_length, hop_length)
+        self.win_length = win_length
+        self.hop_length = hop_length
+        self.window = window
+        self.reset()
+
+    def reset(self) -> None:
+        self._blocks: List[np.ndarray] = []
+        self._flushed = False
+
+    def _check_open(self) -> None:
+        if self._flushed:
+            raise RuntimeError("stream already flushed; call reset() first")
+
+    def feed(self, spectra: np.ndarray) -> np.ndarray:
+        """Hold ``(F, t)`` complex frames; returns an empty block (policy dtype)."""
+        self._check_open()
+        policy = active_policy()
+        spectra = np.asarray(spectra)
+        if spectra.ndim != 2:
+            raise ValueError("StreamingISTFT.feed expects a (F, t) frame block")
+        _check_geometry(self.win_length, self.hop_length, (spectra.shape[0] - 1) * 2)
+        if spectra.shape[1]:
+            # A copy: the caller may reuse its buffer before flush().
+            self._blocks.append(np.array(spectra, dtype=policy.complex_dtype))
+        return np.zeros(0, dtype=policy.real_dtype)
+
+    def flush(self, length: Optional[int] = None) -> np.ndarray:
+        """The whole stream's samples, trimmed or zero-padded to ``length``."""
+        self._check_open()
+        self._flushed = True
+        if not self._blocks:
+            return np.zeros(length or 0, dtype=active_policy().real_dtype)
+        spectra = self._blocks[0] if len(self._blocks) == 1 else np.concatenate(self._blocks, axis=1)
+        self._blocks = []
+        return batch_istft(spectra[None], self.win_length, self.hop_length, self.window, length)[0]

@@ -46,19 +46,12 @@ class TickLoop:
         self._woken = False
         self._stopping = False
         self._tick_cond = threading.Condition()
-        self._tick_serial = 0
         self._error: Optional[BaseException] = None
 
     # -- state -------------------------------------------------------------
     @property
     def running(self) -> bool:
         return self._thread is not None and self._thread.is_alive()
-
-    @property
-    def tick_serial(self) -> int:
-        """Monotonic count of completed ticks (for wait-for-progress checks)."""
-        with self._tick_cond:
-            return self._tick_serial
 
     @property
     def error(self) -> Optional[BaseException]:
@@ -146,7 +139,6 @@ class TickLoop:
                 self._tick_cond.notify_all()
             raise
         with self._tick_cond:
-            self._tick_serial += 1
             self._tick_cond.notify_all()
         return ticked
 

@@ -90,11 +90,6 @@ class ProtectionSession:
         return self.protector.latency
 
     @property
-    def pending_results(self) -> int:
-        """Completed segments whose shadow has not been collected yet."""
-        return self.protector.pending_inference_segments
-
-    @property
     def samples_fed(self) -> int:
         return self.protector.samples_fed
 

@@ -1,14 +1,16 @@
-"""The real-time streaming fast path: incremental kernels, ring pipeline,
-the shared inference queue, and latency accounting.
+"""The real-time streaming path: streaming STFT/iSTFT, ring pipeline, the
+shared inference queue, and latency accounting.
 
 The load-bearing contract: for ANY chunking of a clip — sub-hop dribbles,
 segment-aligned blocks, everything at once — the concatenation of the shadow
 waves emitted by :class:`StreamingProtector` (plus the flush tail) is
 **sample-exact** against :meth:`NECSystem.protect` on the whole clip, and
-sharing a :class:`StreamBatch` tick across streams never changes a bit.  The
-incremental STFT/iSTFT kernels are pinned against their batch counterparts
-at both a hop-divides-window geometry (the reduced test config) and the
-paper's non-dividing 400/160 geometry.
+sharing a :class:`StreamBatch` tick across streams never changes a bit.
+:class:`StreamingSTFT` frames each chunk through the one framing kernel and
+:class:`StreamingISTFT` holds frames until its flush makes one
+``batch_istft`` call; both are pinned bitwise against the batch kernels at a
+hop-divides-window geometry (the reduced test config) and at the paper's
+non-dividing 400/160 geometry.
 """
 
 import numpy as np
@@ -62,10 +64,10 @@ def _chunkings(data, boundaries):
         yield data[position:]
 
 
-#: Geometries the incremental kernels must match exactly: (n_fft, win, hop).
+#: Geometries the streaming kernels must match exactly: (n_fft, win, hop).
 GEOMETRIES = [
-    (128, 128, 64),     # hop divides window: fully incremental iSTFT
-    (1200, 400, 160),   # the paper's geometry: hop does not divide the window
+    (128, 128, 64),     # hop divides window: the tiled overlap-add
+    (1200, 400, 160),   # the paper's geometry: the grouped overlap-add
 ]
 
 
@@ -128,17 +130,14 @@ class TestStreamingISTFT:
         reference = batch_istft(spectra[None], win, hop, length=length)[0]
         inverter = StreamingISTFT(win, hop)
         rng = np.random.default_rng(8)
-        emitted = []
         position = 0
         total = spectra.shape[1]
         while position < total:
             size = int(rng.integers(1, 4))
             block = inverter.feed(spectra[:, position : position + size])
             position += min(size, total - position)
-            if block.size:
-                emitted.append(block)
-        emitted.append(inverter.flush(length=length))
-        np.testing.assert_array_equal(np.concatenate(emitted), reference)
+            assert block.shape == (0,) and block.dtype == reference.dtype
+        np.testing.assert_array_equal(inverter.flush(length=length), reference)
 
     def test_float32_policy_matches_batch(self):
         n_fft, win, hop = GEOMETRIES[0]
@@ -148,10 +147,42 @@ class TestStreamingISTFT:
             reference = batch_istft(spectra[None], win, hop, length=length)[0]
             inverter = StreamingISTFT(win, hop)
             head = inverter.feed(spectra)
-            tail = inverter.flush(length=length)
-            wave = np.concatenate([head, tail]) if head.size else tail
+            assert head.shape == (0,) and head.dtype == reference.dtype
+            wave = inverter.flush(length=length)
             assert wave.dtype == reference.dtype
             np.testing.assert_array_equal(wave, reference)
+
+    @pytest.mark.parametrize("num_frames", [0, 6])
+    @pytest.mark.parametrize("length_delta", [-37, 0, 53])
+    def test_flush_trims_or_pads_to_length(self, num_frames, length_delta):
+        n_fft, win, hop = GEOMETRIES[1]
+        spectra = stft(_noise(win + hop * (num_frames - 1), seed=10), n_fft, win, hop)
+        spectra = spectra[:, :num_frames]
+        natural = win + hop * (num_frames - 1) if num_frames else 0
+        length = max(natural + length_delta, 0)
+        inverter = StreamingISTFT(win, hop)
+        inverter.feed(spectra)
+        wave = inverter.flush(length=length)
+        assert wave.shape == (length,)
+        if num_frames:
+            expected = batch_istft(spectra[None], win, hop, length=length)[0]
+        else:
+            expected = np.zeros(length)
+        np.testing.assert_array_equal(wave, expected)
+
+    def test_flushed_stream_refuses_until_reset(self):
+        n_fft, win, hop = GEOMETRIES[0]
+        spectra = stft(_noise(win * 3, seed=11), n_fft, win, hop)
+        inverter = StreamingISTFT(win, hop)
+        inverter.feed(spectra)
+        first = inverter.flush()
+        with pytest.raises(RuntimeError, match="reset"):
+            inverter.flush()
+        with pytest.raises(RuntimeError, match="reset"):
+            inverter.feed(spectra)
+        inverter.reset()
+        inverter.feed(spectra)
+        np.testing.assert_array_equal(inverter.flush(), first)
 
 
 class TestStreamingProtectorProperty:
