@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.audio import SyntheticCorpus, joint_conversation
 from repro.core import NECConfig, NECSystem, Selector, SelectorTrainer, SpectralEncoder
+from repro.core.config import TrainingConfig
 from repro.core.training import build_training_examples
 from repro.metrics import sdr
 
@@ -31,14 +32,15 @@ def main() -> None:
     targets, others = corpus.split_speakers(2, 4)
     bob, alice = targets[0], others[0]
 
-    # 2. Train the Selector on crafted mixtures (frozen spectral encoder).
+    # 2. Train the Selector on crafted mixtures (frozen spectral encoder):
+    #    Adam at the default constant learning rate, batches of 8, 8 epochs.
     encoder = SpectralEncoder(config, seed=0)
     selector = Selector(config, seed=0)
-    trainer = SelectorTrainer(selector, learning_rate=2e-3)
+    trainer = SelectorTrainer(selector, config=TrainingConfig(epochs=8))
     examples = build_training_examples(
         corpus, encoder, trainer, targets, others, num_examples_per_target=5, seed=1
     )
-    history = trainer.fit(examples, epochs=8, seed=0)
+    history = trainer.fit(examples)
     print(f"Selector training loss: {history.initial_loss:.3f} -> {history.final_loss:.3f}")
 
     # 3. Enroll Bob with 3 reference clips (the paper's one-fits-all enrollment).

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Tuple
 
 from repro.dsp.stft import spectrogram_shape
 
@@ -140,20 +140,16 @@ class NECConfig:
 #: pinned evaluation numbers keep their training dynamics.
 DEFAULT_LEARNING_RATE = 2e-3
 
-#: Valid learning-rate schedule names (see :func:`repro.nn.optim.make_lr_schedule`).
-LR_SCHEDULES = ("constant", "cosine", "warmup", "warmup_cosine")
-
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """One dataclass for every knob of Selector (and encoder) training.
+    """The one training recipe of the Selector (and the encoder's learning rate).
 
-    Replaces the ``learning_rate`` / ``epochs`` / ``snr_db_range`` kwargs that
-    used to be scattered (with three different learning-rate defaults) across
-    ``core/training.py``, ``core/encoder.py`` and ``eval/common.py`` — the
-    consolidation pattern of TTS-style ``BaseTrainingConfig`` objects.  Every
-    field has a sensible default, so ``TrainingConfig()`` is the canonical
-    training recipe and call sites override only what they mean to change.
+    NEC trains on one regression loss (Eq. 6) with Adam at a constant
+    ``learning_rate``; this dataclass is the only place a learning rate,
+    batch size or synthetic-mixture recipe is set.  Every field has a
+    sensible default, so ``TrainingConfig()`` is the canonical recipe and
+    call sites override only what they mean to change.
     """
 
     # -- optimisation ---------------------------------------------------------
@@ -162,20 +158,11 @@ class TrainingConfig:
     batch_size: int = 8
     shuffle: bool = True
     seed: int = 0
-    grad_clip: float = 0.0          # max global gradient norm; 0 disables
-    lr_schedule: str = "constant"   # one of LR_SCHEDULES
-    warmup_steps: int = 0           # linear warmup steps for warmup* schedules
-    min_lr_factor: float = 0.0      # cosine floor as a fraction of learning_rate
 
     # -- synthetic-data pipeline ----------------------------------------------
     num_examples_per_target: int = 4
     snr_db_range: Tuple[float, float] = (-3.0, 3.0)
     noise_scenarios: Tuple[str, ...] = ("babble", "vehicle")
-    prefetch: int = 0               # producer-thread queue depth; 0 = inline
-
-    # -- checkpointing --------------------------------------------------------
-    checkpoint_every: int = 0       # save every N optimiser steps; 0 disables
-    checkpoint_dir: Optional[str] = None
 
     def validate(self) -> "TrainingConfig":
         """Sanity-check the recipe; returns self for chaining."""
@@ -185,26 +172,10 @@ class TrainingConfig:
             raise ValueError("epochs must be non-negative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.grad_clip < 0:
-            raise ValueError("grad_clip must be non-negative (0 disables)")
-        if self.lr_schedule not in LR_SCHEDULES:
-            raise ValueError(
-                f"lr_schedule must be one of {LR_SCHEDULES}, got '{self.lr_schedule}'"
-            )
-        if self.warmup_steps < 0:
-            raise ValueError("warmup_steps must be non-negative")
-        if not 0.0 <= self.min_lr_factor <= 1.0:
-            raise ValueError("min_lr_factor must be in [0, 1]")
         if self.num_examples_per_target < 1:
             raise ValueError("num_examples_per_target must be at least 1")
         if len(self.snr_db_range) != 2 or self.snr_db_range[0] > self.snr_db_range[1]:
             raise ValueError("snr_db_range must be an ordered (low, high) pair")
-        if self.prefetch < 0:
-            raise ValueError("prefetch must be non-negative (0 = inline)")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be non-negative (0 disables)")
-        if self.checkpoint_every and not self.checkpoint_dir:
-            raise ValueError("checkpoint_every requires a checkpoint_dir")
         return self
 
     def replace(self, **overrides) -> "TrainingConfig":

@@ -161,21 +161,17 @@ class NeuralEncoder(SpeakerEncoder):
         self,
         utterances_by_speaker: Dict[str, Sequence[AudioSignal | np.ndarray]],
         epochs: int = 30,
-        learning_rate: Optional[float] = None,
         config: Optional[TrainingConfig] = None,
     ) -> List[float]:
         """Train the encoder to classify speakers; returns the loss history.
 
         ``utterances_by_speaker`` maps speaker ids to lists of utterances.  The
         classification head is discarded after training; only the trunk is used
-        for embedding (the standard d-vector recipe).  The learning rate comes
-        from ``config`` (a :class:`TrainingConfig`, defaulting to the repo-wide
-        :data:`~repro.core.config.DEFAULT_LEARNING_RATE`) unless the explicit
-        ``learning_rate`` keyword overrides it — the encoder used to carry its
-        own third default (1e-2) next to the trainer's two.
+        for embedding (the standard d-vector recipe).  Adam runs at the
+        ``learning_rate`` of ``config`` (default ``TrainingConfig()``), the
+        one place a learning rate is set.
         """
-        if learning_rate is None:
-            learning_rate = (config or TrainingConfig()).validate().learning_rate
+        learning_rate = (config or TrainingConfig()).validate().learning_rate
         speaker_ids = sorted(utterances_by_speaker)
         if len(speaker_ids) < 2:
             raise ValueError("encoder pre-training needs at least two speakers")

@@ -2,8 +2,8 @@
 
 Every place the reproduction draws randomness for "item ``i`` of a run seeded
 ``s``" goes through :func:`derive_seed`, so the stream an item sees depends
-only on its identity — never on which worker thread/process happens to run
-it, how deep a prefetch queue is, or what was drawn before it.  That is the
+only on its identity — never on which worker process happens to run it, or
+what was drawn before it.  That is the
 contract behind the bit-stable sharded evaluation harness
 (``tests/test_eval_sharding.py``) and the streaming training data pipeline
 (``tests/test_training_batch.py``).

@@ -21,19 +21,16 @@ parameters and losses to 1e-12 relative (``tests/test_training_batch.py``).
 Training data comes from :class:`ExampleStream`, a deterministic synthetic-
 mixture pipeline: example ``i`` is a pure function of ``(base_seed, i)`` via
 :func:`repro.core.seeding.derive_seed` chains, so the stream is bit-identical
-whether examples are built inline, ahead of time, or by a prefetching
-producer thread.  Every knob of both engines lives in one
-:class:`repro.core.config.TrainingConfig`.
+whether examples are built as the step needs them or ahead of time.  Adam
+runs at the constant learning rate of the one
+:class:`repro.core.config.TrainingConfig`, which holds the whole recipe.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 from dataclasses import dataclass, field
-from math import ceil
-from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,7 +43,7 @@ from repro.core.encoder import SpeakerEncoder
 from repro.core.seeding import derive_seed
 from repro.core.selector import Selector
 from repro.dsp.stft import magnitude_spectrogram
-from repro.nn import Adam, Tensor, clip_grad_norm, make_lr_schedule, save_model
+from repro.nn import Adam, Tensor
 
 
 @dataclass
@@ -70,9 +67,6 @@ class TrainingHistory:
     losses: List[float] = field(default_factory=list)
     epochs: int = 0
     batch_size: int = 1
-    learning_rates: List[float] = field(default_factory=list)
-    grad_norms: List[float] = field(default_factory=list)  # pre-clip global norms
-    checkpoints: List[str] = field(default_factory=list)
 
     @property
     def initial_loss(self) -> float:
@@ -117,24 +111,15 @@ def make_training_example(
 class SelectorTrainer:
     """Adam-based trainer for the Selector on spectrogram-domain superposition.
 
-    All hyper-parameters come from one :class:`TrainingConfig`; the legacy
-    ``learning_rate=`` keyword is still accepted and overrides the config's
-    value, so existing call sites keep working unchanged.
+    Every hyper-parameter comes from one :class:`TrainingConfig` (default:
+    ``TrainingConfig()``); Adam runs at its ``learning_rate`` for every step.
     """
 
-    def __init__(
-        self,
-        selector: Selector,
-        learning_rate: Optional[float] = None,
-        config: Optional[TrainingConfig] = None,
-    ) -> None:
+    def __init__(self, selector: Selector, config: Optional[TrainingConfig] = None) -> None:
         self.selector = selector
         self.config = selector.config
-        train_config = (config or TrainingConfig()).validate()
-        if learning_rate is not None:
-            train_config = train_config.replace(learning_rate=float(learning_rate))
-        self.train_config = train_config
-        self.optimizer = Adam(selector.parameters(), lr=train_config.learning_rate)
+        self.train_config = (config or TrainingConfig()).validate()
+        self.optimizer = Adam(selector.parameters(), lr=self.train_config.learning_rate)
 
     # -- loss --------------------------------------------------------------------
     def batch_loss(self, examples: Sequence[TrainingExample]) -> Tensor:
@@ -170,45 +155,13 @@ class SelectorTrainer:
         return (diff * diff).mean()
 
     # -- optimisation -------------------------------------------------------------
-    def step_batch(self, examples: Sequence[TrainingExample]) -> Tuple[float, float]:
-        """One optimisation step on a minibatch.
-
-        Returns ``(batch_loss, pre_clip_grad_norm)``.  Gradient clipping uses
-        ``train_config.grad_clip`` (0 disables); the learning rate is whatever
-        ``self.optimizer.lr`` currently holds — :meth:`fit` sets it from the
-        configured schedule before each step.
-        """
+    def step_batch(self, examples: Sequence[TrainingExample]) -> float:
+        """One Adam step on a minibatch; returns the batch loss before the step."""
         self.optimizer.zero_grad()
         loss = self.batch_loss(examples)
         loss.backward()
-        grad_norm = clip_grad_norm(self.optimizer.parameters, self.train_config.grad_clip)
         self.optimizer.step()
-        return float(loss.data), grad_norm
-
-    def _run_batches(
-        self,
-        batches: Iterable[Sequence[TrainingExample]],
-        history: TrainingHistory,
-        schedule,
-        start_step: int = 0,
-    ) -> int:
-        """Drive ``step_batch`` over ``batches``; returns the next step index."""
-        config = self.train_config
-        step_index = start_step
-        for batch in batches:
-            self.optimizer.lr = schedule(step_index)
-            loss, grad_norm = self.step_batch(batch)
-            history.losses.append(loss)
-            history.learning_rates.append(self.optimizer.lr)
-            history.grad_norms.append(grad_norm)
-            step_index += 1
-            if config.checkpoint_every and step_index % config.checkpoint_every == 0:
-                path = save_model(
-                    self.selector,
-                    Path(config.checkpoint_dir) / f"selector_step{step_index:06d}.npz",
-                )
-                history.checkpoints.append(str(path))
-        return step_index
+        return float(loss.data)
 
     def fit(
         self,
@@ -225,10 +178,9 @@ class SelectorTrainer:
         epoch shuffles the example order (same RNG consumption for every
         batch size), partitions it into consecutive batches of ``batch_size``
         (last batch possibly partial) and takes one :meth:`step_batch` per
-        batch under the configured LR schedule, gradient clipping and
-        periodic checkpointing.  ``batch_size=1`` visits examples in exactly
-        the order the per-example oracle in ``tests/oracles.py`` does and
-        matches its trained parameters to 1e-12 relative (pinned by
+        batch.  ``batch_size=1`` visits examples in exactly the order the
+        per-example oracle in ``tests/oracles.py`` does and matches its
+        trained parameters to 1e-12 relative (pinned by
         ``tests/test_training_batch.py``).
         """
         config = self.train_config
@@ -241,26 +193,16 @@ class SelectorTrainer:
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         examples = list(examples)
-        steps_per_epoch = ceil(len(examples) / batch_size)
-        schedule = make_lr_schedule(
-            config.lr_schedule,
-            config.learning_rate,
-            total_steps=max(epochs * steps_per_epoch, 1),
-            warmup_steps=config.warmup_steps,
-            min_lr_factor=config.min_lr_factor,
-        )
         history = TrainingHistory(epochs=epochs, batch_size=batch_size)
         rng = np.random.default_rng(seed)
         order = np.arange(len(examples))
-        step_index = 0
         for epoch in range(epochs):
             if shuffle:
                 rng.shuffle(order)
-            batches = (
-                [examples[i] for i in order[start : start + batch_size]]
+            history.losses.extend(
+                self.step_batch([examples[i] for i in order[start : start + batch_size]])
                 for start in range(0, len(order), batch_size)
             )
-            step_index = self._run_batches(batches, history, schedule, step_index)
             if verbose:  # pragma: no cover - logging aid
                 print(f"epoch {epoch + 1}/{epochs}: loss {history.losses[-1]:.4f}")
         return history
@@ -273,40 +215,23 @@ class SelectorTrainer:
         start_index: int = 0,
         verbose: bool = False,
     ) -> TrainingHistory:
-        """Train for ``steps`` optimiser steps on a (prefetching) example stream.
+        """Train for ``steps`` optimiser steps on an example stream.
 
         Consecutive stream examples form consecutive batches, so the data a
         run sees depends only on ``(stream seed, start_index, steps,
-        batch_size)`` — never on the prefetch depth (the stream's bit-identity
-        contract).  The LR schedule spans exactly ``steps``.
+        batch_size)``.  The learning rate does not depend on ``steps``, so
+        ``n`` calls of one step each, ``start_index`` advancing by
+        ``batch_size``, train exactly as one call of ``n`` steps.
         """
-        config = self.train_config
-        batch_size = config.batch_size if batch_size is None else int(batch_size)
+        batch_size = self.train_config.batch_size if batch_size is None else int(batch_size)
         if steps < 1:
             raise ValueError("fit_streaming() needs at least one step")
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        schedule = make_lr_schedule(
-            config.lr_schedule,
-            config.learning_rate,
-            total_steps=steps,
-            warmup_steps=config.warmup_steps,
-            min_lr_factor=config.min_lr_factor,
-        )
         history = TrainingHistory(epochs=1, batch_size=batch_size)
-        iterator = stream.iterate(start=start_index, count=steps * batch_size)
-
-        def batches() -> Iterator[List[TrainingExample]]:
-            batch: List[TrainingExample] = []
-            for example in iterator:
-                batch.append(example)
-                if len(batch) == batch_size:
-                    yield batch
-                    batch = []
-            if batch:
-                yield batch
-
-        self._run_batches(batches(), history, schedule)
+        examples = stream.iterate(start=start_index, count=steps * batch_size)
+        for _ in range(steps):
+            history.losses.append(self.step_batch(list(islice(examples, batch_size))))
         if verbose:  # pragma: no cover - logging aid
             print(f"{steps} streaming steps: loss {history.final_loss:.4f}")
         return history
@@ -353,7 +278,7 @@ class SelectorTrainer:
 
 
 class ExampleStream:
-    """A deterministic, optionally prefetching stream of crafted mixtures.
+    """A deterministic, endless stream of crafted mixtures.
 
     Example ``i`` is a **pure function** of ``(base_seed, i)``: every random
     draw an example needs (target utterance, SNR, interference pick,
@@ -372,8 +297,11 @@ class ExampleStream:
     ``num_examples_per_target``: indices ``0 .. k*T-1`` reproduce the eager
     builder's target-major order, and the stream then continues with fresh
     draws forever — streaming training never runs out of data.  Because
-    :meth:`example_at` is pure, the prefetching iterator (a bounded producer
-    thread) is bit-identical to inline construction for **any** queue depth.
+    :meth:`example_at` is pure, :meth:`iterate` (built as the step consumes
+    it) and :meth:`take` (built ahead) yield bit-identical examples.
+
+    Every example mixes its target with an interference speaker or a noise
+    scenario, so a stream with neither is rejected at construction.
     """
 
     def __init__(
@@ -388,30 +316,31 @@ class ExampleStream:
     ) -> None:
         if not target_speakers:
             raise ValueError("ExampleStream needs at least one target speaker")
+        self.training = (training or TrainingConfig()).validate()
+        if not interference_speakers and not self.training.noise_scenarios:
+            raise ValueError(
+                "ExampleStream has nothing to mix with the target: pass "
+                "interference speakers or a non-empty noise_scenarios"
+            )
         self.corpus = corpus
         self.encoder = encoder
         self.config = config.validate()
-        self.training = (training or TrainingConfig()).validate()
         self.target_speakers = list(target_speakers)
         self.interference_speakers = list(interference_speakers)
         self.seed = int(seed)
         self._d_vectors: Dict[str, np.ndarray] = {}
-        self._d_vector_lock = threading.Lock()
 
     # -- deterministic example construction ---------------------------------
     def d_vector_for(self, target_speaker: str) -> np.ndarray:
         """The frozen reference embedding of a target (computed once, cached)."""
-        with self._d_vector_lock:
-            vector = self._d_vectors.get(target_speaker)
+        vector = self._d_vectors.get(target_speaker)
         if vector is None:
             references = self.corpus.reference_audios(
                 target_speaker,
                 count=self.config.num_reference_audios,
                 seconds=self.config.reference_seconds,
             )
-            vector = self.encoder.embed(references)
-            with self._d_vector_lock:
-                vector = self._d_vectors.setdefault(target_speaker, vector)
+            vector = self._d_vectors[target_speaker] = self.encoder.embed(references)
         return vector
 
     def example_at(self, index: int) -> TrainingExample:
@@ -466,86 +395,10 @@ class ExampleStream:
         """The first ``count`` examples from ``start`` as an eager list."""
         return [self.example_at(start + offset) for offset in range(count)]
 
-    def iterate(
-        self,
-        start: int = 0,
-        count: Optional[int] = None,
-        prefetch: Optional[int] = None,
-    ) -> Iterator[TrainingExample]:
-        """Iterate examples ``start, start+1, ...`` (``count`` of them, or forever).
-
-        ``prefetch`` (default: ``training.prefetch``) > 0 builds examples on a
-        producer thread ahead of the consumer, bounded by a queue of that
-        depth — mixture synthesis (STFTs, noise generation) overlaps the
-        optimiser step.  The yielded sequence is bit-identical for every
-        depth, because each example depends only on its index.
-        """
-        prefetch = self.training.prefetch if prefetch is None else int(prefetch)
-        if prefetch <= 0:
-            return self._inline_iter(start, count)
-        return self._prefetch_iter(start, count, prefetch)
-
-    def __iter__(self) -> Iterator[TrainingExample]:
-        return self.iterate()
-
-    def _inline_iter(
-        self, start: int, count: Optional[int]
-    ) -> Iterator[TrainingExample]:
-        index = start
-        produced = 0
-        while count is None or produced < count:
+    def iterate(self, start: int, count: int) -> Iterator[TrainingExample]:
+        """Examples ``start .. start + count - 1``, each built as it is consumed."""
+        for index in range(start, start + count):
             yield self.example_at(index)
-            index += 1
-            produced += 1
-
-    def _prefetch_iter(
-        self, start: int, count: Optional[int], depth: int
-    ) -> Iterator[TrainingExample]:
-        results: "queue.Queue" = queue.Queue(maxsize=depth)
-        stop = threading.Event()
-
-        def producer() -> None:
-            index = start
-            produced = 0
-            try:
-                while count is None or produced < count:
-                    item = self.example_at(index)
-                    while not stop.is_set():
-                        try:
-                            results.put(("item", item), timeout=0.05)
-                            break
-                        except queue.Full:
-                            continue
-                    if stop.is_set():
-                        return
-                    index += 1
-                    produced += 1
-                payload = ("end", None)
-            except BaseException as error:  # propagate to the consumer
-                payload = ("error", error)
-            while not stop.is_set():
-                try:
-                    results.put(payload, timeout=0.05)
-                    return
-                except queue.Full:
-                    continue
-
-        worker = threading.Thread(
-            target=producer, name="example-stream-prefetch", daemon=True
-        )
-        worker.start()
-        try:
-            while True:
-                kind, payload = results.get()
-                if kind == "item":
-                    yield payload
-                elif kind == "error":
-                    raise payload
-                else:  # "end"
-                    return
-        finally:
-            stop.set()
-            worker.join(timeout=5.0)
 
 
 def build_training_examples(

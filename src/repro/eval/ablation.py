@@ -10,7 +10,6 @@ import numpy as np
 
 from repro.core.config import NECConfig
 from repro.core.selector import Selector
-from repro.core.training import SelectorTrainer, build_training_examples
 from repro.eval.common import prepare_context
 from repro.eval.reporting import format_table
 

@@ -29,7 +29,7 @@ from repro.core.encoder import SpeakerEncoder, SpectralEncoder
 from repro.core.pipeline import NECSystem, ProtectionResult
 from repro.core.seeding import derive_seed  # re-export: studies/tests import it here
 from repro.core.selector import Selector
-from repro.core.training import SelectorTrainer, TrainingHistory, build_training_examples
+from repro.core.training import ExampleStream, SelectorTrainer, TrainingHistory
 
 
 @dataclass
@@ -214,8 +214,8 @@ def prepare_context(
     num_speakers: int = 8,
     num_targets: int = 2,
     num_others: Optional[int] = None,
-    examples_per_target: int = 4,
-    training_epochs: int = 6,
+    examples_per_target: Optional[int] = None,
+    training_epochs: Optional[int] = None,
     learning_rate: Optional[float] = None,
     train: bool = True,
     seed: int = 0,
@@ -223,20 +223,21 @@ def prepare_context(
 ) -> ExperimentContext:
     """Build (and optionally train) a complete experiment context.
 
-    The training recipe is one :class:`TrainingConfig` (``training``); the
-    legacy ``examples_per_target`` / ``training_epochs`` / ``learning_rate``
-    keywords override the matching fields so existing call sites keep their
-    meaning.  The default keeps ``batch_size=1`` — one optimiser step per
-    example, the dynamics every pinned benchmark quality gate was measured
-    under; larger-batch contexts opt in explicitly via ``training=``.
+    The training recipe is one :class:`TrainingConfig` (``training``), used
+    whole.  Without one the recipe is ``batch_size=1, epochs=6,
+    num_examples_per_target=4`` — one optimiser step per example, the
+    dynamics every pinned benchmark quality gate was measured under.  The
+    ``examples_per_target`` / ``training_epochs`` / ``learning_rate``
+    keywords override the matching field only when passed; ``seed`` always
+    seeds the recipe (and the corpus, encoder and Selector).
     """
     config = (config or NECConfig.tiny()).validate()
-    train_config = (training or TrainingConfig(batch_size=1)).validate()
-    overrides = {
-        "num_examples_per_target": int(examples_per_target),
-        "epochs": int(training_epochs),
-        "seed": int(seed),
-    }
+    train_config = training or TrainingConfig(batch_size=1, epochs=6, num_examples_per_target=4)
+    overrides = {"seed": int(seed)}
+    if examples_per_target is not None:
+        overrides["num_examples_per_target"] = int(examples_per_target)
+    if training_epochs is not None:
+        overrides["epochs"] = int(training_epochs)
     if learning_rate is not None:
         overrides["learning_rate"] = float(learning_rate)
     train_config = train_config.replace(**overrides)
@@ -255,15 +256,9 @@ def prepare_context(
         other_speakers=list(others),
     )
     if train:
-        examples = build_training_examples(
-            corpus,
-            encoder,
-            trainer,
-            targets,
-            others,
-            num_examples_per_target=train_config.num_examples_per_target,
-            seed=seed,
-            config=train_config,
+        stream = ExampleStream(
+            corpus, encoder, config, targets, others, training=train_config, seed=seed
         )
+        examples = stream.take(len(targets) * train_config.num_examples_per_target)
         context.training_history = trainer.fit(examples)
     return context

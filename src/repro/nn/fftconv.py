@@ -97,7 +97,7 @@ def _bind_grad(tensor: Tensor, grad: np.ndarray) -> None:
     Unlike ``Tensor._accumulate`` this binds the array directly instead of
     copying it — safe here because every array passed in is allocated inside
     the backward closure below and nothing in the repo mutates ``.grad``
-    buffers in place (optimisers and ``clip_grad_norm`` rebind).  Skipping the
+    buffers in place (the optimiser only reads them).  Skipping the
     copy matters: the batched gradients are tens of megabytes and the copy was
     one of the dominant costs of the minibatched backward pass.
     """

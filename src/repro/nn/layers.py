@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -16,10 +16,7 @@ class Module:
     automatically, mirroring the convention of mainstream frameworks.
     """
 
-    def __init__(self) -> None:
-        self.training = True
-
-    # -- parameter / module discovery ----------------------------------
+    # -- parameter / buffer discovery ----------------------------------
     def parameters(self) -> List[Tensor]:
         """All trainable parameters of this module and its children."""
         params: List[Tensor] = []
@@ -45,7 +42,7 @@ class Module:
                         yield f"{full}.{index}", item
 
     def named_buffers(self, prefix: str = "") -> Iterator[Tuple[str, np.ndarray]]:
-        """Non-trainable state (e.g. batch-norm running statistics)."""
+        """Non-trainable arrays a module lists in ``_buffers`` (e.g. a fixed projection)."""
         for name, value in vars(self).items():
             full = f"{prefix}{name}" if not prefix else f"{prefix}.{name}"
             if isinstance(value, Module):
@@ -57,27 +54,6 @@ class Module:
         for name in getattr(self, "_buffers", ()):  # type: ignore[attr-defined]
             full = f"{prefix}{name}" if not prefix else f"{prefix}.{name}"
             yield full, getattr(self, name)
-
-    def modules(self) -> Iterator["Module"]:
-        yield self
-        for value in vars(self).values():
-            if isinstance(value, Module):
-                yield from value.modules()
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        yield from item.modules()
-
-    # -- train / eval ----------------------------------------------------
-    def train(self) -> "Module":
-        for module in self.modules():
-            module.training = True
-        return self
-
-    def eval(self) -> "Module":
-        for module in self.modules():
-            module.training = False
-        return self
 
     def zero_grad(self) -> None:
         for parameter in self.parameters():
@@ -134,140 +110,6 @@ class Dense(Module):
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Flatten(Module):
-    """Flatten every axis except the leading (batch) axis."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.reshape(x.shape[0], -1)
-
-
-class Dropout(Module):
-    """Inverted dropout; identity when the module is in eval mode."""
-
-    def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError("dropout probability must be in [0, 1)")
-        self.p = p
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        mask = (self._rng.random(x.shape) >= self.p) / (1.0 - self.p)
-        return x * Tensor(mask)
-
-
-class ZeroPad2d(Module):
-    """Zero padding for ``(N, C, H, W)`` tensors: ``(pad_h, pad_w)`` per side."""
-
-    def __init__(self, padding: Tuple[int, int]) -> None:
-        super().__init__()
-        self.padding = padding
-
-    def forward(self, x: Tensor) -> Tensor:
-        pad_h, pad_w = self.padding
-        return x.pad(((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)))
-
-
-class BatchNorm1d(Module):
-    """Batch normalisation over the leading axis of ``(N, F)`` inputs."""
-
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5) -> None:
-        super().__init__()
-        self.num_features = num_features
-        self.momentum = momentum
-        self.eps = eps
-        self.gamma = Tensor(np.ones(num_features), requires_grad=True, name="gamma")
-        self.beta = Tensor(np.zeros(num_features), requires_grad=True, name="beta")
-        self.running_mean = np.zeros(num_features)
-        self.running_var = np.ones(num_features)
-        self._buffers = ("running_mean", "running_var")
-
-    def forward(self, x: Tensor) -> Tensor:
-        if self.training:
-            mean = x.data.mean(axis=0)
-            var = x.data.var(axis=0)
-            self.running_mean = (
-                (1 - self.momentum) * self.running_mean + self.momentum * mean
-            )
-            self.running_var = (
-                (1 - self.momentum) * self.running_var + self.momentum * var
-            )
-            mean_t = x.mean(axis=0, keepdims=True)
-            centered = x - mean_t
-            var_t = (centered * centered).mean(axis=0, keepdims=True)
-            normed = centered / ((var_t + self.eps) ** 0.5)
-        else:
-            normed = (x - Tensor(self.running_mean)) / Tensor(
-                np.sqrt(self.running_var + self.eps)
-            )
-        return normed * self.gamma + self.beta
-
-
-class BatchNorm2d(Module):
-    """Batch normalisation for ``(N, C, H, W)`` inputs (per-channel)."""
-
-    def __init__(self, num_channels: int, momentum: float = 0.1, eps: float = 1e-5) -> None:
-        super().__init__()
-        self.num_channels = num_channels
-        self.momentum = momentum
-        self.eps = eps
-        self.gamma = Tensor(np.ones((1, num_channels, 1, 1)), requires_grad=True, name="gamma")
-        self.beta = Tensor(np.zeros((1, num_channels, 1, 1)), requires_grad=True, name="beta")
-        self.running_mean = np.zeros(num_channels)
-        self.running_var = np.ones(num_channels)
-        self._buffers = ("running_mean", "running_var")
-
-    def forward(self, x: Tensor) -> Tensor:
-        if self.training:
-            mean = x.data.mean(axis=(0, 2, 3))
-            var = x.data.var(axis=(0, 2, 3))
-            self.running_mean = (
-                (1 - self.momentum) * self.running_mean + self.momentum * mean
-            )
-            self.running_var = (
-                (1 - self.momentum) * self.running_var + self.momentum * var
-            )
-            mean_t = x.mean(axis=(0, 2, 3), keepdims=True)
-            centered = x - mean_t
-            var_t = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
-            normed = centered / ((var_t + self.eps) ** 0.5)
-        else:
-            shape = (1, self.num_channels, 1, 1)
-            normed = (x - Tensor(self.running_mean.reshape(shape))) / Tensor(
-                np.sqrt(self.running_var.reshape(shape) + self.eps)
-            )
-        return normed * self.gamma + self.beta
-
-
-class LayerNorm(Module):
-    """Layer normalisation over the last axis."""
-
-    def __init__(self, num_features: int, eps: float = 1e-5) -> None:
-        super().__init__()
-        self.eps = eps
-        self.gamma = Tensor(np.ones(num_features), requires_grad=True, name="gamma")
-        self.beta = Tensor(np.zeros(num_features), requires_grad=True, name="beta")
-
-    def forward(self, x: Tensor) -> Tensor:
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered / ((var + self.eps) ** 0.5)
-        return normed * self.gamma + self.beta
 
 
 class Sequential(Module):

@@ -1,23 +1,10 @@
-"""Loss functions."""
+"""Softmax cross-entropy: the loss of the encoder's speaker-classification pre-training."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.nn.tensor import Tensor
-
-
-def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error — the paper's Eq. (6) loss (up to the mean)."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    diff = prediction - target.detach()
-    return (diff * diff).mean()
-
-
-def l1_loss(prediction: Tensor, target: Tensor) -> Tensor:
-    """Mean absolute error."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    return (prediction - target.detach()).abs().mean()
 
 
 def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -28,12 +15,3 @@ def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     picked = probs[np.arange(batch), labels]
     return -(picked.log().mean())
 
-
-def cosine_embedding_loss(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
-    """``1 - cos(a, b)`` averaged over the batch, for embedding alignment."""
-    b = b if isinstance(b, Tensor) else Tensor(b)
-    dot = (a * b).sum(axis=-1)
-    norm_a = ((a * a).sum(axis=-1) + eps) ** 0.5
-    norm_b = ((b * b).sum(axis=-1) + eps) ** 0.5
-    cosine = dot / (norm_a * norm_b)
-    return (1.0 - cosine).mean()

@@ -1,9 +1,8 @@
-"""Gradient-descent optimisers, gradient clipping and learning-rate schedules."""
+"""The Adam optimiser every NEC model trains with, at a constant learning rate."""
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -24,154 +23,6 @@ class Optimizer:
 
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
-
-
-def global_grad_norm(parameters: Sequence[Tensor]) -> float:
-    """L2 norm of all gradients concatenated (parameters without grads count 0)."""
-    total = 0.0
-    for parameter in parameters:
-        if parameter.grad is not None:
-            total += float(np.sum(parameter.grad * parameter.grad))
-    return math.sqrt(total)
-
-
-def clip_grad_norm(parameters: Sequence[Tensor], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``.
-
-    Returns the *pre-clip* global norm (the quantity worth logging).  A
-    ``max_norm`` of 0 (or negative) disables clipping but still reports the
-    norm, so trainers can keep one code path.
-    """
-    norm = global_grad_norm(parameters)
-    if max_norm > 0 and norm > max_norm:
-        scale = max_norm / (norm + 1e-12)
-        for parameter in parameters:
-            if parameter.grad is not None:
-                parameter.grad = parameter.grad * scale
-    return norm
-
-
-class LRSchedule:
-    """Learning rate as a function of the 0-based optimiser step index."""
-
-    def __init__(self, base_lr: float) -> None:
-        if base_lr <= 0:
-            raise ValueError("base_lr must be positive")
-        self.base_lr = base_lr
-
-    def lr_at(self, step: int) -> float:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def __call__(self, step: int) -> float:
-        return self.lr_at(max(int(step), 0))
-
-
-class ConstantLR(LRSchedule):
-    """The identity schedule: ``base_lr`` at every step."""
-
-    def lr_at(self, step: int) -> float:
-        return self.base_lr
-
-
-class CosineLR(LRSchedule):
-    """Cosine decay from ``base_lr`` to ``min_lr`` over ``total_steps`` steps."""
-
-    def __init__(self, base_lr: float, total_steps: int, min_lr: float = 0.0) -> None:
-        super().__init__(base_lr)
-        self.total_steps = max(int(total_steps), 1)
-        self.min_lr = float(min_lr)
-
-    def lr_at(self, step: int) -> float:
-        progress = min(step / self.total_steps, 1.0)
-        cosine = 0.5 * (1.0 + math.cos(math.pi * progress))
-        return self.min_lr + (self.base_lr - self.min_lr) * cosine
-
-
-class WarmupLR(LRSchedule):
-    """Linear warmup from 0 to ``base_lr``, then delegate to ``after``.
-
-    ``after`` defaults to a constant schedule; pass a :class:`CosineLR` for
-    the standard warmup-then-cosine recipe.  The step index handed to
-    ``after`` is re-based so its decay starts at the end of the warmup.
-    """
-
-    def __init__(
-        self,
-        base_lr: float,
-        warmup_steps: int,
-        after: Optional[LRSchedule] = None,
-    ) -> None:
-        super().__init__(base_lr)
-        self.warmup_steps = max(int(warmup_steps), 0)
-        self.after = after if after is not None else ConstantLR(base_lr)
-
-    def lr_at(self, step: int) -> float:
-        if step < self.warmup_steps:
-            return self.base_lr * (step + 1) / self.warmup_steps
-        return self.after(step - self.warmup_steps)
-
-
-def make_lr_schedule(
-    name: str,
-    base_lr: float,
-    total_steps: int,
-    warmup_steps: int = 0,
-    min_lr_factor: float = 0.0,
-) -> LRSchedule:
-    """Build one of the named schedules of ``TrainingConfig.lr_schedule``.
-
-    ``constant`` | ``cosine`` | ``warmup`` (linear warmup, then constant) |
-    ``warmup_cosine`` (linear warmup, then cosine decay over the remaining
-    steps).  ``min_lr_factor`` sets the cosine floor as a fraction of
-    ``base_lr``.
-    """
-    min_lr = base_lr * float(min_lr_factor)
-    if name == "constant":
-        return ConstantLR(base_lr)
-    if name == "cosine":
-        return CosineLR(base_lr, total_steps, min_lr=min_lr)
-    if name == "warmup":
-        return WarmupLR(base_lr, warmup_steps)
-    if name == "warmup_cosine":
-        decay = CosineLR(base_lr, max(total_steps - warmup_steps, 1), min_lr=min_lr)
-        return WarmupLR(base_lr, warmup_steps, after=decay)
-    raise ValueError(
-        f"unknown lr schedule '{name}'; choose from "
-        "('constant', 'cosine', 'warmup', 'warmup_cosine')"
-    )
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        parameters: Sequence[Tensor],
-        lr: float = 1e-2,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for parameter in self.parameters:
-            if parameter.grad is None:
-                continue
-            grad = parameter.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * parameter.data
-            if self.momentum:
-                velocity = self._velocity.get(id(parameter))
-                if velocity is None:
-                    velocity = np.zeros_like(parameter.data)
-                velocity = self.momentum * velocity + grad
-                self._velocity[id(parameter)] = velocity
-                grad = velocity
-            parameter.data = parameter.data - self.lr * grad
 
 
 class Adam(Optimizer):

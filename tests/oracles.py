@@ -224,11 +224,9 @@ def fit_looped(
     shuffle: Optional[bool] = None,
     seed: Optional[int] = None,
 ) -> TrainingHistory:
-    """One :func:`step` per example at the constant configured learning rate.
+    """One :func:`step` per example at the configured learning rate.
 
-    No schedule, no clipping: ``fit(batch_size=1)`` under the default
-    constant schedule and ``grad_clip=0`` visits the same examples in the
-    same order.
+    ``fit(batch_size=1)`` visits the same examples in the same order.
     """
     config = trainer.train_config
     epochs = config.epochs if epochs is None else int(epochs)
@@ -246,7 +244,6 @@ def fit_looped(
             rng.shuffle(order)
         for index in order:
             history.losses.append(step(trainer, examples[index]))
-            history.learning_rates.append(trainer.optimizer.lr)
     return history
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro.eval as E
+from repro.core.config import TrainingConfig
 from repro.eval import prepare_context
 from repro.eval.datasets import PAPER_TABLE1_COUNTS, compile_benchmark_dataset
 from repro.eval.reporting import format_table, summarize
@@ -34,6 +35,24 @@ class TestContext:
     def test_training_improved(self, context):
         assert context.training_history is not None
         assert context.training_history.improved()
+
+    def test_given_training_config_is_used_whole(self):
+        """A passed recipe trains as given; only ``seed`` is applied on top."""
+        recipe = TrainingConfig(epochs=1, num_examples_per_target=2, batch_size=2)
+        context = prepare_context(num_speakers=4, num_targets=1, seed=3, training=recipe)
+        assert context.trainer.train_config == recipe.replace(seed=3)
+        # One target x 2 examples in batches of 2, for one epoch.
+        assert context.training_history.steps == 1
+
+    def test_legacy_keywords_override_only_when_passed(self):
+        default = prepare_context(num_speakers=4, num_targets=1, train=False)
+        recipe = default.trainer.train_config
+        assert (recipe.batch_size, recipe.epochs, recipe.num_examples_per_target) == (1, 6, 4)
+        given = TrainingConfig(epochs=20, num_examples_per_target=7)
+        context = prepare_context(
+            num_speakers=4, num_targets=1, train=False, training=given, training_epochs=2
+        )
+        assert context.trainer.train_config == given.replace(epochs=2)
 
     def test_system_cache(self, context):
         a = context.system_for(context.target_speakers[0])

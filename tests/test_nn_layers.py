@@ -5,28 +5,17 @@ import pytest
 
 from repro.nn import (
     Adam,
-    BatchNorm1d,
-    BatchNorm2d,
     Conv2d,
     Dense,
-    Dropout,
-    Flatten,
-    LayerNorm,
     LSTM,
     LSTMCell,
     Module,
     ReLU,
-    SGD,
     Sequential,
-    Sigmoid,
     Tensor,
-    ZeroPad2d,
     check_gradients,
-    cosine_embedding_loss,
     cross_entropy_loss,
-    l1_loss,
     load_state_dict,
-    mse_loss,
     save_model,
     load_model,
     state_dict,
@@ -110,62 +99,7 @@ class TestRecurrent:
         check_gradients(lambda: (lstm(x) ** 2).mean(), [x, lstm.cell.weight_ih])
 
 
-class TestNormalisationAndDropout:
-    def test_batchnorm1d_normalises(self):
-        layer = BatchNorm1d(3)
-        x = np.random.default_rng(0).normal(loc=5.0, scale=2.0, size=(64, 3))
-        out = layer(Tensor(x)).data
-        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-6)
-        np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-2)
-
-    def test_batchnorm_eval_uses_running_stats(self):
-        layer = BatchNorm1d(2)
-        x = np.random.default_rng(0).normal(size=(32, 2))
-        for _ in range(10):
-            layer(Tensor(x))
-        layer.eval()
-        out = layer(Tensor(x[:4])).data
-        assert out.shape == (4, 2)
-
-    def test_batchnorm2d_shape(self):
-        layer = BatchNorm2d(3)
-        out = layer(Tensor(np.random.default_rng(0).normal(size=(2, 3, 4, 5))))
-        assert out.shape == (2, 3, 4, 5)
-
-    def test_layernorm_normalises_last_axis(self):
-        layer = LayerNorm(6)
-        x = np.random.default_rng(0).normal(size=(4, 6)) * 3 + 1
-        out = layer(Tensor(x)).data
-        np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-6)
-
-    def test_dropout_eval_is_identity(self):
-        layer = Dropout(0.5)
-        layer.eval()
-        x = np.ones((4, 4))
-        np.testing.assert_allclose(layer(Tensor(x)).data, x)
-
-    def test_dropout_training_scales(self):
-        layer = Dropout(0.5, rng=np.random.default_rng(0))
-        out = layer(Tensor(np.ones((2000,)))).data
-        # Inverted dropout keeps the expectation close to 1.
-        assert abs(out.mean() - 1.0) < 0.1
-
-    def test_zeropad(self):
-        layer = ZeroPad2d((1, 2))
-        out = layer(Tensor(np.ones((1, 1, 3, 3))))
-        assert out.shape == (1, 1, 5, 7)
-
-
 class TestLosses:
-    def test_mse_zero_for_identical(self):
-        x = Tensor(np.ones((3, 3)), requires_grad=True)
-        assert float(mse_loss(x, Tensor(np.ones((3, 3)))).data) == 0.0
-
-    def test_l1_matches_numpy(self):
-        a = np.array([1.0, -2.0, 3.0])
-        b = np.array([0.0, 0.0, 0.0])
-        assert float(l1_loss(Tensor(a, requires_grad=True), Tensor(b)).data) == pytest.approx(2.0)
-
     def test_cross_entropy_prefers_correct_class(self):
         good = Tensor(np.array([[10.0, 0.0], [0.0, 10.0]]), requires_grad=True)
         bad = Tensor(np.array([[0.0, 10.0], [10.0, 0.0]]), requires_grad=True)
@@ -173,11 +107,6 @@ class TestLosses:
         assert float(cross_entropy_loss(good, labels).data) < float(
             cross_entropy_loss(bad, labels).data
         )
-
-    def test_cosine_loss_zero_for_parallel(self):
-        a = Tensor(np.array([[1.0, 2.0, 3.0]]), requires_grad=True)
-        b = Tensor(np.array([[2.0, 4.0, 6.0]]))
-        assert float(cosine_embedding_loss(a, b).data) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestOptimisers:
@@ -190,21 +119,19 @@ class TestOptimisers:
         loss_value = None
         for _ in range(steps):
             optimizer.zero_grad()
-            loss = mse_loss(layer(Tensor(x)), Tensor(y))
+            diff = layer(Tensor(x)) - Tensor(y)
+            loss = (diff * diff).mean()
             loss.backward()
             optimizer.step()
             loss_value = float(loss.data)
         return loss_value
-
-    def test_sgd_converges(self):
-        assert self._fit(lambda p: SGD(p, lr=0.1, momentum=0.9)) < 1e-3
 
     def test_adam_converges(self):
         assert self._fit(lambda p: Adam(p, lr=0.05)) < 1e-3
 
     def test_weight_decay_shrinks_weights(self):
         layer = Dense(3, 3)
-        optimizer = SGD(layer.parameters(), lr=0.1, weight_decay=0.5)
+        optimizer = Adam(layer.parameters(), lr=0.1, weight_decay=0.5)
         before = np.abs(layer.weight.data).sum()
         for _ in range(20):
             optimizer.zero_grad()
@@ -220,10 +147,10 @@ class TestOptimisers:
 
 class TestModuleAndSerialization:
     def test_sequential_composition(self):
-        model = Sequential(Dense(4, 8), ReLU(), Dense(8, 2), Sigmoid())
+        model = Sequential(Dense(4, 8), ReLU(), Dense(8, 2))
         out = model(Tensor(np.zeros((3, 4))))
         assert out.shape == (3, 2)
-        assert len(model) == 4
+        assert len(model) == 3
 
     def test_named_parameters_unique(self):
         model = Sequential(Dense(4, 4), Dense(4, 4))
@@ -250,10 +177,3 @@ class TestModuleAndSerialization:
         target = Dense(3, 5)
         with pytest.raises((ValueError, KeyError)):
             load_state_dict(target, state_dict(source))
-
-    def test_train_eval_flags_propagate(self):
-        model = Sequential(Dense(2, 2), Dropout(0.5))
-        model.eval()
-        assert all(not module.training for module in model.modules())
-        model.train()
-        assert all(module.training for module in model.modules())

@@ -6,7 +6,7 @@ a Selector or encoder restored from its ``.npz`` checkpoint must produce
 **bit-identical** outputs, not merely close ones (float64 arrays round-trip
 ``.npz`` exactly).  These tests pin that contract on the actual models —
 including the Selector's list-held ``dilated`` convolution stack and
-BatchNorm running statistics — plus the structural digit-path walker in
+non-trainable buffers — plus the structural digit-path walker in
 ``load_state_dict`` that list/container indices rely on.
 """
 
@@ -16,7 +16,7 @@ import pytest
 from repro.core.config import NECConfig
 from repro.core.encoder import SpectralEncoder
 from repro.core.selector import Selector
-from repro.nn import BatchNorm1d, Dense, ReLU, Sequential, Tensor
+from repro.nn import Dense, ReLU, Sequential, Tensor
 from repro.nn.layers import Module
 from repro.nn.serialization import (
     load_model,
@@ -29,6 +29,19 @@ from repro.nn.serialization import (
 @pytest.fixture(scope="module")
 def config():
     return NECConfig.tiny()
+
+
+class _Buffered(Module):
+    """A layer with non-trainable state: ``y = (x - offset) * scale``."""
+
+    def __init__(self, width: int) -> None:
+        super().__init__()
+        self.offset = np.zeros(width)
+        self.scale = np.ones(width)
+        self._buffers = ("offset", "scale")
+
+    def forward(self, x: Tensor) -> Tensor:
+        return (x - Tensor(self.offset)) * Tensor(self.scale)
 
 
 class TestRealModelRoundTrips:
@@ -66,28 +79,24 @@ class TestRealModelRoundTrips:
             restored.embed([reference_audio]), saved.embed([reference_audio])
         )
 
-    def test_batchnorm_module_roundtrip_bit_identical(self, tmp_path):
-        """Running statistics (buffers) survive the round trip exactly."""
+    def test_buffered_module_roundtrip_bit_identical(self, tmp_path):
+        """Buffers survive the round trip exactly."""
         rng = np.random.default_rng(7)
-        saved = Sequential(Dense(6, 8, rng=rng), BatchNorm1d(8), ReLU(), Dense(8, 3, rng=rng))
-        # Mutate the running stats away from their init before saving.
-        for _ in range(3):
-            saved(Tensor(rng.normal(size=(16, 6))))
+        saved = Sequential(Dense(6, 8, rng=rng), _Buffered(8), ReLU(), Dense(8, 3, rng=rng))
+        # Move the buffers away from their init before saving.
+        saved[1].offset = rng.normal(size=8)
+        saved[1].scale = np.abs(rng.normal(size=8)) + 0.5
         restored = Sequential(
             Dense(6, 8, rng=np.random.default_rng(101)),
-            BatchNorm1d(8),
+            _Buffered(8),
             ReLU(),
             Dense(8, 3, rng=np.random.default_rng(102)),
         )
-        path = save_model(saved, tmp_path / "bn.npz")
+        path = save_model(saved, tmp_path / "buffered.npz")
         load_model(restored, path)
 
-        np.testing.assert_array_equal(
-            restored[1].running_mean, saved[1].running_mean
-        )
-        np.testing.assert_array_equal(restored[1].running_var, saved[1].running_var)
-        saved.eval()
-        restored.eval()
+        np.testing.assert_array_equal(restored[1].offset, saved[1].offset)
+        np.testing.assert_array_equal(restored[1].scale, saved[1].scale)
         x = Tensor(rng.normal(size=(4, 6)))
         np.testing.assert_array_equal(restored(x).data, saved(x).data)
 
@@ -106,7 +115,7 @@ class _IndexableStack(Module):
 class _NotIndexable(Module):
     def __init__(self) -> None:
         super().__init__()
-        self.norm = BatchNorm1d(2)
+        self.norm = _Buffered(2)
 
 
 class TestBufferPathWalker:
@@ -117,28 +126,24 @@ class TestBufferPathWalker:
             def __init__(self, seed: int) -> None:
                 super().__init__()
                 rng = np.random.default_rng(seed)
-                self.stack = [BatchNorm1d(4), BatchNorm1d(4)]
+                self.stack = [_Buffered(4), _Buffered(4)]
                 self.head = Dense(4, 2, rng=rng)
 
         rng = np.random.default_rng(9)
         saved = Holder(seed=0)
-        saved.stack[0].running_mean = rng.normal(size=4)
-        saved.stack[1].running_var = np.abs(rng.normal(size=4)) + 0.5
+        saved.stack[0].offset = rng.normal(size=4)
+        saved.stack[1].scale = np.abs(rng.normal(size=4)) + 0.5
         restored = Holder(seed=50)
         path = save_model(saved, tmp_path / "holder.npz")
         load_model(restored, path)
-        np.testing.assert_array_equal(
-            restored.stack[0].running_mean, saved.stack[0].running_mean
-        )
-        np.testing.assert_array_equal(
-            restored.stack[1].running_var, saved.stack[1].running_var
-        )
+        np.testing.assert_array_equal(restored.stack[0].offset, saved.stack[0].offset)
+        np.testing.assert_array_equal(restored.stack[1].scale, saved.stack[1].scale)
 
     def test_digit_path_indexes_custom_container(self):
         """Regression: a digit part must index the *resolved* container.
 
         Framework-convention keys index an indexable container Module
-        directly (``blocks.0.running_mean``).  The walker used to hard-code
+        directly (``blocks.0.offset``).  The walker used to hard-code
         ``getattr(target, "layers")`` at digit parts, which raised
         AttributeError for any container not named ``layers`` — e.g. this
         ModuleList-style stack.
@@ -147,12 +152,12 @@ class TestBufferPathWalker:
         class Model(Module):
             def __init__(self) -> None:
                 super().__init__()
-                self.blocks = _IndexableStack(BatchNorm1d(3), BatchNorm1d(3))
+                self.blocks = _IndexableStack(_Buffered(3), _Buffered(3))
 
         model = Model()
         value = np.arange(3.0)
-        load_state_dict(model, {"buffer:blocks.0.running_mean": value})
-        np.testing.assert_array_equal(model.blocks[0].running_mean, value)
+        load_state_dict(model, {"buffer:blocks.0.offset": value})
+        np.testing.assert_array_equal(model.blocks[0].offset, value)
 
     def test_digit_path_into_non_indexable_module_raises_keyerror(self):
         class Model(Module):
@@ -162,32 +167,36 @@ class TestBufferPathWalker:
 
         with pytest.raises(KeyError, match="non-indexable"):
             load_state_dict(
-                Model(), {"buffer:inner.0.running_mean": np.zeros(2)}
+                Model(), {"buffer:inner.0.offset": np.zeros(2)}
             )
 
     def test_sequential_digit_paths_still_resolve(self, tmp_path):
         """``Sequential`` stores children under ``layers``; paths unchanged."""
-        saved = Sequential(BatchNorm1d(2), ReLU())
-        saved.layers[0].running_mean = np.array([1.5, -2.5])
+        saved = Sequential(_Buffered(2), ReLU())
+        saved.layers[0].offset = np.array([1.5, -2.5])
         keys = dict(state_dict(saved))
-        assert "buffer:layers.0.running_mean" in keys
-        restored = Sequential(BatchNorm1d(2), ReLU())
+        assert "buffer:layers.0.offset" in keys
+        restored = Sequential(_Buffered(2), ReLU())
         load_state_dict(restored, keys)
-        np.testing.assert_array_equal(restored[0].running_mean, [1.5, -2.5])
+        np.testing.assert_array_equal(restored[0].offset, [1.5, -2.5])
 
 
 class TestModuleDiscovery:
-    def test_modules_walks_attributes_and_containers(self):
+    def test_named_parameters_walk_attributes_and_containers(self):
         class Model(Module):
             def __init__(self) -> None:
                 super().__init__()
                 self.direct = Dense(2, 2)
                 self.held = [ReLU(), Sequential(Dense(2, 2))]
 
-        found = list(Model().modules())
-        # Model, direct, ReLU, Sequential, and the Dense inside it.
-        assert len(found) == 5
-        assert sum(isinstance(module, Dense) for module in found) == 2
+        found = [name for name, _ in Model().named_parameters()]
+        # The direct Dense, and the Dense inside the list-held Sequential.
+        assert found == [
+            "direct.weight",
+            "direct.bias",
+            "held.1.layers.0.weight",
+            "held.1.layers.0.bias",
+        ]
 
     def test_encoder_registers_projection_buffer(self, config):
         encoder = SpectralEncoder(config, seed=0)
