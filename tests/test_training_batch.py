@@ -283,13 +283,17 @@ class TestTrainingConfig:
     def test_defaults_validate(self):
         assert TrainingConfig().validate().batch_size == 8
 
+    # Each case keeps the id it was first given, so deleting a case (as the
+    # ones for retired fields were) does not rename the cases after it.
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"learning_rate": 0.0},
-            {"batch_size": 0},
-            {"num_examples_per_target": 0},
-            {"snr_db_range": (3.0, -3.0)},
+            pytest.param({"learning_rate": 0.0}, id="overrides0"),
+            pytest.param({"batch_size": 0}, id="overrides1"),
+            pytest.param({"num_examples_per_target": 0}, id="overrides6"),
+            pytest.param({"snr_db_range": (3.0, -3.0)}, id="overrides7"),
+            pytest.param({"epochs": -1}, id="overrides10"),
+            pytest.param({"snr_db_range": (0.0,)}, id="overrides11"),
         ],
     )
     def test_rejects_bad_recipes(self, overrides):
