@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.config import NECConfig
-from repro.nn import Conv2d, Dense, LSTM, Module, Tensor
+from repro.nn import Conv2d, Dense, LSTM, Module, Tensor, no_grad
 
 
 class VoiceFilterModel(Module):
@@ -57,26 +57,28 @@ class VoiceFilterModel(Module):
     def num_conv_layers(self) -> int:
         return 3 + len(self.dilated)
 
-    def forward(self, mixed_spectrogram: Tensor, d_vector: Tensor) -> Tensor:
-        """Predict a soft mask of shape ``(T, F)`` for the target speaker."""
-        if not isinstance(mixed_spectrogram, Tensor):
-            mixed_spectrogram = Tensor(mixed_spectrogram)
-        if not isinstance(d_vector, Tensor):
-            d_vector = Tensor(d_vector)
-        freq_bins, frames = mixed_spectrogram.shape
-        compressed = (mixed_spectrogram + 1e-6).log()
-        image = compressed.transpose(1, 0).reshape(1, 1, frames, freq_bins)
+    def forward(self, mixed_spectrogram, d_vector) -> Tensor:
+        """Predict a soft mask of shape ``(T, F)`` for the target speaker.
 
-        hidden = self.conv_freq(image).relu()
-        hidden = self.conv_time(hidden).relu()
-        for layer in self.dilated:
-            hidden = layer(hidden).relu()
-        features = self.conv_out(hidden).relu()          # (1, 8, T, F)
-        features = features.transpose(0, 2, 1, 3).reshape(frames, 8 * freq_bins)
+        The baseline is never trained, so its convolutions run gradient-free
+        through :meth:`Conv2d.infer`; the LSTM and the FC head are the
+        autograd layers.
+        """
+        mixed, d_vector = (
+            value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
+            for value in (mixed_spectrogram, d_vector)
+        )
+        freq_bins, frames = mixed.shape
+        # The Selector's compression: the 1e-6 offset plus Tensor.log's 1e-12.
+        compressed = np.log(mixed + 1e-6 + 1e-12)
+        hidden = compressed.T.reshape(1, 1, frames, freq_bins)
+        for layer in (self.conv_freq, self.conv_time, *self.dilated, self.conv_out):
+            hidden = layer.infer(hidden)
+            hidden = hidden * (hidden > 0)
+        features = hidden.transpose(0, 2, 1, 3).reshape(frames, 8 * freq_bins)
 
-        tiled = Tensor(np.tile(d_vector.data.reshape(1, -1), (frames, 1)))
-        fused = Tensor.concatenate([features, tiled], axis=1)
-        sequence = fused.reshape(1, frames, fused.shape[1])
+        tiled = np.tile(d_vector.reshape(1, -1), (frames, 1))
+        sequence = Tensor(np.concatenate([features, tiled], axis=1)[None])
         recurrent = self.lstm(sequence).reshape(frames, self.lstm_hidden)
         hidden = self.fc1(recurrent).relu()
         return self.fc2(hidden).sigmoid()                 # (T, F)
@@ -84,5 +86,6 @@ class VoiceFilterModel(Module):
     def separate(self, mixed_spectrogram: np.ndarray, d_vector: np.ndarray) -> np.ndarray:
         """Target-speaker magnitude estimate ``mask * S_mixed`` of shape ``(F, T)``."""
         mixed = np.asarray(mixed_spectrogram, dtype=np.float64)
-        mask = self.forward(Tensor(mixed), Tensor(np.asarray(d_vector))).data.T
+        with no_grad():
+            mask = self.forward(mixed, d_vector).data.T
         return mask * mixed

@@ -21,6 +21,13 @@ spectrogram towards the background (Eq. 6).  ``output_mode='spectrogram'``
 reproduces the paper's literal description: an unconstrained linear output
 used directly as the (signed) shadow spectrogram.  The ablation benchmark
 compares both.
+
+The network has one training pass and one inference pass over stacked
+``(N, F, T)`` segments: :meth:`Selector.forward` builds the autograd graph
+(convolutions through :meth:`Conv2d.forward`, the FFT kernel) and
+:meth:`Selector.forward_batch` runs gradient-free (convolutions through
+:meth:`Conv2d.infer`).  Both are pinned against the one-segment autograd
+oracle ``selector_reference`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.config import NECConfig
-from repro.nn import Conv2d, Dense, Module, ReLU, Tensor
+from repro.nn import Conv2d, Dense, Module, Tensor
 from repro.nn.precision import active_policy
 
 #: Most segments one gradient-free Selector pass stacks.  At the deployment
@@ -82,51 +89,7 @@ class Selector(Module):
     def num_conv_layers(self) -> int:
         return 3 + len(self.dilated)
 
-    def forward(self, mixed_spectrogram: Tensor, d_vector: Tensor) -> Tensor:
-        """Selector output for a single segment.
-
-        ``mixed_spectrogram``: ``(F, T)`` magnitude spectrogram (paper Eq. 2).
-        ``d_vector``: ``(embedding_dim,)`` reference embedding.
-        Returns the raw head output of shape ``(T, F)`` — a sigmoid mask in
-        ``mask`` mode, an unconstrained spectrogram in ``spectrogram`` mode.
-        """
-        if not isinstance(mixed_spectrogram, Tensor):
-            mixed_spectrogram = Tensor(mixed_spectrogram)
-        if not isinstance(d_vector, Tensor):
-            d_vector = Tensor(d_vector)
-        freq_bins, frames = mixed_spectrogram.shape
-        if freq_bins != self.config.frequency_bins:
-            raise ValueError(
-                f"expected {self.config.frequency_bins} frequency bins, got {freq_bins}"
-            )
-
-        # Compress the dynamic range; magnitudes span several orders of magnitude.
-        compressed = (mixed_spectrogram + 1e-6).log()
-        # (F, T) -> (1, 1, T, F): time as "height", frequency as "width".
-        image = compressed.transpose(1, 0).reshape(1, 1, frames, freq_bins)
-
-        hidden = self.conv_freq(image).relu()
-        hidden = self.conv_time(hidden).relu()
-        for layer in self.dilated:
-            hidden = layer(hidden).relu()
-        features = self.conv_out(hidden).relu()  # (1, 2, T, F)
-
-        # (1, 2, T, F) -> (T, 2F)
-        features = features.transpose(0, 2, 1, 3).reshape(frames, 2 * freq_bins)
-
-        # Concatenate the d-vector to every frame.
-        tiled = Tensor(np.tile(d_vector.data.reshape(1, -1), (frames, 1)))
-        fused = Tensor.concatenate([features, tiled], axis=1)
-
-        hidden = self.fc1(fused).relu()
-        output = self.fc2(hidden)
-        if self.config.output_mode == "mask":
-            output = output.sigmoid()
-        return output  # (T, F)
-
-    def forward_batch_train(
-        self, mixed_spectrograms, d_vectors
-    ) -> Tensor:
+    def forward(self, mixed_spectrograms, d_vectors) -> Tensor:
         """Autograd Selector output for a stacked ``(N, F, T)`` minibatch.
 
         The training-side twin of :meth:`forward_batch`: the same stacked
@@ -137,21 +100,20 @@ class Selector(Module):
         pinned by ``check_batched_gradients`` in the test suite).
 
         ``mixed_spectrograms``: ``(N, F, T)`` array or Tensor of magnitude
-        spectrograms.  ``d_vectors``: one shared ``(embedding_dim,)`` embedding
-        or per-example ``(N, embedding_dim)`` rows.  Returns the raw head
-        output of shape ``(N, T, F)``.  Every numerical constant matches
-        :meth:`forward`, and the convolutions run through the frequency-domain
-        kernel (:func:`repro.nn.fftconv.fft_conv2d`), so row ``n`` of the
-        result (and its gradient contribution) equals
-        ``forward(mixed_spectrograms[n], d_vectors[n])`` to FFT round-off —
-        ~1e-13 relative, pinned at 1e-9 by the gradient-equivalence tests.
+        spectrograms (paper Eq. 2).  ``d_vectors``: one shared
+        ``(embedding_dim,)`` embedding or per-example ``(N, embedding_dim)``
+        rows.  Returns the raw head output of shape ``(N, T, F)`` — a sigmoid
+        mask in ``mask`` mode, an unconstrained spectrogram in
+        ``spectrogram`` mode.  The convolutions run through the
+        frequency-domain kernel (:meth:`Conv2d.forward`), so row ``n`` of the
+        result (and its gradient contribution) equals the direct-convolution
+        graph of one segment to FFT round-off — ~1e-13 relative, pinned at
+        1e-11 forward and 1e-9 on gradients by the tests.
         """
         if not isinstance(mixed_spectrograms, Tensor):
             mixed_spectrograms = Tensor(np.asarray(mixed_spectrograms, dtype=np.float64))
         if mixed_spectrograms.ndim != 3:
-            raise ValueError(
-                "forward_batch_train expects a (N, F, T) batch of spectrograms"
-            )
+            raise ValueError("Selector.forward expects a (N, F, T) batch of spectrograms")
         num_examples, freq_bins, frames = mixed_spectrograms.shape
         if freq_bins != self.config.frequency_bins:
             raise ValueError(
@@ -169,20 +131,17 @@ class Selector(Module):
                 f"got shape {vectors.shape}"
             )
 
-        # Same dynamic-range compression as forward().
+        # Compress the dynamic range; magnitudes span several orders of magnitude.
         compressed = (mixed_spectrograms + 1e-6).log()
         # (N, F, T) -> (N, 1, T, F): time as "height", frequency as "width".
         image = compressed.transpose(0, 2, 1).reshape(num_examples, 1, frames, freq_bins)
 
-        # Frequency-domain convolutions with the ReLU fused into each node:
-        # per-row equal to forward()'s im2col path up to FFT round-off
-        # (~1e-13 relative), but without the 25x column-matrix inflation that
-        # makes the stacked batch memory-bound.
-        hidden = self.conv_freq.forward_fft(image, activation="relu")
-        hidden = self.conv_time.forward_fft(hidden, activation="relu")
+        # Frequency-domain convolutions with the ReLU fused into each node.
+        hidden = self.conv_freq(image, activation="relu")
+        hidden = self.conv_time(hidden, activation="relu")
         for layer in self.dilated:
-            hidden = layer.forward_fft(hidden, activation="relu")
-        features = self.conv_out.forward_fft(hidden, activation="relu")  # (N, 2, T, F)
+            hidden = layer(hidden, activation="relu")
+        features = self.conv_out(hidden, activation="relu")  # (N, 2, T, F)
 
         # (N, 2, T, F) -> (N, T, 2F)
         features = features.transpose(0, 2, 1, 3).reshape(
@@ -190,15 +149,14 @@ class Selector(Module):
         )
 
         # Concatenate each example's d-vector to every one of its frames; the
-        # embeddings are inputs, not parameters, so a plain constant tile is
-        # exactly what forward() does too.
+        # embeddings are inputs, not parameters, so the tile is a constant.
         tiled = Tensor(np.broadcast_to(
             vectors[:, None, :], (num_examples, frames, vectors.shape[1])
         ).copy())
         fused = Tensor.concatenate([features, tiled], axis=2)
 
         # Dense applies to the last axis, so the (N, T, in) @ (in, out) matmul
-        # broadcasts into N per-example GEMMs of the shapes forward() uses.
+        # broadcasts into N per-example GEMMs.
         hidden = self.fc1(fused).relu()
         output = self.fc2(hidden)
         if self.config.output_mode == "mask":
@@ -219,15 +177,15 @@ class Selector(Module):
         The batch runs in passes of at most :data:`ROWS_PER_PASS` rows, so
         the working set of every gradient-free pass (and every shape the
         im2col buffer cache keeps) is bounded by construction, whatever
-        ``N`` a caller stacks.  Every operation mirrors :meth:`forward`
-        exactly — same log-compression constants, same column layout, same
-        matmul shapes per segment — so under the default float64 policy row
-        ``n`` is bit-identical to ``forward(mixed_spectrograms[n], d_vector)``.
-        The convolutions run through :meth:`Conv2d.infer`, which skips
-        autograd bookkeeping and the per-sample fancy-index construction.
-        Under a reduced-precision policy (:mod:`repro.nn.precision`) the whole
-        pass runs in the policy's real dtype — the evaluation fast path, gated
-        by the tolerance suite in ``tests/test_precision.py``.
+        ``N`` a caller stacks.  Rows are independent: each row is the same
+        whichever rows share its pass.  The numerical constants match
+        :meth:`forward`, and the convolutions run through
+        :meth:`Conv2d.infer`; under the default float64 policy each row is
+        within 1e-12 relative of the one-segment autograd oracle (pinned by
+        the test suite).  Under a reduced-precision policy
+        (:mod:`repro.nn.precision`) the whole pass runs in the policy's real
+        dtype — the evaluation fast path, gated by the tolerance suite in
+        ``tests/test_precision.py``.
         """
         policy = active_policy()
         batch = policy.real(np.asarray(mixed_spectrograms))
@@ -290,8 +248,7 @@ class Selector(Module):
         tiled = np.broadcast_to(source, (num_segments, frames, embedding_dim))
         fused = np.concatenate([features, tiled], axis=2)
 
-        # The (N, T, in) @ (in, out) matmul broadcasts into N per-segment GEMMs
-        # of exactly the shapes forward() uses, keeping the results identical.
+        # The (N, T, in) @ (in, out) matmul broadcasts into N per-segment GEMMs.
         hidden = fused @ policy.real(self.fc1.weight.data) + policy.real(self.fc1.bias.data)
         hidden = hidden * (hidden > 0)
         output = hidden @ policy.real(self.fc2.weight.data) + policy.real(self.fc2.bias.data)
@@ -300,32 +257,18 @@ class Selector(Module):
         return output  # (N, T, F)
 
     # ------------------------------------------------------------------
-    def shadow_spectrogram(
-        self, mixed_spectrogram: np.ndarray, d_vector: np.ndarray
+    def shadow_spectrogram_batch(
+        self, mixed_spectrograms: np.ndarray, d_vector: np.ndarray
     ) -> np.ndarray:
-        """The (signed) shadow spectrogram ``S_shadow`` of shape ``(F, T)``.
+        """Signed shadow spectrograms ``S_shadow`` for a ``(N, F, T)`` batch.
 
         In ``mask`` mode the head output ``M`` (in [0, 1]) estimates the target
         speaker's share of each bin, so ``S_shadow = -(M * S_mixed)``; adding it
         to the mixed spectrogram leaves ``(1 - M) * S_mixed ~= S_bk``.  In
-        ``spectrogram`` mode the head output is used directly.
-        """
-        mixed = np.asarray(mixed_spectrogram, dtype=np.float64)
-        output = self.forward(Tensor(mixed), Tensor(np.asarray(d_vector))).data.T  # (F, T)
-        if self.config.output_mode == "mask":
-            return -(output * mixed)
-        return output
-
-    def shadow_spectrogram_batch(
-        self, mixed_spectrograms: np.ndarray, d_vector: np.ndarray
-    ) -> np.ndarray:
-        """Signed shadow spectrograms for a ``(N, F, T)`` batch, shape ``(N, F, T)``.
-
-        ``d_vector`` may be one shared ``(dim,)`` embedding or per-segment
-        ``(N, dim)`` rows (see :meth:`forward_batch`).  Under the default
-        float64 policy row ``n`` equals
-        ``shadow_spectrogram(mixed_spectrograms[n], d_vector[n])`` bit for
-        bit; see :meth:`forward_batch` for why (and for the float32 mode).
+        ``spectrogram`` mode the head output is used directly.  ``d_vector``
+        may be one shared ``(dim,)`` embedding or per-segment ``(N, dim)``
+        rows (see :meth:`forward_batch`, also for the float32 mode).  One
+        segment is ``shadow_spectrogram_batch(spectrogram[None], d_vector)[0]``.
         """
         mixed = active_policy().real(np.asarray(mixed_spectrograms))
         output = self.forward_batch(mixed, d_vector).transpose(0, 2, 1)  # (N, F, T)

@@ -9,7 +9,7 @@ optimised — matching the paper's procedure.
 
 Every optimiser step runs one engine, :meth:`SelectorTrainer.step_batch`:
 a whole ``(N, F, T)`` batch goes through one autograd graph
-(:meth:`Selector.forward_batch_train`, frequency-domain convolutions), for
+(:meth:`Selector.forward`, frequency-domain convolutions), for
 every batch size including one.  The batch loss is the mean of the
 per-example losses, so one backward produces exactly the mean of the
 per-example gradients (pinned per-op and end-to-end by
@@ -145,7 +145,7 @@ class SelectorTrainer:
         background_t = Tensor(
             np.stack([example.background_spectrogram.T for example in examples])
         )  # (N, T, F), constant
-        output = self.selector.forward_batch_train(mixed, vectors)            # (N, T, F)
+        output = self.selector(mixed, vectors)                                # (N, T, F)
         mixed_t = Tensor(mixed.transpose(0, 2, 1))                            # (N, T, F)
         if self.config.output_mode == "mask":
             record = mixed_t * (1.0 - output)

@@ -29,14 +29,13 @@ def _check_geometry(win_length: int, hop_length: int, n_fft: Optional[int] = Non
     """The one argument check of every transform.
 
     ``n_fft`` is ``None`` only where it is not known yet
-    (:class:`StreamingISTFT` before its first frames arrive).  A hop longer
-    than the window is allowed: frames then leave gaps, and the batch kernels
-    still invert them.
+    (:class:`StreamingISTFT` before its first frames arrive).  Frames must
+    overlap or abut, so the hop is at most the window.
     """
     bound = win_length if n_fft is None else n_fft
-    if hop_length <= 0 or not 0 < win_length <= bound:
+    if not 0 < hop_length <= win_length <= bound:
         raise ValueError(
-            "STFT geometry needs 0 < hop_length and 0 < win_length <= n_fft, got "
+            "STFT geometry needs 0 < hop_length <= win_length <= n_fft, got "
             f"n_fft={n_fft}, win_length={win_length}, hop_length={hop_length}"
         )
 
@@ -298,9 +297,9 @@ class StreamingSTFT:
     ``stft(concatenated_chunks, ...)`` for any chunking (including sub-hop
     chunks): the framing offsets are carried and each frame's ``rfft`` is an
     independent row transform.  The active precision policy selects the
-    compute dtype per feed.  Frames must overlap or abut
-    (``hop_length <= win_length``) so that the carry holds every sample a
-    later frame reads.
+    compute dtype per feed.  Because frames overlap or abut (checked by
+    :func:`_check_geometry`), the carry holds every sample a later frame
+    reads.
     """
 
     def __init__(
@@ -311,8 +310,6 @@ class StreamingSTFT:
         window: str = "hann",
     ) -> None:
         _check_geometry(win_length, hop_length, n_fft)
-        if hop_length > win_length:
-            raise ValueError("StreamingSTFT needs hop_length <= win_length")
         self.n_fft = n_fft
         self.win_length = win_length
         self.hop_length = hop_length

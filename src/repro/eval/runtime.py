@@ -107,7 +107,14 @@ def run_runtime_analysis(
     repetitions: int = 3,
     seed: int = 0,
 ) -> RuntimeResult:
-    """Table II: per-module latency for NEC and VoiceFilter on 1 s of audio."""
+    """Table II: per-module latency for NEC and VoiceFilter on 1 s of audio.
+
+    Both separators run gradient-free: NEC's Selector through
+    :meth:`Selector.shadow_spectrogram_batch`, the path ``NECSystem.protect``
+    and the serving layer run, and VoiceFilter through
+    :meth:`VoiceFilterModel.separate`, whose convolutions use the same
+    :meth:`Conv2d.infer`.
+    """
     config = (config or NECConfig.default()).validate()
     rng = np.random.default_rng(seed)
     sample_count = int(audio_seconds * config.sample_rate)
@@ -126,7 +133,8 @@ def run_runtime_analysis(
 
     encoder_ms = _time_call(lambda: encoder.embed([signal]), repetitions)
     nec_selector_ms = _time_call(
-        lambda: selector.shadow_spectrogram(spectrogram, embedding), repetitions
+        lambda: selector.shadow_spectrogram_batch(spectrogram[None], embedding)[0],
+        repetitions,
     )
     voicefilter_ms = _time_call(
         lambda: voicefilter.separate(spectrogram, embedding), repetitions

@@ -8,6 +8,10 @@ reverse-mode automatic differentiation, the layers the NEC Selector, the
 convolution with dilation, LSTM), the encoder's cross-entropy loss, the Adam
 optimiser and model (de)serialisation.
 
+A convolution has two paths: :meth:`Conv2d.forward` is the autograd pass
+(the frequency-domain kernel :func:`fft_conv2d`) and :meth:`Conv2d.infer` is
+the gradient-free pass (one GEMM over the :func:`strided_im2col` columns).
+
 The public surface mirrors the subset of a conventional framework that the
 reproduction needs; everything is pure numpy and deterministic given a seed.
 """

@@ -1,4 +1,12 @@
-"""2-D convolution with dilation, implemented via im2col."""
+"""2-D convolution with dilation: one training path and one inference path.
+
+:meth:`Conv2d.forward` is the autograd convolution, computed by the
+frequency-domain kernel :func:`repro.nn.fftconv.fft_conv2d`.
+:meth:`Conv2d.infer` is the gradient-free convolution, one GEMM over the
+column matrix that :func:`strided_im2col` gathers.  Both are stride 1 and
+both are pinned against the tap-sum reference ``conv2d_reference`` in
+``tests/oracles.py``.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from repro.nn.fftconv import fft_conv2d
 from repro.nn.layers import Module
 from repro.nn.precision import DTypePolicy, active_policy
-from repro.nn.tensor import Tensor, conv_output_size
+from repro.nn.tensor import Tensor
 
 IntPair = Union[int, Tuple[int, int]]
 
@@ -49,39 +57,48 @@ def im2col_buffer_cache_info() -> Dict[str, int]:
     return {"entries": len(_im2col_buffer_store())}
 
 
+def conv_output_size(
+    height: int,
+    width: int,
+    kernel_size: Tuple[int, int],
+    dilation: Tuple[int, int] = (1, 1),
+    padding: Tuple[int, int] = (0, 0),
+) -> Tuple[int, int]:
+    """Spatial output size of a stride-1 2-D convolution."""
+    kh, kw = kernel_size
+    out_h = height + 2 * padding[0] - (kh - 1) * dilation[0]
+    out_w = width + 2 * padding[1] - (kw - 1) * dilation[1]
+    return out_h, out_w
+
+
 def strided_im2col(
     x: np.ndarray,
     kernel_size: Tuple[int, int],
-    stride: int = 1,
     dilation: Tuple[int, int] = (1, 1),
     padding: Tuple[int, int] = (0, 0),
 ) -> np.ndarray:
     """im2col of a ``(N, C, H, W)`` array via strided views, shape ``(N, C*kh*kw, L)``.
 
-    Produces exactly the same column matrix as :meth:`Tensor.im2col` (rows in
-    ``(c, ky, kx)`` order, columns in row-major output-position order) but
-    gathers through ``sliding_window_view`` instead of building giant fancy
-    index arrays, and writes the contiguous copy into a thread-local reused
-    buffer instead of a fresh allocation.  Inference-only: no autograd graph
-    is recorded, and the returned array aliases the per-thread buffer — it is
-    valid until the next same-shape call on the same thread (the inference
-    engine consumes it immediately in the following matmul).
+    Rows are in ``(c, ky, kx)`` order and columns in row-major output-position
+    order.  The gather runs through a zero-copy ``sliding_window_view`` and
+    writes the contiguous copy into a thread-local reused buffer instead of a
+    fresh allocation.  Inference-only: no autograd graph is recorded, and the
+    returned array aliases the per-thread buffer — it is valid until the next
+    same-shape call on the same thread (the inference engine consumes it
+    immediately in the following matmul).
     """
     n, c, h, w = x.shape
     kh, kw = kernel_size
     dil_h, dil_w = dilation
     pad_h, pad_w = padding
-    kh_eff = (kh - 1) * dil_h + 1
-    kw_eff = (kw - 1) * dil_w + 1
-    out_h = (h + 2 * pad_h - kh_eff) // stride + 1
-    out_w = (w + 2 * pad_w - kw_eff) // stride + 1
+    out_h, out_w = conv_output_size(h, w, kernel_size, dilation, padding)
     if out_h <= 0 or out_w <= 0:
         raise ValueError(
             f"Convolution output would be empty: input {h}x{w}, "
             f"kernel {kh}x{kw}, dilation {dilation}, padding {padding}"
         )
     store = _im2col_buffer_store()
-    key = (x.shape, kernel_size, stride, dilation, padding, x.dtype.str)
+    key = (x.shape, kernel_size, dilation, padding, x.dtype.str)
     buffers = store.get(key)
     if buffers is None:
         if len(store) >= _IM2COL_CACHE_MAX_KEYS:
@@ -93,10 +110,11 @@ def strided_im2col(
         store[key] = buffers = (padded, columns)
     padded, columns = buffers
     padded[:, :, pad_h : pad_h + h, pad_w : pad_w + w] = x
-    # (N, C, out_h_full, out_w_full, kh_eff, kw_eff) view, zero-copy.
+    # (N, C, out_h, out_w, kh_eff, kw_eff) view, zero-copy.
+    kh_eff = (kh - 1) * dil_h + 1
+    kw_eff = (kw - 1) * dil_w + 1
     windows = sliding_window_view(padded, (kh_eff, kw_eff), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride, ::dil_h, ::dil_w]
-    windows = windows[:, :, :out_h, :out_w]
+    windows = windows[:, :, :, :, ::dil_h, ::dil_w]
     # (N, C, kh, kw, out_h, out_w) -> (N, C*kh*kw, out_h*out_w), one copy
     # into the recycled destination.
     np.copyto(columns, windows.transpose(0, 1, 4, 5, 2, 3))
@@ -110,11 +128,11 @@ def _pair(value: IntPair) -> Tuple[int, int]:
 
 
 class Conv2d(Module):
-    """2-D convolution over ``(N, C, H, W)`` inputs.
+    """Stride-1 2-D convolution over ``(N, C, H, W)`` inputs.
 
     Supports per-axis kernel sizes, dilation and zero padding — everything the
     NEC Selector architecture (flat 1x7 / 7x1 filters, dilated 5x5 filters)
-    requires.  ``padding='same'`` keeps the spatial size for stride 1.
+    requires.  ``padding='same'`` keeps the spatial size.
     """
 
     def __init__(
@@ -122,7 +140,6 @@ class Conv2d(Module):
         in_channels: int,
         out_channels: int,
         kernel_size: IntPair,
-        stride: int = 1,
         padding: Union[str, IntPair] = 0,
         dilation: IntPair = 1,
         bias: bool = True,
@@ -133,11 +150,8 @@ class Conv2d(Module):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = _pair(kernel_size)
-        self.stride = stride
         self.dilation = _pair(dilation)
         if padding == "same":
-            if stride != 1:
-                raise ValueError("padding='same' requires stride=1")
             kh_eff = (self.kernel_size[0] - 1) * self.dilation[0] + 1
             kw_eff = (self.kernel_size[1] - 1) * self.dilation[1] + 1
             if kh_eff % 2 == 0 or kw_eff % 2 == 0:
@@ -166,47 +180,16 @@ class Conv2d(Module):
         self._infer_weights: Optional[Tuple[np.ndarray, Optional[np.ndarray]]] = None
 
     def output_size(self, height: int, width: int) -> Tuple[int, int]:
-        return conv_output_size(
-            height,
-            width,
-            self.kernel_size,
-            stride=self.stride,
-            dilation=self.dilation,
-            padding=self.padding,
-        )
+        return conv_output_size(height, width, self.kernel_size, self.dilation, self.padding)
 
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 4:
-            raise ValueError("Conv2d expects (N, C, H, W) input")
-        n, _, h, w = x.shape
-        out_h, out_w = self.output_size(h, w)
-        cols = x.im2col(
-            self.kernel_size,
-            stride=self.stride,
-            dilation=self.dilation,
-            padding=self.padding,
-        )  # (N, C*kh*kw, out_h*out_w)
-        kh, kw = self.kernel_size
-        weight_matrix = self.weight.reshape(self.out_channels, self.in_channels * kh * kw)
-        out = weight_matrix @ cols  # (N, out_channels, out_h*out_w) via broadcasting
-        if self.bias is not None:
-            out = out + self.bias.reshape(1, self.out_channels, 1)
-        return out.reshape(n, self.out_channels, out_h, out_w)
+    def forward(self, x: Tensor, activation: Optional[str] = None) -> Tensor:
+        """Autograd forward pass through :func:`repro.nn.fftconv.fft_conv2d`.
 
-    def forward_fft(self, x: Tensor, activation: Optional[str] = None) -> Tensor:
-        """Frequency-domain forward pass: the minibatch training fast path.
-
-        Same result as :meth:`forward` (plus ``.relu()`` when
-        ``activation="relu"``) up to FFT round-off (~1e-13 relative; the
-        batched-vs-looped gradient equivalence gate runs at 1e-9), but
-        computed via :func:`repro.nn.fftconv.fft_conv2d`, which avoids the
-        ``C*kh*kw``-fold im2col memory inflation that makes the stacked
-        minibatch graph memory-bound.  Requires stride 1.
+        ``activation="relu"`` fuses the ReLU into the same graph node.  The
+        result equals the direct tap-sum convolution to FFT round-off (~1e-13
+        relative); the frequency domain avoids the ``C*kh*kw``-fold column
+        matrix that would make a stacked minibatch graph memory-bound.
         """
-        if self.stride != 1:
-            raise ValueError("forward_fft requires stride=1")
-        if x.ndim != 4:
-            raise ValueError("Conv2d expects (N, C, H, W) input")
         return fft_conv2d(
             x,
             self.weight,
@@ -242,11 +225,8 @@ class Conv2d(Module):
     def infer(self, x: np.ndarray) -> np.ndarray:
         """Gradient-free forward pass on a ``(N, C, H, W)`` numpy array.
 
-        Under the default float64 policy this is bit-identical to
-        :meth:`forward` — the column matrix has the same layout and the
-        matmul/bias ops run in the same order — but it skips the autograd
-        bookkeeping and uses the strided im2col, which avoids rebuilding the
-        fancy-index arrays for every sample.  Under a reduced-precision policy
+        One GEMM of the flattened weights over the :func:`strided_im2col`
+        column matrix, plus the bias.  Under a reduced-precision policy
         (:mod:`repro.nn.precision`) the whole pass runs in the policy's real
         dtype, with the flattened weights cast once and cached per policy.
         This is the building block of the batched inference engine.
@@ -257,13 +237,7 @@ class Conv2d(Module):
         x = policy.real(x)
         n, _, h, w = x.shape
         out_h, out_w = self.output_size(h, w)
-        cols = strided_im2col(
-            x,
-            self.kernel_size,
-            stride=self.stride,
-            dilation=self.dilation,
-            padding=self.padding,
-        )
+        cols = strided_im2col(x, self.kernel_size, self.dilation, self.padding)
         weight_matrix, bias_row = self._inference_weights(policy)
         out = weight_matrix @ cols
         if bias_row is not None:

@@ -1,12 +1,10 @@
-"""Frequency-domain batched convolution: the minibatch training fast path.
+"""Frequency-domain batched convolution: the autograd path of ``Conv2d.forward``.
 
-The im2col convolution in :mod:`repro.nn.conv` materialises a ``C*kh*kw``-row
-column matrix — a 25x memory inflation for the Selector's 5x5 kernels.  Per
-example that column matrix fits in cache and the GEMM is cheap, so the looped
-trainer never notices.  Stacked into an ``(N, 1, T, F)`` minibatch the columns
-grow to tens of megabytes per layer and every pass streams hundreds of
-megabytes through a single core; the batched step ends up *slower* than N
-looped steps.
+A direct convolution written as one GEMM materialises a ``C*kh*kw``-row
+column matrix — a 25x memory inflation for the Selector's 5x5 kernels.
+Stacked into an ``(N, 1, T, F)`` minibatch those columns grow to tens of
+megabytes per layer and every pass streams hundreds of megabytes through a
+single core.
 
 :func:`fft_conv2d` removes the inflation entirely: a valid cross-correlation
 is a pointwise product in the frequency domain (correlation theorem), so the
@@ -21,11 +19,13 @@ and kernel spectra and ``G`` the spectrum of the incoming gradient,
 
 each inverse-transformed and sliced to the valid region.  Everything runs in
 float64; FFT round-off at these sizes is ~1e-13 relative, far inside the
-1e-9 gradient-equivalence gate pinned by ``tests/test_training_batch.py``.
+gates that ``tests/test_training_batch.py`` sets against the tap-sum
+reference ``conv2d_reference`` in ``tests/oracles.py`` (1e-11 forward, 1e-9
+gradients).
 
-Only stride 1 is supported (all Selector convolutions are stride 1); dilation
-is handled by zero-upsampling the kernel before the transform and slicing the
-weight gradient back out at the dilated offsets.
+The kernel is stride 1, like every ``Conv2d``; dilation is handled by
+zero-upsampling the kernel before the transform and slicing the weight
+gradient back out at the dilated offsets.
 """
 
 from __future__ import annotations
@@ -122,8 +122,8 @@ def fft_conv2d(
     ``x`` is ``(N, C, H, W)``, ``weight`` is ``(out_c, C, kh, kw)``; returns a
     ``(N, out_c, out_h, out_w)`` autograd :class:`Tensor` with the bias add —
     and, when ``activation="relu"``, the ReLU — fused into the node.  Matches
-    ``conv.forward(...)`` / ``conv.forward(...).relu()`` (stride 1) to FFT
-    round-off (~1e-13 relative).  Kernels flat along one axis (``1 x kw`` /
+    the direct convolution (and its ReLU) to FFT round-off (~1e-13
+    relative).  Kernels flat along one axis (``1 x kw`` /
     ``kh x 1``) bypass the FFT for a zero-copy sliding-window einsum, which
     keeps the Selector's frequency/time filters as cheap direct passes.
     Fusing the ReLU saves one
@@ -197,7 +197,7 @@ def fft_conv2d(
     # produces.  ReLU-sparse inputs make all-zero receptive fields common, and
     # the direct path yields *exactly* 0.0 there; the frequency-domain path
     # yields +-1e-16 noise instead, which would flip downstream ReLU masks at
-    # random and break gradient equivalence with the looped reference by far
+    # random and break gradient equivalence with the direct reference by far
     # more than round-off.  The threshold sits ~100x above the FFT error floor
     # and ~11 decades below the activation scale, so genuine activations are
     # never touched.

@@ -7,18 +7,16 @@ gradients back to every tensor created with ``requires_grad=True``.
 The operation set is intentionally small: it is exactly what the NEC Selector,
 the d-vector encoder and the VoiceFilter baseline need (element-wise
 arithmetic, matmul, reductions, reshaping, concatenation, slicing and the
-usual activations).  Convolution is implemented in :mod:`repro.nn.conv` on top
-of the :func:`Tensor.im2col` primitive defined here.
+usual activations).  Convolution is its own autograd node, in
+:mod:`repro.nn.fftconv`.
 """
 
 from __future__ import annotations
 
 import contextlib
-import threading
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn.precision import active_policy
 
@@ -56,37 +54,6 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad.reshape(shape)
-
-
-#: Thread-local store of reusable zero-padded scratch arrays for the autograd
-#: im2col, keyed by the padded geometry.  The pad border is written once and
-#: never touched again (every reuse only overwrites the interior), mirroring
-#: the inference engine's buffer-reuse trick in ``repro.nn.conv`` — but only
-#: the *scratch* is recycled here: the gathered columns are copied into a
-#: fresh array because the autograd graph retains them across layers.
-_im2col_scratch = threading.local()
-
-_IM2COL_SCRATCH_MAX_KEYS = 32
-
-
-def _padded_scratch(data: np.ndarray, pad_h: int, pad_w: int) -> np.ndarray:
-    """``data`` zero-padded on H/W into a thread-locally reused scratch array."""
-    n, c, h, w = data.shape
-    if not (pad_h or pad_w):
-        return data
-    store = getattr(_im2col_scratch, "cache", None)
-    if store is None:
-        store = {}
-        _im2col_scratch.cache = store
-    key = (n, c, h, w, pad_h, pad_w)
-    padded = store.get(key)
-    if padded is None:
-        if len(store) >= _IM2COL_SCRATCH_MAX_KEYS:
-            store.clear()
-        padded = np.zeros((n, c, h + 2 * pad_h, w + 2 * pad_w), dtype=np.float64)
-        store[key] = padded
-    padded[:, :, pad_h : pad_h + h, pad_w : pad_w + w] = data
-    return padded
 
 
 def _as_array(value: ArrayLike) -> np.ndarray:
@@ -480,78 +447,6 @@ class Tensor:
             out._backward = backward
         return out
 
-    def im2col(
-        self,
-        kernel_size: Tuple[int, int],
-        stride: int = 1,
-        dilation: Tuple[int, int] = (1, 1),
-        padding: Tuple[int, int] = (0, 0),
-    ) -> "Tensor":
-        """Unfold a ``(N, C, H, W)`` tensor into convolution columns.
-
-        Returns a tensor of shape ``(N, C*kh*kw, out_h*out_w)``.  The output
-        spatial size is available via :func:`conv_output_size`.
-
-        Both directions are batch-vectorised: the forward gather runs through
-        a zero-copy :func:`sliding_window_view` (with the padded scratch
-        buffer reused thread-locally, like the inference engine's
-        :func:`repro.nn.conv.strided_im2col`) and the backward scatters
-        through ``kh * kw`` strided slice-adds — the classic col2im — instead
-        of a giant ``np.add.at`` fancy-index accumulation.  The gathered
-        elements and the per-cell gradient sums are exactly the ones the
-        index-array formulation produces, so gradients are unchanged; only
-        the wall clock moves.  Minibatched training leans on this: one im2col
-        of an ``(N, 1, T, F)`` stack replaces ``N`` single-example unfolds.
-        """
-        if self.ndim != 4:
-            raise ValueError("im2col expects a 4-D (N, C, H, W) tensor")
-        n, c, h, w = self.shape
-        kh, kw = kernel_size
-        dil_h, dil_w = dilation
-        pad_h, pad_w = padding
-        kh_eff = (kh - 1) * dil_h + 1
-        kw_eff = (kw - 1) * dil_w + 1
-        out_h = (h + 2 * pad_h - kh_eff) // stride + 1
-        out_w = (w + 2 * pad_w - kw_eff) // stride + 1
-        if out_h <= 0 or out_w <= 0:
-            raise ValueError(
-                f"Convolution output would be empty: input {h}x{w}, "
-                f"kernel {kh}x{kw}, dilation ({dil_h},{dil_w}), padding ({pad_h},{pad_w})"
-            )
-        padded = _padded_scratch(self.data, pad_h, pad_w)
-        windows = sliding_window_view(padded, (kh_eff, kw_eff), axis=(2, 3))
-        windows = windows[:, :, ::stride, ::stride, ::dil_h, ::dil_w]
-        windows = windows[:, :, :out_h, :out_w]
-        # (N, C, out_h, out_w, kh, kw) view -> fresh (N, C, kh, kw, out_h, out_w)
-        # copy: the autograd graph retains the columns, so unlike the
-        # inference path the destination cannot alias a reused buffer.
-        cols6 = np.empty((n, c, kh, kw, out_h, out_w), dtype=np.float64)
-        np.copyto(cols6, windows.transpose(0, 1, 4, 5, 2, 3))
-        cols = cols6.reshape(n, c * kh * kw, out_h * out_w)
-
-        def backward(grad: np.ndarray) -> None:
-            grad6 = grad.reshape(n, c, kh, kw, out_h, out_w)
-            padded_grad = np.zeros(
-                (n, c, h + 2 * pad_h, w + 2 * pad_w), dtype=np.float64
-            )
-            for ky in range(kh):
-                row = ky * dil_h
-                for kx in range(kw):
-                    col = kx * dil_w
-                    padded_grad[
-                        :,
-                        :,
-                        row : row + out_h * stride : stride,
-                        col : col + out_w * stride : stride,
-                    ] += grad6[:, :, ky, kx]
-            if pad_h or pad_w:
-                padded_grad = padded_grad[
-                    :, :, pad_h : pad_h + h, pad_w : pad_w + w
-                ]
-            self._accumulate(padded_grad)
-
-        return self._make(cols, (self,), backward)
-
     # ------------------------------------------------------------------
     # Backward pass
     # ------------------------------------------------------------------
@@ -593,19 +488,3 @@ class Tensor:
                 continue
             node._backward(node.grad)
 
-
-def conv_output_size(
-    height: int,
-    width: int,
-    kernel_size: Tuple[int, int],
-    stride: int = 1,
-    dilation: Tuple[int, int] = (1, 1),
-    padding: Tuple[int, int] = (0, 0),
-) -> Tuple[int, int]:
-    """Spatial output size of a 2-D convolution."""
-    kh, kw = kernel_size
-    kh_eff = (kh - 1) * dilation[0] + 1
-    kw_eff = (kw - 1) * dilation[1] + 1
-    out_h = (height + 2 * padding[0] - kh_eff) // stride + 1
-    out_w = (width + 2 * padding[1] - kw_eff) // stride + 1
-    return out_h, out_w

@@ -14,6 +14,12 @@ against them:
   classification (``test_fastpath.py``);
 - :func:`run_scenario_grid_looped` — ``run_scenario_grid``
   (``test_scenario_grid.py``);
+- :func:`conv2d_reference` — ``Conv2d.forward`` (the FFT kernel) and
+  ``Conv2d.infer`` (strided im2col) (``test_training_batch.py``,
+  ``test_pipeline_batch.py``);
+- :func:`selector_reference` — ``Selector.forward`` and
+  ``Selector.forward_batch`` (``test_training_batch.py``,
+  ``test_pipeline_batch.py``);
 - :func:`example_loss`, :func:`fit_looped`, :func:`evaluate_looped` —
   ``SelectorTrainer.batch_loss``, ``fit`` and ``evaluate``
   (``test_training_batch.py``).
@@ -40,18 +46,65 @@ from repro.eval.scenarios import (
     _measure_cell,
     _prepare_scene,
 )
-from repro.nn import Tensor
+from repro.nn import Conv2d, Tensor
+
+
+# -- convolution and Selector ----------------------------------------------------
+def conv2d_reference(layer: Conv2d, x: Tensor) -> Tensor:
+    """``layer`` on ``(N, C, H, W)`` ``x`` as a sum over kernel taps, with autograd.
+
+    Tap ``(ky, kx)`` multiplies ``weight[:, :, ky, kx]`` into the padded input
+    shifted by ``(ky * dil_h, kx * dil_w)``; only ``Tensor.pad``, slicing,
+    ``@`` and ``+`` are used.
+    """
+    num, channels, height, width = x.shape
+    out_channels, _, kernel_h, kernel_w = layer.weight.shape
+    (pad_h, pad_w), (dil_h, dil_w) = layer.padding, layer.dilation
+    out_h, out_w = layer.output_size(height, width)
+    padded = x.pad(((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)))
+    out = None
+    for ky in range(kernel_h):
+        for kx in range(kernel_w):
+            rows, cols = ky * dil_h, kx * dil_w
+            window = padded[:, :, rows : rows + out_h, cols : cols + out_w]
+            term = layer.weight[:, :, ky, kx] @ window.reshape(num, channels, out_h * out_w)
+            out = term if out is None else out + term
+    if layer.bias is not None:
+        out = out + layer.bias.reshape(1, out_channels, 1)
+    return out.reshape(num, out_channels, out_h, out_w)
+
+
+def selector_reference(selector, mixed_spectrogram: np.ndarray, d_vector: np.ndarray) -> Tensor:
+    """The Selector on one ``(F, T)`` segment through :func:`conv2d_reference`.
+
+    Returns the ``(T, F)`` head output as an autograd graph over the
+    Selector's parameters.
+    """
+    freq_bins, frames = mixed_spectrogram.shape
+    compressed = (Tensor(mixed_spectrogram) + 1e-6).log()
+    # (F, T) -> (1, 1, T, F): time as "height", frequency as "width".
+    hidden = compressed.transpose(1, 0).reshape(1, 1, frames, freq_bins)
+    for layer in (selector.conv_freq, selector.conv_time, *selector.dilated, selector.conv_out):
+        hidden = conv2d_reference(layer, hidden).relu()
+    # (1, 2, T, F) -> (T, 2F), then the d-vector on every frame.
+    features = hidden.transpose(0, 2, 1, 3).reshape(frames, 2 * freq_bins)
+    tiled = Tensor(np.tile(np.asarray(d_vector).reshape(1, -1), (frames, 1)))
+    fused = Tensor.concatenate([features, tiled], axis=1)
+    output = selector.fc2(selector.fc1(fused).relu())
+    if selector.config.output_mode == "mask":
+        output = output.sigmoid()
+    return output
 
 
 # -- protection ---------------------------------------------------------------
 def protect_segment(system: NECSystem, mixed_segment: AudioSignal) -> ProtectionResult:
-    """One segment through the autograd Selector and a single-clip iSTFT."""
+    """One segment through the Selector on its own and a single-clip iSTFT."""
     system._check_sample_rate(mixed_segment)
     config = system.config
     mixed_spec = magnitude_spectrogram(
         mixed_segment.data, config.n_fft, config.win_length, config.hop_length
     )
-    shadow_spec = system.selector.shadow_spectrogram(mixed_spec, system.embedding)
+    shadow_spec = system.selector.shadow_spectrogram_batch(mixed_spec[None], system.embedding)[0]
     return ProtectionResult(
         mixed_audio=mixed_segment,
         mixed_spectrogram=mixed_spec,
@@ -194,11 +247,11 @@ def run_scenario_grid_looped(
 
 # -- training -------------------------------------------------------------------
 def example_loss(trainer: SelectorTrainer, example: TrainingExample) -> Tensor:
-    """Eq. (6) for one example through the autograd (im2col) Selector graph."""
+    """Eq. (6) for one example through :func:`selector_reference`."""
     mixed_t = Tensor(example.mixed_spectrogram.T)          # (T, F), constant
     background_t = Tensor(example.background_spectrogram.T)
-    output = trainer.selector(
-        Tensor(example.mixed_spectrogram), Tensor(example.d_vector)
+    output = selector_reference(
+        trainer.selector, example.mixed_spectrogram, example.d_vector
     )  # (T, F)
     if trainer.config.output_mode == "mask":
         record = mixed_t * (1.0 - output)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import conv2d_reference
 
 from repro.audio import SyntheticCorpus, joint_conversation
 from repro.baselines import PatronusJammer, VoiceFilterModel, WhiteNoiseJammer
@@ -69,7 +70,33 @@ class TestPatronusJammer:
         assert sdr(alice.data, recovered.data) < sdr(alice.data, mixed.data) + 1e-9
 
 
+def _voicefilter_reference(model, mixed, d_vector):
+    """VoiceFilter's ``(T, F)`` mask with every convolution by ``conv2d_reference``."""
+    freq_bins, frames = mixed.shape
+    hidden = (Tensor(mixed) + 1e-6).log().transpose(1, 0).reshape(1, 1, frames, freq_bins)
+    for layer in (model.conv_freq, model.conv_time, *model.dilated, model.conv_out):
+        hidden = conv2d_reference(layer, hidden).relu()
+    features = hidden.transpose(0, 2, 1, 3).reshape(frames, 8 * freq_bins)
+    tiled = Tensor(np.tile(d_vector.reshape(1, -1), (frames, 1)))
+    fused = Tensor.concatenate([features, tiled], axis=1)
+    recurrent = model.lstm(fused.reshape(1, frames, fused.shape[1]))
+    hidden = model.fc1(recurrent.reshape(frames, model.lstm_hidden)).relu()
+    return model.fc2(hidden).sigmoid()
+
+
 class TestVoiceFilterModel:
+    def test_separate_matches_reference_forward(self):
+        config = NECConfig.tiny()
+        model = VoiceFilterModel(config, seed=0)
+        freq_bins, frames = config.spectrogram_shape
+        rng = np.random.default_rng(4)
+        spec = np.abs(rng.normal(size=(freq_bins, frames)))
+        d_vector = rng.normal(size=config.embedding_dim)
+        expected = _voicefilter_reference(model, spec, d_vector).data.T * spec
+        estimate = model.separate(spec, d_vector)
+        assert estimate.shape == expected.shape
+        assert np.max(np.abs(estimate - expected)) <= 1e-12 * np.max(np.abs(expected))
+
     def test_mask_shape_and_range(self):
         config = NECConfig.tiny()
         model = VoiceFilterModel(config, seed=0)

@@ -21,7 +21,6 @@ from repro.core.config import TrainingConfig
 from repro.core.training import build_training_examples
 from repro.dsp.stft import magnitude_spectrogram
 from repro.metrics import cosine_similarity, sdr
-from repro.nn import Tensor
 
 
 class TestConfig:
@@ -99,22 +98,22 @@ class TestSelector:
         freq_bins, frames = tiny_config.spectrogram_shape
         spec = np.abs(np.random.default_rng(0).normal(size=(freq_bins, frames)))
         d_vector = np.random.default_rng(1).normal(size=tiny_config.embedding_dim)
-        output = selector(Tensor(spec), Tensor(d_vector))
-        assert output.shape == (frames, freq_bins)
+        output = selector(spec[None], d_vector)
+        assert output.shape == (1, frames, freq_bins)
 
     def test_mask_mode_output_in_unit_interval(self, tiny_config):
         selector = Selector(tiny_config, seed=0)
         freq_bins, frames = tiny_config.spectrogram_shape
         spec = np.abs(np.random.default_rng(0).normal(size=(freq_bins, frames)))
         d_vector = np.zeros(tiny_config.embedding_dim)
-        output = selector(Tensor(spec), Tensor(d_vector)).data
+        output = selector(spec[None], d_vector).data
         assert output.min() >= 0.0 and output.max() <= 1.0
 
     def test_shadow_spectrogram_is_non_positive_in_mask_mode(self, tiny_config):
         selector = Selector(tiny_config, seed=0)
         freq_bins, frames = tiny_config.spectrogram_shape
         spec = np.abs(np.random.default_rng(0).normal(size=(freq_bins, frames)))
-        shadow = selector.shadow_spectrogram(spec, np.zeros(tiny_config.embedding_dim))
+        shadow = selector.shadow_spectrogram_batch(spec[None], np.zeros(tiny_config.embedding_dim))[0]
         assert shadow.shape == (freq_bins, frames)
         assert (shadow <= 1e-12).all()
 
@@ -126,14 +125,14 @@ class TestSelector:
     def test_wrong_bin_count_rejected(self, tiny_config):
         selector = Selector(tiny_config, seed=0)
         with pytest.raises(ValueError):
-            selector(Tensor(np.zeros((10, 5))), Tensor(np.zeros(tiny_config.embedding_dim)))
+            selector(np.zeros((1, 10, 5)), np.zeros(tiny_config.embedding_dim))
 
     def test_spectrogram_mode_is_unconstrained(self, tiny_config):
         config = tiny_config.with_output_mode("spectrogram")
         selector = Selector(config, seed=0)
         freq_bins, frames = config.spectrogram_shape
         spec = np.abs(np.random.default_rng(0).normal(size=(freq_bins, frames)))
-        shadow = selector.shadow_spectrogram(spec, np.zeros(config.embedding_dim))
+        shadow = selector.shadow_spectrogram_batch(spec[None], np.zeros(config.embedding_dim))[0]
         assert shadow.shape == (freq_bins, frames)
 
 

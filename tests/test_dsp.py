@@ -115,6 +115,7 @@ class TestSTFT:
             (512, 400, 0),     # zero hop
             (512, 600, 160),   # window longer than the FFT
             (512, 0, 160),     # empty window
+            (512, 200, 300),   # hop longer than the window
         ],
     )
     @pytest.mark.parametrize(

@@ -2,8 +2,8 @@
 
 ``strided_im2col`` recycles its (padded, columns) working buffers per thread
 and shape signature; these tests pin the properties the recycling must not
-break — the column matrix stays bit-identical to the fancy-index reference
-call after call, the pad border stays zero across reuses, dtypes get their own
+break — the column matrix stays bit-identical to a plain loop gather call
+after call, the pad border stays zero across reuses, dtypes get their own
 buffers, and worker threads never share storage.
 """
 
@@ -12,11 +12,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.nn import (
-    Tensor,
-    clear_im2col_buffer_cache,
-    im2col_buffer_cache_info,
-)
+from repro.nn import clear_im2col_buffer_cache, im2col_buffer_cache_info
 from repro.nn.conv import strided_im2col
 from repro.nn.precision import inference_precision
 
@@ -28,22 +24,36 @@ def fresh_cache():
     clear_im2col_buffer_cache()
 
 
-def _reference_im2col(x, kernel_size, stride=1, dilation=(1, 1), padding=(0, 0)):
-    return Tensor(x).im2col(
-        kernel_size, stride=stride, dilation=dilation, padding=padding
-    ).data
+def _reference_im2col(x, kernel_size, dilation=(1, 1), padding=(0, 0)):
+    """Columns gathered one (channel, tap) row at a time from the padded input."""
+    num, channels, height, width = x.shape
+    (kernel_h, kernel_w), (dil_h, dil_w), (pad_h, pad_w) = kernel_size, dilation, padding
+    out_h = height + 2 * pad_h - (kernel_h - 1) * dil_h
+    out_w = width + 2 * pad_w - (kernel_w - 1) * dil_w
+    padded = np.pad(x, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)))
+    columns = np.empty((num, channels * kernel_h * kernel_w, out_h * out_w), dtype=x.dtype)
+    row = 0
+    for c in range(channels):
+        for ky in range(kernel_h):
+            for kx in range(kernel_w):
+                top, left = ky * dil_h, kx * dil_w
+                window = padded[:, c, top : top + out_h, left : left + out_w]
+                columns[:, row] = window.reshape(num, out_h * out_w)
+                row += 1
+    return columns
 
 
 CASES = [
     dict(kernel_size=(1, 7), padding=(0, 3)),
     dict(kernel_size=(7, 1), padding=(3, 0)),
     dict(kernel_size=(5, 5), padding=(8, 2), dilation=(4, 1)),
-    dict(kernel_size=(3, 3), padding=(0, 0), stride=2),
+    dict(kernel_size=(3, 3), padding=(0, 0)),
 ]
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_matches_fancy_index_reference(case):
+    """strided_im2col is bit-identical to the loop gather."""
     x = np.random.default_rng(0).normal(size=(2, 3, 12, 9))
     np.testing.assert_array_equal(
         strided_im2col(x, **case), _reference_im2col(x, **case)

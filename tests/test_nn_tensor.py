@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.nn import Tensor, check_gradients, no_grad
-from repro.nn.tensor import conv_output_size
+from repro.nn.conv import conv_output_size
 
 
 def _param(data):
@@ -132,11 +132,6 @@ class TestStructuralOps:
         padded = a.pad(((1, 1), (2, 2)))
         assert padded.shape == (4, 6)
         check_gradients(lambda: (a.pad(((1, 1), (2, 2))) ** 2).sum(), [a])
-
-    def test_im2col_shapes(self):
-        x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 8, 6)))
-        cols = x.im2col((3, 3), padding=(1, 1))
-        assert cols.shape == (2, 3 * 9, 8 * 6)
 
     def test_conv_output_size(self):
         assert conv_output_size(10, 10, (3, 3), padding=(1, 1)) == (10, 10)

@@ -6,8 +6,9 @@ This suite pins the three contracts of the batched training engine:
   Selector uses (flat 1x7 / 7x1 kernels, dilated 5x5 kernels, 'same' padding)
   must produce the same forward values and the same gradients through the
   frequency-domain batch kernel (:func:`repro.nn.fftconv.fft_conv2d`) as
-  through the im2col reference — and the full Selector graph's batched
-  backward must equal the mean of the per-example backwards
+  through the tap-sum reference (``conv2d_reference`` in
+  ``tests/oracles.py``) — and the full Selector graph's batched backward must
+  equal the mean of the per-example backwards of ``selector_reference``
   (:func:`repro.nn.grad_check.check_batched_gradients`).
 - **The fast path degrades to the reference.**  ``fit(batch_size=1)`` matches
   the per-example oracle ``fit_looped`` (``tests/oracles.py``) to 1e-12
@@ -24,7 +25,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from oracles import evaluate_looped, example_loss, fit_looped
+from oracles import (
+    conv2d_reference,
+    evaluate_looped,
+    example_loss,
+    fit_looped,
+    selector_reference,
+)
 
 from repro.audio.corpus import SyntheticCorpus
 from repro.core.config import TrainingConfig
@@ -84,7 +91,7 @@ class TestNextFastLen:
 
 
 class TestFFTConvEquivalence:
-    """fft_conv2d vs the im2col Conv2d on every Selector geometry."""
+    """``Conv2d.forward`` (fft_conv2d) vs ``conv2d_reference`` on every Selector geometry."""
 
     @pytest.mark.parametrize(
         "in_c, out_c, kernel, padding, dilation", SELECTOR_CONV_GEOMETRIES
@@ -100,14 +107,14 @@ class TestFFTConvEquivalence:
         x_data = rng.normal(size=(3, in_c, 12, 9))
 
         x_ref = Tensor(x_data.copy(), requires_grad=True)
-        out_ref = layer.forward(x_ref)
+        out_ref = conv2d_reference(layer, x_ref)
         (out_ref * out_ref).mean().backward()
         ref_grads = (x_ref.grad, layer.weight.grad, layer.bias.grad)
 
         layer.weight.zero_grad()
         layer.bias.zero_grad()
         x_fft = Tensor(x_data.copy(), requires_grad=True)
-        out_fft = layer.forward_fft(x_fft)
+        out_fft = layer(x_fft)
         (out_fft * out_fft).mean().backward()
 
         assert out_fft.shape == out_ref.shape
@@ -121,14 +128,14 @@ class TestFFTConvEquivalence:
         x_data = rng.normal(size=(2, 2, 8, 7))
 
         x_ref = Tensor(x_data.copy(), requires_grad=True)
-        out_ref = layer.forward(x_ref).relu()
+        out_ref = conv2d_reference(layer, x_ref).relu()
         (out_ref * out_ref).mean().backward()
         ref_grads = (x_ref.grad, layer.weight.grad, layer.bias.grad)
 
         layer.weight.zero_grad()
         layer.bias.zero_grad()
         x_fft = Tensor(x_data.copy(), requires_grad=True)
-        out_fft = layer.forward_fft(x_fft, activation="relu")
+        out_fft = layer(x_fft, activation="relu")
         (out_fft * out_fft).mean().backward()
 
         assert np.min(out_fft.data) >= 0.0
@@ -137,7 +144,7 @@ class TestFFTConvEquivalence:
             assert _grad_error(ref, fft) < 1e-9
 
     def test_flushes_round_off_to_exact_zeros(self):
-        """All-zero receptive fields must give *exactly* 0.0, as im2col does.
+        """All-zero receptive fields must give *exactly* 0.0, as a direct convolution does.
 
         ReLU-sparse activations make such fields common; without the flush the
         FFT path leaves +-1e-16 noise there, downstream ReLU masks flip at
@@ -155,13 +162,10 @@ class TestFFTConvEquivalence:
         assert np.any(out[:, :, 7:, 7:] != 0.0)
 
     def test_rejects_bad_inputs(self):
-        layer = Conv2d(2, 3, (3, 3), padding=(1, 1), stride=2)
         x = Tensor(np.zeros((1, 2, 8, 8)))
-        with pytest.raises(ValueError, match="stride"):
-            layer.forward_fft(x)
         good = Conv2d(2, 3, (3, 3), padding=(1, 1))
         with pytest.raises(ValueError, match="activation"):
-            good.forward_fft(x, activation="gelu")
+            good(x, activation="gelu")
         with pytest.raises(ValueError, match="input"):
             fft_conv2d(Tensor(np.zeros((2, 8, 8))), good.weight, good.bias)
 
@@ -183,17 +187,20 @@ class TestSelectorBatchedGradients:
     def test_forward_batch_train_rows_match_per_example_forward(
         self, tiny_config, corpus
     ):
+        """Rows of the batched autograd ``Selector.forward`` equal
+        ``selector_reference`` per example, in both output modes."""
         stream = _stream(tiny_config, corpus)
         examples = stream.take(3)
-        selector = Selector(tiny_config, seed=0)
         mixed = np.stack([e.mixed_spectrogram for e in examples])
         vectors = np.stack([e.d_vector for e in examples])
-        batched = selector.forward_batch_train(mixed, vectors).data
-        for row, example in enumerate(examples):
-            single = selector(
-                Tensor(example.mixed_spectrogram), Tensor(example.d_vector)
-            ).data
-            assert np.max(np.abs(batched[row] - single)) < 1e-11
+        for mode in ("mask", "spectrogram"):
+            selector = Selector(tiny_config.with_output_mode(mode), seed=0)
+            batched = selector(mixed, vectors).data
+            for row, example in enumerate(examples):
+                single = selector_reference(
+                    selector, example.mixed_spectrogram, example.d_vector
+                ).data
+                assert np.max(np.abs(batched[row] - single)) < 1e-11
 
     def test_batch_loss_equals_mean_example_loss(self, tiny_config, corpus):
         stream = _stream(tiny_config, corpus)
@@ -219,7 +226,7 @@ class TestSelectorBatchedGradients:
 class TestFitEquivalenceAndBatching:
     def test_fit_batch_size_one_matches_fit_looped(self, tiny_config, corpus):
         """Batches of one run the frequency-domain graph, the oracle the
-        im2col graph: the two agree to FFT round-off, not bit for bit."""
+        tap-sum graph: the two agree to FFT round-off, not bit for bit."""
         stream = _stream(tiny_config, corpus)
         examples = stream.take(6)
         looped = SelectorTrainer(Selector(tiny_config, seed=0))
