@@ -44,8 +44,8 @@ from repro.nn.precision import active_policy
 
 #: Most segments one gradient-free Selector pass stacks.  At the deployment
 #: geometry (``NECConfig.default()``) stacking 2 to 16 rows saved no time per
-#: segment over one row, while the im2col working set grew by about 170 MB
-#: per row (docs/architecture.md, "Rows per pass").
+#: segment over one row, while peak RSS grew by about 50 MB per row
+#: (docs/architecture.md, "Rows per pass").
 ROWS_PER_PASS = 1
 
 
@@ -176,10 +176,10 @@ class Selector(Module):
 
         The batch runs in passes of at most :data:`ROWS_PER_PASS` rows, so
         the working set of every gradient-free pass (and every shape the
-        im2col buffer cache keeps) is bounded by construction, whatever
-        ``N`` a caller stacks.  Rows are independent: each row is the same
-        whichever rows share its pass.  The numerical constants match
-        :meth:`forward`, and the convolutions run through
+        convolution's gather-buffer cache keeps) is bounded by
+        construction, whatever ``N`` a caller stacks.  Rows are independent:
+        each row is the same whichever rows share its pass.  The numerical
+        constants match :meth:`forward`, and the convolutions run through
         :meth:`Conv2d.infer`; under the default float64 policy each row is
         within 1e-12 relative of the one-segment autograd oracle (pinned by
         the test suite).  Under a reduced-precision policy
@@ -306,8 +306,8 @@ class StreamBatch:
     exactly what a dedicated per-stream pass produces, whichever streams and
     speakers share the tick (pinned by the test suite).  Requests are not
     stacked into one pass: at the deployment geometry stacking saves no time
-    per segment and multiplies the im2col working set, so the only batching
-    left is :data:`ROWS_PER_PASS` inside the Selector.
+    per segment and multiplies the convolution working set, so the only
+    batching left is :data:`ROWS_PER_PASS` inside the Selector.
 
     :meth:`submit` and the pending-queue handoff in :meth:`tick` are
     thread-safe, so producer threads (streaming sessions) may submit while a

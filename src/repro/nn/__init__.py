@@ -10,7 +10,8 @@ optimiser and model (de)serialisation.
 
 A convolution has two paths: :meth:`Conv2d.forward` is the autograd pass
 (the frequency-domain kernel :func:`fft_conv2d`) and :meth:`Conv2d.infer` is
-the gradient-free pass (one GEMM over the :func:`strided_im2col` columns).
+the gradient-free pass (the tap-wise kernel: :func:`strided_im2col` gathers
+the ``kw`` horizontal taps, then ``kh`` GEMMs at row offsets into them).
 
 The public surface mirrors the subset of a conventional framework that the
 reproduction needs; everything is pure numpy and deterministic given a seed.

@@ -2,10 +2,11 @@
 
 :meth:`Conv2d.forward` is the autograd convolution, computed by the
 frequency-domain kernel :func:`repro.nn.fftconv.fft_conv2d`.
-:meth:`Conv2d.infer` is the gradient-free convolution, one GEMM over the
-column matrix that :func:`strided_im2col` gathers.  Both are stride 1 and
-both are pinned against the tap-sum reference ``conv2d_reference`` in
-``tests/oracles.py``.
+:meth:`Conv2d.infer` is the gradient-free convolution, the tap-wise kernel:
+:func:`strided_im2col` gathers only the ``kw`` horizontal taps and ``kh``
+GEMMs at row offsets into that matrix cover the vertical ones.  Both are
+stride 1 and both are pinned against the tap-sum reference
+``conv2d_reference`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import threading
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn.fftconv import fft_conv2d
 from repro.nn.layers import Module
@@ -24,8 +24,8 @@ from repro.nn.tensor import Tensor
 IntPair = Union[int, Tuple[int, int]]
 
 #: Thread-local store of reusable (padded, column) buffer pairs, keyed by the
-#: full im2col signature.  Fresh multi-megabyte allocations dominate the
-#: inference im2col (page faults on every call); reusing warm buffers cuts the
+#: full gather signature.  Fresh multi-megabyte allocations dominate the
+#: inference gather (page faults on every call); reusing warm buffers cuts the
 #: column gather several-fold without changing a bit — the copy is the same,
 #: only the destination memory is recycled.  Thread-local because the serving
 #: tick thread and callers on other threads share the layer objects.  The
@@ -77,15 +77,23 @@ def strided_im2col(
     dilation: Tuple[int, int] = (1, 1),
     padding: Tuple[int, int] = (0, 0),
 ) -> np.ndarray:
-    """im2col of a ``(N, C, H, W)`` array via strided views, shape ``(N, C*kh*kw, L)``.
+    """Horizontal-tap gather of a ``(N, C, H, W)`` array, shape ``(N, C*kw, Hp*Wp)``.
 
-    Rows are in ``(c, ky, kx)`` order and columns in row-major output-position
-    order.  The gather runs through a zero-copy ``sliding_window_view`` and
-    writes the contiguous copy into a thread-local reused buffer instead of a
-    fresh allocation.  Inference-only: no autograd graph is recorded, and the
-    returned array aliases the per-thread buffer — it is valid until the next
-    same-shape call on the same thread (the inference engine consumes it
-    immediately in the following matmul).
+    ``Hp, Wp`` is the zero-padded size.  Row ``c*kw + kx`` is channel ``c`` of
+    the padded image, flattened row-major, shifted left by ``kx * dil_w``
+    elements: ``cols[n, c*kw + kx, p] = flat[n, c, p + kx*dil_w]``.  The
+    vertical taps need no copy of their own — tap ``ky`` of an output row is
+    the same matrix read ``ky * dil_h * Wp`` columns further on, which is how
+    :meth:`Conv2d.infer` consumes it.  Columns ``out_w..Wp-1`` of each padded
+    row read across a row boundary (or into the zero slack after the last
+    row) and are cropped by the caller.
+
+    For ``kw == 1`` the result is a view of the padded buffer, no gather at
+    all.  The padded and gathered buffers come from a thread-local store
+    instead of a fresh allocation.  Inference-only: no autograd graph is
+    recorded, and the returned array aliases the per-thread buffers — it is
+    valid until the next same-shape call on the same thread (the inference
+    engine consumes it immediately in the following GEMMs).
     """
     n, c, h, w = x.shape
     kh, kw = kernel_size
@@ -97,28 +105,29 @@ def strided_im2col(
             f"Convolution output would be empty: input {h}x{w}, "
             f"kernel {kh}x{kw}, dilation {dilation}, padding {padding}"
         )
+    height, width = h + 2 * pad_h, w + 2 * pad_w
+    plane = height * width
     store = _im2col_buffer_store()
     key = (x.shape, kernel_size, dilation, padding, x.dtype.str)
     buffers = store.get(key)
     if buffers is None:
         if len(store) >= _IM2COL_CACHE_MAX_KEYS:
             store.clear()
-        # The pad border is written once here and never touched again: every
-        # subsequent call only overwrites the interior with the new input.
-        padded = np.zeros((n, c, h + 2 * pad_h, w + 2 * pad_w), dtype=x.dtype)
-        columns = np.empty((n, c, kh, kw, out_h, out_w), dtype=x.dtype)
-        store[key] = buffers = (padded, columns)
-    padded, columns = buffers
+        # The pad border and the slack after the last row are written once
+        # here and never touched again: every later call only overwrites the
+        # interior with the new input.
+        flat = np.zeros((n, c, plane + (kw - 1) * dil_w), dtype=x.dtype)
+        columns = None if kw == 1 else np.empty((n, c, kw, plane), dtype=x.dtype)
+        store[key] = buffers = (flat, columns)
+    flat, columns = buffers
+    padded = flat[:, :, :plane].reshape(n, c, height, width)
     padded[:, :, pad_h : pad_h + h, pad_w : pad_w + w] = x
-    # (N, C, out_h, out_w, kh_eff, kw_eff) view, zero-copy.
-    kh_eff = (kh - 1) * dil_h + 1
-    kw_eff = (kw - 1) * dil_w + 1
-    windows = sliding_window_view(padded, (kh_eff, kw_eff), axis=(2, 3))
-    windows = windows[:, :, :, :, ::dil_h, ::dil_w]
-    # (N, C, kh, kw, out_h, out_w) -> (N, C*kh*kw, out_h*out_w), one copy
-    # into the recycled destination.
-    np.copyto(columns, windows.transpose(0, 1, 4, 5, 2, 3))
-    return columns.reshape(n, c * kh * kw, out_h * out_w)
+    if columns is None:
+        return flat.reshape(n, c, plane)
+    for kx in range(kw):
+        shift = kx * dil_w
+        columns[:, :, kx] = flat[:, :, shift : shift + plane]
+    return columns.reshape(n, c * kw, plane)
 
 
 def _pair(value: IntPair) -> Tuple[int, int]:
@@ -173,10 +182,12 @@ class Conv2d(Module):
             if bias
             else None
         )
-        # Per-policy cache of the flattened inference weights.  Keyed on the
-        # parameter arrays' identities: the optimisers rebind ``.data`` on
-        # every step, so a stale cast can never be served after training.
-        self._infer_weights_key: Optional[Tuple[str, int, int]] = None
+        # Per-policy cache of the inference weight slabs, keyed on the
+        # parameter arrays themselves (held here and compared with ``is``):
+        # the optimisers rebind ``.data`` on every step, so a stale cast can
+        # never be served after training, and a freed array's reused ``id``
+        # can never pass for the old one.
+        self._infer_weights_source: Optional[tuple] = None
         self._infer_weights: Optional[Tuple[np.ndarray, Optional[np.ndarray]]] = None
 
     def output_size(self, height: int, width: int) -> Tuple[int, int]:
@@ -202,34 +213,42 @@ class Conv2d(Module):
     def _inference_weights(
         self, policy: DTypePolicy
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """The flattened (and policy-cast) weight matrix and bias row."""
-        key = (
-            policy.name,
-            id(self.weight.data),
-            id(self.bias.data) if self.bias is not None else 0,
-        )
-        if self._infer_weights_key != key:
+        """The ``(kh, O, C*kw)`` weight slabs and the ``(O, 1, 1)`` bias, policy-cast."""
+        bias = self.bias.data if self.bias is not None else None
+        source = self._infer_weights_source
+        if (
+            source is None
+            or source[0] != policy.name
+            or source[1] is not self.weight.data
+            or source[2] is not bias
+        ):
             kh, kw = self.kernel_size
-            weight_matrix = policy.real(
-                self.weight.data.reshape(self.out_channels, self.in_channels * kh * kw)
+            # Slab ky is W[:, :, ky, :] flattened in the gather's (c, kx) row order.
+            slabs = policy.real(
+                self.weight.data.transpose(2, 0, 1, 3).reshape(
+                    kh, self.out_channels, self.in_channels * kw
+                )
             )
-            bias_row = (
-                policy.real(self.bias.data.reshape(1, self.out_channels, 1))
-                if self.bias is not None
-                else None
+            bias_column = (
+                policy.real(bias.reshape(self.out_channels, 1, 1)) if bias is not None else None
             )
-            self._infer_weights_key = key
-            self._infer_weights = (weight_matrix, bias_row)
+            self._infer_weights_source = (policy.name, self.weight.data, bias)
+            self._infer_weights = (slabs, bias_column)
         return self._infer_weights  # type: ignore[return-value]
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         """Gradient-free forward pass on a ``(N, C, H, W)`` numpy array.
 
-        One GEMM of the flattened weights over the :func:`strided_im2col`
-        column matrix, plus the bias.  Under a reduced-precision policy
+        The tap-wise kernel: :func:`strided_im2col` gathers the ``kw``
+        horizontal taps of the zero-padded input into ``cols`` of shape
+        ``(N, C*kw, Hp*Wp)``, then ``kh`` GEMMs accumulate
+        ``slab[ky] @ cols[..., ky*dil_h*Wp : ky*dil_h*Wp + out_h*Wp]`` — the
+        vertical taps are column offsets into the same matrix.  The last
+        ``Wp - out_w`` columns of every output row are cropped and the bias
+        added in the same pass.  Under a reduced-precision policy
         (:mod:`repro.nn.precision`) the whole pass runs in the policy's real
-        dtype, with the flattened weights cast once and cached per policy.
-        This is the building block of the batched inference engine.
+        dtype, with the weight slabs cast once and cached per policy.  This is
+        the building block of the batched inference engine.
         """
         if x.ndim != 4:
             raise ValueError("Conv2d expects (N, C, H, W) input")
@@ -238,8 +257,14 @@ class Conv2d(Module):
         n, _, h, w = x.shape
         out_h, out_w = self.output_size(h, w)
         cols = strided_im2col(x, self.kernel_size, self.dilation, self.padding)
-        weight_matrix, bias_row = self._inference_weights(policy)
-        out = weight_matrix @ cols
-        if bias_row is not None:
-            out = out + bias_row
-        return out.reshape(n, self.out_channels, out_h, out_w)
+        slabs, bias_column = self._inference_weights(policy)
+        row = w + 2 * self.padding[1]
+        span = out_h * row
+        step = self.dilation[0] * row
+        acc = slabs[0] @ cols[:, :, :span]
+        for ky in range(1, len(slabs)):
+            acc += slabs[ky] @ cols[:, :, ky * step : ky * step + span]
+        out = acc.reshape(n, self.out_channels, out_h, row)[..., :out_w]
+        if bias_column is not None:
+            out = out + bias_column
+        return np.ascontiguousarray(out)

@@ -1,10 +1,11 @@
-"""The thread-local im2col buffer cache behind the inference fast path.
+"""The thread-local buffer cache behind the inference gather.
 
-``strided_im2col`` recycles its (padded, columns) working buffers per thread
-and shape signature; these tests pin the properties the recycling must not
-break — the column matrix stays bit-identical to a plain loop gather call
-after call, the pad border stays zero across reuses, dtypes get their own
-buffers, and worker threads never share storage.
+``strided_im2col`` gathers the ``kw`` horizontal taps of the zero-padded
+input into a ``(N, C*kw, Hp*Wp)`` matrix and recycles its (padded, columns)
+working buffers per thread and shape signature; these tests pin the
+properties the recycling must not break — the matrix stays bit-identical to a
+plain loop gather call after call, the pad border stays zero across reuses,
+dtypes get their own buffers, and worker threads never share storage.
 """
 
 import threading
@@ -25,21 +26,24 @@ def fresh_cache():
 
 
 def _reference_im2col(x, kernel_size, dilation=(1, 1), padding=(0, 0)):
-    """Columns gathered one (channel, tap) row at a time from the padded input."""
+    """Horizontal taps gathered one (channel, tap) row at a time.
+
+    Each channel is zero-padded, flattened row-major and followed by
+    ``(kw - 1) * dil_w`` zeros; row ``c*kw + kx`` is that flat channel read
+    from offset ``kx * dil_w``.
+    """
     num, channels, height, width = x.shape
     (kernel_h, kernel_w), (dil_h, dil_w), (pad_h, pad_w) = kernel_size, dilation, padding
-    out_h = height + 2 * pad_h - (kernel_h - 1) * dil_h
-    out_w = width + 2 * pad_w - (kernel_w - 1) * dil_w
     padded = np.pad(x, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)))
-    columns = np.empty((num, channels * kernel_h * kernel_w, out_h * out_w), dtype=x.dtype)
+    plane = padded.shape[2] * padded.shape[3]
+    slack = np.zeros((num, channels, (kernel_w - 1) * dil_w), dtype=x.dtype)
+    flat = np.concatenate([padded.reshape(num, channels, plane), slack], axis=2)
+    columns = np.empty((num, channels * kernel_w, plane), dtype=x.dtype)
     row = 0
     for c in range(channels):
-        for ky in range(kernel_h):
-            for kx in range(kernel_w):
-                top, left = ky * dil_h, kx * dil_w
-                window = padded[:, c, top : top + out_h, left : left + out_w]
-                columns[:, row] = window.reshape(num, out_h * out_w)
-                row += 1
+        for kx in range(kernel_w):
+            columns[:, row] = flat[:, c, kx * dil_w : kx * dil_w + plane]
+            row += 1
     return columns
 
 
@@ -48,6 +52,8 @@ CASES = [
     dict(kernel_size=(7, 1), padding=(3, 0)),
     dict(kernel_size=(5, 5), padding=(8, 2), dilation=(4, 1)),
     dict(kernel_size=(3, 3), padding=(0, 0)),
+    dict(kernel_size=(3, 3), padding=(1, 2), dilation=(1, 2)),
+    dict(kernel_size=(1, 1)),
 ]
 
 

@@ -316,6 +316,11 @@ class TestStreamingProtector:
                 assert result.record_spectrogram.dtype == np.float32
 
 
+#: Relative gate of a float32 inference pass against the float64 reference
+#: (the shadow-waveform tolerance of ``test_precision.py``).
+FLOAT32_RTOL = 1e-4
+
+
 def _assert_relative(actual, expected, tolerance=1e-12):
     assert actual.shape == expected.shape
     assert np.max(np.abs(actual - expected)) <= tolerance * np.max(np.abs(expected))
@@ -393,6 +398,40 @@ class TestConvInfer:
         conv.bias.data = rng.normal(size=conv.bias.data.shape)
         x = rng.normal(size=(2, 3, 20, 17))
         _assert_relative(conv.infer(x), conv2d_reference(conv, Tensor(x)).data)
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    @pytest.mark.parametrize(
+        "in_channels,out_channels,kernel,padding,dilation,shape",
+        [
+            # kw == 1: the gather is the padded buffer itself, no copy.
+            pytest.param(3, 4, (7, 1), (3, 0), (1, 1), (2, 3, 20, 17), id="time-7x1"),
+            # kh == kw == 1 (VoiceFilter's conv_out): a single GEMM, nothing cropped.
+            pytest.param(3, 4, (1, 1), (0, 0), (1, 1), (2, 3, 20, 17), id="pointwise-1x1"),
+            # Width dilation: the horizontal taps are 2 apart in the flat rows.
+            pytest.param(3, 4, (3, 3), (1, 2), (1, 2), (2, 3, 20, 17), id="width-dilated-3x3"),
+            # The Selector's deployment layers at NECConfig.default()'s image.
+            pytest.param(
+                16, 16, (5, 5), (8, 2), (4, 1), (1, 16, 99, 161), id="deployment-dilated-4"
+            ),
+            pytest.param(
+                16, 2, (5, 5), "same", (1, 1), (1, 16, 99, 161), id="deployment-conv-out"
+            ),
+        ],
+    )
+    def test_infer_matches_reference_geometry(
+        self, in_channels, out_channels, kernel, padding, dilation, shape, precision
+    ):
+        rng = np.random.default_rng(1)
+        conv = Conv2d(
+            in_channels, out_channels, kernel, padding=padding, dilation=dilation, rng=rng
+        )
+        conv.bias.data = rng.normal(size=conv.bias.data.shape)
+        x = rng.normal(size=shape)
+        expected = conv2d_reference(conv, Tensor(x)).data
+        with inference_precision(precision):
+            actual = conv.infer(x)
+        assert actual.dtype == np.dtype(precision)
+        _assert_relative(actual, expected, 1e-12 if precision == "float64" else FLOAT32_RTOL)
 
     def test_infer_rejects_non_4d(self):
         conv = Conv2d(1, 1, (3, 3))

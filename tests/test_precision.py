@@ -25,6 +25,7 @@ bit-identical** to the pre-policy code base, and **training is float64-only**
 
 import numpy as np
 import pytest
+from oracles import conv2d_reference
 
 from repro.audio.signal import AudioSignal
 from repro.core.config import NECConfig
@@ -274,3 +275,26 @@ def test_infer_cache_invalidates_when_optimizer_rebinds_weights(rng):
     fresh.weight.data = conv.weight.data
     fresh.bias.data = conv.bias.data
     assert np.array_equal(fresh.infer(x), after64)
+
+
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+def test_infer_cache_never_serves_a_rebound_weight(precision):
+    """The weight cache compares the parameter arrays themselves, not their
+    ``id``s: once an old array is freed its successor may reuse its ``id``,
+    and an ``id``-keyed cache would then serve the stale slabs."""
+    rng = np.random.default_rng(3)
+    conv = Conv2d(2, 3, (3, 5), padding=(1, 2), dilation=(2, 1), rng=rng)
+    x = rng.normal(size=(1, 2, 9, 11))
+    tolerance = 1e-12 if precision == "float64" else WAVE_RTOL
+    for _ in range(3):
+        for parameter in (conv.weight, conv.bias):
+            # An optimiser step that drops the old array before allocating
+            # its successor, so the new array object tends to take its id.
+            values = rng.normal(size=parameter.data.shape)
+            parameter.data = None
+            parameter.data = values.copy()
+            del values
+            with inference_precision(precision):
+                actual = conv.infer(x)
+            expected = conv2d_reference(conv, Tensor(x)).data
+            assert np.abs(actual - expected).max() <= tolerance * np.abs(expected).max()
