@@ -24,7 +24,7 @@ compares both.
 
 The network has one training pass and one inference pass over stacked
 ``(N, F, T)`` segments: :meth:`Selector.forward` builds the autograd graph
-(convolutions through :meth:`Conv2d.forward`, the FFT kernel) and
+(convolutions through :meth:`Conv2d.forward`) and
 :meth:`Selector.forward_batch` runs gradient-free (convolutions through
 :meth:`Conv2d.infer`).  Both are pinned against the one-segment autograd
 oracle ``selector_reference`` in ``tests/oracles.py``.
@@ -104,11 +104,11 @@ class Selector(Module):
         ``(embedding_dim,)`` embedding or per-example ``(N, embedding_dim)``
         rows.  Returns the raw head output of shape ``(N, T, F)`` — a sigmoid
         mask in ``mask`` mode, an unconstrained spectrogram in
-        ``spectrogram`` mode.  The convolutions run through the
-        frequency-domain kernel (:meth:`Conv2d.forward`), so row ``n`` of the
-        result (and its gradient contribution) equals the direct-convolution
-        graph of one segment to FFT round-off — ~1e-13 relative, pinned at
-        1e-11 forward and 1e-9 on gradients by the tests.
+        ``spectrogram`` mode.  The convolutions run through the tap-wise
+        autograd kernel (:meth:`Conv2d.forward`), so row ``n`` of the result
+        (and its gradient contribution) equals the tap-sum convolution graph
+        of one segment to round-off, pinned at 1e-11 forward and 1e-9 on
+        gradients by the tests.
         """
         if not isinstance(mixed_spectrograms, Tensor):
             mixed_spectrograms = Tensor(np.asarray(mixed_spectrograms, dtype=np.float64))
@@ -136,7 +136,7 @@ class Selector(Module):
         # (N, F, T) -> (N, 1, T, F): time as "height", frequency as "width".
         image = compressed.transpose(0, 2, 1).reshape(num_examples, 1, frames, freq_bins)
 
-        # Frequency-domain convolutions with the ReLU fused into each node.
+        # Tap-wise convolutions with the ReLU fused into each node.
         hidden = self.conv_freq(image, activation="relu")
         hidden = self.conv_time(hidden, activation="relu")
         for layer in self.dilated:

@@ -8,10 +8,13 @@ reverse-mode automatic differentiation, the layers the NEC Selector, the
 convolution with dilation, LSTM), the encoder's cross-entropy loss, the Adam
 optimiser and model (de)serialisation.
 
-A convolution has two paths: :meth:`Conv2d.forward` is the autograd pass
-(the frequency-domain kernel :func:`fft_conv2d`) and :meth:`Conv2d.infer` is
-the gradient-free pass (the tap-wise kernel: :func:`strided_im2col` gathers
-the ``kw`` horizontal taps, then ``kh`` GEMMs at row offsets into them).
+A convolution runs one kernel, the tap-wise one: each channel is
+zero-padded once, the ``kw`` horizontal taps are gathered, and ``kh`` GEMMs
+at row offsets into them cover the vertical taps.  :meth:`Conv2d.forward` is
+its autograd pass and :meth:`Conv2d.infer` its gradient-free pass (gathering
+through :func:`strided_im2col`).  The frequency-domain :func:`fft_conv2d` is
+not on either path; it remains exported until the benchmark's tracer stops
+looking it up.
 
 The public surface mirrors the subset of a conventional framework that the
 reproduction needs; everything is pure numpy and deterministic given a seed.

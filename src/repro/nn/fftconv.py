@@ -1,4 +1,9 @@
-"""Frequency-domain batched convolution: the autograd path of ``Conv2d.forward``.
+"""Frequency-domain batched convolution, no longer on any training or inference path.
+
+``Conv2d.forward`` runs the tap-wise kernel in :mod:`repro.nn.conv`.  This
+module stays only because the benchmark's tracer (``perfbench/spans.py``)
+resolves ``repro.nn.conv.fft_conv2d`` by name; it goes with the next change
+to the benchmark.
 
 A direct convolution written as one GEMM materialises a ``C*kh*kw``-row
 column matrix — a 25x memory inflation for the Selector's 5x5 kernels.
@@ -89,24 +94,6 @@ def _embed_padded(
         out[:, :, pad_h : pad_h + height, pad_w + width :] = 0.0
     out[:, :, pad_h : pad_h + height, pad_w : pad_w + width] = data
     return out
-
-
-def _bind_grad(tensor: Tensor, grad: np.ndarray) -> None:
-    """Accumulate a gradient this kernel owns (freshly computed, never reused).
-
-    Unlike ``Tensor._accumulate`` this binds the array directly instead of
-    copying it — safe here because every array passed in is allocated inside
-    the backward closure below and nothing in the repo mutates ``.grad``
-    buffers in place (the optimiser only reads them).  Skipping the
-    copy matters: the batched gradients are tens of megabytes and the copy was
-    one of the dominant costs of the minibatched backward pass.
-    """
-    if not tensor.requires_grad:
-        return
-    if tensor.grad is None:
-        tensor.grad = grad
-    else:
-        tensor.grad = tensor.grad + grad
 
 
 def fft_conv2d(
@@ -222,18 +209,19 @@ def fft_conv2d(
             np.conjugate(k_hat, out=k_hat)
             dx_hat = np.einsum("nohw,ochw->nchw", g_hat, k_hat)
             dx_full = _irfftn(dx_hat, s=sizes, axes=axes)
-            _bind_grad(x, dx_full[:, :, pad_h : pad_h + height, pad_w : pad_w + width])
+            x._accumulate_owned(
+                dx_full[:, :, pad_h : pad_h + height, pad_w : pad_w + width]
+            )
         if weight.requires_grad:
             # g_hat is owned and no longer needed unconjugated: flip in place.
             np.conjugate(g_hat, out=g_hat)
             dk_hat = np.einsum("nchw,nohw->ochw", x_hat, g_hat)
             dk_full = _irfftn(dk_hat, s=sizes, axes=axes)
-            _bind_grad(
-                weight,
-                np.ascontiguousarray(dk_full[:, :, :kh_eff:dil_h, :kw_eff:dil_w]),
+            weight._accumulate_owned(
+                np.ascontiguousarray(dk_full[:, :, :kh_eff:dil_h, :kw_eff:dil_w])
             )
         if bias is not None and bias.requires_grad:
-            _bind_grad(bias, grad.sum(axis=(0, 2, 3)))
+            bias._accumulate_owned(grad.sum(axis=(0, 2, 3)))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return x._make(out_data, parents, backward)
@@ -290,14 +278,14 @@ def _flat_windowed_conv(
             )
             g_win = sliding_window_view(g_pad, k_eff, axis=axis)[..., ::dilation]
             dx_padded = np.einsum("nohwk,ock->nchw", g_win, kernel[:, :, ::-1])
-            _bind_grad(
-                x, dx_padded[:, :, pad_h : pad_h + height, pad_w : pad_w + width]
+            x._accumulate_owned(
+                dx_padded[:, :, pad_h : pad_h + height, pad_w : pad_w + width]
             )
         if weight.requires_grad:
             dk = np.einsum("nchwk,nohw->ock", x_win, grad)
-            _bind_grad(weight, dk.reshape(weight.shape))
+            weight._accumulate_owned(dk.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
-            _bind_grad(bias, grad.sum(axis=(0, 2, 3)))
+            bias._accumulate_owned(grad.sum(axis=(0, 2, 3)))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return x._make(out_data, parents, backward)

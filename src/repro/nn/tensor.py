@@ -7,8 +7,8 @@ gradients back to every tensor created with ``requires_grad=True``.
 The operation set is intentionally small: it is exactly what the NEC Selector,
 the d-vector encoder and the VoiceFilter baseline need (element-wise
 arithmetic, matmul, reductions, reshaping, concatenation, slicing and the
-usual activations).  Convolution is its own autograd node, in
-:mod:`repro.nn.fftconv`.
+usual activations).  Convolution is its own autograd node,
+:meth:`repro.nn.conv.Conv2d.forward`.
 """
 
 from __future__ import annotations
@@ -155,6 +155,17 @@ class Tensor:
             self.grad = np.array(grad, dtype=np.float64, copy=True)
         else:
             self.grad = self.grad + grad
+
+    def _accumulate_owned(self, grad: np.ndarray) -> None:
+        """:meth:`_accumulate` for a fresh float64 array the caller gives up.
+
+        Binds ``grad`` without the defensive copy; the convolution's
+        multi-megabyte batched gradients make that copy count.  Safe because
+        nothing mutates a ``.grad`` array in place (the optimiser only reads).
+        """
+        if not self.requires_grad:
+            return
+        self.grad = grad if self.grad is None else self.grad + grad
 
     # ------------------------------------------------------------------
     # Arithmetic

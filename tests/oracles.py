@@ -14,8 +14,8 @@ against them:
   classification (``test_fastpath.py``);
 - :func:`run_scenario_grid_looped` — ``run_scenario_grid``
   (``test_scenario_grid.py``);
-- :func:`conv2d_reference` — ``Conv2d.forward`` (the FFT kernel) and
-  ``Conv2d.infer`` (strided im2col) (``test_training_batch.py``,
+- :func:`conv2d_reference` — ``Conv2d.forward`` and ``Conv2d.infer`` (the
+  tap-wise kernel's two entry points) (``test_training_batch.py``,
   ``test_pipeline_batch.py``);
 - :func:`selector_reference` — ``Selector.forward`` and
   ``Selector.forward_batch`` (``test_training_batch.py``,

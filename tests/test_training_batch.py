@@ -5,11 +5,12 @@ This suite pins the three contracts of the batched training engine:
 - **Batched autograd == looped autograd.**  Every convolution geometry the
   Selector uses (flat 1x7 / 7x1 kernels, dilated 5x5 kernels, 'same' padding)
   must produce the same forward values and the same gradients through the
-  frequency-domain batch kernel (:func:`repro.nn.fftconv.fft_conv2d`) as
-  through the tap-sum reference (``conv2d_reference`` in
-  ``tests/oracles.py``) — and the full Selector graph's batched backward must
-  equal the mean of the per-example backwards of ``selector_reference``
-  (:func:`repro.nn.grad_check.check_batched_gradients`).
+  tap-wise autograd kernel (:meth:`repro.nn.conv.Conv2d.forward`) as through
+  the tap-sum reference (``conv2d_reference`` in ``tests/oracles.py``) — and
+  the full Selector graph's batched backward must equal the mean of the
+  per-example backwards of ``selector_reference``
+  (:func:`repro.nn.grad_check.check_batched_gradients`).  Training never
+  reaches the frequency-domain kernel :func:`repro.nn.fftconv.fft_conv2d`.
 - **The fast path degrades to the reference.**  ``fit(batch_size=1)`` matches
   the per-example oracle ``fit_looped`` (``tests/oracles.py``) to 1e-12
   relative; partial last batches and oversized batch sizes behave; batched
@@ -39,7 +40,9 @@ from repro.core.encoder import SpectralEncoder
 from repro.core.seeding import derive_seed
 from repro.core.selector import Selector
 from repro.core.training import ExampleStream, SelectorTrainer, build_training_examples
-from repro.nn import Tensor, fft_conv2d, next_fast_len
+from repro.nn import Adam, Tensor, fft_conv2d, next_fast_len
+from repro.nn import conv as conv_module
+from repro.nn import fftconv as fftconv_module
 from repro.nn.conv import Conv2d
 from repro.nn.grad_check import check_batched_gradients
 
@@ -91,7 +94,7 @@ class TestNextFastLen:
 
 
 class TestFFTConvEquivalence:
-    """``Conv2d.forward`` (fft_conv2d) vs ``conv2d_reference`` on every Selector geometry."""
+    """``Conv2d.forward`` (the tap-wise autograd kernel) vs ``conv2d_reference``."""
 
     @pytest.mark.parametrize(
         "in_c, out_c, kernel, padding, dilation", SELECTOR_CONV_GEOMETRIES
@@ -113,14 +116,14 @@ class TestFFTConvEquivalence:
 
         layer.weight.zero_grad()
         layer.bias.zero_grad()
-        x_fft = Tensor(x_data.copy(), requires_grad=True)
-        out_fft = layer(x_fft)
-        (out_fft * out_fft).mean().backward()
+        x_tap = Tensor(x_data.copy(), requires_grad=True)
+        out_tap = layer(x_tap)
+        (out_tap * out_tap).mean().backward()
 
-        assert out_fft.shape == out_ref.shape
-        assert np.max(np.abs(out_fft.data - out_ref.data)) < 1e-11
-        for ref, fft in zip(ref_grads, (x_fft.grad, layer.weight.grad, layer.bias.grad)):
-            assert _grad_error(ref, fft) < 1e-9
+        assert out_tap.shape == out_ref.shape
+        assert np.max(np.abs(out_tap.data - out_ref.data)) < 1e-11
+        for ref, tap in zip(ref_grads, (x_tap.grad, layer.weight.grad, layer.bias.grad)):
+            assert _grad_error(ref, tap) < 1e-9
 
     def test_fused_relu_matches_separate_relu_node(self):
         rng = np.random.default_rng(5)
@@ -134,14 +137,66 @@ class TestFFTConvEquivalence:
 
         layer.weight.zero_grad()
         layer.bias.zero_grad()
-        x_fft = Tensor(x_data.copy(), requires_grad=True)
-        out_fft = layer(x_fft, activation="relu")
-        (out_fft * out_fft).mean().backward()
+        x_tap = Tensor(x_data.copy(), requires_grad=True)
+        out_tap = layer(x_tap, activation="relu")
+        (out_tap * out_tap).mean().backward()
 
-        assert np.min(out_fft.data) >= 0.0
-        assert np.max(np.abs(out_fft.data - out_ref.data)) < 1e-11
-        for ref, fft in zip(ref_grads, (x_fft.grad, layer.weight.grad, layer.bias.grad)):
-            assert _grad_error(ref, fft) < 1e-9
+        assert np.min(out_tap.data) >= 0.0
+        assert np.max(np.abs(out_tap.data - out_ref.data)) < 1e-11
+        for ref, tap in zip(ref_grads, (x_tap.grad, layer.weight.grad, layer.bias.grad)):
+            assert _grad_error(ref, tap) < 1e-9
+
+    @pytest.mark.parametrize(
+        "in_c, out_c, kernel, padding, dilation, bias, x_needs_grad, shape",
+        [
+            pytest.param(3, 4, (3, 3), (1, 1), (1, 1), False, True, (2, 3, 9, 8), id="bias_free"),
+            pytest.param(3, 4, (3, 3), (1, 1), (1, 1), True, False, (2, 3, 9, 8), id="input_no_grad"),
+            pytest.param(3, 4, (3, 3), (1, 2), (1, 2), True, True, (2, 3, 9, 11), id="width_dilated_3x3"),
+            pytest.param(3, 4, (1, 1), (0, 0), (1, 1), True, True, (2, 3, 9, 8), id="pointwise_1x1"),
+            # Padding past k_eff - 1: the border outputs see only zeros, and
+            # the input gradient crops the output gradient instead of padding it.
+            pytest.param(3, 4, (1, 3), (2, 3), (1, 1), True, True, (2, 3, 9, 8), id="over_padded_1x3"),
+            # NECConfig.default()'s dilated[2] on two deployment-sized segments.
+            pytest.param(16, 16, (5, 5), (8, 2), (4, 1), True, True, (2, 16, 99, 161), id="deployment_dilated2"),
+        ],
+    )
+    def test_autograd_node_matches_reference(
+        self, monkeypatch, in_c, out_c, kernel, padding, dilation, bias, x_needs_grad, shape
+    ):
+        rng = np.random.default_rng(7)
+        layer = Conv2d(
+            in_c, out_c, kernel, padding=padding, dilation=dilation, bias=bias, rng=rng
+        )
+        if bias:
+            layer.bias.data = rng.normal(size=layer.bias.data.shape) * 0.1
+        params = [layer.weight] if layer.bias is None else [layer.weight, layer.bias]
+        x_data = rng.normal(size=shape)
+
+        x_ref = Tensor(x_data.copy(), requires_grad=x_needs_grad)
+        out_ref = conv2d_reference(layer, x_ref).relu()
+        (out_ref * out_ref).mean().backward()
+        ref_grads = [x_ref.grad] + [p.grad for p in params]
+        for param in params:
+            param.zero_grad()
+
+        x_tap = Tensor(x_data.copy(), requires_grad=x_needs_grad)
+        out_tap = layer(x_tap, activation="relu")
+        calls = []
+        kernel_fn = conv_module._tap_conv
+        monkeypatch.setattr(
+            conv_module, "_tap_conv", lambda *a, **k: calls.append(1) or kernel_fn(*a, **k)
+        )
+        (out_tap * out_tap).mean().backward()
+
+        assert np.max(np.abs(out_tap.data - out_ref.data)) < 1e-11
+        for ref, tap in zip(ref_grads[1:], [p.grad for p in params]):
+            assert _grad_error(ref, tap) < 1e-9
+        if x_needs_grad:
+            assert calls == [1]  # the input gradient runs the forward kernel
+            assert _grad_error(ref_grads[0], x_tap.grad) < 1e-9
+        else:
+            assert calls == []  # no input gradient is computed at all
+            assert x_tap.grad is None
 
     def test_flushes_round_off_to_exact_zeros(self):
         """All-zero receptive fields must give *exactly* 0.0, as a direct convolution does.
@@ -160,6 +215,10 @@ class TestFFTConvEquivalence:
         # Rows 0..4 are >= 2 taps away from any non-zero input: exact zeros.
         assert np.all(out[:, :, :5, :] == 0.0)
         assert np.any(out[:, :, 7:, 7:] != 0.0)
+        # The tap-wise kernel sums exact products of zeros: no flush needed.
+        out = layer(Tensor(x_data)).data
+        assert np.all(out[:, :, :5, :] == 0.0)
+        assert np.any(out[:, :, 7:, 7:] != 0.0)
 
     def test_rejects_bad_inputs(self):
         x = Tensor(np.zeros((1, 2, 8, 8)))
@@ -168,6 +227,29 @@ class TestFFTConvEquivalence:
             good(x, activation="gelu")
         with pytest.raises(ValueError, match="input"):
             fft_conv2d(Tensor(np.zeros((2, 8, 8))), good.weight, good.bias)
+        with pytest.raises(ValueError, match="input"):
+            good(Tensor(np.zeros((2, 8, 8))))
+        with pytest.raises(ValueError, match="input channels"):
+            good(Tensor(np.zeros((1, 3, 8, 8))))
+        with pytest.raises(ValueError, match="empty"):
+            Conv2d(2, 3, (5, 5))(Tensor(np.zeros((1, 2, 3, 3))))
+
+    def test_training_step_never_reaches_the_fft_kernel(self, tiny_config, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("training reached fft_conv2d")
+
+        monkeypatch.setattr(conv_module, "fft_conv2d", refuse)
+        monkeypatch.setattr(fftconv_module, "fft_conv2d", refuse)
+        selector = Selector(tiny_config, seed=0)
+        rng = np.random.default_rng(2)
+        mixed = np.abs(rng.normal(size=(2, tiny_config.frequency_bins, tiny_config.num_frames)))
+        vectors = rng.normal(size=(2, tiny_config.embedding_dim))
+        before = selector.conv_freq.weight.data.copy()
+        optimizer = Adam(selector.parameters(), lr=1e-3)
+        loss = (selector(mixed, vectors) ** 2).mean()
+        loss.backward()
+        optimizer.step()
+        assert not np.array_equal(selector.conv_freq.weight.data, before)
 
 
 class TestSelectorBatchedGradients:
@@ -225,8 +307,8 @@ class TestSelectorBatchedGradients:
 
 class TestFitEquivalenceAndBatching:
     def test_fit_batch_size_one_matches_fit_looped(self, tiny_config, corpus):
-        """Batches of one run the frequency-domain graph, the oracle the
-        tap-sum graph: the two agree to FFT round-off, not bit for bit."""
+        """Batches of one run the tap-wise autograd kernel, the oracle the
+        tap-sum graph: the two agree to GEMM round-off, not bit for bit."""
         stream = _stream(tiny_config, corpus)
         examples = stream.take(6)
         looped = SelectorTrainer(Selector(tiny_config, seed=0))
