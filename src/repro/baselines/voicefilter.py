@@ -73,8 +73,7 @@ class VoiceFilterModel(Module):
         compressed = np.log(mixed + 1e-6 + 1e-12)
         hidden = compressed.T.reshape(1, 1, frames, freq_bins)
         for layer in (self.conv_freq, self.conv_time, *self.dilated, self.conv_out):
-            hidden = layer.infer(hidden)
-            hidden = hidden * (hidden > 0)
+            hidden = layer.infer(hidden, activation="relu")
         features = hidden.transpose(0, 2, 1, 3).reshape(frames, 8 * freq_bins)
 
         tiled = np.tile(d_vector.reshape(1, -1), (frames, 1))

@@ -47,6 +47,11 @@ class NECConfig:
     # Encoder features
     mel_filters: int = 24
 
+    # The dtype the served protection path computes in ("float64" | "float32").
+    # Only the deployment preset, :meth:`default`, serves float32; training
+    # and the evaluation studies run float64.
+    inference_dtype: str = "float64"
+
     # -- derived geometry ------------------------------------------------------
     @property
     def segment_samples(self) -> int:
@@ -87,6 +92,8 @@ class NECConfig:
             raise ValueError("output_mode must be 'mask' or 'spectrogram'")
         if self.segment_samples < self.win_length:
             raise ValueError("segment too short for a single analysis window")
+        if self.inference_dtype not in ("float64", "float32"):
+            raise ValueError("inference_dtype must be 'float64' or 'float32'")
         return self
 
     def with_output_mode(self, mode: str) -> "NECConfig":
@@ -112,8 +119,9 @@ class NECConfig:
 
     @classmethod
     def default(cls) -> "NECConfig":
-        """A reduced geometry at the paper's sample rate; used by benchmarks."""
-        return cls().validate()
+        """The deployment preset: a reduced geometry at the paper's sample rate,
+        served in float32 (the gates are in ``tests/test_precision.py``)."""
+        return cls(inference_dtype="float32").validate()
 
     @classmethod
     def tiny(cls) -> "NECConfig":

@@ -12,7 +12,6 @@ from repro.core.config import NECConfig
 from repro.dsp.stft import istft, stft
 from repro.metrics.cosine import cosine_distance
 from repro.metrics.sdr import sdr
-from repro.nn.precision import active_policy
 
 
 def superpose_spectrograms(mixed: np.ndarray, shadow: np.ndarray) -> np.ndarray:
@@ -21,11 +20,11 @@ def superpose_spectrograms(mixed: np.ndarray, shadow: np.ndarray) -> np.ndarray:
     The shadow spectrogram is signed (it subtracts the target's contribution);
     magnitudes cannot go negative, hence the floor.  Accepts single ``(F, T)``
     spectrograms or stacked ``(N, F, T)`` batches — the op is elementwise and
-    runs in the active precision policy's real dtype.
+    computes in the promoted dtype of its inputs (float32 for two float32
+    spectrograms).
     """
-    policy = active_policy()
-    mixed = policy.real(np.asarray(mixed))
-    shadow = policy.real(np.asarray(shadow))
+    mixed = np.asarray(mixed)
+    shadow = np.asarray(shadow)
     if mixed.shape != shadow.shape:
         raise ValueError(f"shape mismatch: mixed {mixed.shape} vs shadow {shadow.shape}")
     return np.maximum(mixed + shadow, 0.0)
@@ -66,7 +65,7 @@ def shadow_waveform_from_stft(
     second full STFT per segment while producing the identical waveform.
     """
     mixed_stft = np.asarray(mixed_stft)
-    shadow = active_policy().real(np.asarray(shadow_spectrogram))
+    shadow = np.asarray(shadow_spectrogram)
     frames = min(mixed_stft.shape[1], shadow.shape[1])
     phase = np.exp(1j * np.angle(mixed_stft[:, :frames]))
     complex_shadow = shadow[:, :frames] * phase

@@ -36,7 +36,6 @@ from repro.dsp.stft import (
     batch_stft,
     magnitude,
 )
-from repro.nn.precision import active_policy
 
 
 @dataclass
@@ -154,13 +153,14 @@ class NECSystem:
         (which bounds its own passes at :data:`~repro.core.selector.ROWS_PER_PASS`
         rows) and one batched iSTFT cover the whole matrix.  Returns one
         full-segment :class:`ProtectionResult` per row, each bit-identical to
-        protecting that row alone under the default float64 policy (pinned
-        by ``tests/test_pipeline_batch.py`` against the per-segment oracle in
-        ``tests/oracles.py``; under a reduced-precision policy the whole
-        engine runs in the policy's dtype, gated by ``tests/test_precision.py``).
+        protecting that row alone (pinned by ``tests/test_pipeline_batch.py``
+        against the per-segment oracle in ``tests/oracles.py``).  This is where
+        ``config.inference_dtype`` takes effect: the matrix is cast once, and
+        every kernel after it computes in that dtype (the float32 gates are in
+        ``tests/test_precision.py``).  The mixed audio and the shadow waves
+        come out as float64 :class:`AudioSignal` objects either way.
         """
-        policy = active_policy()
-        matrix = policy.real(np.asarray(segment_matrix))
+        matrix = np.asarray(segment_matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[1] != self.config.segment_samples:
             raise ValueError(
                 f"expected a (N, {self.config.segment_samples}) segment matrix, "
@@ -168,7 +168,10 @@ class NECSystem:
             )
         embedding = self.embedding  # fail fast if not enrolled
         stfts = batch_stft(
-            matrix, self.config.n_fft, self.config.win_length, self.config.hop_length
+            matrix.astype(self.config.inference_dtype, copy=False),
+            self.config.n_fft,
+            self.config.win_length,
+            self.config.hop_length,
         )  # (N, F, T) complex
         mixed_specs = magnitude(stfts)
         shadow_specs = self.selector.shadow_spectrogram_batch(mixed_specs, embedding)
@@ -382,7 +385,7 @@ class _PendingSegment:
     """One completed segment travelling through the streaming pipeline."""
 
     raw: np.ndarray                 # float64 segment samples (possibly zero-padded)
-    stft: np.ndarray                # (F, T) complex frames, policy dtype
+    stft: np.ndarray                # (F, T) complex frames, inference dtype
     completed_at_samples: int       # samples_fed when the segment completed
     trim_to: Optional[int] = None   # emitted wave length (flush tails)
     request: Optional[StreamRequest] = None  # set once submitted
@@ -442,7 +445,9 @@ class StreamingProtector:
         self._segment = config.segment_samples
         self._ring = np.zeros(self._segment, dtype=np.float64)
         self._fill = 0
-        self._stft = StreamingSTFT(config.n_fft, config.win_length, config.hop_length)
+        self._stft = StreamingSTFT(
+            config.n_fft, config.win_length, config.hop_length, dtype=config.inference_dtype
+        )
         self._frames: List[np.ndarray] = []
         self._ready: List[_PendingSegment] = []      # completed, not yet submitted
         self._submitted: List[_PendingSegment] = []  # submitted, not yet collected
@@ -540,7 +545,9 @@ class StreamingProtector:
         config = self.system.config
         record_spec = superpose_spectrograms(mixed_spec, shadow_spec)
         phase = np.exp(1j * np.angle(segment.stft))
-        inverter = StreamingISTFT(config.win_length, config.hop_length)
+        inverter = StreamingISTFT(
+            config.win_length, config.hop_length, dtype=config.inference_dtype
+        )
         inverter.feed(shadow_spec * phase)
         wave = inverter.flush(length=self._segment)
         emitted_length = segment.stream_samples

@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.core.config import NECConfig
 from repro.nn import Conv2d, Dense, Module, Tensor
-from repro.nn.precision import active_policy
+from repro.nn.layers import CastCache
 
 #: Most segments one gradient-free Selector pass stacks.  At the deployment
 #: geometry (``NECConfig.default()``) stacking 2 to 16 rows saved no time per
@@ -84,6 +84,7 @@ class Selector(Module):
         fc_in = 2 * config.frequency_bins + config.embedding_dim
         self.fc1 = Dense(fc_in, config.fc_hidden, rng=rng)
         self.fc2 = Dense(config.fc_hidden, config.frequency_bins, rng=rng)
+        self._head_weights = CastCache()  # the inference head's weights, per dtype
 
     # ------------------------------------------------------------------
     def num_conv_layers(self) -> int:
@@ -180,18 +181,17 @@ class Selector(Module):
         construction, whatever ``N`` a caller stacks.  Rows are independent:
         each row is the same whichever rows share its pass.  The numerical
         constants match :meth:`forward`, and the convolutions run through
-        :meth:`Conv2d.infer`; under the default float64 policy each row is
-        within 1e-12 relative of the one-segment autograd oracle (pinned by
-        the test suite).  Under a reduced-precision policy
-        (:mod:`repro.nn.precision`) the whole pass runs in the policy's real
-        dtype — the evaluation fast path, gated by the tolerance suite in
+        :meth:`Conv2d.infer`; in float64 each row is within 1e-12 relative
+        of the one-segment autograd oracle (pinned by the test suite).  The
+        pass computes in the dtype of ``mixed_spectrograms`` (float32 stays
+        float32, anything else is float64); the float32 gates are in
         ``tests/test_precision.py``.
         """
-        policy = active_policy()
-        batch = policy.real(np.asarray(mixed_spectrograms))
+        batch = np.asarray(mixed_spectrograms)
+        batch = batch.astype(np.result_type(batch, np.float32), copy=False)
         if batch.ndim != 3:
             raise ValueError("forward_batch expects a (N, F, T) batch of spectrograms")
-        d_vector = policy.real(np.asarray(d_vector))
+        d_vector = np.asarray(d_vector, dtype=batch.dtype)
         num_segments, freq_bins, frames = batch.shape
         if freq_bins != self.config.frequency_bins:
             raise ValueError(
@@ -205,7 +205,7 @@ class Selector(Module):
         if d_vector.ndim not in (1, 2):
             raise ValueError("d_vector must be (dim,) or (N, dim)")
         if num_segments == 0:
-            return np.zeros((0, frames, freq_bins), dtype=policy.real_dtype)
+            return np.zeros((0, frames, freq_bins), dtype=batch.dtype)
         passes = []
         for start in range(0, num_segments, ROWS_PER_PASS):
             rows = slice(start, start + ROWS_PER_PASS)
@@ -213,9 +213,13 @@ class Selector(Module):
             passes.append(self._forward_rows(batch[rows], vectors))
         return np.concatenate(passes, axis=0)
 
+    def _head(self, fc1_weight, fc1_bias, fc2_weight, fc2_bias):
+        """``fc1``'s weight split into its feature rows and its d-vector rows."""
+        features = 2 * self.config.frequency_bins
+        return fc1_weight[:features], fc1_weight[features:], fc1_bias, fc2_weight, fc2_bias
+
     def _forward_rows(self, batch: np.ndarray, d_vector: np.ndarray) -> np.ndarray:
         """One gradient-free pass over at most :data:`ROWS_PER_PASS` rows."""
-        policy = active_policy()
         num_segments, freq_bins, frames = batch.shape
 
         # Same dynamic-range compression as forward(): Tensor.log adds its own
@@ -224,34 +228,33 @@ class Selector(Module):
         # (N, F, T) -> (N, 1, T, F): time as "height", frequency as "width".
         image = compressed.transpose(0, 2, 1).reshape(num_segments, 1, frames, freq_bins)
 
-        hidden = self.conv_freq.infer(image)
-        hidden = hidden * (hidden > 0)
-        hidden = self.conv_time.infer(hidden)
-        hidden = hidden * (hidden > 0)
+        hidden = self.conv_freq.infer(image, activation="relu")
+        hidden = self.conv_time.infer(hidden, activation="relu")
         for layer in self.dilated:
-            hidden = layer.infer(hidden)
-            hidden = hidden * (hidden > 0)
-        features = self.conv_out.infer(hidden)
-        features = features * (features > 0)  # (N, 2, T, F)
+            hidden = layer.infer(hidden, activation="relu")
+        features = self.conv_out.infer(hidden, activation="relu")  # (N, 2, T, F)
 
         # (N, 2, T, F) -> (N, T, 2F)
         features = features.transpose(0, 2, 1, 3).reshape(
             num_segments, frames, 2 * freq_bins
         )
 
-        # Concatenate the d-vector to every frame of every segment (segment
-        # ``n`` sees row ``n`` when per-segment embeddings are supplied; the
-        # concatenation and the matmuls below are row-independent either way,
-        # so each row stays bit-identical to the single-vector pass).
-        embedding_dim = d_vector.shape[-1]
-        source = d_vector.reshape(1, 1, -1) if d_vector.ndim == 1 else d_vector[:, None, :]
-        tiled = np.broadcast_to(source, (num_segments, frames, embedding_dim))
-        fused = np.concatenate([features, tiled], axis=2)
-
-        # The (N, T, in) @ (in, out) matmul broadcasts into N per-segment GEMMs.
-        hidden = fused @ policy.real(self.fc1.weight.data) + policy.real(self.fc1.bias.data)
-        hidden = hidden * (hidden > 0)
-        output = hidden @ policy.real(self.fc2.weight.data) + policy.real(self.fc2.bias.data)
+        # [features, d] @ W1 = features @ W1[:2F] + d @ W1[2F:]: the d-vector
+        # term is one row per segment, added to every frame by broadcasting.
+        feature_weight, vector_weight, fc1_bias, fc2_weight, fc2_bias = self._head_weights.get(
+            (self.fc1.weight.data, self.fc1.bias.data, self.fc2.weight.data, self.fc2.bias.data),
+            batch.dtype,
+            self._head,
+        )
+        vector_term = d_vector @ vector_weight + fc1_bias  # (H,) or (N, H)
+        if vector_term.ndim == 2:
+            vector_term = vector_term[:, None, :]
+        # The (N, T, in) @ (in, out) matmuls broadcast into N per-segment GEMMs.
+        hidden = features @ feature_weight
+        hidden += vector_term
+        np.maximum(hidden, 0.0, out=hidden)
+        output = hidden @ fc2_weight
+        output += fc2_bias
         if self.config.output_mode == "mask":
             output = 1.0 / (1.0 + np.exp(-np.clip(output, -60.0, 60.0)))
         return output  # (N, T, F)
@@ -267,10 +270,10 @@ class Selector(Module):
         to the mixed spectrogram leaves ``(1 - M) * S_mixed ~= S_bk``.  In
         ``spectrogram`` mode the head output is used directly.  ``d_vector``
         may be one shared ``(dim,)`` embedding or per-segment ``(N, dim)``
-        rows (see :meth:`forward_batch`, also for the float32 mode).  One
+        rows (see :meth:`forward_batch`, also for the dtype rule).  One
         segment is ``shadow_spectrogram_batch(spectrogram[None], d_vector)[0]``.
         """
-        mixed = active_policy().real(np.asarray(mixed_spectrograms))
+        mixed = np.asarray(mixed_spectrograms)
         output = self.forward_batch(mixed, d_vector).transpose(0, 2, 1)  # (N, F, T)
         if self.config.output_mode == "mask":
             return -(output * mixed)

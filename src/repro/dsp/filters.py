@@ -8,13 +8,12 @@ signal.  :func:`butter_sos` caches each design keyed on the normalised
 cutoff(s), order and band type — equal ``(order, cutoffs, rate, btype)``
 requests share one immutable SOS array.
 
-Precision policy: unlike the STFT/Selector kernels, the IIR filters here stay
-pinned to float64 even under a reduced-precision policy
-(:mod:`repro.nn.precision`).  High-order Butterworth second-order sections are
-numerically delicate — float32 state accumulation audibly degrades the
-zero-phase band edges — and the channel simulation they model is not a hot
-path, so there is nothing to win and stability to lose.  This pinning is part
-of the documented policy surface, not an oversight.
+Precision: unlike the STFT/Selector kernels, which compute in the dtype of
+their input, the IIR filters here always compute in float64.  High-order
+Butterworth second-order sections are numerically delicate — float32 state
+accumulation audibly degrades the zero-phase band edges — and the channel
+simulation they model is not a hot path, so there is nothing to win and
+stability to lose.
 """
 
 from __future__ import annotations

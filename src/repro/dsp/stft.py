@@ -12,6 +12,11 @@ batch of one, :class:`StreamingSTFT` frames each chunk through the same
 kernel, and :class:`StreamingISTFT` holds frames until :meth:`flush`, which
 makes one :func:`batch_istft` call.  Every entry point checks its geometry
 through :func:`_check_geometry`.
+
+The batch transforms compute in the dtype of their input: float32 samples
+give complex64 frames and complex64 frames give float32 samples; anything
+else computes in float64 / complex128.  The streaming transforms carry state
+across calls, so they are built with their dtype.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import numpy as np
 from scipy import fft as _scipy_fft
 
 from repro.dsp.windows import get_window
-from repro.nn.precision import active_policy
 
 
 def _check_geometry(win_length: int, hop_length: int, n_fft: Optional[int] = None) -> None:
@@ -55,20 +59,18 @@ def _frame_spectra(
     per-frame Python loop), windowed, and transformed by one ``rfft``.  Each
     frame's ``rfft`` is an independent pocketfft row transform, so how rows
     and frames are batched never changes a value.  scipy's pocketfft is
-    bit-identical to numpy's in float64 and keeps float32 under a
-    reduced-precision policy (:mod:`repro.nn.precision`), which selects the
-    compute dtype.
+    bit-identical to numpy's in float64 and keeps float32 input in float32.
     """
     _check_geometry(win_length, hop_length, n_fft)
-    policy = active_policy()
-    signals = policy.real(np.asarray(signals))
+    signals = np.asarray(signals)
+    signals = signals.astype(np.result_type(signals, np.float32), copy=False)
     num_samples = signals.shape[-1]
     if num_samples < win_length:
         pad = [(0, 0)] * (signals.ndim - 1) + [(0, win_length - num_samples)]
         signals = np.pad(signals, pad)
     starts = np.arange(_frame_count(num_samples, win_length, hop_length)) * hop_length
     frames = signals[..., starts[:, None] + np.arange(win_length)[None, :]]
-    frames = frames * policy.real(get_window(window, win_length))
+    frames = frames * get_window(window, win_length).astype(signals.dtype, copy=False)
     return _scipy_fft.rfft(frames, n=n_fft, axis=-1).swapaxes(-1, -2)
 
 
@@ -239,22 +241,22 @@ def batch_istft(
     oracle in ``tests/oracles.py`` (pinned in ``tests/test_fastpath.py``) up
     to overlap-add summation order (<= ~1e-10 absolute); unsafe edge samples
     stay unscaled, like the oracle's guarded division.  ``length`` trims or
-    zero-pads every row.  The active precision policy selects the compute
-    dtype.
+    zero-pads every row.  complex64 (or float32) spectra invert in float32.
     """
-    policy = active_policy()
-    spectra = policy.complex(np.asarray(spectra))
+    spectra = np.asarray(spectra)
+    spectra = spectra.astype(np.result_type(spectra, np.complex64), copy=False)
+    real_dtype = spectra.real.dtype
     if spectra.ndim != 3:
         raise ValueError("batch_istft expects a (N, F, T) batch of spectra")
     n_fft = (spectra.shape[1] - 1) * 2
     _check_geometry(win_length, hop_length, n_fft)
     if spectra.shape[0] == 0:
-        return np.zeros((0, length or 0), dtype=policy.real_dtype)
+        return np.zeros((0, length or 0), dtype=real_dtype)
     num_frames = spectra.shape[2]
     # scipy's pocketfft is measurably faster than numpy's here and produces
     # bit-identical transforms (both are pocketfft; pinned by the test suite).
     frames = _scipy_fft.irfft(spectra.swapaxes(1, 2), n=n_fft, axis=2)[:, :, :win_length]
-    win, inverse = _ola_plan(window, win_length, hop_length, num_frames, policy.real_dtype)
+    win, inverse = _ola_plan(window, win_length, hop_length, num_frames, real_dtype)
     expected = win_length + hop_length * (num_frames - 1)
     output = _overlap_add(frames, win, hop_length, expected)
     output *= inverse
@@ -296,10 +298,10 @@ class StreamingSTFT:
     of every emitted frame block is **bit-identical** to
     ``stft(concatenated_chunks, ...)`` for any chunking (including sub-hop
     chunks): the framing offsets are carried and each frame's ``rfft`` is an
-    independent row transform.  The active precision policy selects the
-    compute dtype per feed.  Because frames overlap or abut (checked by
-    :func:`_check_geometry`), the carry holds every sample a later frame
-    reads.
+    independent row transform.  Samples are cast to ``dtype`` as they are
+    fed, so the frames are exactly ``stft`` of the samples in that dtype.
+    Because frames overlap or abut (checked by :func:`_check_geometry`), the
+    carry holds every sample a later frame reads.
     """
 
     def __init__(
@@ -308,16 +310,18 @@ class StreamingSTFT:
         win_length: int = 400,
         hop_length: int = 160,
         window: str = "hann",
+        dtype: np.dtype = np.float64,
     ) -> None:
         _check_geometry(win_length, hop_length, n_fft)
         self.n_fft = n_fft
         self.win_length = win_length
         self.hop_length = hop_length
         self.window = window
+        self.dtype = np.dtype(dtype)
         self.reset()
 
     def reset(self) -> None:
-        self._carry = np.zeros(0, dtype=np.float64)
+        self._carry = np.zeros(0, dtype=self.dtype)
         self._framed = False  # a frame was emitted since the last reset
 
     def _frames(self, signal: np.ndarray) -> np.ndarray:
@@ -325,7 +329,9 @@ class StreamingSTFT:
         return _frame_spectra(signal, self.n_fft, self.win_length, self.hop_length, self.window)
 
     def _no_frames(self) -> np.ndarray:
-        return np.zeros((self.n_fft // 2 + 1, 0), dtype=active_policy().complex_dtype)
+        return np.zeros(
+            (self.n_fft // 2 + 1, 0), dtype=np.result_type(self.dtype, np.complex64)
+        )
 
     def feed(self, samples: np.ndarray) -> np.ndarray:
         """Append samples; return the newly completed frames, shape ``(F, t)``.
@@ -333,9 +339,8 @@ class StreamingSTFT:
         ``t`` may be zero (chunk too small to finish a frame).  Emitted frame
         ``k`` (globally) equals column ``k`` of the whole-signal STFT.
         """
-        policy = active_policy()
-        data = policy.real(np.asarray(samples)).reshape(-1)
-        carry = policy.real(self._carry)
+        data = np.asarray(samples, dtype=self.dtype).reshape(-1)
+        carry = self._carry
         buffer = np.concatenate([carry, data]) if carry.size else data
         if buffer.size < self.win_length:
             # Own the storage: `buffer` may alias the caller's chunk.
@@ -353,7 +358,7 @@ class StreamingSTFT:
         ``stft`` would produce; otherwise trailing samples shorter than a
         window are dropped, exactly like the batch framing.
         """
-        carry, self._carry = self._carry, np.zeros(0, dtype=np.float64)
+        carry, self._carry = self._carry, np.zeros(0, dtype=self.dtype)
         if self._framed or not carry.size:
             return self._no_frames()
         return self._frames(carry)
@@ -365,9 +370,10 @@ class StreamingISTFT:
     :meth:`feed` keeps each ``(F, t)`` complex frame block and returns an
     empty block; :meth:`flush` inverts everything fed with one
     :func:`batch_istft` call, so the output is bit-identical to
-    ``istft(all_frames, ...)`` at any geometry.  A stream is inverted once:
-    after :meth:`flush`, :meth:`feed` and :meth:`flush` raise until
-    :meth:`reset`.
+    ``istft(all_frames, ...)`` at any geometry.  Frames are held in the
+    complex dtype of the real ``dtype``, which the output samples are in.  A
+    stream is inverted once: after :meth:`flush`, :meth:`feed` and
+    :meth:`flush` raise until :meth:`reset`.
     """
 
     def __init__(
@@ -375,11 +381,13 @@ class StreamingISTFT:
         win_length: int = 400,
         hop_length: int = 160,
         window: str = "hann",
+        dtype: np.dtype = np.float64,
     ) -> None:
         _check_geometry(win_length, hop_length)
         self.win_length = win_length
         self.hop_length = hop_length
         self.window = window
+        self.dtype = np.dtype(dtype)
         self.reset()
 
     def reset(self) -> None:
@@ -391,24 +399,25 @@ class StreamingISTFT:
             raise RuntimeError("stream already flushed; call reset() first")
 
     def feed(self, spectra: np.ndarray) -> np.ndarray:
-        """Hold ``(F, t)`` complex frames; returns an empty block (policy dtype)."""
+        """Hold ``(F, t)`` complex frames; returns an empty block of ``dtype``."""
         self._check_open()
-        policy = active_policy()
         spectra = np.asarray(spectra)
         if spectra.ndim != 2:
             raise ValueError("StreamingISTFT.feed expects a (F, t) frame block")
         _check_geometry(self.win_length, self.hop_length, (spectra.shape[0] - 1) * 2)
         if spectra.shape[1]:
             # A copy: the caller may reuse its buffer before flush().
-            self._blocks.append(np.array(spectra, dtype=policy.complex_dtype))
-        return np.zeros(0, dtype=policy.real_dtype)
+            self._blocks.append(
+                np.array(spectra, dtype=np.result_type(self.dtype, np.complex64))
+            )
+        return np.zeros(0, dtype=self.dtype)
 
     def flush(self, length: Optional[int] = None) -> np.ndarray:
         """The whole stream's samples, trimmed or zero-padded to ``length``."""
         self._check_open()
         self._flushed = True
         if not self._blocks:
-            return np.zeros(length or 0, dtype=active_policy().real_dtype)
+            return np.zeros(length or 0, dtype=self.dtype)
         spectra = self._blocks[0] if len(self._blocks) == 1 else np.concatenate(self._blocks, axis=1)
         self._blocks = []
         return batch_istft(spectra[None], self.win_length, self.hop_length, self.window, length)[0]

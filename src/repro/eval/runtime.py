@@ -113,7 +113,9 @@ def run_runtime_analysis(
     :meth:`Selector.shadow_spectrogram_batch`, the path ``NECSystem.protect``
     and the serving layer run, and VoiceFilter through
     :meth:`VoiceFilterModel.separate`, whose convolutions use the same
-    :meth:`Conv2d.infer`.
+    :meth:`Conv2d.infer`.  Both run float64, whatever
+    ``config.inference_dtype`` says, so the comparison is like for like
+    (VoiceFilter's LSTM runs on the float64 autograd substrate).
     """
     config = (config or NECConfig.default()).validate()
     rng = np.random.default_rng(seed)

@@ -23,8 +23,7 @@ import numpy as np
 
 # Unused here: perfbench/spans.py resolves ``repro.nn.conv.fft_conv2d`` by name.
 from repro.nn.fftconv import fft_conv2d  # noqa: F401
-from repro.nn.layers import Module
-from repro.nn.precision import DTypePolicy, active_policy
+from repro.nn.layers import CastCache, Module
 from repro.nn.tensor import Tensor
 
 IntPair = Union[int, Tuple[int, int]]
@@ -178,6 +177,13 @@ def _slabs(weight: np.ndarray) -> np.ndarray:
     return weight.transpose(2, 0, 1, 3).reshape(kh, out_c, in_c * kw)
 
 
+def _inference_weights(
+    weight: np.ndarray, bias: Optional[np.ndarray]
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The ``(kh, O, C*kw)`` weight slabs and the ``(O, 1, 1)`` bias column."""
+    return _slabs(weight), None if bias is None else bias.reshape(-1, 1, 1)
+
+
 def strided_im2col(
     x: np.ndarray,
     kernel_size: Tuple[int, int],
@@ -311,13 +317,7 @@ class Conv2d(Module):
             if bias
             else None
         )
-        # Per-policy cache of the inference weight slabs, keyed on the
-        # parameter arrays themselves (held here and compared with ``is``):
-        # the optimisers rebind ``.data`` on every step, so a stale cast can
-        # never be served after training, and a freed array's reused ``id``
-        # can never pass for the old one.
-        self._infer_weights_source: Optional[tuple] = None
-        self._infer_weights: Optional[Tuple[np.ndarray, Optional[np.ndarray]]] = None
+        self._infer_weights = CastCache()  # slabs and bias column, per dtype
 
     def output_size(self, height: int, width: int) -> Tuple[int, int]:
         return conv_output_size(height, width, self.kernel_size, self.dilation, self.padding)
@@ -386,27 +386,7 @@ class Conv2d(Module):
         parents = (x, weight) if bias is None else (x, weight, bias)
         return x._make(out_data, parents, backward)
 
-    def _inference_weights(
-        self, policy: DTypePolicy
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """The ``(kh, O, C*kw)`` weight slabs and the ``(O, 1, 1)`` bias, policy-cast."""
-        bias = self.bias.data if self.bias is not None else None
-        source = self._infer_weights_source
-        if (
-            source is None
-            or source[0] != policy.name
-            or source[1] is not self.weight.data
-            or source[2] is not bias
-        ):
-            slabs = policy.real(_slabs(self.weight.data))
-            bias_column = (
-                policy.real(bias.reshape(self.out_channels, 1, 1)) if bias is not None else None
-            )
-            self._infer_weights_source = (policy.name, self.weight.data, bias)
-            self._infer_weights = (slabs, bias_column)
-        return self._infer_weights  # type: ignore[return-value]
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
+    def infer(self, x: np.ndarray, activation: Optional[str] = None) -> np.ndarray:
         """Gradient-free forward pass on a ``(N, C, H, W)`` numpy array.
 
         The tap-wise kernel on thread-local buffers: :func:`strided_im2col`
@@ -415,18 +395,23 @@ class Conv2d(Module):
         ``slab[ky] @ cols[..., ky*dil_h*Wp : ky*dil_h*Wp + out_h*Wp]`` — the
         vertical taps are column offsets into the same matrix.  The last
         ``Wp - out_w`` columns of every output row are cropped and the bias
-        added in the same pass.  Under a reduced-precision policy
-        (:mod:`repro.nn.precision`) the whole pass runs in the policy's real
-        dtype, with the weight slabs cast once and cached per policy.  This is
-        the building block of the batched inference engine.
+        (and, with ``activation="relu"``, the ReLU) applied in the same
+        pass.  The pass computes in the dtype of ``x`` (float32 stays
+        float32, anything else is float64), with the weights cast once per
+        dtype and cached.  This is the building block of the batched
+        inference engine.
         """
+        if activation not in (None, "relu"):
+            raise ValueError(f"unsupported activation: {activation!r}")
         if x.ndim != 4:
             raise ValueError("Conv2d expects (N, C, H, W) input")
-        policy = active_policy()
-        x = policy.real(x)
+        x = x.astype(np.result_type(x, np.float32), copy=False)
         out_h, out_w = self.output_size(*x.shape[2:])
         cols = strided_im2col(x, self.kernel_size, self.dilation, self.padding)
-        slabs, bias_column = self._inference_weights(policy)
+        bias = None if self.bias is None else self.bias.data
+        slabs, bias_column = self._infer_weights.get(
+            (self.weight.data, bias), x.dtype, _inference_weights
+        )
         row = x.shape[3] + 2 * self.padding[1]
         acc = _tap_gemm(cols, slabs, self.dilation[0] * row, out_h * row)
-        return _crop(acc, out_h, out_w, bias_column)
+        return _crop(acc, out_h, out_w, bias_column, relu=activation == "relu")

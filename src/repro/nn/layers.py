@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -68,6 +68,41 @@ class Module:
 
     def num_parameters(self) -> int:
         return int(sum(p.size for p in self.parameters()))
+
+
+class CastCache:
+    """Inference arrays derived from parameters, cast once per dtype.
+
+    Keyed on the parameter arrays themselves (held here and compared with
+    ``is``): the optimisers rebind ``.data`` on every step, so a stale cast
+    can never be served after training, and a freed array's reused ``id``
+    can never pass for the old one.  The sources and their casts are one
+    entry, swapped in a single assignment, so a thread never pairs new
+    sources with old casts.
+    """
+
+    def __init__(self) -> None:
+        self._entry: Tuple[tuple, Dict[np.dtype, tuple]] = ((), {})
+
+    def get(
+        self,
+        sources: Tuple[Optional[np.ndarray], ...],
+        dtype: np.dtype,
+        derive: Callable[..., Tuple[Optional[np.ndarray], ...]],
+    ) -> Tuple[Optional[np.ndarray], ...]:
+        """``derive(*sources)`` cast to ``dtype``; ``None`` entries stay ``None``."""
+        cached, casts = self._entry
+        if len(cached) != len(sources) or any(a is not b for a, b in zip(cached, sources)):
+            casts = {}
+            self._entry = (sources, casts)
+        dtype = np.dtype(dtype)
+        cast = casts.get(dtype)
+        if cast is None:
+            cast = casts[dtype] = tuple(
+                None if array is None else array.astype(dtype, copy=False)
+                for array in derive(*sources)
+            )
+        return cast
 
 
 def _kaiming_uniform(rng: np.random.Generator, fan_in: int, shape: Tuple[int, ...]) -> np.ndarray:

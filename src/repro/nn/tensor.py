@@ -18,8 +18,6 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.nn.precision import active_policy
-
 ArrayLike = Union[np.ndarray, float, int, Sequence[float]]
 
 _GRAD_ENABLED = True
@@ -57,9 +55,8 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 
 
 def _as_array(value: ArrayLike) -> np.ndarray:
-    # The autograd substrate is pinned to float64 regardless of the active
-    # dtype policy: reduced precision (repro.nn.precision) only governs the
-    # gradient-free inference kernels, never training numerics.
+    # The autograd substrate is float64 by construction: float32 is only ever
+    # a dtype of the gradient-free inference kernels, never of training.
     if isinstance(value, np.ndarray):
         if value.dtype != np.float64:
             return value.astype(np.float64)
@@ -83,12 +80,6 @@ class Tensor:
         self.data = _as_array(data)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
-        if self.requires_grad and not active_policy().is_double:
-            raise RuntimeError(
-                "gradient-tracking tensors cannot be created under the "
-                f"'{active_policy().name}' policy: training is float64-only "
-                "(reduced precision is an inference/eval mode)"
-            )
         self._parents = _parents if self.requires_grad or _parents else ()
         self._backward = _backward
         self.name = name

@@ -33,11 +33,11 @@ import numpy as np
 
 from repro.asr.dtw import _as_sequence, _local_cost
 from repro.audio.signal import AudioSignal
-from repro.core.overshadow import shadow_waveform, superpose_spectrograms
+from repro.core.overshadow import shadow_waveform_from_stft, superpose_spectrograms
 from repro.core.pipeline import NECSystem, ProtectionResult
 from repro.core.seeding import derive_seed
 from repro.core.training import SelectorTrainer, TrainingExample, TrainingHistory
-from repro.dsp.stft import magnitude_spectrogram
+from repro.dsp.stft import magnitude, stft
 from repro.dsp.windows import get_window
 from repro.eval.scenarios import (
     ClaimThresholds,
@@ -98,18 +98,25 @@ def selector_reference(selector, mixed_spectrogram: np.ndarray, d_vector: np.nda
 
 # -- protection ---------------------------------------------------------------
 def protect_segment(system: NECSystem, mixed_segment: AudioSignal) -> ProtectionResult:
-    """One segment through the Selector on its own and a single-clip iSTFT."""
+    """One segment through the Selector on its own and a single-clip iSTFT,
+    in the system's ``inference_dtype``."""
     system._check_sample_rate(mixed_segment)
     config = system.config
-    mixed_spec = magnitude_spectrogram(
-        mixed_segment.data, config.n_fft, config.win_length, config.hop_length
+    mixed_stft = stft(
+        mixed_segment.data.astype(config.inference_dtype),
+        config.n_fft,
+        config.win_length,
+        config.hop_length,
     )
+    mixed_spec = magnitude(mixed_stft)
     shadow_spec = system.selector.shadow_spectrogram_batch(mixed_spec[None], system.embedding)[0]
     return ProtectionResult(
         mixed_audio=mixed_segment,
         mixed_spectrogram=mixed_spec,
         shadow_spectrogram=shadow_spec,
-        shadow_wave=shadow_waveform(mixed_segment, shadow_spec, config),
+        shadow_wave=shadow_waveform_from_stft(
+            mixed_stft, shadow_spec, config, length=mixed_segment.num_samples
+        ),
         record_spectrogram=superpose_spectrograms(mixed_spec, shadow_spec),
     )
 

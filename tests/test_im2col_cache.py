@@ -15,7 +15,6 @@ import pytest
 
 from repro.nn import clear_im2col_buffer_cache, im2col_buffer_cache_info
 from repro.nn.conv import strided_im2col
-from repro.nn.precision import inference_precision
 
 
 @pytest.fixture(autouse=True)
@@ -90,13 +89,10 @@ def test_distinct_signatures_get_distinct_entries():
 def test_dtype_keys_buffers_under_float32_policy():
     x64 = np.random.default_rng(2).normal(size=(1, 2, 9, 7))
     columns64 = strided_im2col(x64, (3, 3), padding=(1, 1)).copy()
-    with inference_precision("float32"):
-        x32 = x64.astype(np.float32)
-        columns32 = strided_im2col(x32, (3, 3), padding=(1, 1))
-        assert columns32.dtype == np.float32
-        np.testing.assert_array_equal(
-            columns32, _reference_im2col(x32, (3, 3), padding=(1, 1))
-        )
+    x32 = x64.astype(np.float32)
+    columns32 = strided_im2col(x32, (3, 3), padding=(1, 1))
+    assert columns32.dtype == np.float32
+    np.testing.assert_array_equal(columns32, _reference_im2col(x32, (3, 3), padding=(1, 1)))
     # The float32 call allocated its own buffers; the float64 entry is intact.
     assert im2col_buffer_cache_info()["entries"] == 2
     np.testing.assert_array_equal(

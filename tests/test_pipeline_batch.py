@@ -10,6 +10,8 @@ separately against ``selector_reference`` and ``conv2d_reference`` (at 1e-12
 relative, ``TestBatchedSelector`` and ``TestConvInfer``).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from oracles import conv2d_reference, protect_looped, protect_segment, selector_reference
@@ -19,7 +21,6 @@ from repro.core import NECSystem, StreamingProtector
 from repro.core.selector import ROWS_PER_PASS, Selector
 from repro.nn import Conv2d, Tensor, clear_im2col_buffer_cache
 from repro.nn import conv as conv_module
-from repro.nn.precision import inference_precision
 
 
 @pytest.fixture(scope="module")
@@ -34,20 +35,35 @@ def system(tiny_config):
     return nec
 
 
+@pytest.fixture(scope="module")
+def system32(system):
+    """``system`` serving in float32: the same Selector, encoder and d-vector."""
+    nec = NECSystem(
+        replace(system.config, inference_dtype="float32"),
+        encoder=system.encoder,
+        selector=system.selector,
+    )
+    nec.set_embedding(system.embedding)
+    return nec
+
+
 def _noise(config, num_samples, seed=5):
     rng = np.random.default_rng(seed)
     return AudioSignal(rng.normal(scale=0.1, size=num_samples), config.sample_rate)
 
 
 class TestBatchedEquivalence:
-    def test_multi_segment_protect_matches_looped_exactly(self, system, tiny_config):
+    def test_multi_segment_protect_matches_looped_exactly(self, system, system32, tiny_config):
+        """Bit-identical in both inference dtypes."""
         audio = _noise(tiny_config, int(3.4 * tiny_config.segment_samples))
-        looped = protect_looped(system, audio)
-        batched = system.protect(audio)
-        np.testing.assert_array_equal(looped.mixed_spectrogram, batched.mixed_spectrogram)
-        np.testing.assert_array_equal(looped.shadow_spectrogram, batched.shadow_spectrogram)
-        np.testing.assert_array_equal(looped.record_spectrogram, batched.record_spectrogram)
-        np.testing.assert_array_equal(looped.shadow_wave.data, batched.shadow_wave.data)
+        for nec in (system, system32):
+            looped = protect_looped(nec, audio)
+            batched = nec.protect(audio)
+            assert batched.shadow_spectrogram.dtype == nec.config.inference_dtype
+            np.testing.assert_array_equal(looped.mixed_spectrogram, batched.mixed_spectrogram)
+            np.testing.assert_array_equal(looped.shadow_spectrogram, batched.shadow_spectrogram)
+            np.testing.assert_array_equal(looped.record_spectrogram, batched.record_spectrogram)
+            np.testing.assert_array_equal(looped.shadow_wave.data, batched.shadow_wave.data)
 
     def test_segment_matrix_rows_match_protect_segment(self, system, tiny_config):
         segment = tiny_config.segment_samples
@@ -295,10 +311,10 @@ class TestStreamingProtector:
         assert protector.flush() is None
         assert protector.pending_samples == 0
 
-    def test_emitted_shadow_dtypes_under_both_policies(self, system, tiny_config):
-        """Emitted shadow waves are float64 under *both* precision policies
+    def test_emitted_shadow_dtypes_under_both_policies(self, system, system32, tiny_config):
+        """Emitted shadow waves are float64 in *both* inference dtypes
         (AudioSignal is the interchange boundary); only the internal
-        spectrograms follow the active dtype policy."""
+        spectrograms follow ``config.inference_dtype``."""
         audio = _noise(tiny_config, tiny_config.segment_samples + 50, seed=13)
 
         def stream(protector):
@@ -309,11 +325,10 @@ class TestStreamingProtector:
         for result in stream(StreamingProtector(system)):
             assert result.shadow_wave.data.dtype == np.float64
             assert result.shadow_spectrogram.dtype == np.float64
-        with inference_precision("float32"):
-            for result in stream(StreamingProtector(system)):
-                assert result.shadow_wave.data.dtype == np.float64
-                assert result.shadow_spectrogram.dtype == np.float32
-                assert result.record_spectrogram.dtype == np.float32
+        for result in stream(StreamingProtector(system32)):
+            assert result.shadow_wave.data.dtype == np.float64
+            assert result.shadow_spectrogram.dtype == np.float32
+            assert result.record_spectrogram.dtype == np.float32
 
 
 #: Relative gate of a float32 inference pass against the float64 reference
@@ -428,8 +443,7 @@ class TestConvInfer:
         conv.bias.data = rng.normal(size=conv.bias.data.shape)
         x = rng.normal(size=shape)
         expected = conv2d_reference(conv, Tensor(x)).data
-        with inference_precision(precision):
-            actual = conv.infer(x)
+        actual = conv.infer(x.astype(precision))
         assert actual.dtype == np.dtype(precision)
         _assert_relative(actual, expected, 1e-12 if precision == "float64" else FLOAT32_RTOL)
 
@@ -437,3 +451,16 @@ class TestConvInfer:
         conv = Conv2d(1, 1, (3, 3))
         with pytest.raises(ValueError):
             conv.infer(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_infer_fuses_relu(self, precision):
+        """``activation="relu"`` is the ReLU of the plain pass, as in ``forward``."""
+        rng = np.random.default_rng(2)
+        conv = Conv2d(3, 4, (5, 5), padding=(4, 2), dilation=(2, 1), rng=rng)
+        conv.bias.data = rng.normal(size=conv.bias.data.shape)
+        x = rng.normal(size=(1, 3, 12, 9)).astype(precision)
+        fused = conv.infer(x, activation="relu")
+        assert fused.dtype == np.dtype(precision)
+        np.testing.assert_array_equal(fused, np.maximum(conv.infer(x), 0.0))
+        with pytest.raises(ValueError, match="activation"):
+            conv.infer(x, activation="tanh")

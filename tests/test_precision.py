@@ -1,27 +1,35 @@
-"""The float32 evaluation fast path: tolerance-gated equivalence suite.
+"""The float32 serving mode: tolerance-gated equivalence suite.
 
-The dtype policy (:mod:`repro.nn.precision`) lets the gradient-free inference
-kernels run in float32.  This suite is the gate that makes that mode safe to
-use: each evaluation metric is compared between the float64 reference and the
-float32 fast path against an explicit tolerance.
+``NECConfig.inference_dtype`` is the one dtype setting of the protection
+path.  ``NECSystem.protect_segment_matrix`` casts its segment matrix to it
+once and the streaming transforms are built with it; every kernel after that
+computes in the dtype of its input.  The deployment preset,
+``NECConfig.default()``, serves float32; ``tiny()``, ``paper()`` and the
+evaluation studies run float64.  This suite is the gate that makes the
+float32 mode safe to serve: each metric is compared between a float64 and a
+float32 system sharing one Selector, at ``tiny()`` and at the deployment
+geometry, against an explicit tolerance.
 
-Documented tolerances (measured deviation on the tiny geometry; every gate
-carries at least two orders of magnitude of margin):
+Documented tolerances (measured deviation of this suite's clips, the same
+with one or two OpenBLAS threads; every gate carries at least two orders of
+magnitude of margin):
 
-==========================  ================  ============
-metric                      measured           gate
-==========================  ================  ============
-suppression (dB)            ~2e-8 dB          1e-4 dB
-DTW distance (relative)     ~5e-9             1e-6
-URS reviewer scores         identical         exact
-SoNR (dB)                   ~3e-7 dB          1e-4 dB
-shadow waveform (relative)  ~8e-7             1e-4
-==========================  ================  ============
+==========================  ============  ============  ============
+metric                      tiny()        default()     gate
+==========================  ============  ============  ============
+suppression (dB)            1.4e-7 dB     2.7e-7 dB     1e-4 dB
+SoNR (dB)                   1.6e-7 dB     3.0e-7 dB     1e-4 dB
+shadow waveform (relative)  3.9e-7        6.1e-7        1e-4
+URS reviewer scores         identical     identical     exact
+DTW distance (relative)     ~5e-9 (no geometry)         1e-6
+==========================  ============  ============  ============
 
-The other half of the contract: the **default float64 policy stays
-bit-identical** to the pre-policy code base, and **training is float64-only**
-(gradient-tracking tensors refuse to exist under a reduced-precision policy).
+The other half of the contract: float64 stays bit-identical whatever float32
+passes ran before on the same layers, and training is float64 by
+construction (``Tensor`` data is always float64).
 """
+
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -29,122 +37,149 @@ from oracles import conv2d_reference
 
 from repro.audio.signal import AudioSignal
 from repro.core.config import NECConfig
-from repro.core.pipeline import NECSystem
+from repro.core.pipeline import NECSystem, ProtectionResult
+from repro.core.selector import Selector
+from repro.core.training import SelectorTrainer, TrainingExample
 from repro.nn import Tensor
 from repro.nn.conv import Conv2d
-from repro.nn.precision import (
-    FLOAT32,
-    FLOAT64,
-    active_policy,
-    inference_precision,
-    resolve_policy,
-)
+from repro.nn.layers import CastCache
+from repro.serving import EnrollmentRegistry, ProtectionService
 
 SUPPRESSION_DB_ATOL = 1e-4
 DTW_RTOL = 1e-6
 SONR_DB_ATOL = 1e-4
 WAVE_RTOL = 1e-4
 
+#: The geometries every gate runs at: the unit-test one and the deployment one.
+GEOMETRIES = {"tiny": NECConfig.tiny, "default": NECConfig.default}
 
-@pytest.fixture(scope="module")
-def protected_pair(tiny_config):
-    """One clip protected under float64 and float32 by the same system."""
-    config = tiny_config
+
+@dataclass
+class ProtectedPair:
+    """One clip protected by a float64 and a float32 system sharing a Selector."""
+
+    system64: NECSystem
+    system32: NECSystem
+    clip: AudioSignal
+    result64: ProtectionResult
+    result32: ProtectionResult
+
+
+def _protected_pair(config: NECConfig) -> ProtectedPair:
+    config64 = replace(config, inference_dtype="float64")
     rng = np.random.default_rng(5)
-    system = NECSystem(config, seed=0)
-    system.enroll(
+    system64 = NECSystem(config64, seed=0)
+    system64.enroll(
         [AudioSignal(rng.normal(scale=0.1, size=config.segment_samples), config.sample_rate)]
     )
-    clip = AudioSignal(
-        rng.normal(scale=0.1, size=2 * config.segment_samples), config.sample_rate
+    system32 = NECSystem(
+        replace(config, inference_dtype="float32"),
+        encoder=system64.encoder,
+        selector=system64.selector,
     )
-    result64 = system.protect(clip)
-    with inference_precision("float32"):
-        result32 = system.protect(clip)
-    return system, clip, result64, result32
+    system32.set_embedding(system64.embedding)
+    clip = AudioSignal(rng.normal(scale=0.1, size=2 * config.segment_samples), config.sample_rate)
+    return ProtectedPair(system64, system32, clip, system64.protect(clip), system32.protect(clip))
+
+
+@pytest.fixture(scope="module")
+def protected_pairs():
+    """:class:`ProtectedPair` per geometry of :data:`GEOMETRIES`."""
+    return {name: _protected_pair(preset()) for name, preset in GEOMETRIES.items()}
+
+
+def _relative_wave_drift(expected: np.ndarray, actual: np.ndarray) -> float:
+    scale = max(float(np.abs(expected).max()), 1e-12)
+    return float(np.abs(expected - actual).max()) / scale
 
 
 # ---------------------------------------------------------------------------
-# The policy object itself
+# The setting
 # ---------------------------------------------------------------------------
-def test_policy_resolution_accepts_names_dtypes_and_policies():
-    assert resolve_policy("float32") is FLOAT32
-    assert resolve_policy("float64") is FLOAT64
-    assert resolve_policy(np.float32) is FLOAT32
-    assert resolve_policy(np.dtype(np.complex128)) is FLOAT64
-    assert resolve_policy(FLOAT32) is FLOAT32
-    with pytest.raises(ValueError):
-        resolve_policy("float16")
+def test_config_validates_inference_dtype():
+    """``validate`` accepts the two dtypes and nothing else."""
+    for name in ("float64", "float32"):
+        assert NECConfig(inference_dtype=name).validate().inference_dtype == name
+    for bad in ("float16", "double", np.float32):
+        with pytest.raises(ValueError, match="inference_dtype"):
+            NECConfig(inference_dtype=bad).validate()
 
 
 def test_default_policy_is_float64():
-    assert active_policy() is FLOAT64
-    assert active_policy().is_double
-
-
-def test_inference_precision_restores_on_exit_and_exception():
-    with inference_precision("float32") as policy:
-        assert policy is FLOAT32
-        assert active_policy() is FLOAT32
-        with inference_precision("float64"):
-            assert active_policy() is FLOAT64
-        assert active_policy() is FLOAT32
-    assert active_policy() is FLOAT64
-    with pytest.raises(RuntimeError):
-        with inference_precision("float32"):
-            raise RuntimeError("boom")
-    assert active_policy() is FLOAT64
+    """The field defaults to float64; only the deployment preset serves float32."""
+    assert NECConfig().inference_dtype == "float64"
+    assert NECConfig.tiny().inference_dtype == "float64"
+    assert NECConfig.paper().inference_dtype == "float64"
+    assert NECConfig.default().inference_dtype == "float32"
 
 
 def test_policy_casts_are_no_copy_when_already_right():
-    array = np.zeros(4, dtype=np.float32)
-    assert FLOAT32.real(array) is array
-    assert FLOAT64.real(array) is not array
-    assert FLOAT64.real(array).dtype == np.float64
+    """The inference weight casts: one per dtype, none for an already-float64 array."""
+    weight = np.arange(6.0).reshape(2, 3)
+    derived = []
+
+    def derive(array):
+        derived.append(array)
+        return (array, None)
+
+    cache = CastCache()
+    as64, missing = cache.get((weight,), np.float64, derive)
+    assert as64 is weight and missing is None
+    as32 = cache.get((weight,), np.float32, derive)[0]
+    assert as32.dtype == np.float32
+    assert cache.get((weight,), np.float32, derive)[0] is as32
+    assert len(derived) == 2
+    # A rebound source drops every cast.
+    rebound = weight * 2.0
+    assert cache.get((rebound,), np.float32, derive)[0] is not as32
+    assert len(derived) == 3
 
 
 # ---------------------------------------------------------------------------
-# float64 default: bit-identical to the seed
+# float64 stays bit-identical
 # ---------------------------------------------------------------------------
-def test_float64_policy_context_is_bit_identical_to_plain(protected_pair):
-    system, clip, result64, _ = protected_pair
-    with inference_precision(FLOAT64):
-        explicit = system.protect(clip)
-    assert np.array_equal(explicit.shadow_wave.data, result64.shadow_wave.data)
-    assert np.array_equal(explicit.shadow_spectrogram, result64.shadow_spectrogram)
-    assert np.array_equal(explicit.record_spectrogram, result64.record_spectrogram)
+def test_float64_policy_context_is_bit_identical_to_plain(protected_pairs):
+    """A float32 pass on the shared layers leaves float64 protection unchanged."""
+    for pair in protected_pairs.values():
+        again = pair.system64.protect(pair.clip)
+        assert np.array_equal(again.shadow_wave.data, pair.result64.shadow_wave.data)
+        assert np.array_equal(again.shadow_spectrogram, pair.result64.shadow_spectrogram)
+        assert np.array_equal(again.record_spectrogram, pair.result64.record_spectrogram)
 
 
 # ---------------------------------------------------------------------------
-# Internal dtypes of the fast path
+# Internal dtypes of the float32 mode
 # ---------------------------------------------------------------------------
-def test_float32_mode_runs_kernels_in_float32(protected_pair):
-    _, _, result64, result32 = protected_pair
-    assert result64.shadow_spectrogram.dtype == np.float64
-    assert result32.shadow_spectrogram.dtype == np.float32
-    assert result32.record_spectrogram.dtype == np.float32
-    # The AudioSignal container normalises emitted waves to float64 at the
-    # API boundary under *both* policies (float32 is a compute dtype, not an
-    # interchange dtype).
-    assert result64.shadow_wave.data.dtype == np.float64
-    assert result32.shadow_wave.data.dtype == np.float64
+def test_float32_mode_runs_kernels_in_float32(protected_pairs):
+    for pair in protected_pairs.values():
+        assert pair.result64.shadow_spectrogram.dtype == np.float64
+        assert pair.result32.shadow_spectrogram.dtype == np.float32
+        assert pair.result32.record_spectrogram.dtype == np.float32
+        # AudioSignal is the interchange boundary: the mixed audio and the
+        # emitted waves are float64 in both modes, and the mixed audio is
+        # the caller's samples, not their float32 rounding.
+        assert pair.result64.shadow_wave.data.dtype == np.float64
+        assert pair.result32.shadow_wave.data.dtype == np.float64
+        assert np.array_equal(pair.result32.mixed_audio.data, pair.clip.data)
 
 
 def test_stft_istft_preserve_policy_dtypes(rng):
+    """The transforms compute in the dtype of their input."""
     from repro.dsp.stft import batch_istft, batch_stft, istft, stft
 
     signal = rng.normal(scale=0.1, size=4000)
     spectrum64 = stft(signal, n_fft=512, win_length=320, hop_length=160)
     assert spectrum64.dtype == np.complex128
-    with inference_precision("float32"):
-        spectrum32 = stft(signal, n_fft=512, win_length=320, hop_length=160)
-        assert spectrum32.dtype == np.complex64
-        wave32 = istft(spectrum32, win_length=320, hop_length=160, length=4000)
-        assert wave32.dtype == np.float32
-        batch32 = batch_stft(signal[None, :], n_fft=512, win_length=320, hop_length=160)
-        assert batch32.dtype == np.complex64
-        waves32 = batch_istft(batch32, win_length=320, hop_length=160, length=4000)
-        assert waves32.dtype == np.float32
+    spectrum32 = stft(signal.astype(np.float32), n_fft=512, win_length=320, hop_length=160)
+    assert spectrum32.dtype == np.complex64
+    wave32 = istft(spectrum32, win_length=320, hop_length=160, length=4000)
+    assert wave32.dtype == np.float32
+    batch32 = batch_stft(
+        signal[None, :].astype(np.float32), n_fft=512, win_length=320, hop_length=160
+    )
+    assert batch32.dtype == np.complex64
+    waves32 = batch_istft(batch32, win_length=320, hop_length=160, length=4000)
+    assert waves32.dtype == np.float32
     wave64 = istft(spectrum64, win_length=320, hop_length=160, length=4000)
     assert wave64.dtype == np.float64
     # The roundtrips agree to float32 precision.
@@ -152,8 +187,8 @@ def test_stft_istft_preserve_policy_dtypes(rng):
 
 
 def test_scipy_rfft_is_bit_identical_to_numpy_in_float64(rng):
-    # stft switched to scipy's pocketfft to preserve float32; in float64 the
-    # two libraries must (and do) produce bit-identical transforms.
+    # stft runs scipy's pocketfft, which keeps float32; in float64 the two
+    # libraries must (and do) produce bit-identical transforms.
     from repro.dsp.stft import stft
 
     signal = rng.normal(scale=0.1, size=4000)
@@ -165,19 +200,20 @@ def test_scipy_rfft_is_bit_identical_to_numpy_in_float64(rng):
 
 
 # ---------------------------------------------------------------------------
-# Per-metric tolerances
+# Per-metric tolerances, at tiny() and at the deployment geometry
 # ---------------------------------------------------------------------------
-def test_suppression_db_within_tolerance(protected_pair):
-    _, _, result64, result32 = protected_pair
-    delta = abs(result64.predicted_suppression_db - result32.predicted_suppression_db)
-    assert delta <= SUPPRESSION_DB_ATOL, f"suppression dB drifted by {delta:.2e}"
+def test_suppression_db_within_tolerance(protected_pairs):
+    for name, pair in protected_pairs.items():
+        delta = abs(
+            pair.result64.predicted_suppression_db - pair.result32.predicted_suppression_db
+        )
+        assert delta <= SUPPRESSION_DB_ATOL, f"{name}: suppression dB drifted by {delta:.2e}"
 
 
-def test_shadow_wave_within_tolerance(protected_pair):
-    _, _, result64, result32 = protected_pair
-    scale = max(float(np.abs(result64.shadow_wave.data).max()), 1e-12)
-    delta = float(np.abs(result64.shadow_wave.data - result32.shadow_wave.data).max())
-    assert delta / scale <= WAVE_RTOL, f"shadow wave drifted by {delta / scale:.2e} relative"
+def test_shadow_wave_within_tolerance(protected_pairs):
+    for name, pair in protected_pairs.items():
+        drift = _relative_wave_drift(pair.result64.shadow_wave.data, pair.result32.shadow_wave.data)
+        assert drift <= WAVE_RTOL, f"{name}: shadow wave drifted by {drift:.2e} relative"
 
 
 def test_dtw_distance_within_tolerance(rng):
@@ -195,57 +231,92 @@ def test_dtw_distance_within_tolerance(rng):
     assert int(np.argmin(reference)) == int(np.argmin(reduced))
 
 
-def test_urs_scores_identical(protected_pair):
+def test_urs_scores_identical(protected_pairs):
     from repro.metrics.urs import user_rating_scores
 
-    system, clip, result64, result32 = protected_pair
-    recorded64 = system.superpose(clip, result64)
-    recorded32 = system.superpose(clip, result32)
-    scores64 = user_rating_scores(recorded64.data, clip.data, seed=0)
-    scores32 = user_rating_scores(recorded32.data, clip.data, seed=0)
-    # Integer reviewer scores pass through a sigmoid + rounding; float32
-    # residual jitter is orders of magnitude below the rounding granularity.
-    assert np.array_equal(scores64, scores32)
+    for name, pair in protected_pairs.items():
+        recorded64 = pair.system64.superpose(pair.clip, pair.result64)
+        recorded32 = pair.system32.superpose(pair.clip, pair.result32)
+        scores64 = user_rating_scores(recorded64.data, pair.clip.data, seed=0)
+        scores32 = user_rating_scores(recorded32.data, pair.clip.data, seed=0)
+        # Integer reviewer scores pass through a sigmoid + rounding; float32
+        # residual jitter is orders of magnitude below the rounding granularity.
+        assert np.array_equal(scores64, scores32), name
 
 
-def test_sonr_within_tolerance(protected_pair):
+def test_sonr_within_tolerance(protected_pairs):
     from repro.metrics.sonr import sonr
 
-    system, clip, result64, result32 = protected_pair
-    recorded64 = system.superpose(clip, result64)
-    recorded32 = system.superpose(clip, result32)
-    value64 = sonr(recorded64.data, clip.data)
-    value32 = sonr(recorded32.data, clip.data)
-    assert abs(value64 - value32) <= SONR_DB_ATOL
+    for name, pair in protected_pairs.items():
+        recorded64 = pair.system64.superpose(pair.clip, pair.result64)
+        recorded32 = pair.system32.superpose(pair.clip, pair.result32)
+        delta = abs(sonr(recorded64.data, pair.clip.data) - sonr(recorded32.data, pair.clip.data))
+        assert delta <= SONR_DB_ATOL, f"{name}: SoNR drifted by {delta:.2e} dB"
+
+
+def test_float32_service_session_matches_protect_at_deployment(protected_pairs):
+    """What the service serves at ``default()``: float32 ``protect`` bit for bit,
+    and float64 ``protect`` within the shadow-wave gate."""
+    pair = protected_pairs["default"]
+    config = pair.system32.config
+    registry = EnrollmentRegistry(None, config=config)
+    registry.register("alice", pair.system32.embedding)
+    chunk = config.segment_samples // 3
+    with ProtectionService(registry, system=pair.system32, poll_interval_s=0.01) as service:
+        session = service.open_session("alice")
+        waves = []
+        for start in range(0, pair.clip.num_samples, chunk):
+            session.feed(pair.clip.data[start : start + chunk])
+            waves += [result.shadow_wave.data for result in session.collect()]
+        waves += [result.shadow_wave.data for result in session.close(timeout=60.0)]
+    served = np.concatenate(waves)
+    assert served.dtype == np.float64
+    np.testing.assert_array_equal(served, pair.result32.shadow_wave.data)
+    assert _relative_wave_drift(pair.result64.shadow_wave.data, served) <= WAVE_RTOL
 
 
 # ---------------------------------------------------------------------------
-# Training stays float64-only
+# Training stays float64
 # ---------------------------------------------------------------------------
 def test_gradient_tensors_refuse_reduced_precision():
-    with inference_precision("float32"):
-        with pytest.raises(RuntimeError, match="float64-only"):
-            Tensor(np.ones(3), requires_grad=True)
-        # Plain inference tensors are fine.
-        Tensor(np.ones(3))
-    # Outside the context, gradient tensors work again.
-    tensor = Tensor(np.ones(3), requires_grad=True)
-    assert tensor.requires_grad
+    """``Tensor`` data is float64 whatever dtype it is given."""
+    tensor = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    assert tensor.data.dtype == np.float64
+    (tensor * tensor).sum().backward()
+    assert tensor.grad.dtype == np.float64
 
 
-def test_modules_cannot_be_built_under_reduced_precision():
-    with inference_precision("float32"):
-        with pytest.raises(RuntimeError, match="float64-only"):
-            Conv2d(1, 2, (3, 3), rng=np.random.default_rng(0))
+def test_float32_config_selector_trains_with_float64_gradients():
+    config = replace(NECConfig.tiny(), inference_dtype="float32")
+    selector = Selector(config, seed=0)
+    rng = np.random.default_rng(4)
+    examples = [
+        TrainingExample(
+            mixed_spectrogram=np.abs(rng.normal(size=config.spectrogram_shape)),
+            background_spectrogram=np.abs(rng.normal(size=config.spectrogram_shape)),
+            d_vector=rng.normal(size=config.embedding_dim),
+        )
+        for _ in range(2)
+    ]
+    # A float32 inference pass first: it must not leak into training.
+    mixed32 = np.stack([e.mixed_spectrogram for e in examples]).astype(np.float32)
+    assert selector.forward_batch(mixed32, examples[0].d_vector).dtype == np.float32
+    trainer = SelectorTrainer(selector)
+    trainer.optimizer.zero_grad()
+    trainer.batch_loss(examples).backward()
+    for parameter in selector.parameters():
+        assert parameter.data.dtype == np.float64
+        assert parameter.grad is not None and parameter.grad.dtype == np.float64
+    trainer.optimizer.step()
+    # evaluate runs the gradient-free pass on float64 examples: float64.
+    assert np.isfinite(trainer.evaluate(examples))
 
 
 def test_gradients_flow_in_float64_after_float32_inference(rng):
     """A float32 inference pass must not poison subsequent float64 training."""
     conv = Conv2d(1, 2, (3, 3), padding=(1, 1), rng=np.random.default_rng(0))
     x = rng.normal(size=(1, 1, 6, 6))
-    with inference_precision("float32"):
-        out32 = conv.infer(x)
-        assert out32.dtype == np.float32
+    assert conv.infer(x.astype(np.float32)).dtype == np.float32
     out = conv.forward(Tensor(x))
     out.sum().backward()
     assert conv.weight.grad is not None
@@ -254,19 +325,17 @@ def test_gradients_flow_in_float64_after_float32_inference(rng):
 
 
 def test_infer_cache_invalidates_when_optimizer_rebinds_weights(rng):
-    """The per-policy weight cache keys on array identity, which the
+    """The per-dtype weight cache keys on array identity, which the
     optimisers refresh by rebinding ``.data`` — a post-step ``infer`` must
-    see the new weights under every policy."""
+    see the new weights in every dtype."""
     conv = Conv2d(1, 2, (3, 3), padding=(1, 1), rng=np.random.default_rng(0))
     x = rng.normal(size=(1, 1, 6, 6))
     before64 = conv.infer(x)
-    with inference_precision("float32"):
-        before32 = conv.infer(x)
+    before32 = conv.infer(x.astype(np.float32))
     # An optimiser step: rebind, never mutate in place.
     conv.weight.data = conv.weight.data * 1.5
     after64 = conv.infer(x)
-    with inference_precision("float32"):
-        after32 = conv.infer(x)
+    after32 = conv.infer(x.astype(np.float32))
     assert not np.allclose(before64, after64)
     assert not np.allclose(before32, after32)
     # And the refreshed float64 cache matches a fresh layer holding the
@@ -294,7 +363,6 @@ def test_infer_cache_never_serves_a_rebound_weight(precision):
             parameter.data = None
             parameter.data = values.copy()
             del values
-            with inference_precision(precision):
-                actual = conv.infer(x)
+            actual = conv.infer(x.astype(precision))
             expected = conv2d_reference(conv, Tensor(x)).data
             assert np.abs(actual - expected).max() <= tolerance * np.abs(expected).max()

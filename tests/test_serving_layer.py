@@ -13,10 +13,12 @@ The load-bearing contracts:
   segment, reclaims the tick and worker threads, and refuses further feeds.
 """
 
+import json
 import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +108,31 @@ class TestEnrollmentRegistry:
         other = NECConfig.default()
         with pytest.raises(ValueError, match="different NECConfig"):
             EnrollmentRegistry(root, config=other)
+
+    def test_inference_dtype_round_trips(self, tiny_config, tmp_path):
+        root = tmp_path / "registry"
+        config32 = replace(tiny_config, inference_dtype="float32")
+        EnrollmentRegistry(root, config=config32)
+        stored = json.loads((root / "registry.json").read_text())
+        assert stored["config"]["inference_dtype"] == "float32"
+        assert EnrollmentRegistry(root).config == config32
+
+    def test_registry_without_inference_dtype_loads_as_float64(self, tiny_config, tmp_path):
+        """A ``registry.json`` written before the field existed serves float64."""
+        root = tmp_path / "registry"
+        EnrollmentRegistry(root, config=tiny_config)
+        path = root / "registry.json"
+        metadata = json.loads(path.read_text())
+        del metadata["config"]["inference_dtype"]
+        path.write_text(json.dumps(metadata))
+        assert EnrollmentRegistry(root).config.inference_dtype == "float64"
+        assert EnrollmentRegistry(root, config=tiny_config).config == tiny_config
+
+    def test_inference_dtype_mismatch_raises(self, tiny_config, tmp_path):
+        root = tmp_path / "registry"
+        EnrollmentRegistry(root, config=tiny_config)
+        with pytest.raises(ValueError, match="different NECConfig"):
+            EnrollmentRegistry(root, config=replace(tiny_config, inference_dtype="float32"))
 
     def test_memory_only_cannot_persist_models(self, tiny_config, system):
         registry = EnrollmentRegistry(None, config=tiny_config)

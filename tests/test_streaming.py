@@ -13,6 +13,8 @@ hop-divides-window geometry (the reduced test config) and at the paper's
 non-dividing 400/160 geometry.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,6 @@ from repro.dsp.stft import (
     batch_stft,
     stft,
 )
-from repro.nn.precision import inference_precision
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +48,18 @@ def system(tiny_config):
             )
         ]
     )
+    return built
+
+
+@pytest.fixture(scope="module")
+def system32(system):
+    """``system`` serving in float32: the same Selector, encoder and d-vector."""
+    built = NECSystem(
+        replace(system.config, inference_dtype="float32"),
+        encoder=system.encoder,
+        selector=system.selector,
+    )
+    built.set_embedding(system.embedding)
     return built
 
 
@@ -103,12 +116,15 @@ class TestStreamingSTFT:
     def test_float32_policy_matches_batch(self):
         n_fft, win, hop = GEOMETRIES[0]
         signal = _noise(win * 5, seed=4)
-        with inference_precision("float32"):
-            reference = stft(signal, n_fft, win, hop)
-            streamer = StreamingSTFT(n_fft, win, hop)
-            emitted = streamer.feed(signal)
-            assert emitted.dtype == reference.dtype
-            np.testing.assert_array_equal(emitted, reference)
+        reference = stft(signal.astype(np.float32), n_fft, win, hop)
+        assert reference.dtype == np.complex64
+        streamer = StreamingSTFT(n_fft, win, hop, dtype=np.float32)
+        # float64 chunks are cast as they are fed.
+        emitted = np.concatenate(
+            [streamer.feed(signal[:win + 7]), streamer.feed(signal[win + 7 :])], axis=1
+        )
+        assert emitted.dtype == reference.dtype
+        np.testing.assert_array_equal(emitted, reference)
 
     def test_reset_restarts_framing(self):
         n_fft, win, hop = GEOMETRIES[0]
@@ -142,15 +158,15 @@ class TestStreamingISTFT:
     def test_float32_policy_matches_batch(self):
         n_fft, win, hop = GEOMETRIES[0]
         length = win * 4
-        with inference_precision("float32"):
-            spectra = stft(_noise(length, seed=9), n_fft, win, hop)
-            reference = batch_istft(spectra[None], win, hop, length=length)[0]
-            inverter = StreamingISTFT(win, hop)
-            head = inverter.feed(spectra)
-            assert head.shape == (0,) and head.dtype == reference.dtype
-            wave = inverter.flush(length=length)
-            assert wave.dtype == reference.dtype
-            np.testing.assert_array_equal(wave, reference)
+        spectra = stft(_noise(length, seed=9).astype(np.float32), n_fft, win, hop)
+        reference = batch_istft(spectra[None], win, hop, length=length)[0]
+        assert reference.dtype == np.float32
+        inverter = StreamingISTFT(win, hop, dtype=np.float32)
+        head = inverter.feed(spectra)
+        assert head.shape == (0,) and head.dtype == reference.dtype
+        wave = inverter.flush(length=length)
+        assert wave.dtype == reference.dtype
+        np.testing.assert_array_equal(wave, reference)
 
     @pytest.mark.parametrize("num_frames", [0, 6])
     @pytest.mark.parametrize("length_delta", [-37, 0, 53])
@@ -190,25 +206,27 @@ class TestStreamingProtectorProperty:
 
     @settings(max_examples=12, deadline=None)
     @given(boundaries=st.lists(st.integers(min_value=1, max_value=12000), max_size=8))
-    def test_any_chunking_matches_protect(self, system, tiny_config, boundaries):
+    def test_any_chunking_matches_protect(self, system, system32, tiny_config, boundaries):
+        """In both inference dtypes."""
         clip_samples = int(2.4 * tiny_config.segment_samples)
         audio = AudioSignal(_noise(clip_samples, seed=11), tiny_config.sample_rate)
-        whole = system.protect(audio)
+        for nec in (system, system32):
+            whole = nec.protect(audio)
 
-        protector = StreamingProtector(system)
-        waves = []
-        for chunk in _chunkings(audio.data, boundaries):
-            for result in protector.feed(chunk):
-                waves.append(result.shadow_wave.data)
-        tail = protector.flush()
-        if tail is not None:
-            waves.append(tail.shadow_wave.data)
+            protector = StreamingProtector(nec)
+            waves = []
+            for chunk in _chunkings(audio.data, boundaries):
+                for result in protector.feed(chunk):
+                    waves.append(result.shadow_wave.data)
+            tail = protector.flush()
+            if tail is not None:
+                waves.append(tail.shadow_wave.data)
 
-        np.testing.assert_array_equal(
-            np.concatenate(waves), whole.shadow_wave.data
-        )
-        # Latency accounting: every feed (and the flush) was timed.
-        assert protector.latency.feeds > 0
+            np.testing.assert_array_equal(
+                np.concatenate(waves), whole.shadow_wave.data
+            )
+            # Latency accounting: every feed (and the flush) was timed.
+            assert protector.latency.feeds > 0
 
     def test_sub_hop_chunks_match_protect(self, system, tiny_config):
         clip_samples = tiny_config.segment_samples + 3 * tiny_config.hop_length // 2
