@@ -4,8 +4,10 @@ Expands the complete room x motion x crowd x angle x carrier x adversary
 matrix through one :func:`repro.eval.scenarios.run_scenario_grid` invocation
 (batched protections + sharded cells), gates the paper-setup cells at
 paper-level suppression, pins the grid bit-identical across worker counts,
-and writes the per-cell claim verdicts to ``BENCH_scenarios.json`` — uploaded
-by CI (override the path with ``BENCH_SCENARIOS_JSON``).
+and writes the per-cell claim verdicts to ``BENCH_scenarios.json`` under
+pytest's temporary directory, so a test run leaves the working tree as it
+found it; set ``BENCH_SCENARIOS_JSON`` to write it elsewhere (CI writes it to
+its temp directory and uploads it).
 
 The paper's own numbers for the direct path (Fig. 11: the protected target's
 SDR falls 0.997 -> -4.918, a ~5.9 dB drop; Table IV calls a recorder
@@ -19,17 +21,13 @@ import os
 
 from repro.eval.scenarios import ScenarioGrid, run_scenario_grid
 
-_DEFAULT_ARTIFACT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_scenarios.json"
-)
-
 #: Paper-level suppression floor for the direct-path cells (Fig. 11 measures
 #: ~5.9 dB on the full geometry; the reduced benchmark geometry must clear
 #: a conservative 3 dB).
 MIN_PAPER_SDR_DROP_DB = 3.0
 
 
-def test_full_scenario_grid(benchmark, bench_context):
+def test_full_scenario_grid(benchmark, bench_context, tmp_path):
     grid = ScenarioGrid.full()
     assert grid.num_cells >= 100  # acceptance: a genuinely full matrix
 
@@ -62,7 +60,9 @@ def test_full_scenario_grid(benchmark, bench_context):
     direct = [r for r in result.cells if r.cell.is_direct_path and r.cell.carrier_khz is None]
     assert direct and all(r.holds for r in direct)
 
-    path = result.write_json(os.environ.get("BENCH_SCENARIOS_JSON", _DEFAULT_ARTIFACT))
+    path = result.write_json(
+        os.environ.get("BENCH_SCENARIOS_JSON", tmp_path / "BENCH_scenarios.json")
+    )
     payload = json.loads(path.read_text())
     assert payload["summary"]["paper_setup_holds"] is True
     assert payload["summary"]["num_cells"] == grid.num_cells

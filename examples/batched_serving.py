@@ -11,19 +11,37 @@ Three ways to drive the same inference engine:
    carried-over state — the deployment-shaped interface.
 
 All three are bit-identical to protecting one segment at a time; this
-script times them and checks the equality.
+script times them and checks the equality.  Each timed path is warmed up
+once and then reported as the median of five calls, so a slow first call
+(cold caches after the host sat idle) does not decide the comparison.
 
 Run with:  python examples/batched_serving.py
 """
 
 from __future__ import annotations
 
+import statistics
 import time
+from typing import Callable, Tuple
 
 import numpy as np
 
 from repro.audio.signal import AudioSignal
 from repro.core import NECConfig, NECSystem, StreamingProtector
+
+#: Timed calls per path; the median is reported.
+REPEATS = 5
+
+
+def median_ms(call: Callable[[], object]) -> Tuple[object, float]:
+    """Warm ``call`` up once, then return its result and median wall-clock (ms)."""
+    result = call()
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        result = call()
+        times.append(time.perf_counter() - start)
+    return result, 1000.0 * statistics.median(times)
 
 
 def main() -> None:
@@ -37,22 +55,18 @@ def main() -> None:
     # -- 1. one long clip vs its segments one call each --------------------
     segment = config.segment_samples
     clip = AudioSignal(rng.normal(scale=0.1, size=4 * segment), config.sample_rate)
-    system.protect(AudioSignal(clip.data[:segment], config.sample_rate))  # warm-up
-    start = time.perf_counter()
-    pieces = [
+    pieces, looped_ms = median_ms(lambda: [
         system.protect(AudioSignal(clip.data[offset : offset + segment], config.sample_rate))
         for offset in range(0, clip.num_samples, segment)
-    ]
-    looped_s = time.perf_counter() - start
-    start = time.perf_counter()
-    batched = system.protect(clip)
-    batched_s = time.perf_counter() - start
+    ])
+    batched, batched_ms = median_ms(lambda: system.protect(clip))
     identical = np.array_equal(
         np.concatenate([piece.shadow_wave.data for piece in pieces]), batched.shadow_wave.data
     )
-    print(f"protect, {clip.duration:.0f} s clip ({len(pieces)} segments):")
-    print(f"  one call per segment {looped_s * 1000:8.1f} ms")
-    print(f"  one call per clip    {batched_s * 1000:8.1f} ms   (bit-identical: {identical})")
+    print(f"protect, {clip.duration:.0f} s clip ({len(pieces)} segments), "
+          f"median of {REPEATS} calls:")
+    print(f"  one call per segment {looped_ms:8.1f} ms")
+    print(f"  one call per clip    {batched_ms:8.1f} ms   (bit-identical: {identical})")
 
     # -- 2. many short clips in one call -----------------------------------
     clips = [
@@ -61,11 +75,10 @@ def main() -> None:
         )
         for _ in range(6)
     ]
-    start = time.perf_counter()
-    results = system.protect_batch(clips)
-    batch_s = time.perf_counter() - start
-    print(f"\nprotect_batch, {len(clips)} one-segment clips in one call:")
-    print(f"  {batch_s * 1000:8.1f} ms total, {batch_s * 1000 / len(clips):.1f} ms per clip")
+    results, batch_ms = median_ms(lambda: system.protect_batch(clips))
+    print(f"\nprotect_batch, {len(clips)} one-segment clips in one call, "
+          f"median of {REPEATS} calls:")
+    print(f"  {batch_ms:8.1f} ms total, {batch_ms / len(clips):.1f} ms per clip")
     print(f"  predicted suppression per clip: "
           + ", ".join(f"{r.predicted_suppression_db:.2f} dB" for r in results))
 

@@ -8,8 +8,8 @@ transformed by one batched STFT; the Selector infers the shadow spectrograms
 iSTFT inverts them (:meth:`NECSystem.protect`).  The same engine powers
 :meth:`NECSystem.protect_batch` (many clips per call) and
 :class:`StreamingProtector` (chunked audio in, shadow waves out, with
-carried-over state), whose every Selector pass goes through a
-:class:`~repro.core.selector.StreamBatch`.  Each path is bit-identical to
+carried-over state), which submits each completed segment as one request to
+a :class:`~repro.core.selector.StreamBatch`.  Each path is bit-identical to
 protecting one segment at a time; that oracle lives in ``tests/oracles.py``
 and the equivalence is pinned by ``tests/test_pipeline_batch.py``.
 """
@@ -409,7 +409,8 @@ class StreamingProtector:
     - the **incremental STFT** (:class:`~repro.dsp.stft.StreamingSTFT`)
       transforms only the frames each chunk completes, so the segment
       spectrogram is already standing when its last sample arrives;
-    - a completed segment is submitted to a
+    - a completed segment (:meth:`flush` zero-pads the tail to a full one)
+      is submitted as one ``(F, T)`` request to a
       :class:`~repro.core.selector.StreamBatch` for its gradient-free
       Selector pass.  Without a ``stream_batch`` the protector owns a private
       batch and ticks it inside :meth:`feed` / :meth:`flush`, which return
@@ -472,6 +473,11 @@ class StreamingProtector:
     def next_result_ready(self) -> bool:
         """True when :meth:`collect` would return at least one result now."""
         return bool(self._submitted and self._submitted[0].request.done)
+
+    @property
+    def all_ticked(self) -> bool:
+        """True when every completed segment has had its Selector pass."""
+        return not self._ready and all(segment.request.done for segment in self._submitted)
 
     @property
     def segments_emitted(self) -> int:
@@ -563,28 +569,18 @@ class StreamingProtector:
         )
 
     def _drain_ready(self) -> List[ProtectionResult]:
-        """Stage 2: submit completed segments; tick them now without a shared batch."""
-        if not self._ready:
-            return []
-        embedding = self.system.embedding  # fail fast *before* consuming state
-        for segment in self._ready:
-            segment.request = self._batch.submit(
-                magnitude(segment.stft)[None, :, :], embedding
-            )
-        self._submitted.extend(self._ready)
-        self._ready = []
+        """Stage 2: submit completed segments; tick a private batch holding requests."""
+        if self._ready:
+            embedding = self.system.embedding  # fail fast *before* consuming state
+            for segment in self._ready:
+                segment.request = self._batch.submit(magnitude(segment.stft), embedding)
+            self._submitted.extend(self._ready)
+            self._ready = []
         if self.stream_batch is not None:
             return []
-        try:
+        if self._batch.pending_requests:
             self._batch.tick()
-        except BaseException:
-            # Requeue what the failed tick did not finish: the next feed
-            # retries it, so a failed feed never drops stream audio.
-            unfinished = [segment for segment in self._submitted if not segment.request.done]
-            self._submitted = self._submitted[: len(self._submitted) - len(unfinished)]
-            self._ready = unfinished
-            raise
-        return self._collect_done()
+        return self.collect()
 
     # -- streaming -----------------------------------------------------------
     def feed(self, chunk: Union[AudioSignal, np.ndarray]) -> List[ProtectionResult]:
@@ -619,22 +615,12 @@ class StreamingProtector:
         Without a shared batch there is never anything to collect —
         :meth:`feed` returns results directly.
         """
-        started = time.perf_counter()
-        results = self._collect_done()
-        if results:
-            self.latency.record_feed(1000.0 * (time.perf_counter() - started))
-        return results
-
-    def _collect_done(self) -> List[ProtectionResult]:
         results: List[ProtectionResult] = []
         while self._submitted and self._submitted[0].request.done:
             segment = self._submitted.pop(0)
+            request = segment.request
             results.append(
-                self._build_result(
-                    segment,
-                    segment.request.mixed_spectrograms[0],
-                    segment.request.shadow_spectrograms[0],
-                )
+                self._build_result(segment, request.mixed_spectrogram, request.shadow_spectrogram)
             )
         return results
 
@@ -648,7 +634,7 @@ class StreamingProtector:
         the padded tail is queued for the next tick and comes out of
         :meth:`collect`.
         """
-        if self._ready:
+        if self._ready or (self.stream_batch is None and self._submitted):
             raise RuntimeError(
                 "undrained completed segments (a previous feed failed); "
                 "retry with feed(()) before flushing"

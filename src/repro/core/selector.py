@@ -28,6 +28,10 @@ The network has one training pass and one inference pass over stacked
 :meth:`Selector.forward_batch` runs gradient-free (convolutions through
 :meth:`Conv2d.infer`).  Both are pinned against the one-segment autograd
 oracle ``selector_reference`` in ``tests/oracles.py``.
+
+:class:`StreamBatch` is the inference queue of the streaming and serving
+paths: each request is one stream's ``(F, T)`` segment, and a tick runs the
+queued requests in submit order, one Selector pass each.
 """
 
 from __future__ import annotations
@@ -90,7 +94,7 @@ class Selector(Module):
     def num_conv_layers(self) -> int:
         return 3 + len(self.dilated)
 
-    def forward(self, mixed_spectrograms, d_vectors) -> Tensor:
+    def forward(self, spectrograms, d_vectors) -> Tensor:
         """Autograd Selector output for a stacked ``(N, F, T)`` minibatch.
 
         The training-side twin of :meth:`forward_batch`: the same stacked
@@ -100,7 +104,7 @@ class Selector(Module):
         batch loss yields the mean gradient — the minibatch SGD contract,
         pinned by ``check_batched_gradients`` in the test suite).
 
-        ``mixed_spectrograms``: ``(N, F, T)`` array or Tensor of magnitude
+        ``spectrograms``: ``(N, F, T)`` array or Tensor of mixed magnitude
         spectrograms (paper Eq. 2).  ``d_vectors``: one shared
         ``(embedding_dim,)`` embedding or per-example ``(N, embedding_dim)``
         rows.  Returns the raw head output of shape ``(N, T, F)`` — a sigmoid
@@ -111,11 +115,11 @@ class Selector(Module):
         of one segment to round-off, pinned at 1e-11 forward and 1e-9 on
         gradients by the tests.
         """
-        if not isinstance(mixed_spectrograms, Tensor):
-            mixed_spectrograms = Tensor(np.asarray(mixed_spectrograms, dtype=np.float64))
-        if mixed_spectrograms.ndim != 3:
+        if not isinstance(spectrograms, Tensor):
+            spectrograms = Tensor(np.asarray(spectrograms, dtype=np.float64))
+        if spectrograms.ndim != 3:
             raise ValueError("Selector.forward expects a (N, F, T) batch of spectrograms")
-        num_examples, freq_bins, frames = mixed_spectrograms.shape
+        num_examples, freq_bins, frames = spectrograms.shape
         if freq_bins != self.config.frequency_bins:
             raise ValueError(
                 f"expected {self.config.frequency_bins} frequency bins, got {freq_bins}"
@@ -133,7 +137,7 @@ class Selector(Module):
             )
 
         # Compress the dynamic range; magnitudes span several orders of magnitude.
-        compressed = (mixed_spectrograms + 1e-6).log()
+        compressed = (spectrograms + 1e-6).log()
         # (N, F, T) -> (N, 1, T, F): time as "height", frequency as "width".
         image = compressed.transpose(0, 2, 1).reshape(num_examples, 1, frames, freq_bins)
 
@@ -165,11 +169,11 @@ class Selector(Module):
         return output  # (N, T, F)
 
     def forward_batch(
-        self, mixed_spectrograms: np.ndarray, d_vector: np.ndarray
+        self, spectrograms: np.ndarray, d_vector: np.ndarray
     ) -> np.ndarray:
         """Selector output for a batch of segments, without autograd.
 
-        ``mixed_spectrograms``: ``(N, F, T)`` stacked magnitude spectrograms.
+        ``spectrograms``: ``(N, F, T)`` stacked magnitude spectrograms.
         ``d_vector``: either one ``(embedding_dim,)`` reference embedding
         shared by the batch (all segments of one protected speaker's clip) or
         a ``(N, embedding_dim)`` matrix of per-segment embeddings.
@@ -183,11 +187,11 @@ class Selector(Module):
         constants match :meth:`forward`, and the convolutions run through
         :meth:`Conv2d.infer`; in float64 each row is within 1e-12 relative
         of the one-segment autograd oracle (pinned by the test suite).  The
-        pass computes in the dtype of ``mixed_spectrograms`` (float32 stays
+        pass computes in the dtype of ``spectrograms`` (float32 stays
         float32, anything else is float64); the float32 gates are in
         ``tests/test_precision.py``.
         """
-        batch = np.asarray(mixed_spectrograms)
+        batch = np.asarray(spectrograms)
         batch = batch.astype(np.result_type(batch, np.float32), copy=False)
         if batch.ndim != 3:
             raise ValueError("forward_batch expects a (N, F, T) batch of spectrograms")
@@ -261,7 +265,7 @@ class Selector(Module):
 
     # ------------------------------------------------------------------
     def shadow_spectrogram_batch(
-        self, mixed_spectrograms: np.ndarray, d_vector: np.ndarray
+        self, spectrograms: np.ndarray, d_vector: np.ndarray
     ) -> np.ndarray:
         """Signed shadow spectrograms ``S_shadow`` for a ``(N, F, T)`` batch.
 
@@ -273,7 +277,7 @@ class Selector(Module):
         rows (see :meth:`forward_batch`, also for the dtype rule).  One
         segment is ``shadow_spectrogram_batch(spectrogram[None], d_vector)[0]``.
         """
-        mixed = np.asarray(mixed_spectrograms)
+        mixed = np.asarray(spectrograms)
         output = self.forward_batch(mixed, d_vector).transpose(0, 2, 1)  # (N, F, T)
         if self.config.output_mode == "mask":
             return -(output * mixed)
@@ -282,35 +286,38 @@ class Selector(Module):
 
 @dataclass
 class StreamRequest:
-    """One stream's pending segment-inference request inside a :class:`StreamBatch`.
+    """One stream's segment awaiting inference inside a :class:`StreamBatch`.
 
-    ``mixed_spectrograms`` holds the stream's completed segments awaiting
-    inference (``(n, F, T)``); once a tick has run the request,
-    ``shadow_spectrograms`` holds the corresponding signed shadows.
+    ``mixed_spectrogram`` is the segment's ``(F, T)`` magnitude spectrogram;
+    once a tick has run the request, ``shadow_spectrogram`` holds its signed
+    ``(F, T)`` shadow.
     """
 
-    mixed_spectrograms: np.ndarray  # (n, F, T)
+    mixed_spectrogram: np.ndarray   # (F, T)
     d_vector: np.ndarray            # (embedding_dim,)
-    shadow_spectrograms: Optional[np.ndarray] = None  # (n, F, T) once ticked
+    shadow_spectrogram: Optional[np.ndarray] = None  # (F, T) once ticked
 
     @property
     def done(self) -> bool:
-        return self.shadow_spectrograms is not None
+        return self.shadow_spectrogram is not None
 
 
 class StreamBatch:
     """The queue of Selector inference shared by many streams.
 
     Concurrent streaming protectors each complete segments at their own
-    pace and :meth:`submit` them here, each request carrying its speaker's
-    d-vector; :meth:`tick` then runs every queued request in submit order,
-    one :meth:`Selector.shadow_spectrogram_batch` call per request, and marks
-    each request done as soon as its shadows exist.  A request's shadows are
+    pace and :meth:`submit` them here, one segment per request, each request
+    carrying its speaker's d-vector; :meth:`tick` then runs every queued
+    request in submit order, one Selector pass per request, and marks each
+    request done as soon as its shadow exists.  A request's shadow is
     exactly what a dedicated per-stream pass produces, whichever streams and
     speakers share the tick (pinned by the test suite).  Requests are not
     stacked into one pass: at the deployment geometry stacking saves no time
-    per segment and multiplies the convolution working set, so the only
-    batching left is :data:`ROWS_PER_PASS` inside the Selector.
+    per segment and multiplies the convolution working set.
+
+    The queue owns retries: a tick whose pass raises puts the failed request
+    and every request behind it back at the head of the queue, ahead of any
+    later submit, and re-raises; the next tick runs them in order.
 
     :meth:`submit` and the pending-queue handoff in :meth:`tick` are
     thread-safe, so producer threads (streaming sessions) may submit while a
@@ -330,13 +337,8 @@ class StreamBatch:
         self.max_batch_size = 0
 
     @property
-    def pending_segments(self) -> int:
-        with self._lock:
-            return sum(request.mixed_spectrograms.shape[0] for request in self._pending)
-
-    @property
     def pending_requests(self) -> int:
-        """Queued requests awaiting a tick (zero-segment submits included)."""
+        """Queued segments awaiting a tick."""
         with self._lock:
             return len(self._pending)
 
@@ -344,21 +346,26 @@ class StreamBatch:
     def closed(self) -> bool:
         return self._closed
 
-    def submit(self, mixed_spectrograms: np.ndarray, d_vector: np.ndarray) -> StreamRequest:
-        """Queue ``(n, F, T)`` segments of one stream for the next tick."""
-        mixed = np.asarray(mixed_spectrograms)
-        if mixed.ndim != 3:
-            raise ValueError("submit expects a (n, F, T) stack of spectrograms")
+    def submit(self, mixed_spectrogram: np.ndarray, d_vector: np.ndarray) -> StreamRequest:
+        """Queue one stream's ``(F, T)`` segment spectrogram for the next tick.
+
+        Shapes are checked here: a malformed request would fail every tick
+        and, requeued at the head, hold up every request behind it.
+        """
+        mixed, d_vector = np.asarray(mixed_spectrogram), np.asarray(d_vector)
+        bins, dim = self.selector.config.frequency_bins, self.selector.config.embedding_dim
+        if mixed.ndim != 2 or mixed.shape[0] != bins or d_vector.shape != (dim,):
+            raise ValueError(
+                f"submit expects a ({bins}, T) spectrogram and a ({dim},) d-vector, "
+                f"got {mixed.shape} and {d_vector.shape}"
+            )
         if self._closed:
             raise RuntimeError("StreamBatch is closed")
-        request = StreamRequest(
-            mixed_spectrograms=mixed, d_vector=np.asarray(d_vector)
-        )
+        request = StreamRequest(mixed_spectrogram=mixed, d_vector=d_vector)
         with self._lock:
             self._pending.append(request)
         return request
 
-    # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
         """Refuse further submits.
 
@@ -367,32 +374,22 @@ class StreamBatch:
         """
         self._closed = True
 
-    def __enter__(self) -> "StreamBatch":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.close()
-
     def tick(self) -> int:
-        """Run every pending request; returns the number of segments inferred.
-
-        Requests run in submit order and each is marked done as soon as its
-        shadows exist.  A zero-segment request (an idle stream heartbeating
-        the scheduler) is marked done with a matching ``(0, F, T)`` shadow
-        stack, so collectors never wait on a segment that does not exist; a
-        tick that infers nothing counts as an empty tick.
-        """
+        """Run every pending request in submit order; returns the segments run."""
         with self._lock:
             pending, self._pending = self._pending, []
-        inferred = 0
-        for request in pending:
-            request.shadow_spectrograms = self.selector.shadow_spectrogram_batch(
-                request.mixed_spectrograms, request.d_vector
-            )
-            inferred += request.mixed_spectrograms.shape[0]
+        for position, request in enumerate(pending):
+            try:
+                request.shadow_spectrogram = self.selector.shadow_spectrogram_batch(
+                    request.mixed_spectrogram[None], request.d_vector
+                )[0]
+            except BaseException:
+                with self._lock:
+                    self._pending[:0] = pending[position:]
+                raise
         self.ticks += 1
-        if inferred == 0:
+        if not pending:
             self.empty_ticks += 1
-        self.segments_coalesced += inferred
-        self.max_batch_size = max(self.max_batch_size, inferred)
-        return inferred
+        self.segments_coalesced += len(pending)
+        self.max_batch_size = max(self.max_batch_size, len(pending))
+        return len(pending)

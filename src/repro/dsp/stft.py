@@ -9,9 +9,9 @@ shape so that models can be built against it.
 There is one framing kernel (:func:`_frame_spectra`) and one overlap-add
 (:func:`batch_istft`).  The single-clip transforms are the batch kernels on a
 batch of one, :class:`StreamingSTFT` frames each chunk through the same
-kernel, and :class:`StreamingISTFT` holds frames until :meth:`flush`, which
-makes one :func:`batch_istft` call.  Every entry point checks its geometry
-through :func:`_check_geometry`.
+kernel (with no end-of-stream step), and :class:`StreamingISTFT` holds
+frames until its flush, which makes one :func:`batch_istft` call.  Every
+entry point checks its geometry through :func:`_check_geometry`.
 
 The batch transforms compute in the dtype of their input: float32 samples
 give complex64 frames and complex64 frames give float32 samples; anything
@@ -297,9 +297,10 @@ class StreamingSTFT:
     new chunk completes through the shared framing kernel.  The concatenation
     of every emitted frame block is **bit-identical** to
     ``stft(concatenated_chunks, ...)`` for any chunking (including sub-hop
-    chunks): the framing offsets are carried and each frame's ``rfft`` is an
-    independent row transform.  Samples are cast to ``dtype`` as they are
-    fed, so the frames are exactly ``stft`` of the samples in that dtype.
+    chunks) of at least one window: the framing offsets are carried and each
+    frame's ``rfft`` is an independent row transform.  Samples are cast to
+    ``dtype`` as they are fed, so the frames are exactly ``stft`` of the
+    samples in that dtype.
     Because frames overlap or abut (checked by :func:`_check_geometry`), the
     carry holds every sample a later frame reads.
     """
@@ -322,16 +323,6 @@ class StreamingSTFT:
 
     def reset(self) -> None:
         self._carry = np.zeros(0, dtype=self.dtype)
-        self._framed = False  # a frame was emitted since the last reset
-
-    def _frames(self, signal: np.ndarray) -> np.ndarray:
-        self._framed = True
-        return _frame_spectra(signal, self.n_fft, self.win_length, self.hop_length, self.window)
-
-    def _no_frames(self) -> np.ndarray:
-        return np.zeros(
-            (self.n_fft // 2 + 1, 0), dtype=np.result_type(self.dtype, np.complex64)
-        )
 
     def feed(self, samples: np.ndarray) -> np.ndarray:
         """Append samples; return the newly completed frames, shape ``(F, t)``.
@@ -345,23 +336,12 @@ class StreamingSTFT:
         if buffer.size < self.win_length:
             # Own the storage: `buffer` may alias the caller's chunk.
             self._carry = buffer.copy()
-            return self._no_frames()
-        spectrum = self._frames(buffer)
+            return np.zeros(
+                (self.n_fft // 2 + 1, 0), dtype=np.result_type(self.dtype, np.complex64)
+            )
+        spectrum = _frame_spectra(buffer, self.n_fft, self.win_length, self.hop_length, self.window)
         self._carry = buffer[spectrum.shape[1] * self.hop_length :].copy()
         return spectrum
-
-    def flush(self) -> np.ndarray:
-        """Terminal frames of the stream, shape ``(F, t)``.
-
-        Mirrors :func:`stft` end-of-signal semantics exactly: a stream that
-        never filled one analysis window yields the single zero-padded frame
-        ``stft`` would produce; otherwise trailing samples shorter than a
-        window are dropped, exactly like the batch framing.
-        """
-        carry, self._carry = self._carry, np.zeros(0, dtype=self.dtype)
-        if self._framed or not carry.size:
-            return self._no_frames()
-        return self._frames(carry)
 
 
 class StreamingISTFT:

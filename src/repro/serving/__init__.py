@@ -19,7 +19,7 @@ scheduler primitive:
 * :mod:`repro.serving.service` — :class:`ProtectionService`: the front door
   tying registry, sessions and loop together.
 
-Sharing a tick never changes a number (every request's shadows are
+Sharing a tick never changes a number (every request's shadow is
 bit-identical to a dedicated per-stream pass), so protection through the
 service equals direct :class:`~repro.core.pipeline.StreamingProtector` use
 bit for bit — the equivalence the test-suite pins.

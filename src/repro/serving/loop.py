@@ -1,14 +1,16 @@
 """The tick-driving event loop: one background thread runs all inference.
 
 Sessions feed audio from wherever their traffic arrives (request handlers,
-reader threads, a benchmark loop); completed segments pile up in the shared
-:class:`~repro.core.selector.StreamBatch`.  The :class:`TickLoop` thread is
-the only place inference runs: it wakes when work is submitted (or on a
-coarse poll as a safety net), runs one
+reader threads, a benchmark loop); each completed segment becomes one request
+in the shared :class:`~repro.core.selector.StreamBatch`.  The
+:class:`TickLoop` thread is the only place inference runs: it wakes when work
+is submitted (or on a coarse poll as a safety net), runs one
 :meth:`~repro.core.selector.StreamBatch.tick` over every pending request
 across every session, in submit order, and notifies waiters.  That
 single-ticker design keeps the scheduling trivially fair (FIFO) and keeps
-concurrent sessions from racing each other for the Selector.
+concurrent sessions from racing each other for the Selector.  A tick that
+raises stops the loop and is re-raised to every waiter; the batch keeps the
+failed request and those behind it queued.
 
 Shutdown is graceful by default: the loop stops accepting wakeups, keeps
 ticking until no request is pending (draining every submitted segment so no
@@ -32,19 +34,14 @@ class TickLoop:
     scheduling mechanism.
     """
 
-    def __init__(
-        self,
-        batch: StreamBatch,
-        poll_interval_s: float = 0.05,
-        name: str = "nec-tick-loop",
-    ) -> None:
+    def __init__(self, batch: StreamBatch, poll_interval_s: float = 0.05) -> None:
         self.batch = batch
         self.poll_interval_s = float(poll_interval_s)
-        self._name = name
         self._thread: Optional[threading.Thread] = None
         self._wake_cond = threading.Condition()
         self._woken = False
         self._stopping = False
+        self._drain_on_stop = True
         self._tick_cond = threading.Condition()
         self._error: Optional[BaseException] = None
 
@@ -64,7 +61,7 @@ class TickLoop:
             return self
         if self._stopping:
             raise RuntimeError("TickLoop cannot be restarted after shutdown")
-        self._thread = threading.Thread(target=self._run, name=self._name, daemon=True)
+        self._thread = threading.Thread(target=self._run, name="nec-tick-loop", daemon=True)
         self._thread.start()
         return self
 
@@ -81,27 +78,19 @@ class TickLoop:
         Selector pass — sessions can still :meth:`collect` their
         results after the loop is gone.  With ``drain=False`` pending requests
         are left unticked (their waiters see the loop stopped and give up).
+        A loop that is not running just stops; nothing ticks on the caller's
+        thread.
         """
-        if self._thread is None:
-            # Never started: drain inline so submitted work is not stranded.
-            self._stopping = True
-            if drain:
-                self._drain_inline()
-            return
         with self._wake_cond:
             self._stopping = True
             self._drain_on_stop = drain
             self._wake_cond.notify()
+        if self._thread is None:
+            return
         self._thread.join(timeout)
         if self._thread.is_alive():  # pragma: no cover - join timeout
             raise RuntimeError("TickLoop failed to stop within the timeout")
         self._thread = None
-
-    _drain_on_stop = True
-
-    def _drain_inline(self) -> None:
-        while self.batch.pending_requests:
-            self._tick_once()
 
     # -- waiting -----------------------------------------------------------
     def wait_for(
@@ -130,9 +119,9 @@ class TickLoop:
                 self._tick_cond.wait(remaining)
 
     # -- loop body ---------------------------------------------------------
-    def _tick_once(self) -> int:
+    def _tick_once(self) -> None:
         try:
-            ticked = self.batch.tick()
+            self.batch.tick()
         except BaseException as exc:  # noqa: BLE001 - surfaced to waiters
             with self._tick_cond:
                 self._error = exc
@@ -140,7 +129,6 @@ class TickLoop:
             raise
         with self._tick_cond:
             self._tick_cond.notify_all()
-        return ticked
 
     def _run(self) -> None:
         try:

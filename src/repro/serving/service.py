@@ -7,18 +7,20 @@ costs no extra weights:
 
 - the :class:`~repro.serving.registry.EnrollmentRegistry` supplies (and
   persists) per-tenant d-vectors and the model checkpoints;
-- every open :class:`~repro.serving.session.ProtectionSession` submits its
-  completed segments to one shared :class:`~repro.core.selector.StreamBatch`,
-  each row carrying that tenant's d-vector;
-- the :class:`~repro.serving.loop.TickLoop` thread runs every pending
-  request — across sessions and tenants — one tick at a time.
+- every open :class:`~repro.serving.session.ProtectionSession` submits each
+  completed segment as one request to one shared
+  :class:`~repro.core.selector.StreamBatch`, carrying that tenant's d-vector;
+- the :class:`~repro.serving.loop.TickLoop` thread, started with the
+  service, runs every pending request — across sessions and tenants — one
+  tick at a time.
 
-Each request's shadows equal the dedicated single-stream pass exactly, so
+Each request's shadow equals the dedicated single-stream pass exactly, so
 the service's shadow waves are bit-identical to running a private
-:class:`~repro.core.pipeline.StreamingProtector` per stream.  Shutdown is
-graceful: the loop drains every submitted segment, the batch is closed to
-new submits (:meth:`StreamBatch.close`), and closed sessions can still
-collect.
+:class:`~repro.core.pipeline.StreamingProtector` per stream.  The tick
+counters live on :attr:`ProtectionService.batch`; :class:`ServiceStats`
+counts sessions.  Shutdown is graceful: the loop drains every submitted
+segment, the batch is closed to new submits (:meth:`StreamBatch.close`), and
+closed sessions can still collect.
 """
 
 from __future__ import annotations
@@ -39,20 +41,10 @@ from repro.serving.session import ProtectionSession, SessionState
 
 @dataclass
 class ServiceStats:
-    """Aggregate serving counters (scheduling efficiency, not per-stream latency)."""
+    """Session counts; the live tick counters are on :attr:`ProtectionService.batch`."""
 
-    ticks: int = 0
-    empty_ticks: int = 0
-    segments_coalesced: int = 0
-    max_batch_size: int = 0
     sessions_opened: int = 0
     sessions_closed: int = 0
-
-    @property
-    def mean_batch_size(self) -> float:
-        """Mean segments per tick that inferred anything."""
-        busy_ticks = self.ticks - self.empty_ticks
-        return self.segments_coalesced / busy_ticks if busy_ticks else 0.0
 
 
 class ProtectionService:
@@ -83,7 +75,6 @@ class ProtectionService:
         registry: EnrollmentRegistry,
         system: Optional[NECSystem] = None,
         poll_interval_s: float = 0.05,
-        autostart: bool = True,
     ) -> None:
         self.registry = registry
         if system is None:
@@ -97,8 +88,7 @@ class ProtectionService:
         self.stats = ServiceStats()
         self._sessions: Dict[str, ProtectionSession] = {}
         self._shutdown = False
-        if autostart:
-            self.loop.start()
+        self.loop.start()
 
     # -- enrollment --------------------------------------------------------
     def enroll(
@@ -181,14 +171,7 @@ class ProtectionService:
             if session.state is not SessionState.CLOSED:
                 session.close(drain=drain, timeout=timeout)
         self.loop.shutdown(drain=drain, timeout=timeout)
-        self._harvest_stats()
         self.batch.close()
-
-    def _harvest_stats(self) -> None:
-        self.stats.ticks = self.batch.ticks
-        self.stats.empty_ticks = self.batch.empty_ticks
-        self.stats.segments_coalesced = self.batch.segments_coalesced
-        self.stats.max_batch_size = self.batch.max_batch_size
 
     def __enter__(self) -> "ProtectionService":
         return self

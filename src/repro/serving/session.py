@@ -9,11 +9,12 @@ plus the per-session latency ledger
 (:class:`~repro.core.pipeline.StreamLatencyStats`).
 
 Sessions never run inference themselves: feeding only buffers samples and
-submits completed segments to the shared batch; the service's
-:class:`~repro.serving.loop.TickLoop` runs the Selector pass and the session
-picks results up with :meth:`collect`.  Because each request's shadows are
-the same whichever sessions share a tick, the shadow waves a session
-collects are bit-identical to a dedicated
+submits each completed segment to the shared batch as one request; the
+service's :class:`~repro.serving.loop.TickLoop` runs the Selector pass and
+the session picks results up with :meth:`collect`.  ``close`` makes one wait
+on the loop for every submitted segment to be ticked, then one collect.
+Because each request's shadow is the same whichever sessions share a tick,
+the shadow waves a session collects are bit-identical to a dedicated
 :class:`~repro.core.pipeline.StreamingProtector` fed the same chunks.
 """
 
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import time
 from typing import TYPE_CHECKING, List, Optional, Union
 
 import numpy as np
@@ -61,7 +61,7 @@ class ProtectionSession:
                 for result in session.collect():
                     speaker.broadcast(result.shadow_wave)
         # close() flushed the tail and drained remaining results into
-        # session.results_pending_close — or use close(drain=True) explicitly.
+        # session.drained_results — or call close() explicitly.
     """
 
     def __init__(
@@ -78,7 +78,6 @@ class ProtectionSession:
         )
         self.protector = StreamingProtector(system, stream_batch=service.batch)
         self.state = SessionState.OPEN
-        self.segments_collected = 0
         #: Results drained by :meth:`close`; clients that close before
         #: collecting everything find the remainder here, in stream order.
         self.drained_results: List[ProtectionResult] = []
@@ -124,9 +123,7 @@ class ProtectionSession:
                 or not self.protector.pending_inference_segments,
                 timeout=timeout,
             )
-        results = self.protector.collect()
-        self.segments_collected += len(results)
-        return results
+        return self.protector.collect()
 
     def flush(self) -> None:
         """Queue the buffered partial segment (zero-padded, trimmed on emit)."""
@@ -140,37 +137,25 @@ class ProtectionSession:
         """Flush the tail, drain outstanding inference, detach from the service.
 
         Returns the results collected while draining (also kept in
-        :attr:`drained_results`).  With ``drain=False`` un-ticked segments are
-        abandoned — only correct when the whole service is being torn down.
-        Idempotent: closing a closed session returns ``[]``.
+        :attr:`drained_results`).  With ``drain`` it waits for every submitted
+        segment to be ticked: it raises :class:`TimeoutError` if ``timeout``
+        passes while the loop runs, and collects what finished if the loop
+        has stopped.  With ``drain=False`` un-ticked segments are abandoned —
+        only correct when the whole service is being torn down.  Idempotent:
+        closing a closed session returns ``[]``.
         """
         if self.state is SessionState.CLOSED:
             return []
         if self.state is SessionState.OPEN:
             self.protector.flush()
             self.state = SessionState.DRAINING
-        drained: List[ProtectionResult] = []
-        if drain and self.protector.pending_inference_segments:
-            self.service.loop.wake()
-            deadline = None if timeout is None else time.monotonic() + timeout
-            while self.protector.pending_inference_segments:
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    raise TimeoutError(
-                        f"session {self.stream_id} did not drain within the timeout"
-                    )
-                ticked = self.service.loop.wait_for(
-                    lambda: self.protector.next_result_ready, timeout=remaining
-                )
-                collected = self.protector.collect()
-                drained.extend(collected)
-                if not ticked and not collected and not self.service.loop.running:
-                    # The loop stopped without draining this session's
-                    # segments (shutdown(drain=False)); nothing will tick them.
-                    break
-        else:
-            drained.extend(self.protector.collect())
-        self.segments_collected += len(drained)
+        if drain and not self.protector.all_ticked:
+            loop = self.service.loop
+            loop.wake()
+            ticked = loop.wait_for(lambda: self.protector.all_ticked, timeout=timeout)
+            if not ticked and loop.running:
+                raise TimeoutError(f"session {self.stream_id} did not drain within the timeout")
+        drained = self.protector.collect()
         self.drained_results.extend(drained)
         self.state = SessionState.CLOSED
         self.service._session_closed(self)

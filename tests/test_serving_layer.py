@@ -207,7 +207,7 @@ class TestTickLoop:
         batch = StreamBatch(system.selector)
         loop = TickLoop(batch, poll_interval_s=0.01).start()
         try:
-            spec = np.zeros((1, *tiny_config.spectrogram_shape))
+            spec = np.zeros(tiny_config.spectrogram_shape)
             request = batch.submit(spec, system.embedding)
             loop.wake()
             assert loop.wait_for(lambda: request.done, timeout=10.0)
@@ -220,7 +220,7 @@ class TestTickLoop:
         loop = TickLoop(batch, poll_interval_s=0.01).start()
         try:
             request = batch.submit(
-                np.zeros((1, *tiny_config.spectrogram_shape)), system.embedding
+                np.zeros(tiny_config.spectrogram_shape), system.embedding
             )
             # No wake(): the poll interval alone must pick the work up.
             assert loop.wait_for(lambda: request.done, timeout=10.0)
@@ -233,7 +233,7 @@ class TestTickLoop:
         loop = TickLoop(batch, poll_interval_s=5.0).start()  # too slow to poll
         requests = [
             batch.submit(
-                np.zeros((1, *tiny_config.spectrogram_shape)), system.embedding
+                np.zeros(tiny_config.spectrogram_shape), system.embedding
             )
             for _ in range(3)
         ]
@@ -244,6 +244,8 @@ class TestTickLoop:
 
     def test_tick_errors_surface_to_waiters(self, tiny_config):
         class Exploding:
+            config = tiny_config
+
             def shadow_spectrogram_batch(self, specs, vectors):
                 raise RuntimeError("boom")
 
@@ -251,7 +253,7 @@ class TestTickLoop:
         loop = TickLoop(batch, poll_interval_s=0.01).start()
         try:
             batch.submit(
-                np.zeros((1, *tiny_config.spectrogram_shape)),
+                np.zeros(tiny_config.spectrogram_shape),
                 np.zeros(tiny_config.embedding_dim),
             )
             loop.wake()
@@ -400,5 +402,43 @@ class TestProtectionService:
         assert session.state is SessionState.CLOSED
         assert len(session.drained_results) == 2
         assert service.stats.sessions_closed == 1
-        assert service.stats.segments_coalesced >= 2
-        assert 1 <= service.stats.mean_batch_size <= service.stats.max_batch_size
+        assert service.batch.segments_coalesced >= 2
+        assert 1 <= service.batch.max_batch_size <= service.batch.segments_coalesced
+
+    def test_close_times_out_while_a_pass_blocks(
+        self, tiny_config, system, tmp_path, monkeypatch
+    ):
+        service = _make_service(tiny_config, system, tmp_path)
+        selector = service.system.selector
+        release = threading.Event()
+        started = threading.Event()
+        real_pass = selector.shadow_spectrogram_batch
+
+        def blocking_pass(*args):
+            started.set()
+            release.wait(60.0)
+            return real_pass(*args)
+
+        monkeypatch.setattr(selector, "shadow_spectrogram_batch", blocking_pass)
+        try:
+            session = service.open_session("alice")
+            session.feed(np.zeros(tiny_config.segment_samples))
+            assert started.wait(10.0)
+            with pytest.raises(TimeoutError):
+                session.close(timeout=0.2)
+        finally:
+            release.set()
+            service.shutdown(timeout=60.0)
+        assert session.state is SessionState.CLOSED
+        assert len(session.drained_results) == 1
+
+    def test_close_after_loop_stopped_does_not_wait(self, tiny_config, system, tmp_path):
+        service = _make_service(tiny_config, system, tmp_path)
+        session = service.open_session("alice")
+        session.feed(np.zeros(tiny_config.segment_samples // 3))
+        service.loop.shutdown(drain=False, timeout=60.0)
+        started = time.monotonic()
+        assert session.close() == []  # the flushed tail is never ticked
+        assert time.monotonic() - started < 5.0
+        assert session.state is SessionState.CLOSED
+        service.shutdown()

@@ -100,18 +100,7 @@ class TestStreamingSTFT:
             emitted = streamer.feed(chunk)
             if emitted.shape[1]:
                 frames.append(emitted)
-        tail = streamer.flush()
-        if tail.shape[1]:
-            frames.append(tail)
         np.testing.assert_array_equal(np.concatenate(frames, axis=1), reference)
-
-    @pytest.mark.parametrize("n_fft,win,hop", GEOMETRIES)
-    def test_short_signal_single_padded_frame(self, n_fft, win, hop):
-        signal = _noise(win // 3, seed=3)
-        reference = stft(signal, n_fft, win, hop)
-        streamer = StreamingSTFT(n_fft, win, hop)
-        assert streamer.feed(signal).shape == (n_fft // 2 + 1, 0)
-        np.testing.assert_array_equal(streamer.flush(), reference)
 
     def test_float32_policy_matches_batch(self):
         n_fft, win, hop = GEOMETRIES[0]
@@ -267,6 +256,14 @@ class TestLatencyAccounting:
         assert protector.latency.emits == 1
         assert protector.latency.worst_emit_latency_samples == extra
 
+    def test_collect_is_not_counted_as_a_feed(self, system, tiny_config):
+        batch = StreamBatch(system.selector)
+        protector = StreamingProtector(system, stream_batch=batch)
+        protector.feed(_noise(tiny_config.segment_samples, seed=16))
+        batch.tick()
+        assert len(protector.collect()) == 1
+        assert protector.latency.feeds == 1
+
     def test_mean_and_worst_feed_tracked(self, system, tiny_config):
         protector = StreamingProtector(system)
         protector.feed(_noise(10, seed=17))
@@ -299,7 +296,7 @@ class TestStreamBatch:
         for protector, clip in zip(protectors, clips):
             assert protector.feed(clip) == []
             assert protector.flush() is None  # tail queued for the tick
-        assert batch.pending_segments == 9
+        assert batch.pending_requests == 9
         batch.tick()
         for index, protector in enumerate(protectors):
             for result in protector.collect():
@@ -369,56 +366,76 @@ class TestStreamBatch:
         assert batch.ticks == batch.empty_ticks == 1
         assert batch.max_batch_size == 0
 
-    def test_tick_with_only_zero_segment_submissions(self, system, tiny_config):
-        """Regression: all-empty pending requests used to crash the tick.
-
-        An idle stream heartbeating the scheduler submits ``(0, F, T)`` —
-        nothing to stack, so ``np.concatenate`` over zero chunks raised
-        ``ValueError`` and the serving tick thread died.  The tick must be a
-        clean no-op that still marks the empty requests done.
-        """
-        frequency_bins, frames = tiny_config.spectrogram_shape
-        batch = StreamBatch(system.selector)
-        requests = [
-            batch.submit(np.empty((0, frequency_bins, frames)), system.embedding)
-            for _ in range(2)
-        ]
-        assert batch.tick() == 0
-        for request in requests:
-            assert request.done
-            assert request.shadow_spectrograms.shape == (0, frequency_bins, frames)
-        assert batch.empty_ticks == 1
-
-    def test_tick_mixing_empty_and_real_submissions(self, system, tiny_config):
-        segment = tiny_config.segment_samples
-        frequency_bins, frames = tiny_config.spectrogram_shape
-        batch = StreamBatch(system.selector)
-        empty = batch.submit(np.empty((0, frequency_bins, frames)), system.embedding)
+    def test_tick_runs_one_segment_per_request(self, system, tiny_config):
         spectrogram = np.abs(
             stft(
-                _noise(segment, seed=60),
+                _noise(tiny_config.segment_samples, seed=60),
                 tiny_config.n_fft,
                 tiny_config.win_length,
                 tiny_config.hop_length,
             )
-        )[None, :, :]
-        real = batch.submit(spectrogram, system.embedding)
+        )
+        batch = StreamBatch(system.selector)
+        request = batch.submit(spectrogram, system.embedding)
         assert batch.tick() == 1
-        assert empty.done and empty.shadow_spectrograms.shape[0] == 0
-        assert real.done and real.shadow_spectrograms.shape == spectrogram.shape
+        assert request.done and request.shadow_spectrogram.shape == spectrogram.shape
+
+    def test_failed_tick_requeues_ahead_of_later_submits(self, system, tiny_config):
+        """The failed request and those behind it run first, in order, on the next tick."""
+        frequency_bins, frames = tiny_config.spectrogram_shape
+        rng = np.random.default_rng(63)
+        spectrograms = [np.abs(rng.normal(size=(frequency_bins, frames))) for _ in range(4)]
+        clean = [
+            system.selector.shadow_spectrogram_batch(spectrogram[None], system.embedding)[0]
+            for spectrogram in spectrograms
+        ]
+
+        class FailsOnSecondPass:
+            config = tiny_config
+
+            def __init__(self):
+                self.inputs = []
+
+            def shadow_spectrogram_batch(self, mixed, d_vector):
+                self.inputs.append(mixed[0])
+                if len(self.inputs) == 2:
+                    raise MemoryError("no room for the pass")
+                return system.selector.shadow_spectrogram_batch(mixed, d_vector)
+
+        selector = FailsOnSecondPass()
+        batch = StreamBatch(selector)
+        requests = [batch.submit(spectrogram, system.embedding) for spectrogram in spectrograms[:3]]
+        with pytest.raises(MemoryError):
+            batch.tick()
+        assert [request.done for request in requests] == [True, False, False]
+        assert batch.pending_requests == 2
+        requests.append(batch.submit(spectrograms[3], system.embedding))
+        assert batch.tick() == 3
+        # Passes ran 0, 1 (raised), then 1, 2, 3.
+        assert len(selector.inputs) == 5
+        for ran, index in zip(selector.inputs, (0, 1, 1, 2, 3)):
+            np.testing.assert_array_equal(ran, spectrograms[index])
+        for request, want in zip(requests, clean):
+            np.testing.assert_array_equal(request.shadow_spectrogram, want)
 
     def test_submit_after_close_raises(self, system, tiny_config):
         frequency_bins, frames = tiny_config.spectrogram_shape
         batch = StreamBatch(system.selector)
         batch.close()
         with pytest.raises(RuntimeError, match="closed"):
-            batch.submit(np.zeros((1, frequency_bins, frames)), system.embedding)
+            batch.submit(np.zeros((frequency_bins, frames)), system.embedding)
         batch.close()  # idempotent
 
     def test_submit_rejects_bad_shapes(self, system, tiny_config):
+        """One request is one ``(F, T)`` segment with one d-vector."""
+        frequency_bins, frames = tiny_config.spectrogram_shape
         batch = StreamBatch(system.selector)
+        for shape in ((1, frequency_bins, frames), (frequency_bins,), (frequency_bins + 1, frames)):
+            with pytest.raises(ValueError):
+                batch.submit(np.zeros(shape), system.embedding)
         with pytest.raises(ValueError):
-            batch.submit(np.zeros((4, 4)), system.embedding)
+            batch.submit(np.zeros((frequency_bins, frames)), system.embedding[:-1])
+        assert batch.pending_requests == 0
 
     def test_forward_batch_validates_per_row_vectors(self, system, tiny_config):
         frequency_bins, frames = tiny_config.spectrogram_shape
