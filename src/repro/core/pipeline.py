@@ -8,10 +8,12 @@ transformed by one batched STFT; the Selector infers the shadow spectrograms
 iSTFT inverts them (:meth:`NECSystem.protect`).  The same engine powers
 :meth:`NECSystem.protect_batch` (many clips per call) and
 :class:`StreamingProtector` (chunked audio in, shadow waves out, with
-carried-over state), which submits each completed segment as one request to
-a :class:`~repro.core.selector.StreamBatch`.  Each path is bit-identical to
-protecting one segment at a time; that oracle lives in ``tests/oracles.py``
-and the equivalence is pinned by ``tests/test_pipeline_batch.py``.
+carried-over state), which queues each segment as one request to a
+:class:`~repro.core.selector.StreamBatch`: its head block as soon as the
+segment's first ``T − L`` frames exist, its tail when the segment closes.
+Each path is bit-identical to protecting one segment at a time; that oracle
+lives in ``tests/oracles.py`` and the equivalence is pinned by
+``tests/test_pipeline_batch.py``.
 """
 
 from __future__ import annotations
@@ -345,7 +347,8 @@ class StreamLatencyStats:
     is emitted inside the very feed that completed the segment; positive when
     a shared :class:`~repro.core.selector.StreamBatch` ticks it later).  The
     algorithmic floor on top of that is always one segment of lookahead — the
-    Selector needs the whole segment spectrogram before any shadow exists.
+    Selector's tail block needs the segment's last frames before any shadow
+    exists.
 
     Every field is a count, a sum or a maximum, so the stats stay bounded
     however long the session lives.
@@ -388,7 +391,7 @@ class _PendingSegment:
     stft: np.ndarray                # (F, T) complex frames, inference dtype
     completed_at_samples: int       # samples_fed when the segment completed
     trim_to: Optional[int] = None   # emitted wave length (flush tails)
-    request: Optional[StreamRequest] = None  # set once submitted
+    request: Optional[StreamRequest] = None  # from its head's early submit, or its own
 
     @property
     def stream_samples(self) -> int:
@@ -409,13 +412,21 @@ class StreamingProtector:
     - the **incremental STFT** (:class:`~repro.dsp.stft.StreamingSTFT`)
       transforms only the frames each chunk completes, so the segment
       spectrogram is already standing when its last sample arrives;
-    - a completed segment (:meth:`flush` zero-pads the tail to a full one)
-      is submitted as one ``(F, T)`` request to a
+    - each segment is one request to a
       :class:`~repro.core.selector.StreamBatch` for its gradient-free
-      Selector pass.  Without a ``stream_batch`` the protector owns a private
-      batch and ticks it inside :meth:`feed` / :meth:`flush`, which return
-      the results; attached to a shared ``stream_batch`` (the serving layer's)
-      ``feed`` returns nothing, and finished results are picked up with
+      Selector pass, in two stages.  As soon as the incremental STFT has
+      frame ``S − 1`` (``S = T − L``, :meth:`Selector.head_frames`), the
+      first ``S`` frames and the d-vector are queued for the head block
+      (:meth:`StreamBatch.submit_head`); that frame ends ``L·hop`` samples
+      (190 ms at ``NECConfig.default()``) before the segment does.  When the
+      segment completes (:meth:`flush` zero-pads the tail to a full one),
+      the ``(F, T)`` spectrogram is queued for the tail block
+      (:meth:`StreamBatch.submit`; both stages, if one feed delivered both).
+      The d-vector is read once per segment, for its head.  Without a
+      ``stream_batch`` the protector owns a private batch and ticks it
+      inside :meth:`feed` / :meth:`flush`, which return the results;
+      attached to a shared ``stream_batch`` (the serving layer's) ``feed``
+      returns nothing, and finished results are picked up with
       :meth:`collect` after ``stream_batch.tick()``;
     - the shadow spectrogram, with the segment's mixed phase, is fed to a
       :class:`~repro.dsp.stft.StreamingISTFT`, whose flush inverts it with
@@ -423,7 +434,8 @@ class StreamingProtector:
 
     Concatenating all emitted shadow waves (with a final :meth:`flush`)
     reproduces **exactly** what :meth:`NECSystem.protect` emits for the whole
-    clip at once, for any chunking — the equivalence the test-suite pins.
+    clip at once, for any chunking — the equivalence the test-suite pins:
+    ``protect`` runs the same head and tail blocks.
     Per-feed wall-clock and per-segment emission lag are tracked in
     :attr:`latency` (see :class:`StreamLatencyStats`)::
 
@@ -450,6 +462,9 @@ class StreamingProtector:
             config.n_fft, config.win_length, config.hop_length, dtype=config.inference_dtype
         )
         self._frames: List[np.ndarray] = []
+        #: The open segment's head request, once its first ``S`` frames exist.
+        self._open_head: Optional[StreamRequest] = None
+        self._head_frames = system.selector.head_frames(config.num_frames)
         self._ready: List[_PendingSegment] = []      # completed, not yet submitted
         self._submitted: List[_PendingSegment] = []  # submitted, not yet collected
         self._segments_completed = 0
@@ -497,6 +512,7 @@ class StreamingProtector:
         self._fill = 0
         self._stft.reset()
         self._frames = []
+        self._open_head = None
         self._ready = []
         self._submitted = []
         self._segments_completed = 0
@@ -520,25 +536,28 @@ class StreamingProtector:
             if self._fill == self._segment:
                 self._complete_segment()
 
+    def _joined_frames(self) -> np.ndarray:
+        """The open segment's frames so far, as one ``(F, t)`` block."""
+        if len(self._frames) > 1:
+            self._frames = [np.concatenate(self._frames, axis=1)]
+        return self._frames[0]
+
     def _complete_segment(self) -> None:
         """A full segment is standing in the ring: queue it for inference."""
-        stft_frames = (
-            self._frames[0]
-            if len(self._frames) == 1
-            else np.concatenate(self._frames, axis=1)
-        )
         self._segments_completed += 1
         self._ready.append(
             _PendingSegment(
                 raw=self._ring.copy(),
-                stft=stft_frames,
+                stft=self._joined_frames(),
                 completed_at_samples=self._segments_completed * self._segment,
+                request=self._open_head,
             )
         )
         # Framing restarts per segment (exactly the batched engine's geometry);
         # the sub-hop STFT carry never crosses a segment boundary.
         self._stft.reset()
         self._frames = []
+        self._open_head = None
         self._fill = 0
 
     def _build_result(
@@ -569,16 +588,25 @@ class StreamingProtector:
         )
 
     def _drain_ready(self) -> List[ProtectionResult]:
-        """Stage 2: submit completed segments; tick a private batch holding requests."""
-        if self._ready:
+        """Stage 2: submit closed segments and the open segment's head block;
+        tick a private batch holding requests."""
+        frames = sum(block.shape[1] for block in self._frames)
+        head_due = self._open_head is None and 0 < self._head_frames <= frames
+        if self._ready or head_due:
             embedding = self.system.embedding  # fail fast *before* consuming state
-            for segment in self._ready:
-                segment.request = self._batch.submit(magnitude(segment.stft), embedding)
-            self._submitted.extend(self._ready)
-            self._ready = []
+            while self._ready:
+                segment = self._ready[0]
+                # An early head's request carries the d-vector it read.
+                segment.request = self._batch.submit(
+                    magnitude(segment.stft), embedding, segment.request
+                )
+                self._submitted.append(self._ready.pop(0))
+            if head_due:
+                head = np.ascontiguousarray(self._joined_frames()[:, : self._head_frames])
+                self._open_head = self._batch.submit_head(magnitude(head), embedding)
         if self.stream_batch is not None:
             return []
-        if self._batch.pending_requests:
+        while self._batch.pending_requests:
             self._batch.tick()
         return self.collect()
 

@@ -27,18 +27,21 @@ The network has one training pass and one inference pass over stacked
 (convolutions through :meth:`Conv2d.forward`) and
 :meth:`Selector.forward_batch` runs gradient-free (convolutions through
 :meth:`Conv2d.infer`).  Both are pinned against the one-segment autograd
-oracle ``selector_reference`` in ``tests/oracles.py``.
+oracle ``selector_reference`` in ``tests/oracles.py``.  The gradient-free
+pass runs as two row blocks split at frame ``S = T − L``, ``L`` being the
+stack's look-ahead: :meth:`Selector.forward_head` needs only the first
+``S`` frames, so the streaming path runs it before the segment ends.
 
 :class:`StreamBatch` is the inference queue of the streaming and serving
-paths: each request is one stream's ``(F, T)`` segment, and a tick runs the
-queued requests in submit order, one Selector pass each.
+paths: each request is one stream's segment, queued as a head stage and a
+tail stage, and a tick runs the queued stages in submit order.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -88,11 +91,15 @@ class Selector(Module):
         fc_in = 2 * config.frequency_bins + config.embedding_dim
         self.fc1 = Dense(fc_in, config.fc_hidden, rng=rng)
         self.fc2 = Dense(config.fc_hidden, config.frequency_bins, rng=rng)
-        self._head_weights = CastCache()  # the inference head's weights, per dtype
+        self._fc_cache = CastCache()  # the inference FC head's weights, per dtype
 
     # ------------------------------------------------------------------
+    def _convs(self) -> List[Conv2d]:
+        """The convolutions in forward order."""
+        return [self.conv_freq, self.conv_time, *self.dilated, self.conv_out]
+
     def num_conv_layers(self) -> int:
-        return 3 + len(self.dilated)
+        return len(self._convs())
 
     def forward(self, spectrograms, d_vectors) -> Tensor:
         """Autograd Selector output for a stacked ``(N, F, T)`` minibatch.
@@ -168,8 +175,40 @@ class Selector(Module):
             output = output.sigmoid()
         return output  # (N, T, F)
 
+    # ------------------------------------------------------------------
+    @property
+    def lookahead_frames(self) -> int:
+        """``L``: how many frames after output frame ``t`` its value reads.
+
+        Every convolution keeps the time axis and zero-pads it by ``pad_h``
+        at both ends, so its output row ``t`` reads input rows up to
+        ``t + pad_h``; ``L`` is the sum over the stack: 19 frames (190 ms)
+        at ``NECConfig.default()``, 11 at ``tiny()``.  The FC head is per
+        frame and adds none.
+        """
+        return sum(layer.padding[0] for layer in self._convs())
+
+    def head_frames(self, frames: int) -> int:
+        """``S = T − L``: the frames the head block of a ``T``-frame pass reads."""
+        return max(frames - self.lookahead_frames, 0)
+
+    def _cast(self, spectrograms: np.ndarray) -> np.ndarray:
+        """``(N, F, T)`` spectrograms in the pass's dtype: float32 stays, else float64."""
+        batch = np.asarray(spectrograms)
+        batch = batch.astype(np.result_type(batch, np.float32), copy=False)
+        if batch.ndim != 3:
+            raise ValueError("the Selector expects a (N, F, T) batch of spectrograms")
+        if batch.shape[1] != self.config.frequency_bins:
+            raise ValueError(
+                f"expected {self.config.frequency_bins} frequency bins, got {batch.shape[1]}"
+            )
+        return batch
+
     def forward_batch(
-        self, spectrograms: np.ndarray, d_vector: np.ndarray
+        self,
+        spectrograms: np.ndarray,
+        d_vector: np.ndarray,
+        head: Optional["SelectorHead"] = None,
     ) -> np.ndarray:
         """Selector output for a batch of segments, without autograd.
 
@@ -183,24 +222,26 @@ class Selector(Module):
         the working set of every gradient-free pass (and every shape the
         convolution's gather-buffer cache keeps) is bounded by
         construction, whatever ``N`` a caller stacks.  Rows are independent:
-        each row is the same whichever rows share its pass.  The numerical
-        constants match :meth:`forward`, and the convolutions run through
-        :meth:`Conv2d.infer`; in float64 each row is within 1e-12 relative
-        of the one-segment autograd oracle (pinned by the test suite).  The
-        pass computes in the dtype of ``spectrograms`` (float32 stays
-        float32, anything else is float64); the float32 gates are in
-        ``tests/test_precision.py``.
+        each row is the same whichever rows share its pass.  Every pass runs
+        as two row blocks split at frame ``S = T − L``
+        (:meth:`head_frames`): :meth:`forward_head` over the first ``S``
+        frames, then the tail block over the rest.  A caller that already
+        ran :meth:`forward_head` on the first ``S`` frames of a one-pass
+        batch, with the same ``d_vector``, passes its result as ``head`` and
+        only the tail runs here; the streaming path does so to run the head
+        while the segment is still being spoken.  Both ways run the same
+        blocks on the same shapes, so they give the same bits.
+
+        The numerical constants match :meth:`forward`, and the convolutions
+        run through :meth:`Conv2d.infer`; in float64 each row is within
+        1e-12 relative of the one-segment autograd oracle (pinned by the
+        test suite).  The pass computes in the dtype of ``spectrograms``
+        (float32 stays float32, anything else is float64); the float32
+        gates are in ``tests/test_precision.py``.
         """
-        batch = np.asarray(spectrograms)
-        batch = batch.astype(np.result_type(batch, np.float32), copy=False)
-        if batch.ndim != 3:
-            raise ValueError("forward_batch expects a (N, F, T) batch of spectrograms")
+        batch = self._cast(spectrograms)
         d_vector = np.asarray(d_vector, dtype=batch.dtype)
         num_segments, freq_bins, frames = batch.shape
-        if freq_bins != self.config.frequency_bins:
-            raise ValueError(
-                f"expected {self.config.frequency_bins} frequency bins, got {freq_bins}"
-            )
         if d_vector.ndim == 2 and d_vector.shape[0] != num_segments:
             raise ValueError(
                 f"per-segment d_vectors must be ({num_segments}, dim), "
@@ -208,64 +249,162 @@ class Selector(Module):
             )
         if d_vector.ndim not in (1, 2):
             raise ValueError("d_vector must be (dim,) or (N, dim)")
+        split = self.head_frames(frames)
+        if head is not None and (
+            head.output.shape[0] != num_segments
+            or num_segments > ROWS_PER_PASS
+            or head.frames != split
+        ):
+            raise ValueError(
+                f"a head covers the first {split} frames of one pass of its rows"
+            )
         if num_segments == 0:
             return np.zeros((0, frames, freq_bins), dtype=batch.dtype)
         passes = []
         for start in range(0, num_segments, ROWS_PER_PASS):
             rows = slice(start, start + ROWS_PER_PASS)
             vectors = d_vector if d_vector.ndim == 1 else d_vector[rows]
-            passes.append(self._forward_rows(batch[rows], vectors))
+            pass_head = head if head is not None else self.forward_head(
+                batch[rows, :, :split], vectors
+            )
+            passes.append(self._forward_tail(pass_head, batch[rows, :, split:]))
         return np.concatenate(passes, axis=0)
 
-    def _head(self, fc1_weight, fc1_bias, fc2_weight, fc2_bias):
+    def _split_fc1(self, fc1_weight, fc1_bias, fc2_weight, fc2_bias):
         """``fc1``'s weight split into its feature rows and its d-vector rows."""
         features = 2 * self.config.frequency_bins
         return fc1_weight[:features], fc1_weight[features:], fc1_bias, fc2_weight, fc2_bias
 
-    def _forward_rows(self, batch: np.ndarray, d_vector: np.ndarray) -> np.ndarray:
-        """One gradient-free pass over at most :data:`ROWS_PER_PASS` rows."""
-        num_segments, freq_bins, frames = batch.shape
-
-        # Same dynamic-range compression as forward(): Tensor.log adds its own
-        # 1e-12 epsilon on top of the 1e-6 offset.
-        compressed = np.log(batch + 1e-6 + 1e-12)
-        # (N, F, T) -> (N, 1, T, F): time as "height", frequency as "width".
-        image = compressed.transpose(0, 2, 1).reshape(num_segments, 1, frames, freq_bins)
-
-        hidden = self.conv_freq.infer(image, activation="relu")
-        hidden = self.conv_time.infer(hidden, activation="relu")
-        for layer in self.dilated:
-            hidden = layer.infer(hidden, activation="relu")
-        features = self.conv_out.infer(hidden, activation="relu")  # (N, 2, T, F)
-
-        # (N, 2, T, F) -> (N, T, 2F)
-        features = features.transpose(0, 2, 1, 3).reshape(
-            num_segments, frames, 2 * freq_bins
-        )
-
-        # [features, d] @ W1 = features @ W1[:2F] + d @ W1[2F:]: the d-vector
-        # term is one row per segment, added to every frame by broadcasting.
-        feature_weight, vector_weight, fc1_bias, fc2_weight, fc2_bias = self._head_weights.get(
+    def _fc_weights(self, dtype: np.dtype):
+        return self._fc_cache.get(
             (self.fc1.weight.data, self.fc1.bias.data, self.fc2.weight.data, self.fc2.bias.data),
-            batch.dtype,
-            self._head,
+            dtype,
+            self._split_fc1,
         )
-        vector_term = d_vector @ vector_weight + fc1_bias  # (H,) or (N, H)
-        if vector_term.ndim == 2:
-            vector_term = vector_term[:, None, :]
-        # The (N, T, in) @ (in, out) matmuls broadcast into N per-segment GEMMs.
+
+    @staticmethod
+    def _log_image(spectrograms: np.ndarray) -> np.ndarray:
+        """``(N, F, t)`` magnitudes as the ``(N, 1, t, F)`` log image.
+
+        Time becomes the conv "height", frequency the "width".  The log runs
+        in place on a fresh contiguous block, so the head and tail blocks of
+        every path meet it in the same layout.  The offsets match
+        :meth:`forward`, where ``Tensor.log`` adds its own 1e-12 on top of
+        the 1e-6.
+        """
+        image = spectrograms.transpose(0, 2, 1).copy()
+        image += 1e-6
+        image += 1e-12
+        np.log(image, out=image)
+        return image[:, None]
+
+    def _fc(self, hidden: np.ndarray, vector_term: np.ndarray, weights) -> np.ndarray:
+        """The FC head on ``(N, 2, t, F)`` conv features: ``(N, t, F)``, pre-sigmoid.
+
+        ``[features, d] @ W1 = features @ W1[:2F] + d @ W1[2F:]``: the
+        d-vector term is computed once per segment and added to every frame
+        by broadcasting.  The ``(N, t, in) @ (in, out)`` matmuls broadcast
+        into ``N`` per-segment GEMMs.
+        """
+        feature_weight, _, _, fc2_weight, fc2_bias = weights
+        num_segments, channels, rows, width = hidden.shape
+        features = hidden.transpose(0, 2, 1, 3).reshape(num_segments, rows, channels * width)
         hidden = features @ feature_weight
         hidden += vector_term
         np.maximum(hidden, 0.0, out=hidden)
         output = hidden @ fc2_weight
         output += fc2_bias
+        return output
+
+    def forward_head(self, spectrograms: np.ndarray, d_vector: np.ndarray) -> "SelectorHead":
+        """The head block of one gradient-free pass: all that frames ``[0, S)`` fix.
+
+        ``spectrograms``: ``(N, F, S)``, at most :data:`ROWS_PER_PASS` rows,
+        the first ``S = head_frames(T)`` frames of each segment.
+        ``d_vector``: as in :meth:`forward_batch`; it is read here only.
+
+        At conv layer ``l`` the block computes output rows
+        ``[0, S − la_l)``, where ``la_l`` is the look-ahead up to and
+        including that layer: those rows read no frame past ``S − 1``, so
+        the block pads the top and not the bottom.  A layer with
+        ``S − la_l ≤ 0`` computes nothing here.  The returned
+        :class:`SelectorHead` keeps only what the tail block reads: each
+        layer's last ``2·pad`` head input rows, the FC head's pre-sigmoid
+        rows of the head's frames and the d-vector's FC term.
+        """
+        for head in self.head_steps(spectrograms, d_vector):
+            pass
+        return head
+
+    def head_steps(
+        self, spectrograms: np.ndarray, d_vector: np.ndarray
+    ) -> Iterator[Optional["SelectorHead"]]:
+        """:meth:`forward_head` one convolution at a time.
+
+        Yields ``None`` after each convolution, then the
+        :class:`SelectorHead`, so a scheduler can run other work between the
+        layers: :class:`StreamBatch` runs a closing segment's tail there.
+        """
+        batch = self._cast(spectrograms)
+        if batch.shape[0] > ROWS_PER_PASS:
+            raise ValueError(f"a head block runs at most {ROWS_PER_PASS} rows")
+        weights = self._fc_weights(batch.dtype)
+        vector_term = np.asarray(d_vector, dtype=batch.dtype) @ weights[1] + weights[2]
+        if vector_term.ndim == 2:
+            vector_term = vector_term[:, None, :]
+        hidden = self._log_image(batch)
+        rows = hidden.shape[2]
+        halos = []
+        for layer in self._convs():
+            pad = layer.padding[0]
+            out_rows = max(rows - pad, 0)
+            halo = rows - max(out_rows - pad, 0)
+            halos.append(hidden[:, :, rows - halo :].copy())
+            if out_rows:
+                hidden = layer.infer(hidden, activation="relu", pad_rows=(pad, 0))
+            else:
+                num, _, _, width = hidden.shape
+                hidden = np.zeros((num, layer.out_channels, 0, width), dtype=batch.dtype)
+            rows = out_rows
+            yield None
+        yield SelectorHead(
+            frames=batch.shape[2],
+            halos=halos,
+            output=self._fc(hidden, vector_term, weights),
+            vector_term=vector_term,
+        )
+
+    def _forward_tail(self, head: "SelectorHead", spectrograms: np.ndarray) -> np.ndarray:
+        """The tail block: output rows ``[S − la_l, T)`` of every layer, from frames ``[S, T)``.
+
+        Each layer's input is the head's halo rows followed by the tail rows
+        of the layer before, zero-padded at the bottom (and at the top where
+        the head computed no rows).  The FC head's tail rows join the head's,
+        and the sigmoid runs once over the assembled ``(N, T, F)`` output.
+        """
+        hidden = self._log_image(spectrograms)
+        rows = head.frames
+        for layer, halo in zip(self._convs(), head.halos):
+            pad = layer.padding[0]
+            out_rows = max(rows - pad, 0)
+            if halo.shape[2]:
+                hidden = np.concatenate((halo, hidden), axis=2)
+            hidden = layer.infer(
+                hidden, activation="relu", pad_rows=(max(pad - out_rows, 0), pad)
+            )
+            rows = out_rows
+        tail = self._fc(hidden, head.vector_term, self._fc_weights(hidden.dtype))
+        output = np.concatenate((head.output, tail), axis=1)
         if self.config.output_mode == "mask":
             output = 1.0 / (1.0 + np.exp(-np.clip(output, -60.0, 60.0)))
         return output  # (N, T, F)
 
     # ------------------------------------------------------------------
     def shadow_spectrogram_batch(
-        self, spectrograms: np.ndarray, d_vector: np.ndarray
+        self,
+        spectrograms: np.ndarray,
+        d_vector: np.ndarray,
+        head: Optional["SelectorHead"] = None,
     ) -> np.ndarray:
         """Signed shadow spectrograms ``S_shadow`` for a ``(N, F, T)`` batch.
 
@@ -274,52 +413,99 @@ class Selector(Module):
         to the mixed spectrogram leaves ``(1 - M) * S_mixed ~= S_bk``.  In
         ``spectrogram`` mode the head output is used directly.  ``d_vector``
         may be one shared ``(dim,)`` embedding or per-segment ``(N, dim)``
-        rows (see :meth:`forward_batch`, also for the dtype rule).  One
-        segment is ``shadow_spectrogram_batch(spectrogram[None], d_vector)[0]``.
+        rows, and ``head`` is an already-run head block (see
+        :meth:`forward_batch`, also for the dtype rule).  One segment is
+        ``shadow_spectrogram_batch(spectrogram[None], d_vector)[0]``.
         """
         mixed = np.asarray(spectrograms)
-        output = self.forward_batch(mixed, d_vector).transpose(0, 2, 1)  # (N, F, T)
+        output = self.forward_batch(mixed, d_vector, head).transpose(0, 2, 1)  # (N, F, T)
         if self.config.output_mode == "mask":
             return -(output * mixed)
         return output
 
 
 @dataclass
-class StreamRequest:
-    """One stream's segment awaiting inference inside a :class:`StreamBatch`.
+class SelectorHead:
+    """What the tail block of a pass needs from its head block.
 
-    ``mixed_spectrogram`` is the segment's ``(F, T)`` magnitude spectrogram;
-    once a tick has run the request, ``shadow_spectrogram`` holds its signed
-    ``(F, T)`` shadow.
+    Made by :meth:`Selector.forward_head` over the first ``frames`` frames.
+    ``halos[l]`` holds the rows of conv layer ``l``'s input that the tail
+    reads from the head: the head's last ``2·pad_l`` rows of the layer
+    before (none for the first layer).  ``output`` holds the FC head's
+    pre-sigmoid rows of the head's frames, and ``vector_term`` the
+    d-vector's FC term, so the tail reads no d-vector.  About 0.45 MB per
+    segment at ``NECConfig.default()`` in float32.
     """
 
-    mixed_spectrogram: np.ndarray   # (F, T)
-    d_vector: np.ndarray            # (embedding_dim,)
+    frames: int
+    halos: List[np.ndarray]
+    output: np.ndarray        # (N, S − L, F), pre-sigmoid
+    vector_term: np.ndarray   # (H,) or (N, 1, H)
+
+    @property
+    def nbytes(self) -> int:
+        arrays = [*self.halos, self.output, self.vector_term]
+        return int(sum(array.nbytes for array in arrays))
+
+
+@dataclass
+class StreamRequest:
+    """One stream's segment inside a :class:`StreamBatch`, run in two stages.
+
+    The head stage runs :meth:`Selector.head_steps` on
+    ``head_spectrogram``, the segment's first ``S`` frames, with
+    ``d_vector``; it can run while the segment is still being spoken, and
+    leaves its :class:`SelectorHead` in ``head``.  The tail stage needs
+    ``mixed_spectrogram``, the whole ``(F, T)`` segment; once it has run,
+    ``shadow_spectrogram`` holds the signed ``(F, T)`` shadow.  Each stage
+    drops the input it no longer needs.
+    """
+
+    head_spectrogram: Optional[np.ndarray]           # (F, S) until the head stage ran
+    d_vector: np.ndarray                             # (embedding_dim,)
+    mixed_spectrogram: Optional[np.ndarray] = None   # (F, T) once the segment closed
+    head: Optional[SelectorHead] = None              # between the two stages
     shadow_spectrogram: Optional[np.ndarray] = None  # (F, T) once ticked
+    #: A head stage that yielded to a tail, resumed by the next tick.
+    head_steps: Optional[Iterator[Optional[SelectorHead]]] = field(default=None, repr=False)
 
     @property
     def done(self) -> bool:
         return self.shadow_spectrogram is not None
+
+    @property
+    def tail_ready(self) -> bool:
+        """True once the head has run, so the tail stage can run."""
+        return self.head is not None
 
 
 class StreamBatch:
     """The queue of Selector inference shared by many streams.
 
     Concurrent streaming protectors each complete segments at their own
-    pace and :meth:`submit` them here, one segment per request, each request
-    carrying its speaker's d-vector; :meth:`tick` then runs every queued
-    request in submit order, one Selector pass per request, and marks each
-    request done as soon as its shadow exists.  A request's shadow is
-    exactly what a dedicated per-stream pass produces, whichever streams and
-    speakers share the tick (pinned by the test suite).  Requests are not
-    stacked into one pass: at the deployment geometry stacking saves no time
-    per segment and multiplies the convolution working set.
+    pace.  A segment is one :class:`StreamRequest` carrying its speaker's
+    d-vector, and runs as two queued stages: :meth:`submit_head` queues the
+    head block as soon as the segment's first ``S`` frames exist, and
+    :meth:`submit` queues the tail block when the segment closes (both, if
+    the head was not submitted early).  :meth:`tick` runs every queued stage,
+    tails whose head has run first and the rest in submit order, and marks
+    each request done as soon as its shadow exists.  A head runs one
+    convolution at a time and yields to a tail that becomes runnable
+    meanwhile: the next tick runs that tail, then the rest of the head.  So
+    a closing segment waits for at most one head layer, not a whole head
+    block, and a stream's head never delays another stream's shadow by
+    more.  A request's shadow is exactly what a dedicated per-stream pass
+    produces, whichever streams and speakers share the tick and whenever
+    its head ran (pinned by the test suite).  Requests are not stacked into
+    one pass: at the deployment geometry stacking saves no time per segment
+    and multiplies the convolution working set.
 
-    The queue owns retries: a tick whose pass raises puts the failed request
-    and every request behind it back at the head of the queue, ahead of any
-    later submit, and re-raises; the next tick runs them in order.
+    The queue owns retries: a tick whose stage raises puts the failed stage
+    and every stage behind it back at the head of the queue, ahead of any
+    later submit, and re-raises; the next tick runs them in order, so a
+    failed head still runs before its own tail.
 
-    :meth:`submit` and the pending-queue handoff in :meth:`tick` are
+    The submits and the pending-queue handoff in :meth:`tick` are
     thread-safe, so producer threads (streaming sessions) may submit while a
     dedicated ticker thread drives inference — the shape of the serving event
     loop (:mod:`repro.serving`).  :meth:`close` retires the batch: later
@@ -328,7 +514,8 @@ class StreamBatch:
 
     def __init__(self, selector: Selector) -> None:
         self.selector = selector
-        self._pending: List[StreamRequest] = []
+        #: Queued stages: ``(request, tail)``, ``tail`` False for a head stage.
+        self._pending: List[Tuple[StreamRequest, bool]] = []
         self._lock = threading.Lock()
         self._closed = False
         self.ticks = 0
@@ -338,32 +525,67 @@ class StreamBatch:
 
     @property
     def pending_requests(self) -> int:
-        """Queued segments awaiting a tick."""
+        """Queued segments: those with a stage awaiting a tick."""
         with self._lock:
-            return len(self._pending)
+            return len({id(request) for request, _ in self._pending})
 
     @property
     def closed(self) -> bool:
         return self._closed
 
-    def submit(self, mixed_spectrogram: np.ndarray, d_vector: np.ndarray) -> StreamRequest:
-        """Queue one stream's ``(F, T)`` segment spectrogram for the next tick.
-
-        Shapes are checked here: a malformed request would fail every tick
-        and, requeued at the head, hold up every request behind it.
-        """
-        mixed, d_vector = np.asarray(mixed_spectrogram), np.asarray(d_vector)
-        bins, dim = self.selector.config.frequency_bins, self.selector.config.embedding_dim
-        if mixed.ndim != 2 or mixed.shape[0] != bins or d_vector.shape != (dim,):
+    def _checked(self, spectrogram, d_vector, head: bool):
+        """Check shapes up front: a malformed request would fail every tick
+        and, requeued at the head, hold up every request behind it."""
+        spectrogram, d_vector = np.asarray(spectrogram), np.asarray(d_vector)
+        config = self.selector.config
+        bins, frames = config.frequency_bins, config.num_frames
+        if head:
+            frames = self.selector.head_frames(frames)
+        if spectrogram.shape != (bins, frames) or d_vector.shape != (config.embedding_dim,):
             raise ValueError(
-                f"submit expects a ({bins}, T) spectrogram and a ({dim},) d-vector, "
-                f"got {mixed.shape} and {d_vector.shape}"
+                f"expected a ({bins}, {frames}) spectrogram and a "
+                f"({config.embedding_dim},) d-vector, got {spectrogram.shape} "
+                f"and {d_vector.shape}"
             )
         if self._closed:
             raise RuntimeError("StreamBatch is closed")
-        request = StreamRequest(mixed_spectrogram=mixed, d_vector=d_vector)
+        return spectrogram, d_vector
+
+    def submit_head(self, head_spectrogram: np.ndarray, d_vector: np.ndarray) -> StreamRequest:
+        """Queue a segment's head stage: its first ``S`` frames, ``(F, S)``.
+
+        ``S = selector.head_frames(T)``.  The segment's d-vector is read
+        here, once; pass the returned request to :meth:`submit` when the
+        segment closes.
+        """
+        head_spectrogram, d_vector = self._checked(head_spectrogram, d_vector, head=True)
+        request = StreamRequest(head_spectrogram=head_spectrogram, d_vector=d_vector)
         with self._lock:
-            self._pending.append(request)
+            self._pending.append((request, False))
+        return request
+
+    def submit(
+        self,
+        mixed_spectrogram: np.ndarray,
+        d_vector: Optional[np.ndarray] = None,
+        request: Optional[StreamRequest] = None,
+    ) -> StreamRequest:
+        """Queue a closed segment's ``(F, T)`` spectrogram for the next tick.
+
+        ``request`` is the segment's request from :meth:`submit_head`, whose
+        d-vector the tail uses.  Without it, the head stage (with
+        ``d_vector``) is queued here too, just ahead of the tail.
+        """
+        vector = request.d_vector if request is not None else d_vector
+        mixed, vector = self._checked(mixed_spectrogram, vector, head=False)
+        stages = [(request, True)]
+        if request is None:
+            split = self.selector.head_frames(mixed.shape[1])
+            request = StreamRequest(head_spectrogram=mixed[:, :split], d_vector=vector)
+            stages = [(request, False), (request, True)]
+        request.mixed_spectrogram = mixed
+        with self._lock:
+            self._pending.extend((request, tail) for _, tail in stages)
         return request
 
     def close(self) -> None:
@@ -374,22 +596,65 @@ class StreamBatch:
         """
         self._closed = True
 
-    def tick(self) -> int:
-        """Run every pending request in submit order; returns the segments run."""
+    def _tail_waiting(self) -> bool:
         with self._lock:
-            pending, self._pending = self._pending, []
-        for position, request in enumerate(pending):
+            return any(tail and request.tail_ready for request, tail in self._pending)
+
+    def _run(self, request: StreamRequest, tail: bool) -> bool:
+        """One stage of one request; False if a head yielded to a waiting tail."""
+        if tail:
+            request.shadow_spectrogram = self.selector.shadow_spectrogram_batch(
+                request.mixed_spectrogram[None], request.d_vector, request.head
+            )[0]
+            request.head = None
+            return True
+        if request.head_steps is None:
+            request.head_steps = self.selector.head_steps(
+                request.head_spectrogram[None], request.d_vector
+            )
+        try:
+            for head in request.head_steps:  # the last step yields the head
+                if head is None and self._tail_waiting():
+                    return False
+        except BaseException:
+            request.head_steps = None  # a retry starts the head again
+            raise
+        request.head, request.head_spectrogram, request.head_steps = head, None, None
+        return True
+
+    def tick(self, on_done: Optional[Callable[[StreamRequest], None]] = None) -> int:
+        """Run the pending stages; returns the segments finished.
+
+        Tails whose head has run go first, then every other stage in submit
+        order.  The tick ends early when a head yields to a tail submitted
+        during it; the yielded head and every stage behind it stay queued,
+        ahead of later submits.  ``on_done(request)`` is called as each
+        request's shadow comes to exist, before the next stage runs, so a
+        waiter for one stream need not wait for the rest of the tick.
+        """
+        with self._lock:
+            queued, self._pending = self._pending, []
+        # sorted() is stable: submit order holds within each group.
+        pending = sorted(queued, key=lambda stage: not (stage[1] and stage[0].tail_ready))
+        finished = 0
+        for position, (request, tail) in enumerate(pending):
             try:
-                request.shadow_spectrogram = self.selector.shadow_spectrogram_batch(
-                    request.mixed_spectrogram[None], request.d_vector
-                )[0]
+                complete = self._run(request, tail)
             except BaseException:
                 with self._lock:
                     self._pending[:0] = pending[position:]
                 raise
+            if not complete:
+                with self._lock:
+                    self._pending[:0] = pending[position:]
+                break
+            if tail:
+                finished += 1
+                if on_done is not None:
+                    on_done(request)
         self.ticks += 1
         if not pending:
             self.empty_ticks += 1
-        self.segments_coalesced += len(pending)
-        self.max_batch_size = max(self.max_batch_size, len(pending))
-        return len(pending)
+        self.segments_coalesced += finished
+        self.max_batch_size = max(self.max_batch_size, finished)
+        return finished

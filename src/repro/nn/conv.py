@@ -27,6 +27,8 @@ from repro.nn.layers import CastCache, Module
 from repro.nn.tensor import Tensor
 
 IntPair = Union[int, Tuple[int, int]]
+#: ``(pad_h, pad_w)``, where ``pad_h`` may be a ``(top, bottom)`` pair.
+Padding = Tuple[Union[int, Tuple[int, int]], int]
 
 #: Thread-local store of reusable (padded, column) buffer pairs, keyed by the
 #: full gather signature.  Fresh multi-megabyte allocations dominate the
@@ -76,15 +78,28 @@ def conv_output_size(
     return out_h, out_w
 
 
+def _sides(padding: Padding) -> Tuple[int, int, int]:
+    """``(top, bottom, side)`` of a ``(pad_h, pad_w)`` padding.
+
+    ``pad_h`` is one count for both ends of the height axis or a
+    ``(top, bottom)`` pair: the Selector's row blocks pad only one end.
+    """
+    rows, side = padding
+    top, bottom = rows if isinstance(rows, tuple) else (rows, rows)
+    return top, bottom, side
+
+
 def _checked_output_size(
     x: np.ndarray,
     kernel_size: Tuple[int, int],
     dilation: Tuple[int, int],
-    padding: Tuple[int, int],
+    padding: Padding,
 ) -> Tuple[int, int]:
-    """:func:`conv_output_size` of ``x``'s planes, refusing an empty output."""
+    """The stride-1 output size of ``x``'s planes, refusing an empty output."""
     h, w = x.shape[2:]
-    out_h, out_w = conv_output_size(h, w, kernel_size, dilation, padding)
+    top, bottom, side = _sides(padding)
+    out_h = h + top + bottom - (kernel_size[0] - 1) * dilation[0]
+    out_w = w + 2 * side - (kernel_size[1] - 1) * dilation[1]
     if out_h <= 0 or out_w <= 0:
         raise ValueError(
             f"Convolution output would be empty: input {h}x{w}, "
@@ -98,7 +113,7 @@ def _gather_buffers(
     shape: Tuple[int, ...],
     kernel_size: Tuple[int, int],
     dilation: Tuple[int, int],
-    padding: Tuple[int, int],
+    padding: Padding,
     dtype: np.dtype = np.float64,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """The flat padded buffer and the column buffer (``None`` for ``kw == 1``).
@@ -108,7 +123,8 @@ def _gather_buffers(
     """
     n, c, h, w = shape
     kw, dil_w = kernel_size[1], dilation[1]
-    plane = (h + 2 * padding[0]) * (w + 2 * padding[1])
+    top, bottom, side = _sides(padding)
+    plane = (h + top + bottom) * (w + 2 * side)
     flat = np.zeros((n, c, plane + (kw - 1) * dil_w), dtype=dtype)
     columns = None if kw == 1 else np.empty((n, c, kw, plane), dtype=dtype)
     return flat, columns
@@ -118,16 +134,16 @@ def _gather(
     x: np.ndarray,
     flat: np.ndarray,
     columns: Optional[np.ndarray],
-    padding: Tuple[int, int],
+    padding: Padding,
     dil_w: int,
 ) -> np.ndarray:
     """Pad ``x`` into ``flat``, then gather its ``kw`` horizontal taps into ``columns``."""
     n, c, h, w = x.shape
-    pad_h, pad_w = padding
-    height, width = h + 2 * pad_h, w + 2 * pad_w
+    top, bottom, side = _sides(padding)
+    height, width = h + top + bottom, w + 2 * side
     plane = height * width
     padded = flat[:, :, :plane].reshape(n, c, height, width)
-    padded[:, :, pad_h : pad_h + h, pad_w : pad_w + w] = x
+    padded[:, :, top : top + h, side : side + w] = x
     if columns is None:
         return flat
     for kx in range(columns.shape[2]):
@@ -188,11 +204,12 @@ def strided_im2col(
     x: np.ndarray,
     kernel_size: Tuple[int, int],
     dilation: Tuple[int, int] = (1, 1),
-    padding: Tuple[int, int] = (0, 0),
+    padding: Padding = (0, 0),
 ) -> np.ndarray:
     """Horizontal-tap gather of a ``(N, C, H, W)`` array, shape ``(N, C*kw, Hp*Wp)``.
 
-    ``Hp, Wp`` is the zero-padded size.  Row ``c*kw + kx`` is channel ``c`` of
+    ``Hp, Wp`` is the zero-padded size; ``padding[0]`` may be a
+    ``(top, bottom)`` pair.  Row ``c*kw + kx`` is channel ``c`` of
     the padded image, flattened row-major, shifted left by ``kx * dil_w``
     elements: ``cols[n, c*kw + kx, p] = flat[n, c, p + kx*dil_w]``.  The
     vertical taps need no copy of their own — tap ``ky`` of an output row is
@@ -386,7 +403,12 @@ class Conv2d(Module):
         parents = (x, weight) if bias is None else (x, weight, bias)
         return x._make(out_data, parents, backward)
 
-    def infer(self, x: np.ndarray, activation: Optional[str] = None) -> np.ndarray:
+    def infer(
+        self,
+        x: np.ndarray,
+        activation: Optional[str] = None,
+        pad_rows: Optional[Tuple[int, int]] = None,
+    ) -> np.ndarray:
         """Gradient-free forward pass on a ``(N, C, H, W)`` numpy array.
 
         The tap-wise kernel on thread-local buffers: :func:`strided_im2col`
@@ -400,14 +422,20 @@ class Conv2d(Module):
         float32, anything else is float64), with the weights cast once per
         dtype and cached.  This is the building block of the batched
         inference engine.
+
+        ``pad_rows=(top, bottom)`` replaces the layer's zero padding of the
+        height (time) axis, so a block of rows can run on its own: the
+        Selector's head block pads only the top, its tail block carries the
+        head's last rows and pads only the bottom.
         """
         if activation not in (None, "relu"):
             raise ValueError(f"unsupported activation: {activation!r}")
         if x.ndim != 4:
             raise ValueError("Conv2d expects (N, C, H, W) input")
         x = x.astype(np.result_type(x, np.float32), copy=False)
-        out_h, out_w = self.output_size(*x.shape[2:])
-        cols = strided_im2col(x, self.kernel_size, self.dilation, self.padding)
+        padding = self.padding if pad_rows is None else (tuple(pad_rows), self.padding[1])
+        out_h, out_w = _checked_output_size(x, self.kernel_size, self.dilation, padding)
+        cols = strided_im2col(x, self.kernel_size, self.dilation, padding)
         bias = None if self.bias is None else self.bias.data
         slabs, bias_column = self._infer_weights.get(
             (self.weight.data, bias), x.dtype, _inference_weights

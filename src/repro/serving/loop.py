@@ -1,12 +1,14 @@
 """The tick-driving event loop: one background thread runs all inference.
 
 Sessions feed audio from wherever their traffic arrives (request handlers,
-reader threads, a benchmark loop); each completed segment becomes one request
-in the shared :class:`~repro.core.selector.StreamBatch`.  The
+reader threads, a benchmark loop); each segment becomes one request in the
+shared :class:`~repro.core.selector.StreamBatch`, queued as a head stage
+before the segment ends and a tail stage when it closes.  The
 :class:`TickLoop` thread is the only place inference runs: it wakes when work
 is submitted (or on a coarse poll as a safety net), runs one
-:meth:`~repro.core.selector.StreamBatch.tick` over every pending request
-across every session, in submit order, and notifies waiters.  That
+:meth:`~repro.core.selector.StreamBatch.tick` over every queued stage across
+every session, in submit order, and notifies waiters as each request's
+shadow comes to exist.  That
 single-ticker design keeps the scheduling trivially fair (FIFO) and keeps
 concurrent sessions from racing each other for the Selector.  A tick that
 raises stops the loop and is re-raised to every waiter; the batch keeps the
@@ -23,7 +25,7 @@ import threading
 import time
 from typing import Callable, Optional
 
-from repro.core.selector import StreamBatch
+from repro.core.selector import StreamBatch, StreamRequest
 
 
 class TickLoop:
@@ -96,7 +98,7 @@ class TickLoop:
     def wait_for(
         self, predicate: Callable[[], bool], timeout: Optional[float] = None
     ) -> bool:
-        """Block until ``predicate()`` holds, re-checking after every tick.
+        """Block until ``predicate()`` holds, re-checking as each shadow is made.
 
         Raises the loop's error if ticking failed (a waiter must never hang on
         an inference pass that will not happen).  Returns ``False`` on
@@ -119,22 +121,28 @@ class TickLoop:
                 self._tick_cond.wait(remaining)
 
     # -- loop body ---------------------------------------------------------
+    def _notify(self, request: Optional[StreamRequest] = None) -> None:
+        with self._tick_cond:
+            self._tick_cond.notify_all()
+
     def _tick_once(self) -> None:
         try:
-            self.batch.tick()
+            # Waiters re-check as each segment's shadow exists, not only when
+            # the whole tick ends.
+            self.batch.tick(on_done=self._notify)
         except BaseException as exc:  # noqa: BLE001 - surfaced to waiters
             with self._tick_cond:
                 self._error = exc
                 self._tick_cond.notify_all()
             raise
-        with self._tick_cond:
-            self._tick_cond.notify_all()
+        self._notify()
 
     def _run(self) -> None:
         try:
             while True:
                 with self._wake_cond:
-                    if not self._woken and not self._stopping:
+                    # A tick can end with work queued (a head that yielded).
+                    if not (self._woken or self._stopping or self.batch.pending_requests):
                         self._wake_cond.wait(self.poll_interval_s)
                     self._woken = False
                     stopping = self._stopping

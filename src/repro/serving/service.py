@@ -8,8 +8,9 @@ costs no extra weights:
 - the :class:`~repro.serving.registry.EnrollmentRegistry` supplies (and
   persists) per-tenant d-vectors and the model checkpoints;
 - every open :class:`~repro.serving.session.ProtectionSession` submits each
-  completed segment as one request to one shared
-  :class:`~repro.core.selector.StreamBatch`, carrying that tenant's d-vector;
+  segment as one request to one shared
+  :class:`~repro.core.selector.StreamBatch`, carrying that tenant's
+  d-vector: its head block before the segment ends, its tail when it closes;
 - the :class:`~repro.serving.loop.TickLoop` thread, started with the
   service, runs every pending request — across sessions and tenants — one
   tick at a time.
@@ -144,16 +145,6 @@ class ProtectionService:
     @property
     def running(self) -> bool:
         return self.loop.running and not self._shutdown
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Block until no submitted segment awaits a tick (service-wide).
-
-        Ticked results still belong to their sessions — collect per session.
-        """
-        self.loop.wake()
-        return self.loop.wait_for(
-            lambda: self.batch.pending_requests == 0, timeout=timeout
-        )
 
     def shutdown(self, drain: bool = True, timeout: Optional[float] = None) -> None:
         """Graceful teardown: close sessions, drain the loop, close the batch.

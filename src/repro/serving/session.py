@@ -9,7 +9,9 @@ plus the per-session latency ledger
 (:class:`~repro.core.pipeline.StreamLatencyStats`).
 
 Sessions never run inference themselves: feeding only buffers samples and
-submits each completed segment to the shared batch as one request; the
+queues each segment to the shared batch as one request (its head block as
+soon as the segment's first ``T − L`` frames exist, its tail when it
+closes); the
 service's :class:`~repro.serving.loop.TickLoop` runs the Selector pass and
 the session picks results up with :meth:`collect`.  ``close`` makes one wait
 on the loop for every submitted segment to be ticked, then one collect.
@@ -88,13 +90,9 @@ class ProtectionSession:
         """Per-session samples-in → shadow-out accounting."""
         return self.protector.latency
 
-    @property
-    def samples_fed(self) -> int:
-        return self.protector.samples_fed
-
     # -- lifecycle ---------------------------------------------------------
     def feed(self, chunk: Union[AudioSignal, np.ndarray]) -> None:
-        """Buffer a chunk; completed segments join the next tick.
+        """Buffer a chunk; due head blocks and completed segments join the next tick.
 
         Never returns results (the shared batch ticks on the service's
         loop); pick them up with :meth:`collect`.  Raises once the session
@@ -105,7 +103,11 @@ class ProtectionSession:
                 f"session {self.stream_id} is {self.state.value}; cannot feed"
             )
         self.protector.feed(chunk)
-        if self.protector.pending_inference_segments:
+        self._wake_if_queued()
+
+    def _wake_if_queued(self) -> None:
+        """Wake the loop when work awaits it: a closed segment or an early head."""
+        if self.service.batch.pending_requests:
             self.service.loop.wake()
 
     def collect(
@@ -130,8 +132,7 @@ class ProtectionSession:
         if self.state is SessionState.CLOSED:
             raise RuntimeError(f"session {self.stream_id} is closed; cannot flush")
         self.protector.flush()
-        if self.protector.pending_inference_segments:
-            self.service.loop.wake()
+        self._wake_if_queued()
 
     def close(self, drain: bool = True, timeout: Optional[float] = None) -> List[ProtectionResult]:
         """Flush the tail, drain outstanding inference, detach from the service.

@@ -382,6 +382,38 @@ class TestBatchedSelector:
                 batched[row], selector_reference(selector, specs[row], d_vectors[row]).data
             )
 
+    @pytest.mark.parametrize("frames", [15, 11, 8])
+    def test_short_geometry_matches_selector_reference(self, tiny_config, frames):
+        """``S − la_l ≤ 0`` at deep layers (and ``S = 0`` for 11 and 8 frames)."""
+        selector = Selector(tiny_config, seed=4)
+        freq_bins = tiny_config.frequency_bins
+        rng = np.random.default_rng(5)
+        specs = np.abs(rng.normal(size=(2, freq_bins, frames)))
+        d_vector = rng.normal(size=tiny_config.embedding_dim)
+        split = selector.head_frames(frames)
+        assert split == max(frames - 11, 0)
+        batched = selector.forward_batch(specs, d_vector)
+        for row in range(2):
+            _assert_relative(batched[row], selector_reference(selector, specs[row], d_vector).data)
+            # A head run on its own gives the same bits.
+            head = selector.forward_head(specs[row : row + 1, :, :split], d_vector)
+            np.testing.assert_array_equal(
+                selector.forward_batch(specs[row : row + 1], d_vector, head)[0], batched[row]
+            )
+
+    def test_forward_batch_rejects_a_mismatched_head(self, tiny_config):
+        selector = Selector(tiny_config, seed=0)
+        freq_bins, frames = tiny_config.spectrogram_shape
+        specs = np.ones((2, freq_bins, frames))
+        d_vector = np.zeros(tiny_config.embedding_dim)
+        split = selector.head_frames(frames)
+        head = selector.forward_head(specs[:1, :, : split - 1], d_vector)
+        with pytest.raises(ValueError):
+            selector.forward_batch(specs[:1], d_vector, head)
+        head = selector.forward_head(specs[:1, :, :split], d_vector)
+        with pytest.raises(ValueError):
+            selector.forward_batch(specs, d_vector, head)
+
     def test_forward_batch_rejects_bad_shapes(self, tiny_config):
         selector = Selector(tiny_config, seed=0)
         with pytest.raises(ValueError):
@@ -413,6 +445,19 @@ class TestConvInfer:
         conv.bias.data = rng.normal(size=conv.bias.data.shape)
         x = rng.normal(size=(2, 3, 20, 17))
         _assert_relative(conv.infer(x), conv2d_reference(conv, Tensor(x)).data)
+
+    def test_pad_rows_runs_a_block_of_rows(self):
+        """Head rows pad the top only; tail rows carry their halo and pad the bottom."""
+        rng = np.random.default_rng(1)
+        conv = Conv2d(3, 4, (5, 5), padding=(8, 2), dilation=(4, 1), rng=rng)
+        conv.bias.data = rng.normal(size=conv.bias.data.shape)
+        x = rng.normal(size=(1, 3, 40, 17))
+        full = conv2d_reference(conv, Tensor(x)).data
+        split, pad = 25, 8
+        head = conv.infer(x[:, :, :split], pad_rows=(pad, 0))
+        tail = conv.infer(x[:, :, split - 2 * pad :], pad_rows=(0, pad))
+        _assert_relative(head, full[:, :, : split - pad])
+        _assert_relative(tail, full[:, :, split - pad :])
 
     @pytest.mark.parametrize("precision", ["float64", "float32"])
     @pytest.mark.parametrize(

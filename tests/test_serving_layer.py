@@ -242,11 +242,51 @@ class TestTickLoop:
         assert all(request.done for request in requests)
         assert not loop.running
 
+    def test_waiters_wake_per_request_not_per_tick(self, system, tiny_config):
+        """A shadow is collectable while a later request of the same tick runs."""
+        release = threading.Event()
+
+        class BlocksSecondTail:
+            config = tiny_config
+            head_frames = system.selector.head_frames
+            head_steps = system.selector.head_steps
+
+            def __init__(self):
+                self.tails = 0
+
+            def shadow_spectrogram_batch(self, mixed, d_vector, head):
+                self.tails += 1
+                if self.tails == 2:
+                    release.wait(30.0)
+                return system.selector.shadow_spectrogram_batch(mixed, d_vector, head)
+
+        batch = StreamBatch(BlocksSecondTail())
+        # Far longer than the wait below: only a per-request notify can wake it.
+        loop = TickLoop(batch, poll_interval_s=10.0).start()
+        try:
+            spec = np.zeros(tiny_config.spectrogram_shape)
+            first = batch.submit(spec, system.embedding)
+            second = batch.submit(spec, system.embedding)
+            loop.wake()
+            started = time.monotonic()
+            assert loop.wait_for(lambda: first.done, timeout=5.0)
+            # Woken by the first request's notify, not by the timeout.
+            assert time.monotonic() - started < 4.0
+            assert not second.done
+        finally:
+            release.set()
+            loop.shutdown(timeout=60.0)
+            batch.close()
+        assert second.done
+
     def test_tick_errors_surface_to_waiters(self, tiny_config):
         class Exploding:
             config = tiny_config
 
-            def shadow_spectrogram_batch(self, specs, vectors):
+            def head_frames(self, frames):
+                return frames // 2
+
+            def head_steps(self, specs, vectors):
                 raise RuntimeError("boom")
 
         batch = StreamBatch(Exploding())

@@ -231,6 +231,225 @@ class TestStreamingProtectorProperty:
         np.testing.assert_array_equal(np.concatenate(waves), whole.shadow_wave.data)
 
 
+def _enrolled(config, seed):
+    rng = np.random.default_rng(seed)
+    built = NECSystem(config, seed=0)
+    built.enroll(
+        [AudioSignal(rng.normal(scale=0.1, size=config.segment_samples), config.sample_rate)]
+    )
+    return built
+
+
+def _streamed(protector, data, chunk):
+    waves = []
+    for start in range(0, data.size, chunk):
+        waves += [result.shadow_wave.data for result in protector.feed(data[start : start + chunk])]
+    tail = protector.flush()
+    if tail is not None:
+        waves.append(tail.shadow_wave.data)
+    return np.concatenate(waves)
+
+
+class TestHeadTailSplit:
+    """Each segment's head block runs before its last sample; nothing changes a bit."""
+
+    @pytest.fixture(scope="class")
+    def deployed(self):
+        return _enrolled(NECConfig.default(), seed=70)
+
+    def test_default_float32_streaming_equals_protect(self, deployed):
+        config = deployed.config
+        assert config.inference_dtype == "float32"
+        audio = AudioSignal(_noise(int(2.35 * config.segment_samples), seed=71), config.sample_rate)
+        whole = deployed.protect(audio).shadow_wave.data
+        for chunk in (config.sample_rate // 10, config.segment_samples):
+            streamed = _streamed(StreamingProtector(deployed), audio.data, chunk)
+            np.testing.assert_array_equal(streamed, whole)
+
+    def test_default_head_is_submitted_at_the_0_9_s_feed(self, deployed):
+        config = deployed.config
+        selector = deployed.selector
+        assert selector.lookahead_frames == 19
+        assert selector.head_frames(config.num_frames) == config.num_frames - 19
+        batch = StreamBatch(selector)
+        protector = StreamingProtector(deployed, stream_batch=batch)
+        chunk = config.sample_rate // 10
+        data = _noise(config.segment_samples, seed=72)
+        queued = []
+        for start in range(0, data.size, chunk):
+            protector.feed(data[start : start + chunk])
+            queued.append(batch.pending_requests)
+        assert queued == [0] * 8 + [1, 1]  # one segment: its head, then its tail
+        assert protector.pending_inference_segments == 1
+        batch.tick()
+        (result,) = protector.collect()
+        direct = deployed.protect(AudioSignal(data, config.sample_rate))
+        np.testing.assert_array_equal(result.shadow_wave.data, direct.shadow_wave.data)
+
+    def test_head_state_is_bounded(self, deployed):
+        config = deployed.config
+        selector = deployed.selector
+        split = selector.head_frames(config.num_frames)
+        head = selector.forward_head(
+            np.ones((1, config.frequency_bins, split), dtype=np.float32), deployed.embedding
+        )
+        # The halo rows and the FC rows the tail reads: about 0.45 MB.
+        assert head.nbytes < 0.5e6
+        assert [halo.shape[2] for halo in head.halos] == [0, 6, 4, 8, 16, 4]
+
+    @pytest.mark.parametrize("chunk", [1, 63, 64, 500, 11 * 64])
+    def test_head_is_submitted_before_the_last_sample(self, system, tiny_config, chunk):
+        """For every chunk of at most ``L·hop`` samples, segment after segment."""
+        lookahead = system.selector.lookahead_frames
+        assert chunk <= lookahead * tiny_config.hop_length
+        batch = StreamBatch(system.selector)
+        protector = StreamingProtector(system, stream_batch=batch)
+        segment = tiny_config.segment_samples
+        data = _noise(2 * segment, seed=73)
+        heads_before_close = []
+        for start in range(0, data.size, chunk):
+            queued = batch.pending_requests
+            completed = protector.pending_inference_segments
+            protector.feed(data[start : start + chunk])
+            if protector.pending_inference_segments > completed:
+                # This feed closed a segment: its head must have been queued
+                # by an earlier feed (heads of closed segments are never lost).
+                heads_before_close.append(queued > completed)
+        assert heads_before_close == [True, True]
+        batch.tick()
+        waves = [result.shadow_wave.data for result in protector.collect()]
+        whole = system.protect(AudioSignal(data, tiny_config.sample_rate))
+        np.testing.assert_array_equal(np.concatenate(waves), whole.shadow_wave.data)
+
+    def test_set_embedding_between_head_and_tail_keeps_one_d_vector(self, system, tiny_config):
+        tenant = NECSystem(tiny_config, encoder=system.encoder, selector=system.selector)
+        tenant.set_embedding(system.embedding)
+        other = np.random.default_rng(74).normal(size=tiny_config.embedding_dim)
+        segment = tiny_config.segment_samples
+        data = _noise(2 * segment, seed=75)
+        protector = StreamingProtector(tenant)
+        early = segment - 2 * tiny_config.hop_length  # past frame S - 1
+        assert protector.feed(data[:early]) == []
+        tenant.set_embedding(other)  # the first segment's head already read the d-vector
+        (first,) = protector.feed(data[early:segment])
+        (second,) = protector.feed(data[segment:])
+        tenant.set_embedding(system.embedding)
+        np.testing.assert_array_equal(
+            first.shadow_wave.data,
+            tenant.protect(AudioSignal(data[:segment], tiny_config.sample_rate)).shadow_wave.data,
+        )
+        tenant.set_embedding(other)
+        np.testing.assert_array_equal(
+            second.shadow_wave.data,
+            tenant.protect(AudioSignal(data[segment:], tiny_config.sample_rate)).shadow_wave.data,
+        )
+
+    def test_failed_head_requeues_ahead_of_its_tail(self, system, tiny_config):
+        spectrogram = np.abs(
+            stft(
+                _noise(tiny_config.segment_samples, seed=76),
+                tiny_config.n_fft,
+                tiny_config.win_length,
+                tiny_config.hop_length,
+            )
+        )
+        split = system.selector.head_frames(spectrogram.shape[1])
+        clean = system.selector.shadow_spectrogram_batch(spectrogram[None], system.embedding)[0]
+
+        class FailsOnFirstHead:
+            config = tiny_config
+            head_frames = system.selector.head_frames
+
+            def __init__(self):
+                self.stages = []
+
+            def head_steps(self, head, d_vector):
+                self.stages.append("head")
+                if self.stages == ["head"]:
+                    raise MemoryError("no room for the head block")
+                return system.selector.head_steps(head, d_vector)
+
+            def shadow_spectrogram_batch(self, mixed, d_vector, head):
+                self.stages.append("tail")
+                return system.selector.shadow_spectrogram_batch(mixed, d_vector, head)
+
+        selector = FailsOnFirstHead()
+        batch = StreamBatch(selector)
+        request = batch.submit_head(spectrogram[:, :split], system.embedding)
+        with pytest.raises(MemoryError):
+            batch.tick()
+        assert batch.pending_requests == 1 and request.head is None
+        assert batch.submit(spectrogram, request=request) is request
+        assert batch.tick() == 1
+        assert selector.stages == ["head", "head", "tail"]
+        np.testing.assert_array_equal(request.shadow_spectrogram, clean)
+        assert request.head is None and request.head_spectrogram is None
+
+    def test_head_yields_to_a_tail_submitted_during_it(self, system, tiny_config):
+        """A closing segment waits for one head layer, not the whole head block."""
+        rng = np.random.default_rng(79)
+        frequency_bins, frames = tiny_config.spectrogram_shape
+        spectrograms = [np.abs(rng.normal(size=(frequency_bins, frames))) for _ in range(2)]
+        split = system.selector.head_frames(frames)
+        clean = [
+            system.selector.shadow_spectrogram_batch(spectrogram[None], system.embedding)[0]
+            for spectrogram in spectrograms
+        ]
+        layers = system.selector.num_conv_layers()
+        events = []
+
+        class SubmitsDuringHead:
+            config = tiny_config
+            head_frames = system.selector.head_frames
+
+            def shadow_spectrogram_batch(self, mixed, d_vector, head):
+                events.append("tail")
+                return system.selector.shadow_spectrogram_batch(mixed, d_vector, head)
+
+            def head_steps(self, head, d_vector):
+                for step in system.selector.head_steps(head, d_vector):
+                    events.append("head layer" if step is None else "head done")
+                    if len(events) == layers + 2:  # B's first layer: A's segment closes now
+                        batch.submit(spectrograms[0], request=first)
+                    yield step
+
+        batch = StreamBatch(SubmitsDuringHead())
+        first = batch.submit_head(spectrograms[0][:, :split], system.embedding)
+        assert batch.tick() == 0 and first.tail_ready
+        second = batch.submit_head(spectrograms[1][:, :split], system.embedding)
+        assert batch.tick() == 0  # B's head yielded after one layer
+        assert not first.done and not second.tail_ready and batch.pending_requests == 2
+        assert batch.tick() == 1  # A's tail first, then the rest of B's head
+        assert first.done and second.tail_ready
+        assert events[layers + 1 :] == (
+            ["head layer", "tail"] + ["head layer"] * (layers - 1) + ["head done"]
+        )
+        batch.submit(spectrograms[1], request=second)
+        assert batch.tick() == 1
+        for request, want in zip((first, second), clean):
+            np.testing.assert_array_equal(request.shadow_spectrogram, want)
+
+    def test_submit_head_rejects_bad_shapes(self, system, tiny_config):
+        frequency_bins, frames = tiny_config.spectrogram_shape
+        batch = StreamBatch(system.selector)
+        with pytest.raises(ValueError):
+            batch.submit_head(np.zeros((frequency_bins, frames)), system.embedding)
+        assert batch.pending_requests == 0
+
+    @pytest.mark.parametrize("frames", [15, 11, 8])
+    def test_short_geometry_streaming_matches_protect(self, frames):
+        """Segments so short that the head computes no rows at deep layers."""
+        base = NECConfig.tiny()
+        samples = base.win_length + (frames - 1) * base.hop_length
+        config = replace(base, segment_seconds=samples / base.sample_rate)
+        assert config.num_frames == frames
+        nec = _enrolled(config, seed=77)
+        audio = AudioSignal(_noise(int(3.5 * samples), seed=78), config.sample_rate)
+        whole = nec.protect(audio).shadow_wave.data
+        for chunk in (37, samples):
+            np.testing.assert_array_equal(_streamed(StreamingProtector(nec), audio.data, chunk), whole)
+
+
 class TestLatencyAccounting:
     def test_emit_latency_zero_in_immediate_mode(self, system, tiny_config):
         protector = StreamingProtector(system)
@@ -392,15 +611,17 @@ class TestStreamBatch:
 
         class FailsOnSecondPass:
             config = tiny_config
+            head_frames = system.selector.head_frames
+            head_steps = system.selector.head_steps
 
             def __init__(self):
                 self.inputs = []
 
-            def shadow_spectrogram_batch(self, mixed, d_vector):
+            def shadow_spectrogram_batch(self, mixed, d_vector, head):
                 self.inputs.append(mixed[0])
                 if len(self.inputs) == 2:
                     raise MemoryError("no room for the pass")
-                return system.selector.shadow_spectrogram_batch(mixed, d_vector)
+                return system.selector.shadow_spectrogram_batch(mixed, d_vector, head)
 
         selector = FailsOnSecondPass()
         batch = StreamBatch(selector)
