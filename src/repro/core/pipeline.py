@@ -93,8 +93,8 @@ class NECSystem:
     def enroll(self, reference_audios: Sequence[AudioSignal | np.ndarray]) -> np.ndarray:
         """Enroll the protected (target) speaker from reference audio.
 
-        The paper requires only three 3-second clips; fewer are accepted but a
-        warning-level check enforces at least one.
+        The paper requires only three 3-second clips; fewer are accepted, but
+        an empty list raises ``ValueError``.
         """
         if not reference_audios:
             raise ValueError("enrollment requires at least one reference audio")

@@ -28,13 +28,15 @@ The network has one training pass and one inference pass over stacked
 :meth:`Selector.forward_batch` runs gradient-free (convolutions through
 :meth:`Conv2d.infer`).  Both are pinned against the one-segment autograd
 oracle ``selector_reference`` in ``tests/oracles.py``.  The gradient-free
-pass runs as two row blocks split at frame ``S = T − L``, ``L`` being the
-stack's look-ahead: :meth:`Selector.forward_head` needs only the first
-``S`` frames, so the streaming path runs it before the segment ends.
+pass is one primitive, :meth:`Selector.row_block`, run twice on a rolling
+:class:`PassState`: a head block over frames ``[0, S)`` and a tail block
+over ``[S, T)``, ``S = T − L`` and ``L`` the stack's look-ahead.  The head
+block needs only the first ``S`` frames, so the streaming path runs it
+before the segment ends.
 
 :class:`StreamBatch` is the inference queue of the streaming and serving
-paths: each request is one stream's segment, queued as a head stage and a
-tail stage, and a tick runs the queued stages in submit order.
+paths: each request is one stream's segment, queued as a head block and a
+tail block, and a tick runs the queued blocks in submit order.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ class Selector(Module):
         :class:`~repro.nn.tensor.Tensor` graph so one backward pass yields the
         *sum over the batch* of the per-example gradients (so a mean-reduced
         batch loss yields the mean gradient — the minibatch SGD contract,
-        pinned by ``check_batched_gradients`` in the test suite).
+        pinned by ``check_batched_gradients`` in ``tests/oracles.py``).
 
         ``spectrograms``: ``(N, F, T)`` array or Tensor of mixed magnitude
         spectrograms (paper Eq. 2).  ``d_vectors``: one shared
@@ -208,7 +210,7 @@ class Selector(Module):
         self,
         spectrograms: np.ndarray,
         d_vector: np.ndarray,
-        head: Optional["SelectorHead"] = None,
+        head: Optional["PassState"] = None,
     ) -> np.ndarray:
         """Selector output for a batch of segments, without autograd.
 
@@ -223,21 +225,20 @@ class Selector(Module):
         convolution's gather-buffer cache keeps) is bounded by
         construction, whatever ``N`` a caller stacks.  Rows are independent:
         each row is the same whichever rows share its pass.  Every pass runs
-        as two row blocks split at frame ``S = T − L``
-        (:meth:`head_frames`): :meth:`forward_head` over the first ``S``
-        frames, then the tail block over the rest.  A caller that already
-        ran :meth:`forward_head` on the first ``S`` frames of a one-pass
-        batch, with the same ``d_vector``, passes its result as ``head`` and
-        only the tail runs here; the streaming path does so to run the head
-        while the segment is still being spoken.  Both ways run the same
-        blocks on the same shapes, so they give the same bits.
+        :meth:`row_block` twice, split at frame ``S = T − L``
+        (:meth:`head_frames`): the head block over frames ``[0, S)``, then the
+        tail block over ``[S, T)``.  A caller that already ran the head block
+        of a one-pass batch passes its :class:`PassState` as ``head``, and
+        only the tail block runs here; the streaming path does so to run the
+        head while the segment is still being spoken.  Both ways issue the
+        same convolutions on the same shapes, so they give the same bits.
 
         The numerical constants match :meth:`forward`, and the convolutions
         run through :meth:`Conv2d.infer`; in float64 each row is within
         1e-12 relative of the one-segment autograd oracle (pinned by the
         test suite).  The pass computes in the dtype of ``spectrograms``
-        (float32 stays float32, anything else is float64); the float32
-        gates are in ``tests/test_precision.py``.
+        (float32 stays float32, anything else is float64), or in ``head``'s;
+        the float32 gates are in ``tests/test_precision.py``.
         """
         batch = self._cast(spectrograms)
         d_vector = np.asarray(d_vector, dtype=batch.dtype)
@@ -250,25 +251,26 @@ class Selector(Module):
         if d_vector.ndim not in (1, 2):
             raise ValueError("d_vector must be (dim,) or (N, dim)")
         split = self.head_frames(frames)
-        if head is not None and (
-            head.output.shape[0] != num_segments
-            or num_segments > ROWS_PER_PASS
-            or head.frames != split
-        ):
-            raise ValueError(
-                f"a head covers the first {split} frames of one pass of its rows"
-            )
+        if head is not None and (head.frames != split or num_segments > ROWS_PER_PASS):
+            raise ValueError(f"a head state covers the first {split} frames of one pass")
         if num_segments == 0:
             return np.zeros((0, frames, freq_bins), dtype=batch.dtype)
         passes = []
         for start in range(0, num_segments, ROWS_PER_PASS):
             rows = slice(start, start + ROWS_PER_PASS)
-            vectors = d_vector if d_vector.ndim == 1 else d_vector[rows]
-            pass_head = head if head is not None else self.forward_head(
-                batch[rows, :, :split], vectors
-            )
-            passes.append(self._forward_tail(pass_head, batch[rows, :, split:]))
-        return np.concatenate(passes, axis=0)
+            state = head
+            if state is None:
+                vectors = d_vector if d_vector.ndim == 1 else d_vector[rows]
+                state = self.open_pass(vectors, batch.dtype)
+                for _ in self.row_block(state, batch[rows, :, :split]):
+                    pass
+            for _ in self.row_block(state, batch[rows, :, split:], last=True):
+                pass
+            passes.append(state.output)
+        output = np.concatenate(passes, axis=0)
+        if self.config.output_mode == "mask":
+            output = 1.0 / (1.0 + np.exp(-np.clip(output, -60.0, 60.0)))
+        return output
 
     def _split_fc1(self, fc1_weight, fc1_bias, fc2_weight, fc2_bias):
         """``fc1``'s weight split into its feature rows and its d-vector rows."""
@@ -282,129 +284,98 @@ class Selector(Module):
             self._split_fc1,
         )
 
-    @staticmethod
-    def _log_image(spectrograms: np.ndarray) -> np.ndarray:
-        """``(N, F, t)`` magnitudes as the ``(N, 1, t, F)`` log image.
+    def open_pass(self, d_vector: np.ndarray, dtype) -> "PassState":
+        """A :class:`PassState` before any frame, for :meth:`row_block`.
 
-        Time becomes the conv "height", frequency the "width".  The log runs
-        in place on a fresh contiguous block, so the head and tail blocks of
-        every path meet it in the same layout.  The offsets match
-        :meth:`forward`, where ``Tensor.log`` adds its own 1e-12 on top of
-        the 1e-6.
+        ``d_vector``: one ``(embedding_dim,)`` embedding or ``(N, dim)``
+        rows, read here only: ``fc1``'s d-vector term is computed once and
+        added to every frame.  The pass computes in ``dtype``'s float type
+        (float32 stays, anything else is float64).
         """
-        image = spectrograms.transpose(0, 2, 1).copy()
-        image += 1e-6
-        image += 1e-12
-        np.log(image, out=image)
-        return image[:, None]
-
-    def _fc(self, hidden: np.ndarray, vector_term: np.ndarray, weights) -> np.ndarray:
-        """The FC head on ``(N, 2, t, F)`` conv features: ``(N, t, F)``, pre-sigmoid.
-
-        ``[features, d] @ W1 = features @ W1[:2F] + d @ W1[2F:]``: the
-        d-vector term is computed once per segment and added to every frame
-        by broadcasting.  The ``(N, t, in) @ (in, out)`` matmuls broadcast
-        into ``N`` per-segment GEMMs.
-        """
-        feature_weight, _, _, fc2_weight, fc2_bias = weights
-        num_segments, channels, rows, width = hidden.shape
-        features = hidden.transpose(0, 2, 1, 3).reshape(num_segments, rows, channels * width)
-        hidden = features @ feature_weight
-        hidden += vector_term
-        np.maximum(hidden, 0.0, out=hidden)
-        output = hidden @ fc2_weight
-        output += fc2_bias
-        return output
-
-    def forward_head(self, spectrograms: np.ndarray, d_vector: np.ndarray) -> "SelectorHead":
-        """The head block of one gradient-free pass: all that frames ``[0, S)`` fix.
-
-        ``spectrograms``: ``(N, F, S)``, at most :data:`ROWS_PER_PASS` rows,
-        the first ``S = head_frames(T)`` frames of each segment.
-        ``d_vector``: as in :meth:`forward_batch`; it is read here only.
-
-        At conv layer ``l`` the block computes output rows
-        ``[0, S − la_l)``, where ``la_l`` is the look-ahead up to and
-        including that layer: those rows read no frame past ``S − 1``, so
-        the block pads the top and not the bottom.  A layer with
-        ``S − la_l ≤ 0`` computes nothing here.  The returned
-        :class:`SelectorHead` keeps only what the tail block reads: each
-        layer's last ``2·pad`` head input rows, the FC head's pre-sigmoid
-        rows of the head's frames and the d-vector's FC term.
-        """
-        for head in self.head_steps(spectrograms, d_vector):
-            pass
-        return head
-
-    def head_steps(
-        self, spectrograms: np.ndarray, d_vector: np.ndarray
-    ) -> Iterator[Optional["SelectorHead"]]:
-        """:meth:`forward_head` one convolution at a time.
-
-        Yields ``None`` after each convolution, then the
-        :class:`SelectorHead`, so a scheduler can run other work between the
-        layers: :class:`StreamBatch` runs a closing segment's tail there.
-        """
-        batch = self._cast(spectrograms)
-        if batch.shape[0] > ROWS_PER_PASS:
-            raise ValueError(f"a head block runs at most {ROWS_PER_PASS} rows")
-        weights = self._fc_weights(batch.dtype)
-        vector_term = np.asarray(d_vector, dtype=batch.dtype) @ weights[1] + weights[2]
+        dtype = np.result_type(dtype, np.float32)
+        weights = self._fc_weights(dtype)
+        vector_term = np.asarray(d_vector, dtype=dtype) @ weights[1] + weights[2]
         if vector_term.ndim == 2:
             vector_term = vector_term[:, None, :]
-        hidden = self._log_image(batch)
-        rows = hidden.shape[2]
+        return PassState(vector_term=vector_term)
+
+    def row_block(
+        self, state: "PassState", spectrograms: np.ndarray, last: bool = False
+    ) -> Iterator[None]:
+        """Run the next frames of a pass through the conv stack and the FC head.
+
+        ``spectrograms``: ``(N, F, t)``, at most :data:`ROWS_PER_PASS` rows,
+        the ``t`` frames after the ``state.frames`` already run.  A
+        generator: it yields after each convolution, so a scheduler can run
+        other work between the layers (:class:`StreamBatch` runs a closing
+        segment's tail block there).  ``state`` advances when the block
+        ends, so a block that raises leaves it as it was, to be run again.
+
+        A conv layer with vertical padding ``p`` that has seen ``n`` input
+        rows, ``done`` of its output rows computed, pads the top by
+        ``max(p − done, 0)`` and computes output rows up to ``n − p``, or up
+        to ``n`` in the ``last`` block, which alone pads the bottom.  It
+        keeps its input rows from ``max(new_done − p, 0)`` on, the rows the
+        next block reads, in ``state.halos``.  The FC head's pre-sigmoid
+        rows collect in ``state.output``.  Only the split ``S = T − L``
+        gives the bits of a whole pass (:meth:`forward_batch`): GEMMs over
+        other row slices round differently.
+        """
+        batch = self._cast(spectrograms).astype(state.vector_term.dtype, copy=False)
+        if batch.shape[0] > ROWS_PER_PASS or (
+            state.output is not None and state.output.shape[0] != batch.shape[0]
+        ):
+            raise ValueError(f"a pass runs at most {ROWS_PER_PASS} rows, the same in every block")
+        # (N, F, t) -> the (N, 1, t, F) log image, time as the conv "height".  The
+        # log runs in place on a fresh contiguous block, and the offsets match
+        # forward(), where Tensor.log adds its own 1e-12 on top of the 1e-6.
+        hidden = batch.transpose(0, 2, 1).copy()
+        hidden += 1e-6
+        hidden += 1e-12
+        np.log(hidden, out=hidden)
+        hidden = hidden[:, None]
+        seen = state.frames  # the layer's input rows before this block
         halos = []
-        for layer in self._convs():
+        for index, layer in enumerate(self._convs()):
             pad = layer.padding[0]
-            out_rows = max(rows - pad, 0)
-            halo = rows - max(out_rows - pad, 0)
-            halos.append(hidden[:, :, rows - halo :].copy())
-            if out_rows:
-                hidden = layer.infer(hidden, activation="relu", pad_rows=(pad, 0))
+            done = max(seen - pad, 0)
+            seen += hidden.shape[2]
+            new_done = seen if last else max(seen - pad, 0)
+            if state.halos and state.halos[index].shape[2]:
+                hidden = np.concatenate((state.halos[index], hidden), axis=2)
+            if not last:
+                keep = seen - max(new_done - pad, 0)
+                halos.append(hidden[:, :, hidden.shape[2] - keep :].copy())
+            if new_done > done:
+                hidden = layer.infer(
+                    hidden, activation="relu", pad_rows=(max(pad - done, 0), pad if last else 0)
+                )
             else:
                 num, _, _, width = hidden.shape
                 hidden = np.zeros((num, layer.out_channels, 0, width), dtype=batch.dtype)
-            rows = out_rows
+            seen = done  # the next layer's input rows before this block
             yield None
-        yield SelectorHead(
-            frames=batch.shape[2],
-            halos=halos,
-            output=self._fc(hidden, vector_term, weights),
-            vector_term=vector_term,
-        )
-
-    def _forward_tail(self, head: "SelectorHead", spectrograms: np.ndarray) -> np.ndarray:
-        """The tail block: output rows ``[S − la_l, T)`` of every layer, from frames ``[S, T)``.
-
-        Each layer's input is the head's halo rows followed by the tail rows
-        of the layer before, zero-padded at the bottom (and at the top where
-        the head computed no rows).  The FC head's tail rows join the head's,
-        and the sigmoid runs once over the assembled ``(N, T, F)`` output.
-        """
-        hidden = self._log_image(spectrograms)
-        rows = head.frames
-        for layer, halo in zip(self._convs(), head.halos):
-            pad = layer.padding[0]
-            out_rows = max(rows - pad, 0)
-            if halo.shape[2]:
-                hidden = np.concatenate((halo, hidden), axis=2)
-            hidden = layer.infer(
-                hidden, activation="relu", pad_rows=(max(pad - out_rows, 0), pad)
-            )
-            rows = out_rows
-        tail = self._fc(hidden, head.vector_term, self._fc_weights(hidden.dtype))
-        output = np.concatenate((head.output, tail), axis=1)
-        if self.config.output_mode == "mask":
-            output = 1.0 / (1.0 + np.exp(-np.clip(output, -60.0, 60.0)))
-        return output  # (N, T, F)
+        # The FC head: [features, d] @ W1 = features @ W1[:2F] + d @ W1[2F:], the
+        # d-vector term added to every frame by broadcasting; the (N, t, in) @
+        # (in, out) matmuls broadcast into N per-segment GEMMs.
+        feature_weight, _, _, fc2_weight, fc2_bias = self._fc_weights(batch.dtype)
+        num, channels, rows, width = hidden.shape
+        features = hidden.transpose(0, 2, 1, 3).reshape(num, rows, channels * width)
+        hidden = features @ feature_weight
+        hidden += state.vector_term
+        np.maximum(hidden, 0.0, out=hidden)
+        output = hidden @ fc2_weight
+        output += fc2_bias
+        if state.output is not None:
+            output = np.concatenate((state.output, output), axis=1)
+        state.frames, state.halos, state.output = state.frames + batch.shape[2], halos, output
 
     # ------------------------------------------------------------------
     def shadow_spectrogram_batch(
         self,
         spectrograms: np.ndarray,
         d_vector: np.ndarray,
-        head: Optional["SelectorHead"] = None,
+        head: Optional["PassState"] = None,
     ) -> np.ndarray:
         """Signed shadow spectrograms ``S_shadow`` for a ``(N, F, T)`` batch.
 
@@ -413,7 +384,7 @@ class Selector(Module):
         to the mixed spectrogram leaves ``(1 - M) * S_mixed ~= S_bk``.  In
         ``spectrogram`` mode the head output is used directly.  ``d_vector``
         may be one shared ``(dim,)`` embedding or per-segment ``(N, dim)``
-        rows, and ``head`` is an already-run head block (see
+        rows, and ``head`` is a pass whose head block has run (see
         :meth:`forward_batch`, also for the dtype rule).  One segment is
         ``shadow_spectrogram_batch(spectrogram[None], d_vector)[0]``.
         """
@@ -425,49 +396,48 @@ class Selector(Module):
 
 
 @dataclass
-class SelectorHead:
-    """What the tail block of a pass needs from its head block.
+class PassState:
+    """One gradient-free pass part-way through its segment, for :meth:`Selector.row_block`.
 
-    Made by :meth:`Selector.forward_head` over the first ``frames`` frames.
-    ``halos[l]`` holds the rows of conv layer ``l``'s input that the tail
-    reads from the head: the head's last ``2·pad_l`` rows of the layer
-    before (none for the first layer).  ``output`` holds the FC head's
-    pre-sigmoid rows of the head's frames, and ``vector_term`` the
-    d-vector's FC term, so the tail reads no d-vector.  About 0.45 MB per
-    segment at ``NECConfig.default()`` in float32.
+    Made by :meth:`Selector.open_pass`.  ``frames`` counts the input frames
+    run so far.  ``halos[l]`` holds the rows of conv layer ``l``'s input
+    that the next block reads: its last ``2·pad_l`` rows at most (none for
+    the first layer).  ``output`` holds the FC head's pre-sigmoid rows so
+    far, and ``vector_term`` the d-vector's FC term, so later blocks read
+    no d-vector.  After the head block at ``NECConfig.default()`` in
+    float32 it takes 0.43 MB (:attr:`nbytes`).
     """
 
-    frames: int
-    halos: List[np.ndarray]
-    output: np.ndarray        # (N, S − L, F), pre-sigmoid
-    vector_term: np.ndarray   # (H,) or (N, 1, H)
+    vector_term: np.ndarray                   # (H,) or (N, 1, H)
+    frames: int = 0
+    halos: List[np.ndarray] = field(default_factory=list)
+    output: Optional[np.ndarray] = None       # (N, rows so far, F), pre-sigmoid
 
     @property
     def nbytes(self) -> int:
-        arrays = [*self.halos, self.output, self.vector_term]
-        return int(sum(array.nbytes for array in arrays))
+        arrays = (*self.halos, self.vector_term, self.output)
+        return int(sum(array.nbytes for array in arrays if array is not None))
 
 
 @dataclass
 class StreamRequest:
-    """One stream's segment inside a :class:`StreamBatch`, run in two stages.
+    """One stream's segment inside a :class:`StreamBatch`, run as two row blocks.
 
-    The head stage runs :meth:`Selector.head_steps` on
-    ``head_spectrogram``, the segment's first ``S`` frames, with
-    ``d_vector``; it can run while the segment is still being spoken, and
-    leaves its :class:`SelectorHead` in ``head``.  The tail stage needs
-    ``mixed_spectrogram``, the whole ``(F, T)`` segment; once it has run,
-    ``shadow_spectrogram`` holds the signed ``(F, T)`` shadow.  Each stage
-    drops the input it no longer needs.
+    The head block runs :meth:`Selector.row_block` on ``head_spectrogram``,
+    the segment's first ``S`` frames, with ``d_vector``; it can run while
+    the segment is still being spoken, and leaves its :class:`PassState` in
+    ``state``.  The tail block needs ``mixed_spectrogram``, the whole
+    ``(F, T)`` segment; once it has run, ``shadow_spectrogram`` holds the
+    signed ``(F, T)`` shadow.  Each block drops the input it no longer needs.
     """
 
-    head_spectrogram: Optional[np.ndarray]           # (F, S) until the head stage ran
+    head_spectrogram: Optional[np.ndarray]           # (F, S) until the head block ran
     d_vector: np.ndarray                             # (embedding_dim,)
     mixed_spectrogram: Optional[np.ndarray] = None   # (F, T) once the segment closed
-    head: Optional[SelectorHead] = None              # between the two stages
+    state: Optional[PassState] = None                # between the two blocks
     shadow_spectrogram: Optional[np.ndarray] = None  # (F, T) once ticked
-    #: A head stage that yielded to a tail, resumed by the next tick.
-    head_steps: Optional[Iterator[Optional[SelectorHead]]] = field(default=None, repr=False)
+    #: A head block that yielded to a tail, resumed by the next tick.
+    steps: Optional[Iterator[None]] = field(default=None, repr=False)
 
     @property
     def done(self) -> bool:
@@ -475,8 +445,8 @@ class StreamRequest:
 
     @property
     def tail_ready(self) -> bool:
-        """True once the head has run, so the tail stage can run."""
-        return self.head is not None
+        """True once the head block has run, so the tail block can run."""
+        return self.state is not None
 
 
 class StreamBatch:
@@ -601,26 +571,30 @@ class StreamBatch:
             return any(tail and request.tail_ready for request, tail in self._pending)
 
     def _run(self, request: StreamRequest, tail: bool) -> bool:
-        """One stage of one request; False if a head yielded to a waiting tail."""
-        if tail:
-            request.shadow_spectrogram = self.selector.shadow_spectrogram_batch(
-                request.mixed_spectrogram[None], request.d_vector, request.head
-            )[0]
-            request.head = None
-            return True
-        if request.head_steps is None:
-            request.head_steps = self.selector.head_steps(
-                request.head_spectrogram[None], request.d_vector
-            )
+        """One block of one request; False if a head yielded to a waiting tail."""
+        if request.steps is None:
+            request.steps = self._block(request, tail)
         try:
-            for head in request.head_steps:  # the last step yields the head
-                if head is None and self._tail_waiting():
+            for _ in request.steps:  # only a head block yields
+                if self._tail_waiting():
                     return False
         except BaseException:
-            request.head_steps = None  # a retry starts the head again
+            request.steps = None  # a retry starts the block again
             raise
-        request.head, request.head_spectrogram, request.head_steps = head, None, None
+        request.steps = None
         return True
+
+    def _block(self, request: StreamRequest, tail: bool) -> Iterator[None]:
+        if tail:  # inside forward_batch, like every closing block
+            request.shadow_spectrogram = self.selector.shadow_spectrogram_batch(
+                request.mixed_spectrogram[None], request.d_vector, request.state
+            )[0]
+            request.state = None
+            return
+        head = request.head_spectrogram[None]
+        state = self.selector.open_pass(request.d_vector, head.dtype)
+        yield from self.selector.row_block(state, head)
+        request.state, request.head_spectrogram = state, None
 
     def tick(self, on_done: Optional[Callable[[StreamRequest], None]] = None) -> int:
         """Run the pending stages; returns the segments finished.

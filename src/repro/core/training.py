@@ -9,11 +9,11 @@ optimised — matching the paper's procedure.
 
 Every optimiser step runs one engine, :meth:`SelectorTrainer.step_batch`:
 a whole ``(N, F, T)`` batch goes through one autograd graph
-(:meth:`Selector.forward`, frequency-domain convolutions), for
+(:meth:`Selector.forward`, tap-wise convolutions), for
 every batch size including one.  The batch loss is the mean of the
 per-example losses, so one backward produces exactly the mean of the
 per-example gradients (pinned per-op and end-to-end by
-:func:`repro.nn.grad_check.check_batched_gradients`).  The original
+``check_batched_gradients`` in ``tests/oracles.py``).  The original
 per-example loop survives only as a test oracle (``tests/oracles.py``):
 ``fit(batch_size=1)`` follows its example order and matches its trained
 parameters and losses to 1e-12 relative (``tests/test_training_batch.py``).

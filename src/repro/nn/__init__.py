@@ -33,11 +33,6 @@ from repro.nn.losses import cross_entropy_loss
 from repro.nn.optim import Adam, Optimizer
 from repro.nn.serialization import save_model, load_model, state_dict, load_state_dict
 from repro.nn.fftconv import fft_conv2d, next_fast_len
-from repro.nn.grad_check import (
-    numerical_gradient,
-    check_gradients,
-    check_batched_gradients,
-)
 
 __all__ = [
     "Tensor",
@@ -61,7 +56,4 @@ __all__ = [
     "load_model",
     "state_dict",
     "load_state_dict",
-    "numerical_gradient",
-    "check_gradients",
-    "check_batched_gradients",
 ]

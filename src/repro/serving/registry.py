@@ -46,6 +46,12 @@ _FORMAT_VERSION = 1
 _TENANT_ID_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 
+def _check_tenant_id(tenant_id) -> None:
+    """Ids name files under the registry root, so only safe names pass."""
+    if not isinstance(tenant_id, str) or not _TENANT_ID_PATTERN.match(tenant_id):
+        raise ValueError(f"invalid tenant id {tenant_id!r}: use 1-64 chars of [A-Za-z0-9._-]")
+
+
 class EnrollmentRegistry:
     """Durable (or memory-only) store of tenants, d-vectors and checkpoints.
 
@@ -83,7 +89,9 @@ class EnrollmentRegistry:
             self.config = stored
             self._models_saved = bool(existing.get("models_saved", False))
             for tenant_id in existing.get("tenants", []):
-                self._embeddings[tenant_id] = self._read_embedding(tenant_id)
+                self._embeddings[tenant_id] = self._checked(
+                    tenant_id, self._read_embedding(tenant_id)
+                )
         else:
             self.config = (config or NECConfig.default()).validate()
             if self.root is not None:
@@ -105,6 +113,7 @@ class EnrollmentRegistry:
         return None if self.root is None else self.root / "encoder.npz"
 
     def _tenant_path(self, tenant_id: str) -> Optional[Path]:
+        _check_tenant_id(tenant_id)
         return None if self.root is None else self.root / "tenants" / f"{tenant_id}.npz"
 
     def _read_metadata(self) -> Optional[Dict]:
@@ -161,18 +170,20 @@ class EnrollmentRegistry:
                 raise KeyError(f"tenant '{tenant_id}' is not enrolled")
             return np.array(self._embeddings[tenant_id], copy=True)
 
-    def register(self, tenant_id: str, embedding: np.ndarray) -> np.ndarray:
-        """Store a precomputed d-vector for ``tenant_id`` (persisted if rooted)."""
-        if not _TENANT_ID_PATTERN.match(tenant_id):
-            raise ValueError(
-                f"invalid tenant id {tenant_id!r}: use 1-64 chars of [A-Za-z0-9._-]"
-            )
+    def _checked(self, tenant_id: str, embedding: np.ndarray) -> np.ndarray:
+        """``embedding`` as a flat float64 d-vector, once it and the id are valid."""
+        _check_tenant_id(tenant_id)
         vector = np.asarray(embedding, dtype=np.float64).reshape(-1)
         if vector.size != self.config.embedding_dim:
             raise ValueError(
                 f"expected a {self.config.embedding_dim}-dim d-vector for "
                 f"tenant '{tenant_id}', got {vector.size}"
             )
+        return vector
+
+    def register(self, tenant_id: str, embedding: np.ndarray) -> np.ndarray:
+        """Store a precomputed d-vector for ``tenant_id`` (persisted if rooted)."""
+        vector = self._checked(tenant_id, embedding)
         with self._lock:
             self._embeddings[tenant_id] = np.array(vector, copy=True)
             path = self._tenant_path(tenant_id)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import check_gradients
 
 from repro.nn import (
     Adam,
@@ -13,7 +14,6 @@ from repro.nn import (
     ReLU,
     Sequential,
     Tensor,
-    check_gradients,
     cross_entropy_loss,
     load_state_dict,
     save_model,

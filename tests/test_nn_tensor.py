@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import check_gradients
 
-from repro.nn import Tensor, check_gradients, no_grad
+from repro.nn import Tensor, no_grad
 from repro.nn.conv import conv_output_size
 
 

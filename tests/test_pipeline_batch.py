@@ -336,6 +336,14 @@ class TestStreamingProtector:
 FLOAT32_RTOL = 1e-4
 
 
+def _head_state(selector, head_spectrograms, d_vector):
+    """A :class:`PassState` after its head block over ``head_spectrograms``."""
+    state = selector.open_pass(d_vector, head_spectrograms.dtype)
+    for _ in selector.row_block(state, head_spectrograms):
+        pass
+    return state
+
+
 def _assert_relative(actual, expected, tolerance=1e-12):
     assert actual.shape == expected.shape
     assert np.max(np.abs(actual - expected)) <= tolerance * np.max(np.abs(expected))
@@ -395,8 +403,8 @@ class TestBatchedSelector:
         batched = selector.forward_batch(specs, d_vector)
         for row in range(2):
             _assert_relative(batched[row], selector_reference(selector, specs[row], d_vector).data)
-            # A head run on its own gives the same bits.
-            head = selector.forward_head(specs[row : row + 1, :, :split], d_vector)
+            # A head block run on its own gives the same bits.
+            head = _head_state(selector, specs[row : row + 1, :, :split], d_vector)
             np.testing.assert_array_equal(
                 selector.forward_batch(specs[row : row + 1], d_vector, head)[0], batched[row]
             )
@@ -407,12 +415,36 @@ class TestBatchedSelector:
         specs = np.ones((2, freq_bins, frames))
         d_vector = np.zeros(tiny_config.embedding_dim)
         split = selector.head_frames(frames)
-        head = selector.forward_head(specs[:1, :, : split - 1], d_vector)
+        head = _head_state(selector, specs[:1, :, : split - 1], d_vector)
         with pytest.raises(ValueError):
             selector.forward_batch(specs[:1], d_vector, head)
-        head = selector.forward_head(specs[:1, :, :split], d_vector)
+        head = _head_state(selector, specs[:1, :, :split], d_vector)
         with pytest.raises(ValueError):
             selector.forward_batch(specs, d_vector, head)
+        for bad in (specs[:, :, :split], specs[:1, :-1, :split]):  # two rows; wrong bins
+            with pytest.raises(ValueError):
+                next(selector.row_block(selector.open_pass(d_vector, bad.dtype), bad))
+
+    def test_a_failed_block_leaves_the_state_as_it_was(self, tiny_config, monkeypatch):
+        selector = Selector(tiny_config, seed=6)
+        rng = np.random.default_rng(7)
+        specs = np.abs(rng.normal(size=(1,) + tiny_config.spectrogram_shape))
+        d_vector = rng.normal(size=tiny_config.embedding_dim)
+        whole = selector.forward_batch(specs, d_vector)
+        split = selector.head_frames(specs.shape[2])
+        head = _head_state(selector, specs[:, :, :split], d_vector)
+        halos = [halo.copy() for halo in head.halos]
+        def fail(*args, **kwargs):
+            raise MemoryError("no room for the tail block")
+
+        monkeypatch.setattr(selector.conv_out, "infer", fail)
+        with pytest.raises(MemoryError):
+            selector.forward_batch(specs, d_vector, head)
+        monkeypatch.undo()
+        assert head.frames == split and head.output.shape[1] == split - selector.lookahead_frames
+        for halo, kept in zip(head.halos, halos):
+            np.testing.assert_array_equal(halo, kept)
+        np.testing.assert_array_equal(selector.forward_batch(specs, d_vector, head), whole)
 
     def test_forward_batch_rejects_bad_shapes(self, tiny_config):
         selector = Selector(tiny_config, seed=0)

@@ -102,6 +102,25 @@ class TestEnrollmentRegistry:
         assert reloaded.tenants() == ["alice"]
         np.testing.assert_array_equal(reloaded.embedding("alice"), vector)
 
+    @pytest.mark.parametrize("tampered", ["../../victim", "short vector"])
+    def test_tampered_registry_file_is_refused(self, tiny_config, tmp_path, tampered):
+        """Ids and d-vectors read back from disk are checked like registered ones."""
+        root = tmp_path / "registry"
+        registry = EnrollmentRegistry(root, config=tiny_config)
+        registry.register("alice", np.ones(tiny_config.embedding_dim))
+        victim = tmp_path / "victim.npz"
+        np.savez(victim, embedding=np.ones(tiny_config.embedding_dim))
+        path = root / "registry.json"
+        metadata = json.loads(path.read_text())
+        if tampered == "short vector":
+            np.savez(root / "tenants" / "alice.npz", embedding=np.ones(3))
+        else:
+            metadata["tenants"].append(tampered)  # resolves to tmp_path/victim.npz
+        path.write_text(json.dumps(metadata))
+        with pytest.raises(ValueError):
+            EnrollmentRegistry(root)
+        assert victim.exists()
+
     def test_config_mismatch_raises(self, tiny_config, tmp_path):
         root = tmp_path / "registry"
         EnrollmentRegistry(root, config=tiny_config)
@@ -249,7 +268,8 @@ class TestTickLoop:
         class BlocksSecondTail:
             config = tiny_config
             head_frames = system.selector.head_frames
-            head_steps = system.selector.head_steps
+            open_pass = system.selector.open_pass
+            row_block = system.selector.row_block
 
             def __init__(self):
                 self.tails = 0
@@ -286,7 +306,7 @@ class TestTickLoop:
             def head_frames(self, frames):
                 return frames // 2
 
-            def head_steps(self, specs, vectors):
+            def open_pass(self, d_vector, dtype):
                 raise RuntimeError("boom")
 
         batch = StreamBatch(Exploding())

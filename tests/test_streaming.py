@@ -290,12 +290,14 @@ class TestHeadTailSplit:
         config = deployed.config
         selector = deployed.selector
         split = selector.head_frames(config.num_frames)
-        head = selector.forward_head(
-            np.ones((1, config.frequency_bins, split), dtype=np.float32), deployed.embedding
-        )
-        # The halo rows and the FC rows the tail reads: about 0.45 MB.
-        assert head.nbytes < 0.5e6
-        assert [halo.shape[2] for halo in head.halos] == [0, 6, 4, 8, 16, 4]
+        state = selector.open_pass(deployed.embedding, np.float32)
+        for _ in selector.row_block(
+            state, np.ones((1, config.frequency_bins, split), dtype=np.float32)
+        ):
+            pass
+        # The halo rows and the FC rows the tail reads: about 0.43 MB.
+        assert state.frames == split and state.nbytes < 0.5e6
+        assert [halo.shape[2] for halo in state.halos] == [0, 6, 4, 8, 16, 4]
 
     @pytest.mark.parametrize("chunk", [1, 63, 64, 500, 11 * 64])
     def test_head_is_submitted_before_the_last_sample(self, system, tiny_config, chunk):
@@ -359,15 +361,18 @@ class TestHeadTailSplit:
         class FailsOnFirstHead:
             config = tiny_config
             head_frames = system.selector.head_frames
+            open_pass = system.selector.open_pass
 
             def __init__(self):
                 self.stages = []
 
-            def head_steps(self, head, d_vector):
+            def row_block(self, state, block, last=False):
                 self.stages.append("head")
+                steps = system.selector.row_block(state, block, last)
                 if self.stages == ["head"]:
+                    next(steps)  # one layer runs, then the block fails
                     raise MemoryError("no room for the head block")
-                return system.selector.head_steps(head, d_vector)
+                return steps
 
             def shadow_spectrogram_batch(self, mixed, d_vector, head):
                 self.stages.append("tail")
@@ -378,12 +383,12 @@ class TestHeadTailSplit:
         request = batch.submit_head(spectrogram[:, :split], system.embedding)
         with pytest.raises(MemoryError):
             batch.tick()
-        assert batch.pending_requests == 1 and request.head is None
+        assert batch.pending_requests == 1 and request.state is None
         assert batch.submit(spectrogram, request=request) is request
         assert batch.tick() == 1
         assert selector.stages == ["head", "head", "tail"]
         np.testing.assert_array_equal(request.shadow_spectrogram, clean)
-        assert request.head is None and request.head_spectrogram is None
+        assert request.state is None and request.head_spectrogram is None
 
     def test_head_yields_to_a_tail_submitted_during_it(self, system, tiny_config):
         """A closing segment waits for one head layer, not the whole head block."""
@@ -401,17 +406,19 @@ class TestHeadTailSplit:
         class SubmitsDuringHead:
             config = tiny_config
             head_frames = system.selector.head_frames
+            open_pass = system.selector.open_pass
 
             def shadow_spectrogram_batch(self, mixed, d_vector, head):
                 events.append("tail")
                 return system.selector.shadow_spectrogram_batch(mixed, d_vector, head)
 
-            def head_steps(self, head, d_vector):
-                for step in system.selector.head_steps(head, d_vector):
-                    events.append("head layer" if step is None else "head done")
+            def row_block(self, state, block, last=False):
+                for step in system.selector.row_block(state, block, last):
+                    events.append("head layer")
                     if len(events) == layers + 2:  # B's first layer: A's segment closes now
                         batch.submit(spectrograms[0], request=first)
                     yield step
+                events.append("head done")
 
         batch = StreamBatch(SubmitsDuringHead())
         first = batch.submit_head(spectrograms[0][:, :split], system.embedding)
@@ -612,7 +619,8 @@ class TestStreamBatch:
         class FailsOnSecondPass:
             config = tiny_config
             head_frames = system.selector.head_frames
-            head_steps = system.selector.head_steps
+            open_pass = system.selector.open_pass
+            row_block = system.selector.row_block
 
             def __init__(self):
                 self.inputs = []

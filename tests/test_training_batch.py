@@ -9,7 +9,7 @@ This suite pins the three contracts of the batched training engine:
   the tap-sum reference (``conv2d_reference`` in ``tests/oracles.py``) — and
   the full Selector graph's batched backward must equal the mean of the
   per-example backwards of ``selector_reference``
-  (:func:`repro.nn.grad_check.check_batched_gradients`).  Training never
+  (``check_batched_gradients`` in ``tests/oracles.py``).  Training never
   reaches the frequency-domain kernel :func:`repro.nn.fftconv.fft_conv2d`.
 - **The fast path degrades to the reference.**  ``fit(batch_size=1)`` matches
   the per-example oracle ``fit_looped`` (``tests/oracles.py``) to 1e-12
@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from oracles import (
+    check_batched_gradients,
     conv2d_reference,
     evaluate_looped,
     example_loss,
@@ -44,7 +45,6 @@ from repro.nn import Adam, Tensor, fft_conv2d, next_fast_len
 from repro.nn import conv as conv_module
 from repro.nn import fftconv as fftconv_module
 from repro.nn.conv import Conv2d
-from repro.nn.grad_check import check_batched_gradients
 
 # The Selector's five convolution geometries at the tiny config (channels=4,
 # dilations (1, 2)): (in_c, out_c, kernel, padding, dilation).
