@@ -9,10 +9,12 @@ convolution with dilation, LSTM), the encoder's cross-entropy loss, the Adam
 optimiser and model (de)serialisation.
 
 A convolution runs one kernel, the tap-wise one: each channel is
-zero-padded once, the ``kw`` horizontal taps are gathered, and ``kh`` GEMMs
-at row offsets into them cover the vertical taps.  :meth:`Conv2d.forward` is
+zero-padded once, the ``kw`` horizontal taps are gathered, one GEMM of the
+stacked ``(kh*O, C*kw)`` weights covers the vertical taps (one GEMM per tap
+where the stack would outgrow the gather), and ``kh`` shifted adds sum the
+taps into the output.  :meth:`Conv2d.forward` is
 its autograd pass and :meth:`Conv2d.infer` its gradient-free pass (gathering
-through :func:`strided_im2col`).  The frequency-domain :func:`fft_conv2d` is
+through :func:`strided_im2col` into a per-thread workspace).  The frequency-domain :func:`fft_conv2d` is
 not on either path; it remains exported until the benchmark's tracer stops
 looking it up.
 

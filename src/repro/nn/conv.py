@@ -1,15 +1,22 @@
 """2-D convolution with dilation: one tap-wise kernel for training and inference.
 
-Every pass zero-pads each channel once into a flat ``(C, Hp*Wp + slack)``
-buffer, gathers the ``kw`` horizontal taps into ``(C*kw, Hp*Wp)`` columns, and
-runs ``kh`` GEMMs at row offsets into those columns for the vertical taps
-(:func:`_tap_gemm`).  :meth:`Conv2d.infer` is the gradient-free pass; its
-gather, :func:`strided_im2col`, writes into thread-local buffers.
-:meth:`Conv2d.forward` is the autograd pass: it gathers one example at a time
-into two reused buffers and keeps nothing for backward beyond the graph's own
-arrays.  Backward re-gathers the input for the weight gradient, and runs the
-input gradient through the same kernel: the output gradient convolved with
-the flipped, channel-swapped weights.  Both passes are stride 1 and both are
+Every pass zero-pads each channel into a flat ``(C, Hp*Wp + slack)`` buffer
+and gathers the ``kw`` horizontal taps into ``(C*kw, Hp*Wp)`` columns.  One
+GEMM of the stacked weights, ``(kh*O, C*kw) @ (C*kw, Hp*Wp)``, then gives
+every vertical tap's partial sums over the whole padded plane, and ``kh``
+shifted adds sum them into the output (:func:`_stacked_conv`): tap ``ky``
+is the accumulator's ``ky``-th block of ``O`` rows read ``ky*dil_h`` plane
+rows further down.  A GEMM stacks only as many taps as keep the
+accumulator within the gather (:func:`_taps_per_gemm`): every 5×5 layer is
+one GEMM, the 7×1 layer one per tap.  :meth:`Conv2d.infer` is the
+gradient-free pass; its gather, :func:`strided_im2col`, and its accumulator
+live in a per-thread workspace that every block height shares.
+:meth:`Conv2d.forward` is the autograd pass: it gathers one example at a
+time into reused buffers and keeps nothing for backward beyond the graph's
+own arrays.  Backward re-gathers the input
+for the weight gradient, the stacked GEMM turned round, and runs the input
+gradient through the same kernel: the output gradient convolved with the
+flipped, channel-swapped weights.  Both passes are stride 1 and both are
 pinned against the tap-sum reference ``conv2d_reference`` in
 ``tests/oracles.py``.
 """
@@ -17,7 +24,7 @@ pinned against the tap-sum reference ``conv2d_reference`` in
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -30,38 +37,77 @@ IntPair = Union[int, Tuple[int, int]]
 #: ``(pad_h, pad_w)``, where ``pad_h`` may be a ``(top, bottom)`` pair.
 Padding = Tuple[Union[int, Tuple[int, int]], int]
 
-#: Thread-local store of reusable (padded, column) buffer pairs, keyed by the
-#: full gather signature.  Fresh multi-megabyte allocations dominate the
-#: inference gather (page faults on every call); reusing warm buffers cuts the
-#: column gather several-fold without changing a bit — the copy is the same,
-#: only the destination memory is recycled.  Thread-local because the serving
-#: tick thread and callers on other threads share the layer objects.  The
-#: Selector runs at most ``ROWS_PER_PASS`` rows per pass, which bounds every
-#: key's row count.
-_im2col_buffers = threading.local()
+#: Thread-local workspace of the gradient-free pass: the padded, column and
+#: accumulator buffers, keyed on the gather signature without the block
+#: height, ``(N, C, W, kw, dil_w, side, dtype)``.  Each buffer grows to the
+#: largest request its key has seen, so the Selector's head block, tail block
+#: and a whole pass share one set.  Fresh multi-megabyte allocations page-fault
+#: on every call; reusing warm buffers changes no bit, only the destination
+#: memory.  Thread-local because the serving tick thread and callers on other
+#: threads share the layer objects.  The Selector runs at most
+#: ``ROWS_PER_PASS`` rows per pass, which bounds every key's ``N``.
+_workspace = threading.local()
 
-#: Cap on cached shape signatures per thread before the store is dropped;
-#: inference runs at a handful of fixed geometries, so this is only a guard
-#: against unbounded growth under pathological shape churn.
-_IM2COL_CACHE_MAX_KEYS = 32
+#: Cap on the bytes of one thread's workspace.  A buffer that would take the
+#: total past it first drops every other key's buffers, so a thread holds at
+#: most the cap or one key's set, whichever is larger.  Inference at
+#: ``NECConfig.default()`` holds 12.4 MB in float32, in 3 entries.
+_WORKSPACE_MAX_BYTES = 256 << 20
 
 
-def _im2col_buffer_store() -> Dict:
-    store = getattr(_im2col_buffers, "cache", None)
+def _workspace_store() -> Dict[Hashable, Dict[str, np.ndarray]]:
+    store = getattr(_workspace, "store", None)
     if store is None:
-        store = {}
-        _im2col_buffers.cache = store
+        store = _workspace.store = {}
     return store
 
 
 def clear_im2col_buffer_cache() -> None:
-    """Drop this thread's reusable im2col buffers (mainly for tests)."""
-    _im2col_buffers.cache = {}
+    """Drop this thread's convolution workspace (mainly for tests)."""
+    _workspace.store = {}
 
 
 def im2col_buffer_cache_info() -> Dict[str, int]:
-    """Entry count of this thread's im2col buffer cache."""
-    return {"entries": len(_im2col_buffer_store())}
+    """Entry count and total bytes of this thread's convolution workspace."""
+    store = _workspace_store()
+    return {"entries": len(store), "bytes": _held_bytes(store)}
+
+
+def _held_bytes(store: Dict[Hashable, Dict[str, np.ndarray]]) -> int:
+    return sum(buffer.nbytes for entry in store.values() for buffer in entry.values())
+
+
+def _workspace_key(
+    x: np.ndarray, kernel_size: Tuple[int, int], dilation: Tuple[int, int], padding: Padding
+) -> Hashable:
+    num, channels, _, width = x.shape
+    return (num, channels, width, kernel_size[1], dilation[1], padding[1], x.dtype.str)
+
+
+def _grown(
+    buffers: Dict[str, np.ndarray], name: str, shape: Tuple[int, ...], dtype=np.float64
+) -> np.ndarray:
+    """A ``shape`` view of ``buffers[name]``, replaced by a larger one if too small."""
+    size = int(np.prod(shape))
+    buffer = buffers.get(name)
+    if buffer is None or buffer.size < size:
+        buffers.pop(name, None)
+        buffer = buffers[name] = np.empty(size, dtype=dtype)
+    return buffer[:size].reshape(shape)
+
+
+def _workspace_buffer(
+    key: Hashable, name: str, shape: Tuple[int, ...], dtype: np.dtype
+) -> np.ndarray:
+    """A ``shape`` view of workspace buffer ``name`` under ``key``, grown if too small."""
+    store = _workspace_store()
+    entry = store.setdefault(key, {})
+    held = entry.get(name)
+    grow = int(np.prod(shape)) * np.dtype(dtype).itemsize - (0 if held is None else held.nbytes)
+    if grow > 0 and _held_bytes(store) + grow > _WORKSPACE_MAX_BYTES:
+        store.clear()
+        store[key] = entry
+    return _grown(entry, name, shape, dtype)
 
 
 def conv_output_size(
@@ -109,95 +155,122 @@ def _checked_output_size(
     return out_h, out_w
 
 
-def _gather_buffers(
-    shape: Tuple[int, ...],
+def _gather(
+    x: np.ndarray,
     kernel_size: Tuple[int, int],
     dilation: Tuple[int, int],
     padding: Padding,
-    dtype: np.dtype = np.float64,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """The flat padded buffer and the column buffer (``None`` for ``kw == 1``).
-
-    The pad border and the slack after the last row are zeroed here and never
-    written again: each gather only overwrites the interior.
-    """
-    n, c, h, w = shape
-    kw, dil_w = kernel_size[1], dilation[1]
-    top, bottom, side = _sides(padding)
-    plane = (h + top + bottom) * (w + 2 * side)
-    flat = np.zeros((n, c, plane + (kw - 1) * dil_w), dtype=dtype)
-    columns = None if kw == 1 else np.empty((n, c, kw, plane), dtype=dtype)
-    return flat, columns
-
-
-def _gather(
-    x: np.ndarray,
-    flat: np.ndarray,
-    columns: Optional[np.ndarray],
-    padding: Padding,
-    dil_w: int,
+    allocate: Callable[[str, Tuple[int, ...]], np.ndarray],
 ) -> np.ndarray:
-    """Pad ``x`` into ``flat``, then gather its ``kw`` horizontal taps into ``columns``."""
+    """Pad ``x`` into a flat buffer, then gather its ``kw`` horizontal taps.
+
+    ``allocate(name, shape)`` supplies the flat ``"padded"`` buffer and the
+    ``"columns"`` buffer (none for ``kw == 1``, where the padded buffer is
+    the result).  Their previous contents are never read: the pad border and
+    the slack after the last row are zeroed on every call, because the
+    plane's layout moves with the block height.
+    """
     n, c, h, w = x.shape
+    kw, dil_w = kernel_size[1], dilation[1]
     top, bottom, side = _sides(padding)
     height, width = h + top + bottom, w + 2 * side
     plane = height * width
+    flat = allocate("padded", (n, c, plane + (kw - 1) * dil_w))
     padded = flat[:, :, :plane].reshape(n, c, height, width)
+    padded[:, :, :top] = 0.0
+    padded[:, :, top + h :] = 0.0
+    padded[:, :, top : top + h, :side] = 0.0
+    padded[:, :, top : top + h, side + w :] = 0.0
     padded[:, :, top : top + h, side : side + w] = x
-    if columns is None:
+    flat[:, :, plane:] = 0.0
+    if kw == 1:
         return flat
-    for kx in range(columns.shape[2]):
+    columns = allocate("columns", (n, c, kw, plane))
+    for kx in range(kw):
         shift = kx * dil_w
         columns[:, :, kx] = flat[:, :, shift : shift + plane]
     return columns.reshape(n, -1, plane)
 
 
-def _tap_gemm(
+def _taps_per_gemm(stacked: np.ndarray, out_c: int) -> int:
+    """Vertical taps one GEMM stacks: all ``kh``, unless ``kh*O`` rows outgrow ``C*kw``.
+
+    Capping the stacked rows at the columns matrix's row count keeps the
+    accumulator no larger than the gather it is computed from.  Every 5×5
+    layer of the Selector stacks all five taps, one GEMM per layer; the 7×1
+    layer, with ``C*kw = O``, runs one GEMM per tap over just the rows that
+    tap reads, where stacking would make its accumulator 7× its input.
+    """
+    return max(1, min(stacked.shape[0], stacked.shape[1]) // out_c)
+
+
+def _accumulator_size(stacked: np.ndarray, out_c: int, out_h: int, width: int, dil_h: int) -> int:
+    """Elements of one example's accumulator for :func:`_stacked_conv`."""
+    taps = _taps_per_gemm(stacked, out_c)
+    return taps * out_c * ((taps - 1) * dil_h + out_h) * width
+
+
+def _stacked_conv(
     cols: np.ndarray,
-    slabs: np.ndarray,
-    step: int,
-    span: int,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """The one GEMM loop: ``sum_ky slabs[ky] @ cols[..., ky*step : ky*step + span]``."""
-    out = np.matmul(slabs[0], cols[..., :span], out=out)
-    for ky in range(1, len(slabs)):
-        out += slabs[ky] @ cols[..., ky * step : ky * step + span]
-    return out
-
-
-def _crop(
-    acc: np.ndarray,
-    out_h: int,
-    out_w: int,
+    stacked: np.ndarray,
+    width: int,
+    dil_h: int,
     bias_column: Optional[np.ndarray],
-    relu: bool = False,
-    out: Optional[np.ndarray] = None,
+    relu: bool,
+    out: np.ndarray,
+    acc: np.ndarray,
 ) -> np.ndarray:
-    """Drop the wrap columns of every output row; add the bias, then the ReLU."""
-    view = acc.reshape(*acc.shape[:-1], out_h, -1)[..., :out_w]
-    if out is None:
-        out = np.empty(view.shape, dtype=acc.dtype)
-    if bias_column is None:
-        np.copyto(out, view)
-    else:
-        np.add(view, bias_column, out=out)
+    """The kernel from gathered columns: stacked GEMMs, then ``kh`` shifted adds.
+
+    ``cols`` is ``(..., C*kw, Hp*Wp)`` with ``Wp = width`` and ``stacked`` the
+    ``(kh*O, C*kw)`` weights.  One GEMM covers :func:`_taps_per_gemm`
+    vertical taps, over the plane rows they read, into the flat ``acc``
+    (:func:`_accumulator_size` elements per leading index).  Tap ``ky`` is
+    its block of ``O`` rows, and plane row ``y + ky*dil_h`` adds into row
+    ``y`` of ``out``, ``(..., O, out_h, w)``, bias first and the ReLU last.
+    ``w`` is ``out_w``, or ``Wp`` for contiguous adds whose last
+    ``Wp - out_w`` columns (read across a row boundary) the caller drops.
+    """
+    out_c, out_h, out_w = out.shape[-3:]
+    lead = cols.shape[:-2]
+    group = _taps_per_gemm(stacked, out_c)
+    for first in range(0, stacked.shape[0] // out_c, group):
+        weights = stacked[first * out_c : (first + group) * out_c]
+        taps = weights.shape[0] // out_c
+        rows = (taps - 1) * dil_h + out_h
+        part = acc[: int(np.prod(lead)) * weights.shape[0] * rows * width]
+        part = part.reshape(*lead, weights.shape[0], rows * width)
+        start = first * dil_h * width
+        np.matmul(weights, cols[..., start : start + rows * width], out=part)
+        part = part.reshape(*lead, taps, out_c, rows, width)
+        for j in range(taps):
+            tap = part[..., j, :, j * dil_h : j * dil_h + out_h, :out_w]
+            if first + j:
+                out += tap
+            elif bias_column is None:
+                np.copyto(out, tap)
+            else:
+                np.add(tap, bias_column, out=out)
     if relu:
         np.maximum(out, 0.0, out=out)
     return out
 
 
-def _slabs(weight: np.ndarray) -> np.ndarray:
-    """``(O, C, kh, kw)`` weights as ``kh`` slabs ``(O, C*kw)`` in gather row order."""
+def _stacked(weight: np.ndarray) -> np.ndarray:
+    """``(O, C, kh, kw)`` weights as the ``(kh*O, C*kw)`` matrix of the stacked GEMM.
+
+    Row ``ky*O + o`` holds output channel ``o``'s tap row ``ky``, in gather
+    row order ``c*kw + kx``.
+    """
     out_c, in_c, kh, kw = weight.shape
-    return weight.transpose(2, 0, 1, 3).reshape(kh, out_c, in_c * kw)
+    return weight.transpose(2, 0, 1, 3).reshape(kh * out_c, in_c * kw)
 
 
 def _inference_weights(
     weight: np.ndarray, bias: Optional[np.ndarray]
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """The ``(kh, O, C*kw)`` weight slabs and the ``(O, 1, 1)`` bias column."""
-    return _slabs(weight), None if bias is None else bias.reshape(-1, 1, 1)
+    """The stacked ``(kh*O, C*kw)`` weights and the ``(O, 1, 1)`` bias column."""
+    return _stacked(weight), None if bias is None else bias.reshape(-1, 1, 1)
 
 
 def strided_im2col(
@@ -214,71 +287,70 @@ def strided_im2col(
     elements: ``cols[n, c*kw + kx, p] = flat[n, c, p + kx*dil_w]``.  The
     vertical taps need no copy of their own — tap ``ky`` of an output row is
     the same matrix read ``ky * dil_h * Wp`` columns further on, which is how
-    :func:`_tap_gemm` consumes it.  Columns ``out_w..Wp-1`` of each padded
-    row read across a row boundary (or into the zero slack after the last
-    row) and are cropped by the caller.
+    :func:`_stacked_conv` reads the stacked GEMM's result.  Columns
+    ``out_w..Wp-1`` of each padded row read across a row boundary (or into
+    the zero slack after the last row) and are cropped there.
 
     For ``kw == 1`` the result is a view of the padded buffer, no gather at
-    all.  The padded and gathered buffers come from a thread-local store
-    instead of a fresh allocation.  Inference-only: no autograd graph is
-    recorded, and the returned array aliases the per-thread buffers — it is
-    valid until the next same-shape call on the same thread (the inference
-    engine consumes it immediately in the following GEMMs).
+    all.  Both buffers come from this thread's workspace, shared by every
+    height of the same ``(N, C, W)`` signature.  Inference-only: no autograd
+    graph is recorded, and the returned array aliases the workspace — it is
+    valid until the next call of the same signature on the same thread (the
+    inference engine consumes it immediately in the following GEMM).
     """
     _checked_output_size(x, kernel_size, dilation, padding)
-    store = _im2col_buffer_store()
-    key = (x.shape, kernel_size, dilation, padding, x.dtype.str)
-    buffers = store.get(key)
-    if buffers is None:
-        if len(store) >= _IM2COL_CACHE_MAX_KEYS:
-            store.clear()
-        store[key] = buffers = _gather_buffers(
-            x.shape, kernel_size, dilation, padding, x.dtype
-        )
-    return _gather(x, *buffers, padding, dilation[1])
+    key = _workspace_key(x, kernel_size, dilation, padding)
+    return _gather(
+        x, kernel_size, dilation, padding,
+        lambda name, shape: _workspace_buffer(key, name, shape, x.dtype),
+    )
 
 
 def _example_columns(
-    x: np.ndarray,
+    examples: Iterable[np.ndarray],
     kernel_size: Tuple[int, int],
     dilation: Tuple[int, int],
     padding: Tuple[int, int],
+    buffers: Dict[str, np.ndarray],
 ) -> Iterator[np.ndarray]:
-    """Each example's ``(C*kw, Hp*Wp)`` tap gather, in turn, through two reused buffers.
+    """Each ``(C, H, W)`` example's ``(C*kw, Hp*Wp)`` tap gather, in turn, through ``buffers``.
 
     The autograd pass gathers one example at a time: the working set is one
     example's columns instead of the whole minibatch's, and the buffers stay
     warm across examples instead of page-faulting in fresh for every layer.
     Each yielded array is overwritten by the next one.
     """
-    buffers = _gather_buffers((1, *x.shape[1:]), kernel_size, dilation, padding)
-    for example in x:
-        yield _gather(example[None], *buffers, padding, dilation[1])[0]
+    for example in examples:
+        yield _gather(
+            example[None], kernel_size, dilation, padding,
+            lambda name, shape: _grown(buffers, name, shape),
+        )[0]
 
 
 def _tap_conv(
-    x: np.ndarray,
-    slabs: np.ndarray,
+    examples: Iterable[np.ndarray],
+    out: np.ndarray,
+    stacked: np.ndarray,
     kernel_size: Tuple[int, int],
     dilation: Tuple[int, int],
     padding: Tuple[int, int],
+    buffers: Dict[str, np.ndarray],
     bias_column: Optional[np.ndarray] = None,
     relu: bool = False,
 ) -> np.ndarray:
-    """The kernel over a minibatch, one example at a time.
+    """The kernel over a minibatch of ``(C, H, W)`` examples, one at a time, into ``out``.
 
     The autograd pass runs it twice: forward on the input, and backward on the
-    output gradient for the input gradient.  Each example's accumulator is
-    cropped into the output while it is still in cache.
+    output gradient for the input gradient, whose examples it masks one at a
+    time.  Every example's stacked GEMM reuses one accumulator, and the gather
+    and accumulator come from ``buffers``, which backward hands on to the
+    weight gradient.
     """
-    out_h, out_w = _checked_output_size(x, kernel_size, dilation, padding)
-    row = x.shape[3] + 2 * padding[1]
-    span = out_h * row
-    acc = np.empty((slabs.shape[1], span))
-    out = np.empty((x.shape[0], slabs.shape[1], out_h, out_w))
-    for n, cols in enumerate(_example_columns(x, kernel_size, dilation, padding)):
-        _tap_gemm(cols, slabs, dilation[0] * row, span, out=acc)
-        _crop(acc, out_h, out_w, bias_column, relu, out=out[n])
+    width = out.shape[3] + (kernel_size[1] - 1) * dilation[1]
+    size = _accumulator_size(stacked, out.shape[1], out.shape[2], width, dilation[0])
+    acc = _grown(buffers, "accumulator", (size,))
+    for n, cols in enumerate(_example_columns(examples, kernel_size, dilation, padding, buffers)):
+        _stacked_conv(cols, stacked, width, dilation[0], bias_column, relu, out[n], acc)
     return out
 
 
@@ -334,7 +406,7 @@ class Conv2d(Module):
             if bias
             else None
         )
-        self._infer_weights = CastCache()  # slabs and bias column, per dtype
+        self._infer_weights = CastCache()  # stacked weights and bias column, per dtype
 
     def output_size(self, height: int, width: int) -> Tuple[int, int]:
         return conv_output_size(height, width, self.kernel_size, self.dilation, self.padding)
@@ -342,14 +414,17 @@ class Conv2d(Module):
     def forward(self, x: Tensor, activation: Optional[str] = None) -> Tensor:
         """Autograd pass of the tap-wise kernel; ``activation="relu"`` fuses the ReLU.
 
-        Nothing beyond the graph's own arrays is kept for backward: the
-        weight gradient re-gathers each example's columns from ``x`` and
-        accumulates ``kh`` GEMMs, ``G_n @ cols_n[..., ky*dil_h*Wp : ... + span]ᵀ``,
-        with ``G_n`` the example's output gradient widened to the padded row
-        (its wrap columns zero).  The input gradient is the same kernel run
-        on the output gradient with the weights flipped and channel-swapped,
-        at padding ``k_eff - 1 - pad``, and is skipped when ``x`` needs none.
-        The result equals the tap-sum convolution to GEMM round-off.
+        Nothing beyond the graph's own arrays is kept for backward, which
+        works one example at a time: it masks the example's output gradient
+        ``G_n`` with the ReLU into a reused buffer, and never holds a masked
+        copy of the whole minibatch.  The weight gradient is the stacked GEMM
+        turned round: for each GEMM's group of taps, tap ``j``'s copy of
+        ``G_n`` is written ``j*dil_h`` plane rows down a zeroed matrix, which
+        one GEMM multiplies by the re-gathered columns of ``x``, transposed.
+        The input gradient is the same kernel run on ``G_n`` with the weights
+        flipped and channel-swapped, at padding ``k_eff - 1 - pad``, and is
+        skipped when ``x`` needs none.  The result equals the tap-sum
+        convolution to GEMM round-off.
         """
         if activation not in (None, "relu"):
             raise ValueError(f"unsupported activation: {activation!r}")
@@ -360,45 +435,71 @@ class Conv2d(Module):
                 f"weight expects {self.in_channels} input channels, got {x.shape[1]}"
             )
         weight, bias = self.weight, self.bias
-        kernel, dilation, padding = self.kernel_size, self.dilation, self.padding
+        (kh, kw), dilation, padding = self.kernel_size, self.dilation, self.padding
         w_data = weight.data
         relu = activation == "relu"
+        out_h, out_w = _checked_output_size(x.data, (kh, kw), dilation, padding)
+        stacked = _stacked(w_data)
         out_data = _tap_conv(
-            x.data, _slabs(w_data), kernel, dilation, padding,
+            x.data, np.empty((x.shape[0], self.out_channels, out_h, out_w)),
+            stacked, (kh, kw), dilation, padding, {},
             None if bias is None else bias.data.reshape(-1, 1, 1), relu,
         )
 
         def backward(grad: np.ndarray) -> None:
-            if relu:
+            def examples(rows: slice = slice(None), cols: slice = slice(None)):
                 # Strictly-positive outputs pass gradient (same mask as a
                 # separate ``.relu()`` node over the pre-activation).
-                grad = grad * (out_data > 0.0)
-            out_c, out_h, out_w = grad.shape[1:]
+                for g, o in zip(grad[:, :, rows, cols], out_data[:, :, rows, cols]):
+                    if relu:
+                        g = np.multiply(
+                            g, np.greater(o, 0.0, out=_grown(buffers, "mask", o.shape, bool)),
+                            out=_grown(buffers, "gradient", g.shape),
+                        )
+                    yield g
+
+            buffers: Dict[str, np.ndarray] = {}  # the input gradient's, then the weight's
             if x.requires_grad:
                 # A negative full padding (``pad > k_eff - 1``) is a crop.
-                full = [(k - 1) * d - p for k, d, p in zip(kernel, dilation, padding)]
+                full = [(k - 1) * d - p for k, d, p in zip((kh, kw), dilation, padding)]
                 crop_h, crop_w = (max(-q, 0) for q in full)
                 x._accumulate_owned(_tap_conv(
-                    grad[:, :, crop_h : out_h - crop_h, crop_w : out_w - crop_w],
-                    _slabs(w_data[:, :, ::-1, ::-1].swapaxes(0, 1)),
-                    kernel, dilation, (max(full[0], 0), max(full[1], 0)),
+                    examples(slice(crop_h, out_h - crop_h), slice(crop_w, out_w - crop_w)),
+                    np.empty(x.shape), _stacked(w_data[:, :, ::-1, ::-1].swapaxes(0, 1)),
+                    (kh, kw), dilation, (max(full[0], 0), max(full[1], 0)), buffers,
                 ))
             if weight.requires_grad:
-                row = x.shape[3] + 2 * padding[1]
-                step, span = dilation[0] * row, out_h * row
-                wide = np.zeros((out_c, out_h, row))
-                dw = np.zeros((kernel[0], out_c, self.in_channels * kernel[1]))
-                columns = _example_columns(x.data, kernel, dilation, padding)
-                for n, cols in enumerate(columns):
-                    wide[..., :out_w] = grad[n]
-                    g = wide.reshape(out_c, span)
-                    for ky in range(kernel[0]):
-                        dw[ky] += g @ cols[:, ky * step : ky * step + span].T
+                # Tap ``first + j``'s copy of ``G_n`` sits ``j*dil_h`` rows down
+                # ``spread``; the rest of it, wrap columns included, stays zero
+                # for every example of a group shape.
+                width = x.shape[3] + 2 * padding[1]
+                out_c, dil_h = self.out_channels, dilation[0]
+                group = _taps_per_gemm(stacked, out_c)
+                dw = np.zeros(stacked.shape)
+                zeroed = None
+                columns = _example_columns(x.data, (kh, kw), dilation, padding, buffers)
+                for g, cols in zip(examples(), columns):
+                    for first in range(0, kh, group):
+                        taps = min(group, kh - first)
+                        rows = (taps - 1) * dil_h + out_h
+                        spread = _grown(buffers, "accumulator", (taps, out_c, rows, width))
+                        if zeroed != spread.shape:
+                            spread[...] = 0.0
+                            zeroed = spread.shape
+                        for j in range(taps):
+                            spread[j, :, j * dil_h : j * dil_h + out_h, :out_w] = g
+                        start = first * dil_h * width
+                        read = cols[:, start : start + rows * width]
+                        dw[first * out_c : (first + taps) * out_c] += (
+                            spread.reshape(taps * out_c, -1) @ read.T
+                        )
                 weight._accumulate_owned(np.ascontiguousarray(
-                    dw.reshape(kernel[0], out_c, self.in_channels, kernel[1]).transpose(1, 2, 0, 3)
+                    dw.reshape(kh, self.out_channels, self.in_channels, kw).transpose(1, 2, 0, 3)
                 ))
             if bias is not None and bias.requires_grad:
-                bias._accumulate_owned(grad.sum(axis=(0, 2, 3)))
+                bias._accumulate_owned(
+                    sum((g.sum(axis=(1, 2)) for g in examples()), np.zeros(self.out_channels))
+                )
 
         parents = (x, weight) if bias is None else (x, weight, bias)
         return x._make(out_data, parents, backward)
@@ -411,14 +512,13 @@ class Conv2d(Module):
     ) -> np.ndarray:
         """Gradient-free forward pass on a ``(N, C, H, W)`` numpy array.
 
-        The tap-wise kernel on thread-local buffers: :func:`strided_im2col`
+        The tap-wise kernel on this thread's workspace: :func:`strided_im2col`
         gathers the ``kw`` horizontal taps of the zero-padded input into
-        ``cols`` of shape ``(N, C*kw, Hp*Wp)``, then ``kh`` GEMMs accumulate
-        ``slab[ky] @ cols[..., ky*dil_h*Wp : ky*dil_h*Wp + out_h*Wp]`` — the
-        vertical taps are column offsets into the same matrix.  The last
-        ``Wp - out_w`` columns of every output row are cropped and the bias
-        (and, with ``activation="relu"``, the ReLU) applied in the same
-        pass.  The pass computes in the dtype of ``x`` (float32 stays
+        ``cols`` of shape ``(N, C*kw, Hp*Wp)``, one GEMM of the stacked
+        ``(kh*O, C*kw)`` weights gives every vertical tap's partial sums, and
+        ``kh`` shifted strided adds (:func:`_stacked_conv`) write them into the
+        cropped output, bias first and, with ``activation="relu"``, the ReLU
+        last.  The pass computes in the dtype of ``x`` (float32 stays
         float32, anything else is float64), with the weights cast once per
         dtype and cached.  This is the building block of the batched
         inference engine.
@@ -437,9 +537,20 @@ class Conv2d(Module):
         out_h, out_w = _checked_output_size(x, self.kernel_size, self.dilation, padding)
         cols = strided_im2col(x, self.kernel_size, self.dilation, padding)
         bias = None if self.bias is None else self.bias.data
-        slabs, bias_column = self._infer_weights.get(
+        stacked, bias_column = self._infer_weights.get(
             (self.weight.data, bias), x.dtype, _inference_weights
         )
-        row = x.shape[3] + 2 * self.padding[1]
-        acc = _tap_gemm(cols, slabs, self.dilation[0] * row, out_h * row)
-        return _crop(acc, out_h, out_w, bias_column, relu=activation == "relu")
+        num = x.shape[0]
+        width = x.shape[3] + 2 * self.padding[1]
+        size = _accumulator_size(stacked, self.out_channels, out_h, width, self.dilation[0])
+        acc = _workspace_buffer(
+            _workspace_key(x, self.kernel_size, self.dilation, padding),
+            "accumulator", (num * size,), x.dtype,
+        )
+        # The adds run over whole plane rows, contiguous, wrap columns too, and
+        # the result is a view that drops those columns.
+        out = np.empty((num, self.out_channels, out_h, width), dtype=x.dtype)
+        _stacked_conv(
+            cols, stacked, width, self.dilation[0], bias_column, activation == "relu", out, acc
+        )
+        return out[..., :out_w]

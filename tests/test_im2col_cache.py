@@ -1,11 +1,13 @@
-"""The thread-local buffer cache behind the inference gather.
+"""The per-thread workspace behind the inference gather.
 
 ``strided_im2col`` gathers the ``kw`` horizontal taps of the zero-padded
-input into a ``(N, C*kw, Hp*Wp)`` matrix and recycles its (padded, columns)
-working buffers per thread and shape signature; these tests pin the
-properties the recycling must not break — the matrix stays bit-identical to a
-plain loop gather call after call, the pad border stays zero across reuses,
-dtypes get their own buffers, and worker threads never share storage.
+input into a ``(N, C*kw, Hp*Wp)`` matrix in this thread's convolution
+workspace, whose buffers are keyed on everything but the block height and
+grow to the largest request; these tests pin the properties the recycling
+must not break — the matrix stays bit-identical to a plain loop gather call
+after call, whatever heights and paddings went before, dtypes get their own
+buffers, worker threads never share storage, and the workspace stays within
+its byte cap.
 """
 
 import threading
@@ -13,7 +15,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.nn import clear_im2col_buffer_cache, im2col_buffer_cache_info
+import repro.nn.conv as conv_module
+from repro.core.config import NECConfig
+from repro.core.selector import Selector
+from repro.nn import Conv2d, clear_im2col_buffer_cache, im2col_buffer_cache_info
 from repro.nn.conv import strided_im2col
 
 
@@ -29,11 +34,12 @@ def _reference_im2col(x, kernel_size, dilation=(1, 1), padding=(0, 0)):
 
     Each channel is zero-padded, flattened row-major and followed by
     ``(kw - 1) * dil_w`` zeros; row ``c*kw + kx`` is that flat channel read
-    from offset ``kx * dil_w``.
+    from offset ``kx * dil_w``.  ``padding[0]`` may be a ``(top, bottom)`` pair.
     """
     num, channels, height, width = x.shape
     (kernel_h, kernel_w), (dil_h, dil_w), (pad_h, pad_w) = kernel_size, dilation, padding
-    padded = np.pad(x, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)))
+    top, bottom = pad_h if isinstance(pad_h, tuple) else (pad_h, pad_h)
+    padded = np.pad(x, ((0, 0), (0, 0), (top, bottom), (pad_w, pad_w)))
     plane = padded.shape[2] * padded.shape[3]
     slack = np.zeros((num, channels, (kernel_w - 1) * dil_w), dtype=x.dtype)
     flat = np.concatenate([padded.reshape(num, channels, plane), slack], axis=2)
@@ -77,13 +83,40 @@ def test_buffer_reuse_stays_bit_identical_and_border_stays_zero():
 
 
 def test_distinct_signatures_get_distinct_entries():
-    x = np.zeros((1, 1, 8, 8))
-    strided_im2col(x, (3, 3), padding=(1, 1))
-    strided_im2col(x, (3, 3), padding=(0, 0))
-    strided_im2col(np.zeros((2, 1, 8, 8)), (3, 3), padding=(1, 1))
-    assert im2col_buffer_cache_info()["entries"] == 3
+    """Every part of the signature but the height gets its own entry.
+
+    Heights and ``(top, bottom)`` row paddings share one entry.
+    """
+    for height, rows in ((8, 1), (5, (2, 0)), (11, (0, 3)), (8, 1)):
+        strided_im2col(np.zeros((1, 1, height, 8)), (3, 3), padding=(rows, 1))
+    assert im2col_buffer_cache_info()["entries"] == 1
+    strided_im2col(np.zeros((1, 1, 8, 8)), (3, 3), padding=(1, 0))  # side
+    strided_im2col(np.zeros((1, 1, 8, 9)), (3, 3), padding=(1, 1))  # width
+    strided_im2col(np.zeros((2, 1, 8, 8)), (3, 3), padding=(1, 1))  # rows per pass
+    strided_im2col(np.zeros((1, 2, 8, 8)), (3, 3), padding=(1, 1))  # channels
+    strided_im2col(np.zeros((1, 1, 8, 8)), (3, 5), padding=(1, 2))  # kw
+    strided_im2col(np.zeros((1, 1, 8, 8)), (3, 3), (1, 2), padding=(1, 2))  # dil_w
+    assert im2col_buffer_cache_info()["entries"] == 7
     clear_im2col_buffer_cache()
-    assert im2col_buffer_cache_info()["entries"] == 0
+    assert im2col_buffer_cache_info() == {"entries": 0, "bytes": 0}
+
+
+def test_tall_short_tall_gathers_stay_bit_identical():
+    """A shorter block with other row padding, between two tall ones, reads no stale rows.
+
+    The shared buffers keep the tall block's contents, and the short block's
+    plane starts its rows, side columns and slack at other offsets, so every
+    call must zero the whole border again.
+    """
+    rng = np.random.default_rng(4)
+    case = dict(kernel_size=(5, 5), dilation=(2, 1))
+    for height, rows in ((20, (4, 4)), (7, (0, 4)), (9, (4, 0)), (20, (4, 4))):
+        x = rng.normal(size=(1, 3, height, 9))
+        np.testing.assert_array_equal(
+            strided_im2col(x, padding=(rows, 2), **case),
+            _reference_im2col(x, padding=(rows, 2), **case),
+        )
+    assert im2col_buffer_cache_info()["entries"] == 1
 
 
 def test_dtype_keys_buffers_under_float32_policy():
@@ -122,10 +155,50 @@ def test_cache_is_thread_local():
     assert im2col_buffer_cache_info()["entries"] == 1  # main thread untouched
 
 
-def test_shape_churn_guard_resets_store():
-    for size in range(8, 8 + 40):  # exceed _IM2COL_CACHE_MAX_KEYS signatures
-        strided_im2col(np.zeros((1, 1, size, size)), (3, 3), padding=(1, 1))
-    assert im2col_buffer_cache_info()["entries"] <= 32
+def test_shape_churn_guard_resets_store(monkeypatch):
+    """The byte cap bounds the workspace: past it, a growing entry drops the others.
+
+    The bytes count every buffer of an entry, the accumulator too.
+    """
+    layer = Conv2d(4, 4, (3, 3), padding=1)
+    layer.infer(np.zeros((1, 4, 16, 16)))
+    padded, columns, accumulator = 4 * (18 * 18 + 2), 4 * 3 * 18 * 18, 3 * 4 * 18 * 18
+    one_entry = 8 * (padded + columns + accumulator)
+    assert im2col_buffer_cache_info() == {"entries": 1, "bytes": one_entry}
+    monkeypatch.setattr(conv_module, "_WORKSPACE_MAX_BYTES", 3 * one_entry)
+    for width in range(17, 17 + 12):  # a new, larger signature per width
+        layer.infer(np.zeros((1, 4, 16, width)))
+        assert im2col_buffer_cache_info()["bytes"] <= 3 * one_entry
+    assert im2col_buffer_cache_info()["entries"] < 3
+    # A signature larger than the cap on its own still runs, and is all that is kept.
+    layer.infer(np.zeros((1, 4, 64, 64)))
+    assert im2col_buffer_cache_info()["entries"] == 1
+
+
+def test_selector_blocks_leave_the_whole_pass_workspace():
+    """At default(), a head block, a tail block and a whole pass hold what a whole pass holds.
+
+    The accumulator counts in the bytes; each block height reuses the buffers
+    of its key instead of keeping a set of its own.
+    """
+    config = NECConfig.default()
+    selector = Selector(config, seed=0)
+    rng = np.random.default_rng(5)
+    frames = config.num_frames
+    segment = np.abs(rng.normal(size=(1, config.frequency_bins, frames))).astype(np.float32)
+    d_vector = rng.normal(size=config.embedding_dim).astype(np.float32)
+    selector.forward_batch(segment, d_vector)
+    whole = im2col_buffer_cache_info()
+    clear_im2col_buffer_cache()
+    split = selector.head_frames(frames)
+    state = selector.open_pass(d_vector, np.float32)
+    for _ in selector.row_block(state, segment[:, :, :split]):
+        pass
+    for _ in selector.row_block(state, segment[:, :, split:], last=True):
+        pass
+    selector.forward_batch(segment, d_vector)
+    assert im2col_buffer_cache_info() == whole
+    assert whole["entries"] == 3  # the 1x7, the 7x1 and every 5x5 layer
 
 
 def test_empty_output_raises():

@@ -89,7 +89,7 @@ class TestBatchedEquivalence:
         )
         clear_im2col_buffer_cache()
         batched = system.protect_segment_matrix(matrix)
-        cached_rows = [key[0][0] for key in conv_module._im2col_buffer_store()]
+        cached_rows = [key[0] for key in conv_module._workspace_store()]  # key[0] is N
         assert cached_rows and max(cached_rows) <= ROWS_PER_PASS
         for row in range(rows):
             single = protect_segment(system, AudioSignal(matrix[row], tiny_config.sample_rate))
