@@ -13,7 +13,7 @@ Run with:  python examples/protect_meeting.py
 
 from __future__ import annotations
 
-from repro.channel import Recorder, SceneSource
+from repro.channel import Recorder, SceneSource, record_over_the_air
 from repro.eval.common import prepare_context
 from repro.metrics import sonr
 
@@ -37,8 +37,8 @@ def main() -> None:
         recorder_off = Recorder("Moto Z4", seed=0)
         recorder_on = Recorder("Moto Z4", seed=0)
         bob_only = Recorder("Moto Z4", seed=0).record_scene([SceneSource(bob, distance)])
-        recorded_off = system.record_over_the_air(bob, alice, recorder_off, distance_m=distance, enabled=False)
-        recorded_on = system.record_over_the_air(bob, alice, recorder_on, distance_m=distance, enabled=True)
+        recorded_off = record_over_the_air(system, bob, alice, recorder_off, distance_m=distance, enabled=False)
+        recorded_on = record_over_the_air(system, bob, alice, recorder_on, distance_m=distance, enabled=True)
         print(
             f"{distance:12.1f} | {sonr(recorded_off.data, bob_only.data):22.1f} |"
             f" {sonr(recorded_on.data, bob_only.data):18.1f}"

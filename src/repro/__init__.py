@@ -4,10 +4,13 @@ Ultrasound Shadowing" (DSN 2022) as a self-contained Python library.
 Public entry points:
 
 * :class:`repro.core.NECConfig` / :class:`repro.core.NECSystem` — the NEC
-  system itself (enroll, protect, broadcast, record);
+  system itself (enroll, protect, superpose);
+* :mod:`repro.serving` — the multi-tenant protection service;
 * :mod:`repro.audio` — synthetic speech corpus and NOISEX-like noises;
-* :mod:`repro.channel` — ultrasound modulation, propagation and the
-  non-linear microphone / device models;
+* :mod:`repro.channel` — ultrasound modulation (the device's speaker,
+  :func:`repro.channel.nec_speaker`), propagation, the non-linear
+  microphone / device models and
+  :func:`repro.channel.record_over_the_air`;
 * :mod:`repro.baselines` — white-noise jammer, Patronus-style scrambler,
   VoiceFilter;
 * :mod:`repro.eval` — the experiment harness reproducing every table and
@@ -17,6 +20,9 @@ Public entry points:
 
 See ``docs/architecture.md`` for the system inventory and its figure/table
 map for which benchmark regenerates each paper result.
+
+Importing this package loads only the protection path: neither the channel
+simulator, the speech synthesiser, the trainer nor ``scipy.signal``.
 """
 
 from repro.core.config import NECConfig

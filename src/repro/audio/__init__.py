@@ -12,45 +12,47 @@ so this package synthesises an equivalent workload:
   and utterances with transcripts;
 * :mod:`repro.audio.noise` — NOISEX-92-like babble / factory / vehicle / white
   noise generators with the band-limits of the paper's Table I.
+
+Only :class:`~repro.audio.signal.AudioSignal`, the interchange type of the
+protection path, is imported with the package; every other name loads its
+submodule on first access (PEP 562), so protecting audio never imports the
+synthesiser or ``scipy.signal``.
 """
 
-from repro.audio.signal import AudioSignal
-from repro.audio.phonemes import Phoneme, PHONEME_INVENTORY, VOWELS, word_to_phonemes
-from repro.audio.lexicon import LEXICON, SENTENCES, random_sentence, sentence_words
-from repro.audio.voice import SpeakerProfile, VoiceSynthesizer, random_speaker_profile
-from repro.audio.corpus import SyntheticCorpus, Utterance
-from repro.audio.noise import (
-    white_noise,
-    babble_noise,
-    factory_noise,
-    vehicle_noise,
-    noise_by_name,
-    NOISE_SCENARIOS,
-)
-from repro.audio.mixing import mix_at_snr, mix_signals, joint_conversation
+import importlib
 
-__all__ = [
-    "AudioSignal",
-    "Phoneme",
-    "PHONEME_INVENTORY",
-    "VOWELS",
-    "word_to_phonemes",
-    "LEXICON",
-    "SENTENCES",
-    "random_sentence",
-    "sentence_words",
-    "SpeakerProfile",
-    "VoiceSynthesizer",
-    "random_speaker_profile",
-    "SyntheticCorpus",
-    "Utterance",
-    "white_noise",
-    "babble_noise",
-    "factory_noise",
-    "vehicle_noise",
-    "noise_by_name",
-    "NOISE_SCENARIOS",
-    "mix_at_snr",
-    "mix_signals",
-    "joint_conversation",
-]
+from repro.audio.signal import AudioSignal
+
+_SUBMODULE_OF = {
+    "PHONEME_INVENTORY": "phonemes",
+    "word_to_phonemes": "phonemes",
+    "LEXICON": "lexicon",
+    "SENTENCES": "lexicon",
+    "random_sentence": "lexicon",
+    "sentence_words": "lexicon",
+    "SpeakerProfile": "voice",
+    "VoiceSynthesizer": "voice",
+    "random_speaker_profile": "voice",
+    "SyntheticCorpus": "corpus",
+    "white_noise": "noise",
+    "babble_noise": "noise",
+    "factory_noise": "noise",
+    "vehicle_noise": "noise",
+    "noise_by_name": "noise",
+    "NOISE_SCENARIOS": "noise",
+    "mix_at_snr": "mixing",
+    "mix_signals": "mixing",
+    "joint_conversation": "mixing",
+}
+
+
+def __getattr__(name):
+    submodule = _SUBMODULE_OF.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value
+
+
+__all__ = ["AudioSignal", *_SUBMODULE_OF]

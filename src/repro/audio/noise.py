@@ -16,11 +16,11 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 import numpy as np
-from scipy import signal as sps
 
 from repro.audio.signal import AudioSignal
 from repro.audio.voice import VoiceSynthesizer, random_speaker_profile
 from repro.audio.lexicon import random_sentence
+from repro.dsp.filters import butter_sos
 
 
 def white_noise(
@@ -37,8 +37,9 @@ def _band_limit(samples: np.ndarray, high_hz: float, sample_rate: int, low_hz: f
     nyquist = sample_rate / 2.0
     high = min(high_hz, nyquist * 0.98)
     low = max(low_hz, 1.0)
-    sos = sps.butter(6, [low / nyquist, high / nyquist], btype="band", output="sos")
-    return sps.sosfilt(sos, samples)
+    from scipy import signal as sps
+
+    return sps.sosfilt(butter_sos(6, (low, high), sample_rate, "band"), samples)
 
 
 def babble_noise(

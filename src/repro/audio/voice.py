@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
-from scipy import signal as sps
 
 from repro.audio.lexicon import LEXICON, sentence_words
 from repro.audio.phonemes import PHONEME_INVENTORY, Phoneme
 from repro.audio.signal import AudioSignal
+from repro.dsp.filters import butter_sos
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,8 @@ class VoiceSynthesizer:
         profile: SpeakerProfile,
     ) -> np.ndarray:
         """Cascade of second-order resonators at the (speaker-scaled) formants."""
+        from scipy import signal as sps
+
         output = source
         nyquist = self.sample_rate / 2.0
         for frequency in profile.scaled_formants(formants):
@@ -137,8 +139,9 @@ class VoiceSynthesizer:
         high = min(high, nyquist * 0.98)
         if high <= low:
             high = min(low * 1.5, nyquist * 0.98)
-        sos = sps.butter(4, [low / nyquist, high / nyquist], btype="band", output="sos")
-        return sps.sosfilt(sos, noise)
+        from scipy import signal as sps
+
+        return sps.sosfilt(butter_sos(4, (low, high), self.sample_rate, "band"), noise)
 
     @staticmethod
     def _envelope(num_samples: int, attack: float = 0.15, release: float = 0.2) -> np.ndarray:

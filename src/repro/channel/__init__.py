@@ -16,7 +16,10 @@ so this package models the physics explicitly:
 * :mod:`repro.channel.devices` — per-smartphone hardware profiles matching
   Table III of the paper;
 * :mod:`repro.channel.recorder` — a recorder that combines the above to
-  capture a scene of audible and ultrasonic sources;
+  capture a scene of audible and ultrasonic sources, and
+  :func:`~repro.channel.recorder.record_over_the_air`, which records a scene
+  an :class:`~repro.core.pipeline.NECSystem` protects through its speaker
+  (:func:`~repro.channel.ultrasound.nec_speaker`);
 * :mod:`repro.channel.rir` — synthetic room impulse responses (exponential
   tail or image-source shoebox) for the scenario grid's room axis;
 * :mod:`repro.channel.motion` — time-varying-delay propagation for a moving
@@ -28,6 +31,7 @@ from repro.channel.ultrasound import (
     am_modulate,
     am_demodulate_ideal,
     UltrasoundSpeaker,
+    nec_speaker,
 )
 from repro.channel.propagation import (
     SPEED_OF_SOUND,
@@ -41,7 +45,7 @@ from repro.channel.propagation import (
 )
 from repro.channel.microphone import MicrophoneModel, Nonlinearity
 from repro.channel.devices import DeviceProfile, DEVICE_TABLE, get_device, device_names
-from repro.channel.recorder import Recorder, SceneSource
+from repro.channel.recorder import Recorder, SceneSource, record_over_the_air
 from repro.channel.rir import (
     ROOM_TABLE,
     RoomModel,
@@ -64,6 +68,7 @@ __all__ = [
     "am_modulate",
     "am_demodulate_ideal",
     "UltrasoundSpeaker",
+    "nec_speaker",
     "SPEED_OF_SOUND",
     "propagation_delay",
     "distance_attenuation",
@@ -79,6 +84,7 @@ __all__ = [
     "device_names",
     "Recorder",
     "SceneSource",
+    "record_over_the_air",
     "directivity_gain",
     "ROOM_TABLE",
     "RoomModel",

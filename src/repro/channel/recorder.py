@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
@@ -13,7 +13,10 @@ from repro.channel.devices import DeviceProfile, get_device
 from repro.channel.motion import LinearMotion, propagate_moving
 from repro.channel.propagation import directivity_gain, propagate
 from repro.channel.rir import RoomModel, apply_rir
-from repro.channel.ultrasound import ULTRASOUND_RATE
+from repro.channel.ultrasound import ULTRASOUND_RATE, nec_speaker
+
+if TYPE_CHECKING:
+    from repro.core.pipeline import NECSystem, ProtectionResult
 
 
 @dataclass
@@ -120,3 +123,48 @@ class Recorder:
         audible = mix_signals(audible_parts) if audible_parts else None
         ultrasonic = mix_signals(ultrasonic_parts) if ultrasonic_parts else None
         return self.microphone.record(audible, ultrasonic, rng=self._rng)
+
+
+def record_over_the_air(
+    system: NECSystem,
+    target_audio: AudioSignal,
+    background_audio: Optional[AudioSignal],
+    recorder: Recorder,
+    distance_m: float = 1.0,
+    nec_distance_m: Optional[float] = None,
+    processing_delay_s: float = 0.0,
+    enabled: bool = True,
+    protection: Optional[ProtectionResult] = None,
+) -> AudioSignal:
+    """Record a scene protected by ``system`` at a (simulated) smartphone.
+
+    The target speaker and the NEC ultrasonic speaker
+    (:func:`~repro.channel.ultrasound.nec_speaker` for ``system.config``) are
+    co-located (Bob carries the device, as in the paper's Fig. 12); the
+    optional background speaker is at the recorder's position (Alice records
+    herself).  With ``enabled=False`` the same scene is recorded without NEC —
+    the "mixed" baseline of the evaluation.
+
+    ``protection`` lets callers supply a precomputed shadow for the scene's
+    target+background mix (it does not depend on the recording geometry, so
+    e.g. a distance sweep computes it once — via the eval harness's batched
+    driver — and re-records the same shadow at every distance).
+    """
+    sources: List[SceneSource] = [SceneSource(target_audio, distance_m, label="target")]
+    if background_audio is not None:
+        sources.append(SceneSource(background_audio, 0.05, label="background"))
+    if enabled:
+        if protection is None:
+            nec_mix = target_audio if background_audio is None else target_audio + background_audio
+            protection = system.protect(nec_mix)
+        sources.append(
+            SceneSource(
+                nec_speaker(system.config).broadcast(protection.shadow_wave),
+                nec_distance_m if nec_distance_m is not None else distance_m,
+                is_ultrasound=True,
+                carrier_khz=system.config.carrier_khz,
+                extra_delay_s=processing_delay_s,
+                label="nec",
+            )
+        )
+    return recorder.record_scene(sources)

@@ -30,7 +30,6 @@ from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy import signal as sps
 
 from repro.audio.signal import AudioSignal
 from repro.channel.propagation import SPEED_OF_SOUND, propagate
@@ -201,6 +200,8 @@ def apply_rir(signal: AudioSignal, impulse_response: np.ndarray) -> AudioSignal:
     impulse_response = np.asarray(impulse_response, dtype=np.float64).reshape(-1)
     if impulse_response.size == 1 and impulse_response[0] == 1.0:
         return signal
+    from scipy import signal as sps
+
     convolved = sps.fftconvolve(signal.data, impulse_response)[: signal.num_samples]
     result = AudioSignal(convolved, signal.sample_rate)
     result.reference_spl = signal.reference_spl

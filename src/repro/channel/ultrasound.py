@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.audio.signal import AudioSignal
 from repro.dsp.filters import lowpass_filter
 from repro.dsp.resample import resample
+
+if TYPE_CHECKING:
+    from repro.core.config import NECConfig
 
 #: Simulation rate for the ultrasonic band.  Must comfortably exceed twice the
 #: highest carrier harmonic produced by the microphone non-linearity
@@ -104,3 +107,17 @@ class UltrasoundSpeaker:
         return broadcast.scale(self.directivity_back).with_spl(
             self.source_spl + 20.0 * np.log10(max(self.directivity_back, 1e-6))
         )
+
+
+def nec_speaker(config: NECConfig, carrier_khz: Optional[float] = None) -> UltrasoundSpeaker:
+    """The ultrasonic speaker of an NEC device built for ``config``.
+
+    It broadcasts on ``config.carrier_khz`` (or on ``carrier_khz``, for a
+    carrier sweep) with ``config.power_coefficient`` as the AM DC term; the
+    shadow of a protection goes out as
+    ``nec_speaker(config).broadcast(protection.shadow_wave)``.
+    """
+    carrier = config.carrier_khz if carrier_khz is None else carrier_khz
+    return UltrasoundSpeaker(
+        carrier_hz=carrier * 1000.0, power_coefficient=config.power_coefficient
+    )

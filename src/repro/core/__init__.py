@@ -11,7 +11,11 @@
 * :mod:`repro.core.training` — the microphone-aware end-to-end training loop
   minimising ``|| (S_mixed + S_shadow) - S_bk ||^2`` (Eq. 6);
 * :mod:`repro.core.pipeline` — :class:`NECSystem`, the deployable end-to-end
-  system (enroll -> protect -> broadcast -> record).
+  system (enroll -> protect -> superpose).
+
+The protection path never runs the training loop, so
+:mod:`repro.core.training` (and the speech synthesiser it draws examples
+from) loads on first access to ``repro.core.SelectorTrainer`` (PEP 562).
 """
 
 from repro.core.config import NECConfig
@@ -25,13 +29,22 @@ from repro.core.overshadow import (
     offset_study,
     OffsetPoint,
 )
-from repro.core.training import SelectorTrainer, TrainingExample, TrainingHistory
 from repro.core.pipeline import (
     NECSystem,
     ProtectionResult,
     StreamingProtector,
     StreamLatencyStats,
 )
+
+
+def __getattr__(name):
+    if name != "SelectorTrainer":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.core.training import SelectorTrainer
+
+    globals()[name] = SelectorTrainer
+    return SelectorTrainer
+
 
 __all__ = [
     "NECConfig",
@@ -48,8 +61,6 @@ __all__ = [
     "offset_study",
     "OffsetPoint",
     "SelectorTrainer",
-    "TrainingExample",
-    "TrainingHistory",
     "NECSystem",
     "ProtectionResult",
     "StreamingProtector",

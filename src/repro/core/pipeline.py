@@ -1,4 +1,4 @@
-"""The end-to-end NEC system: enroll, protect, broadcast, record.
+"""The end-to-end NEC system: enroll, protect, superpose.
 
 Shadow generation runs on one gradient-free engine: an arbitrary-length clip
 is split into segments, stacked into a ``(N, segment_samples)`` matrix, and
@@ -25,8 +25,6 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from repro.audio.signal import AudioSignal
-from repro.channel.recorder import Recorder, SceneSource
-from repro.channel.ultrasound import UltrasoundSpeaker
 from repro.core.config import NECConfig
 from repro.core.encoder import SpeakerEncoder, SpectralEncoder
 from repro.core.overshadow import apply_offsets, superpose_spectrograms
@@ -61,7 +59,7 @@ class ProtectionResult:
 
 
 class NECSystem:
-    """Neural Enhanced Cancellation, end to end.
+    """Neural Enhanced Cancellation: enroll a speaker, protect audio.
 
     Typical usage::
 
@@ -69,8 +67,15 @@ class NECSystem:
         system.enroll(corpus.reference_audios("spk000"))
         result = system.protect(mixed_audio)          # shadow wave for broadcast
         recorded = system.superpose(mixed_audio, result)   # ideal superposition
-        # or, over the simulated air channel:
-        recorded = system.record_over_the_air(bob, alice, recorder, distance_m=1.0)
+
+    The system holds only what protection runs (encoder, Selector, STFTs).
+    The ultrasonic broadcast and the simulated air channel live in
+    :mod:`repro.channel`, which this module never imports::
+
+        from repro.channel import nec_speaker, record_over_the_air
+
+        ultrasound = nec_speaker(system.config).broadcast(result.shadow_wave)
+        recorded = record_over_the_air(system, bob, alice, recorder, distance_m=1.0)
     """
 
     def __init__(
@@ -83,10 +88,6 @@ class NECSystem:
         self.config = (config or NECConfig.default()).validate()
         self.encoder = encoder if encoder is not None else SpectralEncoder(self.config, seed=seed)
         self.selector = selector if selector is not None else Selector(self.config, seed=seed)
-        self.speaker = UltrasoundSpeaker(
-            carrier_hz=self.config.carrier_khz * 1000.0,
-            power_coefficient=self.config.power_coefficient,
-        )
         self._embedding: Optional[np.ndarray] = None
 
     # -- enrollment -----------------------------------------------------------
@@ -285,56 +286,6 @@ class NECSystem:
             time_offset_s=time_offset_s,
             power_coefficient=power_coefficient,
         )
-
-    def broadcast(self, protection: ProtectionResult) -> AudioSignal:
-        """AM-modulate the shadow wave onto the ultrasonic carrier."""
-        return self.speaker.broadcast(protection.shadow_wave)
-
-    def record_over_the_air(
-        self,
-        target_audio: AudioSignal,
-        background_audio: Optional[AudioSignal],
-        recorder: Recorder,
-        distance_m: float = 1.0,
-        nec_distance_m: Optional[float] = None,
-        processing_delay_s: float = 0.0,
-        enabled: bool = True,
-        protection: Optional[ProtectionResult] = None,
-    ) -> AudioSignal:
-        """Record the full scene at a (simulated) smartphone.
-
-        The target speaker and the NEC ultrasonic speaker are co-located (Bob
-        carries the device, as in the paper's Fig. 12); the optional background
-        speaker is at the recorder's position (Alice records herself).  With
-        ``enabled=False`` the same scene is recorded without NEC — the "mixed"
-        baseline of the evaluation.
-
-        ``protection`` lets callers supply a precomputed shadow for the scene's
-        target+background mix (it does not depend on the recording geometry, so
-        e.g. a distance sweep computes it once — via the eval harness's batched
-        driver — and re-records the same shadow at every distance).
-        """
-        sources: List[SceneSource] = [SceneSource(target_audio, distance_m, label="target")]
-        if background_audio is not None:
-            sources.append(SceneSource(background_audio, 0.05, label="background"))
-        if enabled:
-            if protection is None:
-                nec_mix = (
-                    target_audio if background_audio is None else target_audio + background_audio
-                )
-                protection = self.protect(nec_mix)
-            broadcast = self.broadcast(protection)
-            sources.append(
-                SceneSource(
-                    broadcast,
-                    nec_distance_m if nec_distance_m is not None else distance_m,
-                    is_ultrasound=True,
-                    carrier_khz=self.config.carrier_khz,
-                    extra_delay_s=processing_delay_s,
-                    label="nec",
-                )
-            )
-        return recorder.record_scene(sources)
 
 
 @dataclass

@@ -14,6 +14,11 @@ Butterworth second-order sections are numerically delicate — float32 state
 accumulation audibly degrades the zero-phase band edges — and the channel
 simulation they model is not a hot path, so there is nothing to win and
 stability to lose.
+
+``scipy.signal`` (with the ``scipy.stats`` it pulls in, about half the
+protection path's import memory; docs/architecture.md, "Import layering")
+is imported inside the functions that call it, so the protection path,
+which uses only :func:`rms` and the dB helpers here, never loads it.
 """
 
 from __future__ import annotations
@@ -22,11 +27,12 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import signal as sps
 
 
 @lru_cache(maxsize=None)
 def _butter_sos_cached(order: int, low: float, high: Optional[float], btype: str) -> np.ndarray:
+    from scipy import signal as sps
+
     critical = low if high is None else [low, high]
     sos = sps.butter(order, critical, btype=btype, output="sos")
     sos.setflags(write=False)  # the cached master copy must stay immutable
@@ -77,6 +83,8 @@ def lowpass_filter(
     if not 0 < cutoff_hz < nyquist:
         raise ValueError(f"cutoff must be in (0, {nyquist}) Hz, got {cutoff_hz}")
     sos = butter_sos(order, (cutoff_hz,), sample_rate, "low")
+    from scipy import signal as sps
+
     return sps.sosfiltfilt(sos, np.asarray(signal, dtype=np.float64))
 
 
@@ -88,6 +96,8 @@ def highpass_filter(
     if not 0 < cutoff_hz < nyquist:
         raise ValueError(f"cutoff must be in (0, {nyquist}) Hz, got {cutoff_hz}")
     sos = butter_sos(order, (cutoff_hz,), sample_rate, "high")
+    from scipy import signal as sps
+
     return sps.sosfiltfilt(sos, np.asarray(signal, dtype=np.float64))
 
 
@@ -103,6 +113,8 @@ def bandpass_filter(
     if not 0 < low_hz < high_hz < nyquist:
         raise ValueError("require 0 < low < high < Nyquist")
     sos = butter_sos(order, (low_hz, high_hz), sample_rate, "band")
+    from scipy import signal as sps
+
     return sps.sosfiltfilt(sos, np.asarray(signal, dtype=np.float64))
 
 

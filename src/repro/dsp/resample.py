@@ -5,7 +5,6 @@ from __future__ import annotations
 from math import gcd
 
 import numpy as np
-from scipy import signal as sps
 
 
 def resample(signal: np.ndarray, original_rate: int, target_rate: int) -> np.ndarray:
@@ -23,4 +22,6 @@ def resample(signal: np.ndarray, original_rate: int, target_rate: int) -> np.nda
     divisor = gcd(int(original_rate), int(target_rate))
     up = int(target_rate) // divisor
     down = int(original_rate) // divisor
+    from scipy import signal as sps
+
     return sps.resample_poly(signal, up, down)

@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.audio.signal import AudioSignal
 from repro.channel.propagation import propagate, spl_at_distance
-from repro.channel.recorder import Recorder, SceneSource
+from repro.channel.recorder import Recorder, SceneSource, record_over_the_air
 from repro.eval.common import (
     ExperimentContext,
     batched_protections,
@@ -177,11 +177,12 @@ def run_sonr_study(
         recorder_off = Recorder(device, seed=seed)
         recorder_on = Recorder(device, seed=seed)
         bob_only_recorder = Recorder(device, seed=seed)
-        recorded_off = system.record_over_the_air(
-            bob, alice, recorder_off, distance_m=distance, enabled=False
+        recorded_off = record_over_the_air(
+            system, bob, alice, recorder_off, distance_m=distance, enabled=False
         )
-        recorded_on = system.record_over_the_air(
-            bob, alice, recorder_on, distance_m=distance, enabled=True, protection=protection
+        recorded_on = record_over_the_air(
+            system, bob, alice, recorder_on, distance_m=distance, enabled=True,
+            protection=protection,
         )
         bob_received = bob_only_recorder.record_scene([SceneSource(bob, distance)])
         return SonrPoint(

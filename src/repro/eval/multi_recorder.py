@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.audio.mixing import joint_conversation
 from repro.channel.recorder import Recorder, SceneSource
+from repro.channel.ultrasound import nec_speaker
 from repro.eval.common import ExperimentContext, prepare_context
 from repro.eval.reporting import format_table
 from repro.metrics.sdr import sdr
@@ -120,10 +121,13 @@ def run_multi_recorder_study(
 
 
 def _record_with_carrier(system, bob, alice, recorder, distance_m, carrier_khz, angle_deg=0.0):
-    """Record over the air using an explicit carrier frequency."""
+    """Record over the air using an explicit carrier frequency.
+
+    The speaker is built per call, so the sweep never changes the carrier
+    that ``system``'s other recordings broadcast on.
+    """
     protection = system.protect(bob + alice)
-    system.speaker.carrier_hz = carrier_khz * 1000.0
-    broadcast = system.speaker.broadcast(protection.shadow_wave)
+    broadcast = nec_speaker(system.config, carrier_khz).broadcast(protection.shadow_wave)
     sources = [
         SceneSource(bob, distance_m, angle_deg=angle_deg, label="target"),
         SceneSource(alice, 0.05, label="background"),

@@ -35,7 +35,7 @@ from repro.audio.signal import AudioSignal
 from repro.channel.motion import MOTION_TABLE, get_motion
 from repro.channel.recorder import Recorder, SceneSource
 from repro.channel.rir import ROOM_TABLE, get_room
-from repro.channel.ultrasound import UltrasoundSpeaker
+from repro.channel.ultrasound import nec_speaker
 from repro.core.pipeline import ProtectionResult
 from repro.dsp.resample import resample
 from repro.eval.adversary import ADVERSARY_TABLE, get_adversary
@@ -445,11 +445,8 @@ def _measure_cell(
     motion = get_motion(cell.motion)
     adversary = get_adversary(cell.adversary)
     carrier_khz = cell.carrier_khz if cell.carrier_khz is not None else config.carrier_khz
-    speaker = UltrasoundSpeaker(
-        carrier_hz=carrier_khz * 1000.0, power_coefficient=config.power_coefficient
-    )
     assert scene.protection is not None
-    broadcast = speaker.broadcast(scene.protection.shadow_wave)
+    broadcast = nec_speaker(config, carrier_khz).broadcast(scene.protection.shadow_wave)
 
     # Bob and the NEC transmitter are co-located (Bob carries the device),
     # so they share the motion trajectory and the off-axis angle; the

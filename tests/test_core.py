@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.audio import SyntheticCorpus, joint_conversation
-from repro.channel import Recorder
+from repro.channel import Recorder, nec_speaker, record_over_the_air
 from repro.core import (
     NECConfig,
     NECSystem,
@@ -278,7 +278,7 @@ class TestTrainingAndPipeline:
         system = NECSystem(tiny_config, encoder=encoder, selector=selector)
         system.enroll(corpus.reference_audios(targets[0], seconds=tiny_config.reference_seconds))
         mixed, *_ = joint_conversation(corpus, targets[0], others[0], duration=tiny_config.segment_seconds)
-        broadcast = system.broadcast(system.protect(mixed))
+        broadcast = nec_speaker(system.config).broadcast(system.protect(mixed).shadow_wave)
         assert broadcast.sample_rate == 192000
 
     def test_record_over_the_air_runs(self, trained, tiny_config):
@@ -288,6 +288,6 @@ class TestTrainingAndPipeline:
         bob = corpus.utterance(targets[0], duration=tiny_config.segment_seconds).audio
         alice = corpus.utterance(others[0], duration=tiny_config.segment_seconds).audio
         recorder = Recorder("Moto Z4", seed=0)
-        recorded = system.record_over_the_air(bob, alice, recorder, distance_m=0.5)
+        recorded = record_over_the_air(system, bob, alice, recorder, distance_m=0.5)
         assert recorded.sample_rate == 16000
         assert recorded.rms() > 0

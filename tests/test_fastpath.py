@@ -246,6 +246,33 @@ class TestFilterDesignCache:
         )
         np.testing.assert_array_equal(lowpass_filter(wide, 7600.0, rate, order=6), direct)
 
+    def test_synthesis_bands_share_cached_designs(self, monkeypatch):
+        """The synthesiser's fricative and stop bands go through the design
+        cache: a fricative-heavy word synthesised twice hits it, and both
+        renderings are bitwise what a fresh ``scipy.signal.butter`` design
+        per phoneme gives."""
+        from scipy import signal as sps
+
+        import repro.audio.voice as voice
+
+        synthesizer = voice.VoiceSynthesizer(sample_rate=SR)
+        profile = voice.random_speaker_profile("spk", np.random.default_rng(3))
+        word = "six"  # S, IH, K, S: two fricatives and a stop
+        first = synthesizer.synthesize_word(word, profile, np.random.default_rng(4))
+        hits_before = filter_design_cache_info().hits
+        second = synthesizer.synthesize_word(word, profile, np.random.default_rng(4))
+        assert filter_design_cache_info().hits >= hits_before + 3
+
+        def fresh_design(order, cutoffs_hz, sample_rate, btype):
+            nyquist = sample_rate / 2.0
+            critical = [cutoff / nyquist for cutoff in cutoffs_hz]
+            return sps.butter(order, critical, btype=btype, output="sos")
+
+        monkeypatch.setattr(voice, "butter_sos", fresh_design)
+        direct = synthesizer.synthesize_word(word, profile, np.random.default_rng(4))
+        np.testing.assert_array_equal(first, direct)
+        np.testing.assert_array_equal(second, direct)
+
     def test_returned_design_is_writable_copy(self):
         sos = butter_sos(6, (1000.0,), SR, "low")
         assert sos.flags.writeable

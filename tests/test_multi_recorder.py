@@ -3,8 +3,9 @@
 The study gained a ``recorder_angle_deg`` parameter for the scenario grid's
 angle axis.  Pinned here: the refactored off-recording is bit-identical to the
 legacy ``record_over_the_air(enabled=False)`` path at angle 0, the 2-recorder
-table is seed-stable run to run, and moving the recorders off axis can only
-lose affected devices (the ultrasonic beam is narrower than speech).
+table is seed-stable run to run, moving the recorders off axis can only
+lose affected devices (the ultrasonic beam is narrower than speech), and the
+carrier sweep leaves the context's cached systems on their own carrier.
 """
 
 import dataclasses
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.audio.mixing import joint_conversation
-from repro.channel.recorder import Recorder, SceneSource
+from repro.channel.recorder import Recorder, SceneSource, record_over_the_air
 from repro.eval.common import prepare_context
 from repro.eval.multi_recorder import run_multi_recorder_study
 
@@ -71,8 +72,8 @@ def test_off_recording_matches_legacy_over_the_air_path(context):
             SceneSource(alice, 0.05, label="background"),
         ]
     )
-    legacy = system.record_over_the_air(
-        bob, alice, Recorder("Moto Z4", seed=0), distance_m=0.5, enabled=False
+    legacy = record_over_the_air(
+        system, bob, alice, Recorder("Moto Z4", seed=0), distance_m=0.5, enabled=False
     )
     np.testing.assert_array_equal(direct.data, legacy.data)
 
@@ -107,3 +108,29 @@ def test_trials_are_plain_dataclasses(context):
     result = _run(context)
     for trial in result.trials:
         assert dataclasses.asdict(trial)
+
+
+def test_carrier_sweep_leaves_the_context_systems_alone():
+    """A later over-the-air recording through the context's cached system
+    still broadcasts on ``config.carrier_khz`` after the study swept another
+    carrier: the sweep builds a speaker per carrier and changes nothing on
+    the system.  A fresh context, so no earlier test has swept this one."""
+    context = prepare_context(num_speakers=4, num_targets=1, train=False, seed=0)
+    target = context.target_speakers[0]
+    _, bob, alice, _tu, _ou = joint_conversation(
+        context.corpus, target, context.other_speakers[0],
+        duration=context.config.segment_seconds, seed=0,
+    )
+    system = context.system_for(target)
+
+    def record():
+        return record_over_the_air(
+            system, bob, alice, Recorder("Moto Z4", seed=0), distance_m=0.5
+        ).data
+
+    before = record()
+    assert context.config.carrier_khz != 26.3
+    run_multi_recorder_study(
+        context, carriers_khz=(26.3,), recorders=("Moto Z4",), num_audios=1, seed=0
+    )
+    np.testing.assert_array_equal(record(), before)
