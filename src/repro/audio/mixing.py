@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.audio.corpus import SyntheticCorpus, Utterance
 from repro.audio.signal import AudioSignal
+
+if TYPE_CHECKING:  # annotations only: mixing must not load the speech synthesiser
+    from repro.audio.corpus import SyntheticCorpus, Utterance
 
 
 def mix_at_snr(

@@ -475,18 +475,22 @@ class StreamBatch:
     later submit, and re-raises; the next tick runs them in order, so a
     failed head still runs before its own tail.
 
-    The submits and the pending-queue handoff in :meth:`tick` are
-    thread-safe, so producer threads (streaming sessions) may submit while a
-    dedicated ticker thread drives inference — the shape of the serving event
-    loop (:mod:`repro.serving`).  :meth:`close` retires the batch: later
-    submits raise.
+    The batch is also where a serving process synchronises: producer
+    threads (streaming sessions) submit while one ticker thread drives
+    inference (:mod:`repro.serving`).  The queue's lock is a condition, and
+    :meth:`wait_for` blocks on it.  A submit notifies under the lock that
+    queues its stages, so a ticker waiting for work never misses one; a tick
+    notifies as each request's shadow comes to exist, so a waiter for one
+    stream need not wait for the rest of the tick; :meth:`notify` wakes
+    waiters for any other change (a ticker that stopped or failed).
+    :meth:`close` retires the batch: later submits raise.
     """
 
     def __init__(self, selector: Selector) -> None:
         self.selector = selector
         #: Queued stages: ``(request, tail)``, ``tail`` False for a head stage.
         self._pending: List[Tuple[StreamRequest, bool]] = []
-        self._lock = threading.Lock()
+        self._cond = threading.Condition()
         self._closed = False
         self.ticks = 0
         self.segments_coalesced = 0
@@ -496,7 +500,7 @@ class StreamBatch:
     @property
     def pending_requests(self) -> int:
         """Queued segments: those with a stage awaiting a tick."""
-        with self._lock:
+        with self._cond:
             return len({id(request) for request, _ in self._pending})
 
     @property
@@ -530,8 +534,9 @@ class StreamBatch:
         """
         head_spectrogram, d_vector = self._checked(head_spectrogram, d_vector, head=True)
         request = StreamRequest(head_spectrogram=head_spectrogram, d_vector=d_vector)
-        with self._lock:
+        with self._cond:
             self._pending.append((request, False))
+            self._cond.notify_all()
         return request
 
     def submit(
@@ -554,8 +559,9 @@ class StreamBatch:
             request = StreamRequest(head_spectrogram=mixed[:, :split], d_vector=vector)
             stages = [(request, False), (request, True)]
         request.mixed_spectrogram = mixed
-        with self._lock:
+        with self._cond:
             self._pending.extend((request, tail) for _, tail in stages)
+            self._cond.notify_all()
         return request
 
     def close(self) -> None:
@@ -566,8 +572,22 @@ class StreamBatch:
         """
         self._closed = True
 
+    def wait_for(self, predicate: Callable[[], bool], timeout: Optional[float] = None) -> bool:
+        """Block until ``predicate()`` holds; False if ``timeout`` passes first.
+
+        ``predicate`` runs under the queue's lock, at once and again after
+        every submit, every finished request and every :meth:`notify`.
+        """
+        with self._cond:
+            return self._cond.wait_for(predicate, timeout)
+
+    def notify(self) -> None:
+        """Wake every :meth:`wait_for` to re-check its predicate."""
+        with self._cond:
+            self._cond.notify_all()
+
     def _tail_waiting(self) -> bool:
-        with self._lock:
+        with self._cond:
             return any(tail and request.tail_ready for request, tail in self._pending)
 
     def _run(self, request: StreamRequest, tail: bool) -> bool:
@@ -596,17 +616,16 @@ class StreamBatch:
         yield from self.selector.row_block(state, head)
         request.state, request.head_spectrogram = state, None
 
-    def tick(self, on_done: Optional[Callable[[StreamRequest], None]] = None) -> int:
+    def tick(self) -> int:
         """Run the pending stages; returns the segments finished.
 
         Tails whose head has run go first, then every other stage in submit
         order.  The tick ends early when a head yields to a tail submitted
         during it; the yielded head and every stage behind it stay queued,
-        ahead of later submits.  ``on_done(request)`` is called as each
-        request's shadow comes to exist, before the next stage runs, so a
-        waiter for one stream need not wait for the rest of the tick.
+        ahead of later submits.  Waiters are notified as each request's
+        shadow comes to exist, before the next stage runs.
         """
-        with self._lock:
+        with self._cond:
             queued, self._pending = self._pending, []
         # sorted() is stable: submit order holds within each group.
         pending = sorted(queued, key=lambda stage: not (stage[1] and stage[0].tail_ready))
@@ -615,17 +634,16 @@ class StreamBatch:
             try:
                 complete = self._run(request, tail)
             except BaseException:
-                with self._lock:
+                with self._cond:
                     self._pending[:0] = pending[position:]
                 raise
             if not complete:
-                with self._lock:
+                with self._cond:
                     self._pending[:0] = pending[position:]
                 break
             if tail:
                 finished += 1
-                if on_done is not None:
-                    on_done(request)
+                self.notify()
         self.ticks += 1
         if not pending:
             self.empty_ticks += 1

@@ -23,8 +23,18 @@ def state_dict(model: Module) -> Dict[str, np.ndarray]:
 
 
 def load_state_dict(model: Module, state: Dict[str, np.ndarray]) -> None:
-    """Load a state dict produced by :func:`state_dict` into ``model``."""
+    """Load a state dict produced by :func:`state_dict` into ``model``.
+
+    Raises :class:`KeyError`, before changing anything, if ``state`` lacks
+    any of the model's parameters or buffers: a partial checkpoint would
+    otherwise leave those at their fresh initialisation.
+    """
     parameters = dict(model.named_parameters())
+    expected = [f"param:{name}" for name in parameters]
+    expected += [f"buffer:{name}" for name, _ in model.named_buffers()]
+    missing = [key for key in expected if key not in state]
+    if missing:
+        raise KeyError(f"State dict lacks {', '.join(missing)}")
     for key, value in state.items():
         kind, _, name = key.partition(":")
         if kind == "param":
@@ -70,12 +80,31 @@ def _assign_buffer(model: Module, dotted: str, value: np.ndarray) -> None:
     setattr(target, parts[-1], np.array(value, copy=True))
 
 
+def save_arrays(path: Path, arrays: Dict[str, np.ndarray]) -> None:
+    """Write ``arrays`` to the ``.npz`` file ``path`` atomically.
+
+    They go to a temporary file beside ``path``, renamed over it once
+    complete, so a crash mid-write leaves any previous file intact.
+    """
+    temporary = path.with_name(path.name + ".tmp")
+    try:
+        # Through a handle: np.savez appends ".npz" to a path that lacks it.
+        with open(temporary, "wb") as handle:
+            np.savez(handle, **arrays)
+        temporary.replace(path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def save_model(model: Module, path: PathLike) -> Path:
     """Save model parameters/buffers to an ``.npz`` file and return the path."""
     path = Path(path)
+    if path.suffix != ".npz":
+        path = path.with_suffix(path.suffix + ".npz")
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, **state_dict(model))
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
+    save_arrays(path, state_dict(model))
+    return path
 
 
 def load_model(model: Module, path: PathLike) -> Module:

@@ -4,53 +4,46 @@ Sessions feed audio from wherever their traffic arrives (request handlers,
 reader threads, a benchmark loop); each segment becomes one request in the
 shared :class:`~repro.core.selector.StreamBatch`, queued as a head stage
 before the segment ends and a tail stage when it closes.  The
-:class:`TickLoop` thread is the only place inference runs: it wakes when work
-is submitted (or on a coarse poll as a safety net), runs one
+:class:`TickLoop` thread is the only place inference runs: it sleeps in
+:meth:`StreamBatch.wait_for` until a stage is queued, then runs one
 :meth:`~repro.core.selector.StreamBatch.tick` over every queued stage across
-every session, in submit order, and notifies waiters as each request's
-shadow comes to exist.  That
-single-ticker design keeps the scheduling trivially fair (FIFO) and keeps
-concurrent sessions from racing each other for the Selector.  A tick that
-raises stops the loop and is re-raised to every waiter; the batch keeps the
-failed request and those behind it queued.
+every session, in submit order.  The batch is where all waking happens:
+each submit wakes the loop, and each finished request wakes the waiters,
+under the queue's own lock, so no wake-up is lost and no producer signals
+the loop.  That single-ticker design keeps the scheduling trivially fair
+(FIFO) and keeps concurrent sessions from racing each other for the
+Selector.  A tick that raises stops the loop and is re-raised to every
+waiter; the batch keeps the failed request and those behind it queued.
 
-Shutdown is graceful by default: the loop stops accepting wakeups, keeps
-ticking until no request is pending (draining every submitted segment so no
-session is left waiting on audio it already fed), then exits.
+Shutdown is graceful by default: the loop keeps ticking until no request is
+pending (draining every submitted segment so no session is left waiting on
+audio it already fed), then exits.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from typing import Callable, Optional
 
-from repro.core.selector import StreamBatch, StreamRequest
+from repro.core.selector import StreamBatch
 
 
 class TickLoop:
-    """Background thread driving :meth:`StreamBatch.tick` over pending work.
+    """Background thread driving :meth:`StreamBatch.tick` over pending work."""
 
-    ``poll_interval_s`` bounds how long a submitted segment can sit unticked
-    if a producer forgets to :meth:`wake` — it is a safety net, not the
-    scheduling mechanism.
-    """
-
-    def __init__(self, batch: StreamBatch, poll_interval_s: float = 0.05) -> None:
+    def __init__(self, batch: StreamBatch) -> None:
         self.batch = batch
-        self.poll_interval_s = float(poll_interval_s)
         self._thread: Optional[threading.Thread] = None
-        self._wake_cond = threading.Condition()
-        self._woken = False
         self._stopping = False
         self._drain_on_stop = True
-        self._tick_cond = threading.Condition()
+        #: Set once no tick will run again: the loop exited, or was shut down unstarted.
+        self._stopped = False
         self._error: Optional[BaseException] = None
 
     # -- state -------------------------------------------------------------
     @property
     def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
+        return self._thread is not None and not self._stopped
 
     @property
     def error(self) -> Optional[BaseException]:
@@ -61,17 +54,11 @@ class TickLoop:
     def start(self) -> "TickLoop":
         if self.running:
             return self
-        if self._stopping:
-            raise RuntimeError("TickLoop cannot be restarted after shutdown")
+        if self._stopping or self._stopped:
+            raise RuntimeError("TickLoop cannot be restarted after it stopped")
         self._thread = threading.Thread(target=self._run, name="nec-tick-loop", daemon=True)
         self._thread.start()
         return self
-
-    def wake(self) -> None:
-        """Signal that work was submitted; the loop ticks as soon as it can."""
-        with self._wake_cond:
-            self._woken = True
-            self._wake_cond.notify()
 
     def shutdown(self, drain: bool = True, timeout: Optional[float] = None) -> None:
         """Stop the loop; with ``drain`` (default), tick until nothing is pending.
@@ -83,10 +70,11 @@ class TickLoop:
         A loop that is not running just stops; nothing ticks on the caller's
         thread.
         """
-        with self._wake_cond:
-            self._stopping = True
-            self._drain_on_stop = drain
-            self._wake_cond.notify()
+        self._drain_on_stop = drain
+        self._stopping = True
+        if self._thread is None:
+            self._stopped = True
+        self.batch.notify()
         if self._thread is None:
             return
         self._thread.join(timeout)
@@ -104,57 +92,27 @@ class TickLoop:
         an inference pass that will not happen).  Returns ``False`` on
         timeout, or if the loop stopped without the predicate holding.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._tick_cond:
-            while True:
-                if self._error is not None:
-                    raise RuntimeError("tick loop failed") from self._error
-                if predicate():
-                    return True
-                if self._stopping and not self.running:
-                    return False
-                remaining = self.poll_interval_s
-                if deadline is not None:
-                    remaining = min(remaining, deadline - time.monotonic())
-                    if remaining <= 0:
-                        return False
-                self._tick_cond.wait(remaining)
+        settled = self.batch.wait_for(
+            lambda: self._error is not None or self._stopped or predicate(), timeout
+        )
+        if self._error is not None:
+            raise RuntimeError("tick loop failed") from self._error
+        return settled and predicate()
 
     # -- loop body ---------------------------------------------------------
-    def _notify(self, request: Optional[StreamRequest] = None) -> None:
-        with self._tick_cond:
-            self._tick_cond.notify_all()
-
-    def _tick_once(self) -> None:
-        try:
-            # Waiters re-check as each segment's shadow exists, not only when
-            # the whole tick ends.
-            self.batch.tick(on_done=self._notify)
-        except BaseException as exc:  # noqa: BLE001 - surfaced to waiters
-            with self._tick_cond:
-                self._error = exc
-                self._tick_cond.notify_all()
-            raise
-        self._notify()
-
     def _run(self) -> None:
+        batch = self.batch
         try:
             while True:
-                with self._wake_cond:
-                    # A tick can end with work queued (a head that yielded).
-                    if not (self._woken or self._stopping or self.batch.pending_requests):
-                        self._wake_cond.wait(self.poll_interval_s)
-                    self._woken = False
-                    stopping = self._stopping
-                if stopping:
+                # A tick can end with work queued (a head that yielded).
+                batch.wait_for(lambda: self._stopping or batch.pending_requests)
+                if self._stopping:
                     break
-                if self.batch.pending_requests:
-                    self._tick_once()
-            if self._drain_on_stop:
-                while self.batch.pending_requests:
-                    self._tick_once()
-        except BaseException:  # noqa: BLE001 - error already published
-            return
+                batch.tick()
+            while self._drain_on_stop and batch.pending_requests:
+                batch.tick()
+        except BaseException as exc:  # noqa: BLE001 - published to waiters
+            self._error = exc
         finally:
-            with self._tick_cond:
-                self._tick_cond.notify_all()
+            self._stopped = True
+            batch.notify()

@@ -37,7 +37,7 @@ from repro.core.config import NECConfig
 from repro.core.encoder import SpeakerEncoder, SpectralEncoder
 from repro.core.pipeline import NECSystem
 from repro.core.selector import Selector
-from repro.nn.serialization import load_model, save_model
+from repro.nn.serialization import load_model, save_arrays, save_model
 
 PathLike = Union[str, Path]
 
@@ -185,11 +185,11 @@ class EnrollmentRegistry:
         """Store a precomputed d-vector for ``tenant_id`` (persisted if rooted)."""
         vector = self._checked(tenant_id, embedding)
         with self._lock:
-            self._embeddings[tenant_id] = np.array(vector, copy=True)
             path = self._tenant_path(tenant_id)
             if path is not None:
                 path.parent.mkdir(parents=True, exist_ok=True)
-                np.savez(path, embedding=vector)
+                save_arrays(path, {"embedding": vector})
+            self._embeddings[tenant_id] = np.array(vector, copy=True)
             self._write_metadata()
         return vector
 

@@ -13,7 +13,9 @@ costs no extra weights:
   d-vector: its head block before the segment ends, its tail when it closes;
 - the :class:`~repro.serving.loop.TickLoop` thread, started with the
   service, runs every pending request — across sessions and tenants — one
-  tick at a time.
+  tick at a time.  The batch is the one place serving synchronises: a
+  submit wakes the loop, and each finished request wakes the sessions
+  waiting on it.
 
 Each request's shadow equals the dedicated single-stream pass exactly, so
 the service's shadow waves are bit-identical to running a private
@@ -75,7 +77,6 @@ class ProtectionService:
         self,
         registry: EnrollmentRegistry,
         system: Optional[NECSystem] = None,
-        poll_interval_s: float = 0.05,
     ) -> None:
         self.registry = registry
         if system is None:
@@ -85,7 +86,7 @@ class ProtectionService:
         self.system = system
         self.config: NECConfig = system.config
         self.batch = StreamBatch(system.selector)
-        self.loop = TickLoop(self.batch, poll_interval_s=poll_interval_s)
+        self.loop = TickLoop(self.batch)
         self.stats = ServiceStats()
         self._sessions: Dict[str, ProtectionSession] = {}
         self._shutdown = False
@@ -128,11 +129,6 @@ class ProtectionService:
         self._sessions[session.stream_id] = session
         self.stats.sessions_opened += 1
         return session
-
-    def session(self, stream_id: str) -> ProtectionSession:
-        if stream_id not in self._sessions:
-            raise KeyError(f"no open session '{stream_id}'")
-        return self._sessions[stream_id]
 
     def sessions(self) -> List[ProtectionSession]:
         return list(self._sessions.values())

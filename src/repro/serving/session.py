@@ -13,8 +13,10 @@ queues each segment to the shared batch as one request (its head block as
 soon as the segment's first ``T − L`` frames exist, its tail when it
 closes); the
 service's :class:`~repro.serving.loop.TickLoop` runs the Selector pass and
-the session picks results up with :meth:`collect`.  ``close`` makes one wait
-on the loop for every submitted segment to be ticked, then one collect.
+the session picks results up with :meth:`collect`.  A submit alone wakes the
+loop (the batch notifies under the lock that queues it), so a session never
+signals the loop itself.  ``close`` makes one wait on the loop for every
+submitted segment to be ticked, then one collect.
 Because each request's shadow is the same whichever sessions share a tick,
 the shadow waves a session collects are bit-identical to a dedicated
 :class:`~repro.core.pipeline.StreamingProtector` fed the same chunks.
@@ -103,19 +105,13 @@ class ProtectionSession:
                 f"session {self.stream_id} is {self.state.value}; cannot feed"
             )
         self.protector.feed(chunk)
-        self._wake_if_queued()
-
-    def _wake_if_queued(self) -> None:
-        """Wake the loop when work awaits it: a closed segment or an early head."""
-        if self.service.batch.pending_requests:
-            self.service.loop.wake()
 
     def collect(
         self, wait: bool = False, timeout: Optional[float] = None
     ) -> List[ProtectionResult]:
         """Finished results in stream order (possibly empty).
 
-        With ``wait=True`` blocks — re-checking after every tick — until at
+        With ``wait=True`` blocks — re-checking as each shadow is made — until at
         least one result is ready, every fed segment has been collected, or
         ``timeout`` elapses.
         """
@@ -132,7 +128,6 @@ class ProtectionSession:
         if self.state is SessionState.CLOSED:
             raise RuntimeError(f"session {self.stream_id} is closed; cannot flush")
         self.protector.flush()
-        self._wake_if_queued()
 
     def close(self, drain: bool = True, timeout: Optional[float] = None) -> List[ProtectionResult]:
         """Flush the tail, drain outstanding inference, detach from the service.
@@ -152,7 +147,6 @@ class ProtectionSession:
             self.state = SessionState.DRAINING
         if drain and not self.protector.all_ticked:
             loop = self.service.loop
-            loop.wake()
             ticked = loop.wait_for(lambda: self.protector.all_ticked, timeout=timeout)
             if not ticked and loop.running:
                 raise TimeoutError(f"session {self.stream_id} did not drain within the timeout")

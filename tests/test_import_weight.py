@@ -78,6 +78,14 @@ def test_audio_signal_imports_alone():
     assert not any(loaded.values()), {name for name, is_in in loaded.items() if is_in}
 
 
+def test_channel_recorder_imports_no_synthesiser():
+    """The recorder mixes signals; it never synthesises speech."""
+    loaded = _loaded_after(
+        "import repro.channel.recorder\n", ("repro.audio.corpus", "repro.audio.voice")
+    )
+    assert not any(loaded.values()), {name for name, is_in in loaded.items() if is_in}
+
+
 def test_workload_imports_defer_scipy_signal_to_first_synthesis():
     before = _loaded_after(WORKLOAD_IMPORTS, HEAVY)
     assert before == {name: False for name in HEAVY}

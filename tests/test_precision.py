@@ -262,7 +262,7 @@ def test_float32_service_session_matches_protect_at_deployment(protected_pairs):
     registry = EnrollmentRegistry(None, config=config)
     registry.register("alice", pair.system32.embedding)
     chunk = config.segment_samples // 3
-    with ProtectionService(registry, system=pair.system32, poll_interval_s=0.01) as service:
+    with ProtectionService(registry, system=pair.system32) as service:
         session = service.open_session("alice")
         waves = []
         for start in range(0, pair.clip.num_samples, chunk):

@@ -156,7 +156,9 @@ class TestBufferPathWalker:
 
         model = Model()
         value = np.arange(3.0)
-        load_state_dict(model, {"buffer:blocks.0.offset": value})
+        # The model's own keys name the stack's list (``blocks._blocks.0.*``);
+        # the framework-convention key comes last and wins.
+        load_state_dict(model, {**state_dict(model), "buffer:blocks.0.offset": value})
         np.testing.assert_array_equal(model.blocks[0].offset, value)
 
     def test_digit_path_into_non_indexable_module_raises_keyerror(self):
@@ -165,9 +167,10 @@ class TestBufferPathWalker:
                 super().__init__()
                 self.inner = _NotIndexable()
 
+        model = Model()
         with pytest.raises(KeyError, match="non-indexable"):
             load_state_dict(
-                Model(), {"buffer:inner.0.offset": np.zeros(2)}
+                model, {**state_dict(model), "buffer:inner.0.offset": np.zeros(2)}
             )
 
     def test_sequential_digit_paths_still_resolve(self, tmp_path):
@@ -179,6 +182,26 @@ class TestBufferPathWalker:
         restored = Sequential(_Buffered(2), ReLU())
         load_state_dict(restored, keys)
         np.testing.assert_array_equal(restored[0].offset, [1.5, -2.5])
+
+
+class TestPartialStates:
+    def test_state_missing_parameters_raises_and_names_them(self, config, tmp_path):
+        """A checkpoint without ``fc2`` must not load and leave fc2 at its init."""
+        saved = state_dict(Selector(config, seed=0))
+        del saved["param:fc2.weight"], saved["param:fc2.bias"]
+        restored = Selector(config, seed=1)
+        before = state_dict(restored)
+        with pytest.raises(KeyError) as raised:
+            load_state_dict(restored, saved)
+        assert "param:fc2.weight" in str(raised.value)
+        assert "param:fc2.bias" in str(raised.value)
+        # Nothing was loaded: the failed call left every weight as it was.
+        after = state_dict(restored)
+        assert all(np.array_equal(after[key], before[key]) for key in before)
+
+    def test_state_missing_buffer_raises(self, config):
+        with pytest.raises(KeyError, match="buffer:_projection"):
+            load_state_dict(SpectralEncoder(config, seed=0), {})
 
 
 class TestModuleDiscovery:

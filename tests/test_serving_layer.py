@@ -102,6 +102,41 @@ class TestEnrollmentRegistry:
         assert reloaded.tenants() == ["alice"]
         np.testing.assert_array_equal(reloaded.embedding("alice"), vector)
 
+    def test_crash_during_re_enroll_keeps_the_old_vector(
+        self, tiny_config, system, tmp_path, monkeypatch
+    ):
+        """A write that dies half way leaves every file as it was."""
+        root = tmp_path / "registry"
+        registry = EnrollmentRegistry(root, config=tiny_config)
+        registry.save_models(system)
+        old = np.linspace(0, 1, tiny_config.embedding_dim)
+        registry.register("alice", old)
+
+        def crash(file, **arrays):
+            partial = b"PK\x03\x04 truncated"
+            if hasattr(file, "write"):
+                file.write(partial)
+            else:
+                Path(file).write_bytes(partial)
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(np, "savez", crash)
+        with pytest.raises(OSError, match="disk gone"):
+            registry.register("alice", np.ones(tiny_config.embedding_dim))
+        with pytest.raises(OSError, match="disk gone"):
+            registry.save_models(system)
+        monkeypatch.undo()
+
+        reopened = EnrollmentRegistry(root)
+        np.testing.assert_array_equal(reopened.embedding("alice"), old)
+        np.testing.assert_array_equal(registry.embedding("alice"), old)
+        reloaded = reopened.load_system()
+        for (name, saved), (_, loaded) in zip(
+            system.selector.named_parameters(), reloaded.selector.named_parameters()
+        ):
+            np.testing.assert_array_equal(loaded.data, saved.data, err_msg=name)
+        assert not list(root.rglob("*.tmp"))
+
     @pytest.mark.parametrize("tampered", ["../../victim", "short vector"])
     def test_tampered_registry_file_is_refused(self, tiny_config, tmp_path, tampered):
         """Ids and d-vectors read back from disk are checked like registered ones."""
@@ -222,34 +257,47 @@ class TestEnrollmentRegistry:
 
 
 class TestTickLoop:
-    def test_wake_drives_a_tick(self, system, tiny_config):
+    def test_submit_alone_wakes_the_loop(self, system, tiny_config):
         batch = StreamBatch(system.selector)
-        loop = TickLoop(batch, poll_interval_s=0.01).start()
+        loop = TickLoop(batch).start()
         try:
-            spec = np.zeros(tiny_config.spectrogram_shape)
-            request = batch.submit(spec, system.embedding)
-            loop.wake()
+            request = batch.submit(
+                np.zeros(tiny_config.spectrogram_shape), system.embedding
+            )
+            # No one signals the loop: the submit itself must wake it.
             assert loop.wait_for(lambda: request.done, timeout=10.0)
         finally:
             loop.shutdown()
             batch.close()
 
-    def test_poll_fallback_ticks_without_wake(self, system, tiny_config):
+    def test_no_submit_is_lost_while_the_loop_sleeps(self, system, tiny_config):
+        """Submits landing at any moment of the loop's wait-tick cycle all run."""
         batch = StreamBatch(system.selector)
-        loop = TickLoop(batch, poll_interval_s=0.01).start()
+        loop = TickLoop(batch).start()
+        spec = np.zeros(tiny_config.spectrogram_shape)
+        requests = []
+
+        def produce():
+            gaps = np.random.default_rng(3).uniform(0.0, 0.002, size=200)
+            for gap in gaps:
+                requests.append(batch.submit(spec, system.embedding))
+                time.sleep(gap)
+
+        producer = threading.Thread(target=produce)
         try:
-            request = batch.submit(
-                np.zeros(tiny_config.spectrogram_shape), system.embedding
+            producer.start()
+            producer.join(60.0)
+            assert len(requests) == 200
+            assert loop.wait_for(
+                lambda: all(request.done for request in requests), timeout=10.0
             )
-            # No wake(): the poll interval alone must pick the work up.
-            assert loop.wait_for(lambda: request.done, timeout=10.0)
         finally:
             loop.shutdown()
             batch.close()
 
     def test_shutdown_drains_pending_work(self, system, tiny_config):
         batch = StreamBatch(system.selector)
-        loop = TickLoop(batch, poll_interval_s=5.0).start()  # too slow to poll
+        loop = TickLoop(batch).start()
         requests = [
             batch.submit(
                 np.zeros(tiny_config.spectrogram_shape), system.embedding
@@ -281,13 +329,11 @@ class TestTickLoop:
                 return system.selector.shadow_spectrogram_batch(mixed, d_vector, head)
 
         batch = StreamBatch(BlocksSecondTail())
-        # Far longer than the wait below: only a per-request notify can wake it.
-        loop = TickLoop(batch, poll_interval_s=10.0).start()
+        loop = TickLoop(batch).start()
         try:
             spec = np.zeros(tiny_config.spectrogram_shape)
             first = batch.submit(spec, system.embedding)
             second = batch.submit(spec, system.embedding)
-            loop.wake()
             started = time.monotonic()
             assert loop.wait_for(lambda: first.done, timeout=5.0)
             # Woken by the first request's notify, not by the timeout.
@@ -310,13 +356,12 @@ class TestTickLoop:
                 raise RuntimeError("boom")
 
         batch = StreamBatch(Exploding())
-        loop = TickLoop(batch, poll_interval_s=0.01).start()
+        loop = TickLoop(batch).start()
         try:
             batch.submit(
                 np.zeros(tiny_config.spectrogram_shape),
                 np.zeros(tiny_config.embedding_dim),
             )
-            loop.wake()
             with pytest.raises(RuntimeError, match="tick loop failed"):
                 loop.wait_for(lambda: False, timeout=10.0)
             assert isinstance(loop.error, RuntimeError)
@@ -324,7 +369,7 @@ class TestTickLoop:
             batch.close()
 
 
-def _make_service(tiny_config, system, tmp_path, **kwargs):
+def _make_service(tiny_config, system, tmp_path):
     registry = EnrollmentRegistry(tmp_path / "registry", config=tiny_config)
     registry.save_models(system)
     registry.enroll("alice", _reference(tiny_config), system.encoder)
@@ -339,8 +384,7 @@ def _make_service(tiny_config, system, tmp_path, **kwargs):
         ],
         system.encoder,
     )
-    kwargs.setdefault("poll_interval_s", 0.01)
-    return ProtectionService(EnrollmentRegistry(tmp_path / "registry"), **kwargs)
+    return ProtectionService(EnrollmentRegistry(tmp_path / "registry"))
 
 
 class TestProtectionService:
