@@ -257,7 +257,8 @@ class TestEnrollmentRegistry:
 
 
 class TestTickLoop:
-    def test_submit_alone_wakes_the_loop(self, system, tiny_config):
+    def test_wake_drives_a_tick(self, system, tiny_config):
+        """The submit is the wake-up: no producer signals the loop."""
         batch = StreamBatch(system.selector)
         loop = TickLoop(batch).start()
         try:
@@ -266,6 +267,29 @@ class TestTickLoop:
             )
             # No one signals the loop: the submit itself must wake it.
             assert loop.wait_for(lambda: request.done, timeout=10.0)
+        finally:
+            loop.shutdown()
+            batch.close()
+
+    def test_poll_fallback_ticks_without_wake(self, system, tiny_config):
+        """Work whose submit woke no one still ticks, with no poll to fall back on.
+
+        The requests are queued before the loop starts, so their submits
+        notify an empty queue; the loop must check what is pending before it
+        first sleeps.
+        """
+        batch = StreamBatch(system.selector)
+        requests = [
+            batch.submit(
+                np.zeros(tiny_config.spectrogram_shape), system.embedding
+            )
+            for _ in range(2)
+        ]
+        loop = TickLoop(batch).start()
+        try:
+            assert loop.wait_for(
+                lambda: all(request.done for request in requests), timeout=10.0
+            )
         finally:
             loop.shutdown()
             batch.close()
