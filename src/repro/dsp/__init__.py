@@ -3,9 +3,10 @@
 The paper's observation study (Figs. 3-5) and the NEC pipeline itself are
 built on top of short-time Fourier analysis, the Long-time Average Spectrum
 (LAS), mel/MFCC features (for the speaker encoder and ASR substitute) and a
-handful of classical filters.  This package implements all of them on numpy /
-scipy, with shapes matching the paper's configuration (FFT 1200, window 400,
-hop 160 at 16 kHz -> 601 frequency bins).
+handful of classical filters.  This package implements all of them, with
+shapes matching the paper's configuration (FFT 1200, window 400, hop 160 at
+16 kHz -> 601 frequency bins).  The STFT runs on numpy alone; the filters and
+resampling load ``scipy.signal`` on first use.
 """
 
 from repro.dsp.windows import hann_window, hamming_window, rectangular_window, get_window

@@ -40,11 +40,9 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-try:  # scipy's pocketfft build is measurably faster on these small batched
-    # transforms than numpy's; both are drop-in (same convention, float64).
-    from scipy.fft import irfftn as _irfftn, rfftn as _rfftn
-except ImportError:  # pragma: no cover - scipy is a standing dependency
-    from numpy.fft import irfftn as _irfftn, rfftn as _rfftn
+# numpy's pocketfft, not scipy's: importing scipy.fft would load scipy (and
+# its own OpenBLAS) into every process that imports repro.nn.
+from numpy.fft import irfftn as _irfftn, rfftn as _rfftn
 
 from repro.nn.tensor import Tensor
 

@@ -1,17 +1,21 @@
 """What the protection path loads: a deterministic import-weight gate.
 
-``scipy.signal`` and the ``scipy.stats`` it pulls in would double the
-protection path's import memory (docs/architecture.md, "Import layering"),
-and the channel simulator, the speech synthesiser and the trainer are code
-the served path never runs.
+The protection path runs on numpy alone.  ``scipy.fft`` would double its
+import time and memory and load a second, scipy-bundled OpenBLAS;
+``scipy.signal`` and the ``scipy.stats`` it pulls in would add as much again
+(docs/architecture.md, "Import layering").  So no ``scipy`` module may load
+on that path, neither at import nor at the first enroll, ``protect`` or
+served segment.  The channel simulator, the speech synthesiser and the
+trainer are code the served path never runs.
 
-Each check imports in a fresh interpreter and asserts which modules are in
+Each check runs in a fresh interpreter and asserts which modules are in
 ``sys.modules`` afterwards: no timing, no RSS figure.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -39,22 +43,61 @@ WORKLOAD_IMPORTS = (
 )
 
 
-def _loaded_after(script: str, modules) -> dict:
-    """Run ``script`` in a fresh interpreter; which of ``modules`` it loaded."""
-    probe = (
-        script
-        + "import json, sys\n"
-        + f"print(json.dumps({{m: m in sys.modules for m in {list(modules)!r}}}))\n"
-    )
+#: Enroll, ``protect`` and one served segment at the deployment geometry,
+#: on an untrained system and noise: what the served path runs at first use.
+PROTECT_AND_SERVE = (
+    "import numpy as np\n"
+    "from repro.core.config import NECConfig\n"
+    "from repro.core.pipeline import NECSystem\n"
+    "from repro.audio.signal import AudioSignal\n"
+    "from repro.serving import EnrollmentRegistry, ProtectionService\n"
+    "config = NECConfig.default()\n"
+    "rng = np.random.default_rng(0)\n"
+    "clip = AudioSignal(rng.normal(scale=0.1, size=config.segment_samples), config.sample_rate)\n"
+    "system = NECSystem(config, seed=0)\n"
+    "system.enroll([clip])\n"
+    "assert system.protect(clip).shadow_wave.num_samples == clip.num_samples\n"
+    "with ProtectionService(EnrollmentRegistry(None, config=config), system=system) as service:\n"
+    "    service.enroll('alice', [clip])\n"
+    "    session = service.open_session('alice')\n"
+    "    session.feed(clip.data)\n"
+    "    assert len(session.close(timeout=120.0)) == 1\n"
+)
+
+
+def _modules_after(script: str) -> set:
+    """Run ``script`` in a fresh interpreter; the names in its ``sys.modules``."""
+    probe = script + "import json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
     completed = subprocess.run(
         [sys.executable, "-c", probe],
         check=True,
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(SRC)},
+        env={**os.environ, "PYTHONPATH": str(SRC)},
         timeout=300,
     )
-    return json.loads(completed.stdout.strip().splitlines()[-1])
+    return set(json.loads(completed.stdout.strip().splitlines()[-1]))
+
+
+def _loaded_after(script: str, modules) -> dict:
+    """Run ``script`` in a fresh interpreter; which of ``modules`` it loaded."""
+    loaded = _modules_after(script)
+    return {name: name in loaded for name in modules}
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        "import repro.serving\n",
+        WORKLOAD_IMPORTS,
+        PROTECT_AND_SERVE,
+    ],
+    ids=["import-serving", "workload-imports", "protect-and-serve"],
+)
+def test_protection_path_loads_no_scipy(script):
+    """No ``scipy`` module at import, before the first synthesis, or at first use."""
+    scipy_modules = sorted(name for name in _modules_after(script) if name.split(".")[0] == "scipy")
+    assert scipy_modules == [], scipy_modules[:10]
 
 
 def test_protection_path_imports_no_simulator():

@@ -14,6 +14,7 @@ The load-bearing contracts:
 """
 
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -250,7 +251,7 @@ class TestEnrollmentRegistry:
         subprocess.run(
             [sys.executable, "-c", script],
             check=True,
-            env={"PYTHONPATH": str(src)},
+            env={**os.environ, "PYTHONPATH": str(src)},
             timeout=300,
         )
         np.testing.assert_array_equal(np.load(out_path), expected)
