@@ -23,6 +23,7 @@ pinned against the tap-sum reference ``conv2d_reference`` in
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Dict, Hashable, Iterable, Iterator, Optional, Tuple, Union
 
@@ -88,7 +89,7 @@ def _grown(
     buffers: Dict[str, np.ndarray], name: str, shape: Tuple[int, ...], dtype=np.float64
 ) -> np.ndarray:
     """A ``shape`` view of ``buffers[name]``, replaced by a larger one if too small."""
-    size = int(np.prod(shape))
+    size = math.prod(shape)
     buffer = buffers.get(name)
     if buffer is None or buffer.size < size:
         buffers.pop(name, None)
@@ -103,7 +104,7 @@ def _workspace_buffer(
     store = _workspace_store()
     entry = store.setdefault(key, {})
     held = entry.get(name)
-    grow = int(np.prod(shape)) * np.dtype(dtype).itemsize - (0 if held is None else held.nbytes)
+    grow = math.prod(shape) * np.dtype(dtype).itemsize - (0 if held is None else held.nbytes)
     if grow > 0 and _held_bytes(store) + grow > _WORKSPACE_MAX_BYTES:
         store.clear()
         store[key] = entry
@@ -238,7 +239,7 @@ def _stacked_conv(
         weights = stacked[first * out_c : (first + group) * out_c]
         taps = weights.shape[0] // out_c
         rows = (taps - 1) * dil_h + out_h
-        part = acc[: int(np.prod(lead)) * weights.shape[0] * rows * width]
+        part = acc[: math.prod(lead) * weights.shape[0] * rows * width]
         part = part.reshape(*lead, weights.shape[0], rows * width)
         start = first * dil_h * width
         np.matmul(weights, cols[..., start : start + rows * width], out=part)

@@ -2,7 +2,8 @@
 
 A :class:`Tensor` wraps a ``numpy.ndarray`` and records the operations applied
 to it.  Calling :meth:`Tensor.backward` on a scalar result propagates
-gradients back to every tensor created with ``requires_grad=True``.
+gradients back to every tensor created with ``requires_grad=True`` and frees
+the graph as it goes: one backward per graph.
 
 The operation set is intentionally small: it is exactly what the NEC Selector,
 the d-vector encoder and the VoiceFilter baseline need (element-wise
@@ -14,6 +15,7 @@ usual activations).  Convolution is its own autograd node,
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -38,6 +40,11 @@ def no_grad():
 def grad_enabled() -> bool:
     """Return whether gradient tracking is currently enabled."""
     return _GRAD_ENABLED
+
+
+def _freed_backward(grad: np.ndarray) -> None:
+    """The backward function of a node whose graph an earlier pass freed."""
+    raise RuntimeError("backward() through a graph an earlier backward() freed")
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -265,7 +272,7 @@ class Tensor:
             count = self.size
         else:
             axes = axis if isinstance(axis, tuple) else (axis,)
-            count = int(np.prod([self.shape[a] for a in axes]))
+            count = math.prod(self.shape[a] for a in axes)
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -453,7 +460,17 @@ class Tensor:
     # Backward pass
     # ------------------------------------------------------------------
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Run reverse-mode autodiff from this tensor."""
+        """Run reverse-mode autodiff from this tensor, freeing the graph as it goes.
+
+        One backward per graph: once an interior node (one an operation
+        produced) has passed its gradient on, its ``grad`` is set to ``None``,
+        its parents are dropped and its backward function is replaced by one
+        that raises, so each gradient and each activation a closure holds is
+        released as soon as the pass has spent it.  Only leaves (parameters
+        and tensors made with ``requires_grad=True``) keep their ``grad``.  A
+        second ``backward()`` that reaches a freed node raises
+        ``RuntimeError``; build the graph again instead.
+        """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
         if grad is None:
@@ -485,8 +502,13 @@ class Tensor:
         visit(self)
 
         self.grad = grad if self.grad is None else self.grad + grad
-        for node in reversed(ordering):
-            if node._backward is None or node.grad is None:
+        while ordering:
+            node = ordering.pop()
+            if node._backward is None:
                 continue
-            node._backward(node.grad)
+            if node.grad is not None:
+                node._backward(node.grad)
+            node.grad = None
+            node._parents = ()
+            node._backward = _freed_backward
 

@@ -168,6 +168,31 @@ class TestGraphMechanics:
         (a.detach() * a).sum().backward()
         np.testing.assert_allclose(a.grad, a.data)
 
+    def test_backward_frees_interior_grads_and_keeps_leaf_grads(self):
+        a = _param([1.0, 2.0, 3.0])
+        b = _param([0.5, -1.0, 2.0])
+        product = a * b
+        hidden = (product + a).relu()
+        loss = (hidden * hidden).sum()
+        loss.backward()
+        for interior in (product, hidden, loss):
+            assert interior.grad is None
+        h = np.maximum(a.data * b.data + a.data, 0.0)
+        np.testing.assert_allclose(a.grad, 2.0 * h * (b.data + 1.0))
+        np.testing.assert_allclose(b.grad, 2.0 * h * a.data)
+
+    def test_second_backward_through_a_freed_graph_raises(self):
+        a = _param([1.0, 2.0])
+        hidden = a * a
+        loss = hidden.sum()
+        loss.backward()
+        spent = a.grad.copy()
+        with pytest.raises(RuntimeError, match="freed"):
+            loss.backward()
+        with pytest.raises(RuntimeError, match="freed"):
+            (hidden * 2.0).sum().backward()
+        np.testing.assert_array_equal(a.grad, spent)
+
     def test_deep_chain_does_not_recurse(self):
         a = _param([1.0])
         out = a
