@@ -23,8 +23,8 @@ from repro.core.encoder import SpeakerEncoder, SpectralEncoder, NeuralEncoder
 from repro.core.selector import Selector, StreamBatch, StreamRequest
 from repro.core.overshadow import (
     superpose_spectrograms,
+    complex_shadow,
     shadow_waveform,
-    shadow_waveform_from_stft,
     apply_offsets,
     offset_study,
     OffsetPoint,
@@ -55,8 +55,8 @@ __all__ = [
     "StreamBatch",
     "StreamRequest",
     "superpose_spectrograms",
+    "complex_shadow",
     "shadow_waveform",
-    "shadow_waveform_from_stft",
     "apply_offsets",
     "offset_study",
     "OffsetPoint",

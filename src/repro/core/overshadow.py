@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.audio.signal import AudioSignal
 from repro.core.config import NECConfig
-from repro.dsp.stft import istft, stft
+from repro.dsp.stft import istft, magnitude, stft
 from repro.metrics.cosine import cosine_distance
 from repro.metrics.sdr import sdr
 
@@ -30,6 +30,32 @@ def superpose_spectrograms(mixed: np.ndarray, shadow: np.ndarray) -> np.ndarray:
     return np.maximum(mixed + shadow, 0.0)
 
 
+def complex_shadow(
+    mixed_stft: np.ndarray,
+    mixed_spectrogram: np.ndarray,
+    shadow_spectrogram: np.ndarray,
+) -> np.ndarray:
+    """The signed shadow magnitude on the mixed phase: ``shadow · S/|S|``.
+
+    ``mixed_spectrogram`` is ``|mixed_stft|``, the magnitude the Selector
+    already read, so the unit phasor costs one division and no ``angle`` or
+    ``exp``.  A bin with ``|S| = 0`` gets the phasor 1 (``exp(i·angle(0))``).
+    Accepts single ``(F, T)`` arrays or stacked ``(..., F, T)`` batches of one
+    shape; the result is complex in the promoted dtype of the inputs.
+    """
+    mixed_stft = np.asarray(mixed_stft)
+    mixed_magnitude = np.asarray(mixed_spectrogram)
+    shadow = np.asarray(shadow_spectrogram)
+    if not mixed_stft.shape == mixed_magnitude.shape == shadow.shape:
+        raise ValueError(
+            f"shape mismatch: mixed STFT {mixed_stft.shape}, mixed spectrogram "
+            f"{mixed_magnitude.shape}, shadow {shadow.shape}"
+        )
+    silent = mixed_magnitude == 0
+    gain = shadow / np.where(silent, 1, mixed_magnitude)
+    return np.where(silent, shadow, mixed_stft * gain)
+
+
 def shadow_waveform(
     mixed_audio: AudioSignal,
     shadow_spectrogram: np.ndarray,
@@ -39,41 +65,19 @@ def shadow_waveform(
 
     The Selector outputs a magnitude-domain quantity; to emit it over the air
     it is attached to the phase of the mixed recording (which NEC's own
-    microphone observes) and inverted with the ISTFT.  A negative shadow
-    magnitude therefore becomes a phase-inverted waveform component — exactly
-    the wave that, superposed in the air, drives the recorded spectrogram
-    towards the background (Eq. 5/6).
+    microphone observes, :func:`complex_shadow`) and inverted with the ISTFT.
+    A negative shadow magnitude therefore becomes a phase-inverted waveform
+    component — exactly the wave that, superposed in the air, drives the
+    recorded spectrogram towards the background (Eq. 5/6).
     """
     mixed_stft = stft(
         mixed_audio.data, config.n_fft, config.win_length, config.hop_length
     )
-    return shadow_waveform_from_stft(
-        mixed_stft, shadow_spectrogram, config, length=mixed_audio.num_samples
-    )
-
-
-def shadow_waveform_from_stft(
-    mixed_stft: np.ndarray,
-    shadow_spectrogram: np.ndarray,
-    config: NECConfig,
-    length: int,
-) -> AudioSignal:
-    """:func:`shadow_waveform` given an already-computed complex mixed STFT.
-
-    The batched inference engine computes one complex STFT per segment anyway
-    (the magnitude feeds the Selector); reusing it here for the phase avoids a
-    second full STFT per segment while producing the identical waveform.
-    """
-    mixed_stft = np.asarray(mixed_stft)
-    shadow = np.asarray(shadow_spectrogram)
-    frames = min(mixed_stft.shape[1], shadow.shape[1])
-    phase = np.exp(1j * np.angle(mixed_stft[:, :frames]))
-    complex_shadow = shadow[:, :frames] * phase
     wave = istft(
-        complex_shadow,
+        complex_shadow(mixed_stft, magnitude(mixed_stft), shadow_spectrogram),
         config.win_length,
         config.hop_length,
-        length=length,
+        length=mixed_audio.num_samples,
     )
     return AudioSignal(wave, config.sample_rate)
 

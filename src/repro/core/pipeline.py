@@ -27,7 +27,7 @@ import numpy as np
 from repro.audio.signal import AudioSignal
 from repro.core.config import NECConfig
 from repro.core.encoder import SpeakerEncoder, SpectralEncoder
-from repro.core.overshadow import apply_offsets, superpose_spectrograms
+from repro.core.overshadow import apply_offsets, complex_shadow, superpose_spectrograms
 from repro.core.selector import Selector, StreamBatch, StreamRequest
 from repro.dsp.stft import (
     StreamingISTFT,
@@ -46,7 +46,11 @@ class ProtectionResult:
     mixed_spectrogram: np.ndarray       # (F, T)
     shadow_spectrogram: np.ndarray      # (F, T), signed
     shadow_wave: AudioSignal
-    record_spectrogram: np.ndarray      # predicted S_mixed + S_shadow
+
+    @property
+    def record_spectrogram(self) -> np.ndarray:
+        """The predicted recording ``S_mixed + S_shadow`` (Eq. 5), on access."""
+        return superpose_spectrograms(self.mixed_spectrogram, self.shadow_spectrogram)
 
     @property
     def predicted_suppression_db(self) -> float:
@@ -178,13 +182,11 @@ class NECSystem:
         )  # (N, F, T) complex
         mixed_specs = magnitude(stfts)
         shadow_specs = self.selector.shadow_spectrogram_batch(mixed_specs, embedding)
-        record_specs = superpose_spectrograms(mixed_specs, shadow_specs)
         # One batched iSTFT inverts every shadow at once; each row of
         # batch_istft equals istft of that row bit for bit (pinned by the
         # test suite).
-        phases = np.exp(1j * np.angle(stfts))
         waves = batch_istft(
-            shadow_specs * phases,
+            complex_shadow(stfts, mixed_specs, shadow_specs),
             self.config.win_length,
             self.config.hop_length,
             length=self.config.segment_samples,
@@ -195,7 +197,6 @@ class NECSystem:
                 mixed_spectrogram=mixed_specs[row],
                 shadow_spectrogram=shadow_specs[row],
                 shadow_wave=AudioSignal(waves[row], self.config.sample_rate),
-                record_spectrogram=record_specs[row],
             )
             for row in range(matrix.shape[0])
         ]
@@ -204,29 +205,15 @@ class NECSystem:
         self, mixed_audio: AudioSignal, results: Sequence[ProtectionResult]
     ) -> ProtectionResult:
         """Stitch per-segment results back into one clip-level result."""
-        if len(results) == 1:
-            single = results[0]
-            trimmed_wave = single.shadow_wave.trim_to(
-                min(mixed_audio.num_samples, single.shadow_wave.num_samples)
-            )
-            return ProtectionResult(
-                mixed_audio=mixed_audio,
-                mixed_spectrogram=single.mixed_spectrogram,
-                shadow_spectrogram=single.shadow_spectrogram,
-                shadow_wave=trimmed_wave,
-                record_spectrogram=single.record_spectrogram,
-            )
         shadow = np.concatenate([result.shadow_wave.data for result in results])
         shadow = shadow[: mixed_audio.num_samples]
         mixed_spec = np.concatenate([result.mixed_spectrogram for result in results], axis=1)
         shadow_spec = np.concatenate([result.shadow_spectrogram for result in results], axis=1)
-        record_spec = np.concatenate([result.record_spectrogram for result in results], axis=1)
         return ProtectionResult(
             mixed_audio=mixed_audio,
             mixed_spectrogram=mixed_spec,
             shadow_spectrogram=shadow_spec,
             shadow_wave=AudioSignal(shadow, self.config.sample_rate),
-            record_spectrogram=record_spec,
         )
 
     def _segment_matrix(self, mixed_audio: AudioSignal) -> np.ndarray:
@@ -379,7 +366,8 @@ class StreamingProtector:
       attached to a shared ``stream_batch`` (the serving layer's) ``feed``
       returns nothing, and finished results are picked up with
       :meth:`collect` after ``stream_batch.tick()``;
-    - the shadow spectrogram, with the segment's mixed phase, is fed to a
+    - the shadow spectrogram, on the segment's mixed phase
+      (:func:`~repro.core.overshadow.complex_shadow`), is fed to a
       :class:`~repro.dsp.stft.StreamingISTFT`, whose flush inverts it with
       the same one overlap-add as :meth:`NECSystem.protect`, and emitted.
 
@@ -517,14 +505,12 @@ class StreamingProtector:
         mixed_spec: np.ndarray,
         shadow_spec: np.ndarray,
     ) -> ProtectionResult:
-        """Stage 3: record spectrogram + streaming iSTFT → one emitted result."""
+        """Stage 3: :func:`complex_shadow` + streaming iSTFT → one emitted result."""
         config = self.system.config
-        record_spec = superpose_spectrograms(mixed_spec, shadow_spec)
-        phase = np.exp(1j * np.angle(segment.stft))
         inverter = StreamingISTFT(
             config.win_length, config.hop_length, dtype=config.inference_dtype
         )
-        inverter.feed(shadow_spec * phase)
+        inverter.feed(complex_shadow(segment.stft, mixed_spec, shadow_spec))
         wave = inverter.flush(length=self._segment)
         emitted_length = segment.stream_samples
         shadow_wave = AudioSignal(wave, config.sample_rate).trim_to(emitted_length)
@@ -535,7 +521,6 @@ class StreamingProtector:
             mixed_spectrogram=mixed_spec,
             shadow_spectrogram=shadow_spec,
             shadow_wave=shadow_wave,
-            record_spectrogram=record_spec,
         )
 
     def _drain_ready(self) -> List[ProtectionResult]:

@@ -38,11 +38,11 @@ import numpy as np
 
 from repro.asr.dtw import _as_sequence, _local_cost
 from repro.audio.signal import AudioSignal
-from repro.core.overshadow import shadow_waveform_from_stft, superpose_spectrograms
+from repro.core.overshadow import complex_shadow
 from repro.core.pipeline import NECSystem, ProtectionResult
 from repro.core.seeding import derive_seed
 from repro.core.training import SelectorTrainer, TrainingExample, TrainingHistory
-from repro.dsp.stft import magnitude, stft
+from repro.dsp.stft import istft, magnitude, stft
 from repro.dsp.windows import get_window
 from repro.eval.scenarios import (
     ClaimThresholds,
@@ -115,14 +115,17 @@ def protect_segment(system: NECSystem, mixed_segment: AudioSignal) -> Protection
     )
     mixed_spec = magnitude(mixed_stft)
     shadow_spec = system.selector.shadow_spectrogram_batch(mixed_spec[None], system.embedding)[0]
+    wave = istft(
+        complex_shadow(mixed_stft, mixed_spec, shadow_spec),
+        config.win_length,
+        config.hop_length,
+        length=mixed_segment.num_samples,
+    )
     return ProtectionResult(
         mixed_audio=mixed_segment,
         mixed_spectrogram=mixed_spec,
         shadow_spectrogram=shadow_spec,
-        shadow_wave=shadow_waveform_from_stft(
-            mixed_stft, shadow_spec, config, length=mixed_segment.num_samples
-        ),
-        record_spectrogram=superpose_spectrograms(mixed_spec, shadow_spec),
+        shadow_wave=AudioSignal(wave, config.sample_rate),
     )
 
 

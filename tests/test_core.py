@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.audio import SyntheticCorpus, joint_conversation
+from repro.audio import AudioSignal, SyntheticCorpus, joint_conversation
 from repro.channel import Recorder, nec_speaker, record_over_the_air
 from repro.core import (
     NECConfig,
@@ -13,13 +13,14 @@ from repro.core import (
     SelectorTrainer,
     SpectralEncoder,
     apply_offsets,
+    complex_shadow,
     offset_study,
     shadow_waveform,
     superpose_spectrograms,
 )
 from repro.core.config import TrainingConfig
 from repro.core.training import build_training_examples
-from repro.dsp.stft import magnitude_spectrogram
+from repro.dsp.stft import batch_stft, istft, magnitude, magnitude_spectrogram
 from repro.metrics import cosine_similarity, sdr
 
 
@@ -145,6 +146,77 @@ class TestOvershadow:
     def test_superposition_shape_mismatch(self):
         with pytest.raises(ValueError):
             superpose_spectrograms(np.ones((3, 3)), np.ones((4, 3)))
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-14)])
+    def test_complex_shadow_matches_exp_angle(self, dtype, rtol):
+        """``shadow · S/|S|`` is the old ``shadow · exp(i·angle(S))`` to the ulp."""
+        rng = np.random.default_rng(3)
+        shape = (3, 41, 17)
+        spectrum = (rng.normal(size=shape) + 1j * rng.normal(size=shape)).astype(
+            np.result_type(dtype, np.complex64)
+        )
+        spectrum[:, :, -4:] = 0  # silent frames, as on zero padding
+        shadow = rng.normal(size=shape).astype(dtype)
+        expected = shadow * np.exp(1j * np.angle(spectrum))
+        result = complex_shadow(spectrum, magnitude(spectrum), shadow)
+        assert result.dtype == expected.dtype
+        assert np.abs(result - expected).max() <= rtol * np.abs(expected).max()
+        np.testing.assert_array_equal(result[:, :, -4:], shadow[:, :, -4:])
+
+    def test_silent_frames_keep_the_real_shadow_in_spectrogram_mode(self, tiny_config):
+        """Zero-padded frames (``|S| = 0``) get the phasor 1, as ``exp(i·angle(0))`` did."""
+        config = tiny_config.with_output_mode("spectrogram")
+        system = NECSystem(config, seed=0)
+        rng = np.random.default_rng(4)
+        reference = rng.normal(scale=0.1, size=config.segment_samples)
+        system.enroll([AudioSignal(reference, config.sample_rate)])
+        # The last segment holds 40 real samples and the rest zero padding.
+        audio = AudioSignal(
+            rng.normal(scale=0.1, size=config.segment_samples + 40), config.sample_rate
+        )
+        result = system.protect(audio)
+        stfts = batch_stft(
+            system._segment_matrix(audio), config.n_fft, config.win_length, config.hop_length
+        )
+        spectrum = np.concatenate(list(stfts), axis=1)
+        shadow = result.shadow_spectrogram
+        silent = result.mixed_spectrogram == 0
+        assert silent.any() and (shadow[silent] != 0).any()
+        old = shadow * np.exp(1j * np.angle(spectrum))
+        new = complex_shadow(spectrum, result.mixed_spectrogram, shadow)
+        np.testing.assert_array_equal(new[silent], old[silent])
+        # The emitted wave is the old synthesis to the ulp, padding included.
+        frames = config.num_frames
+        old_wave = np.concatenate(
+            [
+                istft(
+                    old[:, start : start + frames],
+                    config.win_length,
+                    config.hop_length,
+                    length=config.segment_samples,
+                )
+                for start in range(0, old.shape[1], frames)
+            ]
+        )[: audio.num_samples]
+        peak = np.abs(old_wave).max()
+        np.testing.assert_allclose(result.shadow_wave.data, old_wave, rtol=0, atol=1e-12 * peak)
+
+    def test_complex_shadow_shape_mismatch(self):
+        spectrum = np.ones((4, 5), dtype=np.complex128)
+        with pytest.raises(ValueError):
+            complex_shadow(spectrum, np.ones((4, 5)), np.ones((4, 6)))
+        with pytest.raises(ValueError):
+            complex_shadow(spectrum, np.ones((4, 4)), np.ones((4, 5)))
+
+    def test_shadow_waveform_rejects_a_mismatched_shadow(self, tiny_config, corpus):
+        """A shadow with the wrong frame count raises instead of being truncated."""
+        config = tiny_config
+        mixed, _b, _a, _t, _o = joint_conversation(
+            corpus, "spk000", "spk001", duration=config.segment_seconds
+        )
+        freq_bins, frames = config.spectrogram_shape
+        with pytest.raises(ValueError):
+            shadow_waveform(mixed, np.zeros((freq_bins, frames + 1)), config)
 
     def test_shadow_waveform_cancels_target_component(self, tiny_config, corpus):
         """An oracle shadow (background - mixed) suppresses Bob and helps Alice."""

@@ -17,7 +17,12 @@ import pytest
 from oracles import conv2d_reference, protect_looped, protect_segment, selector_reference
 
 from repro.audio.signal import AudioSignal
-from repro.core import NECSystem, StreamingProtector
+from repro.core import (
+    NECSystem,
+    ProtectionResult,
+    StreamingProtector,
+    superpose_spectrograms,
+)
 from repro.core.selector import ROWS_PER_PASS, Selector
 from repro.nn import Conv2d, Tensor, clear_im2col_buffer_cache
 from repro.nn import conv as conv_module
@@ -347,6 +352,38 @@ def _head_state(selector, head_spectrograms, d_vector):
 def _assert_relative(actual, expected, tolerance=1e-12):
     assert actual.shape == expected.shape
     assert np.max(np.abs(actual - expected)) <= tolerance * np.max(np.abs(expected))
+
+
+class TestRecordSpectrogram:
+    """``record_spectrogram`` is derived on access, not stored."""
+
+    def test_is_not_a_constructor_argument(self, system, tiny_config):
+        result = system.protect(_noise(tiny_config, 100))
+        with pytest.raises(TypeError):
+            ProtectionResult(
+                mixed_audio=result.mixed_audio,
+                mixed_spectrogram=result.mixed_spectrogram,
+                shadow_spectrogram=result.shadow_spectrogram,
+                shadow_wave=result.shadow_wave,
+                record_spectrogram=result.record_spectrogram,
+            )
+        with pytest.raises(AttributeError):
+            result.record_spectrogram = result.mixed_spectrogram
+
+    def test_equals_the_superposition_on_every_path(self, system, system32, tiny_config):
+        audio = _noise(tiny_config, int(1.6 * tiny_config.segment_samples), seed=17)
+        for nec in (system, system32):
+            results = [nec.protect(audio), *nec.protect_batch([audio, audio])]
+            protector = StreamingProtector(nec)
+            results += protector.feed(audio)
+            results.append(protector.flush())
+            assert len(results) == 5
+            for result in results:
+                expected = superpose_spectrograms(
+                    result.mixed_spectrogram, result.shadow_spectrogram
+                )
+                np.testing.assert_array_equal(result.record_spectrogram, expected)
+                assert result.record_spectrogram.dtype == nec.config.inference_dtype
 
 
 class TestBatchedSelector:
