@@ -9,8 +9,8 @@ iSTFT inverts them (:meth:`NECSystem.protect`).  The same engine powers
 :meth:`NECSystem.protect_batch` (many clips per call) and
 :class:`StreamingProtector` (chunked audio in, shadow waves out, with
 carried-over state), which queues each segment as one request to a
-:class:`~repro.core.selector.StreamBatch`: its head block as soon as the
-segment's first ``T − L`` frames exist, its tail when the segment closes.
+:class:`~repro.core.selector.StreamBatch`: each block of the Selector's grid
+as soon as its frames exist, the last when the segment closes.
 Each path is bit-identical to protecting one segment at a time; that oracle
 lives in ``tests/oracles.py`` and the equivalence is pinned by
 ``tests/test_pipeline_batch.py``.
@@ -285,8 +285,8 @@ class StreamLatencyStats:
     is emitted inside the very feed that completed the segment; positive when
     a shared :class:`~repro.core.selector.StreamBatch` ticks it later).  The
     algorithmic floor on top of that is always one segment of lookahead — the
-    Selector's tail block needs the segment's last frames before any shadow
-    exists.
+    Selector's closing block needs the segment's last frames before any
+    shadow exists.
 
     Every field is a count, a sum or a maximum, so the stats stay bounded
     however long the session lives.
@@ -329,7 +329,7 @@ class _PendingSegment:
     stft: np.ndarray                # (F, T) complex frames, inference dtype
     completed_at_samples: int       # samples_fed when the segment completed
     trim_to: Optional[int] = None   # emitted wave length (flush tails)
-    request: Optional[StreamRequest] = None  # from its head's early submit, or its own
+    request: Optional[StreamRequest] = None  # from its early blocks' submits, or its own
 
     @property
     def stream_samples(self) -> int:
@@ -352,15 +352,17 @@ class StreamingProtector:
       spectrogram is already standing when its last sample arrives;
     - each segment is one request to a
       :class:`~repro.core.selector.StreamBatch` for its gradient-free
-      Selector pass, in two stages.  As soon as the incremental STFT has
-      frame ``S − 1`` (``S = T − L``, :meth:`Selector.head_frames`), the
-      first ``S`` frames and the d-vector are queued for the head block
-      (:meth:`StreamBatch.submit_head`); that frame ends ``L·hop`` samples
-      (190 ms at ``NECConfig.default()``) before the segment does.  When the
-      segment completes (:meth:`flush` zero-pads the tail to a full one),
-      the ``(F, T)`` spectrogram is queued for the tail block
-      (:meth:`StreamBatch.submit`; both stages, if one feed delivered both).
-      The d-vector is read once per segment, for its head.  Without a
+      Selector pass, one stage per block of the grid
+      (:meth:`Selector.block_bounds`: frames ``[0, T−L)``,
+      ``[T−L, T−⌈L/2⌉)``, ``[T−⌈L/2⌉, T)``).  As soon as the incremental
+      STFT has an early block's last frame, that block's frames are queued
+      (:meth:`StreamBatch.submit_block`): the first ends ``L·hop`` samples
+      (190 ms at ``NECConfig.default()``) before the segment does, the
+      second ``⌈L/2⌉·hop`` (100 ms).  When the segment completes
+      (:meth:`flush` zero-pads the tail to a full one), the ``(F, T)``
+      spectrogram is queued for the closing block (:meth:`StreamBatch.submit`,
+      with any early block one feed delivered along with it).  The d-vector
+      is read once per segment, for its first block.  Without a
       ``stream_batch`` the protector owns a private batch and ticks it
       inside :meth:`feed` / :meth:`flush`, which return the results;
       attached to a shared ``stream_batch`` (the serving layer's) ``feed``
@@ -374,7 +376,7 @@ class StreamingProtector:
     Concatenating all emitted shadow waves (with a final :meth:`flush`)
     reproduces **exactly** what :meth:`NECSystem.protect` emits for the whole
     clip at once, for any chunking — the equivalence the test-suite pins:
-    ``protect`` runs the same head and tail blocks.
+    ``protect`` runs the same blocks.
     Per-feed wall-clock and per-segment emission lag are tracked in
     :attr:`latency` (see :class:`StreamLatencyStats`)::
 
@@ -401,9 +403,9 @@ class StreamingProtector:
             config.n_fft, config.win_length, config.hop_length, dtype=config.inference_dtype
         )
         self._frames: List[np.ndarray] = []
-        #: The open segment's head request, once its first ``S`` frames exist.
-        self._open_head: Optional[StreamRequest] = None
-        self._head_frames = system.selector.head_frames(config.num_frames)
+        #: The open segment's request, once its first block's frames exist.
+        self._open_request: Optional[StreamRequest] = None
+        self._early_bounds = system.selector.block_bounds(config.num_frames)[:-1]
         self._ready: List[_PendingSegment] = []      # completed, not yet submitted
         self._submitted: List[_PendingSegment] = []  # submitted, not yet collected
         self._segments_completed = 0
@@ -451,7 +453,7 @@ class StreamingProtector:
         self._fill = 0
         self._stft.reset()
         self._frames = []
-        self._open_head = None
+        self._open_request = None
         self._ready = []
         self._submitted = []
         self._segments_completed = 0
@@ -489,14 +491,14 @@ class StreamingProtector:
                 raw=self._ring.copy(),
                 stft=self._joined_frames(),
                 completed_at_samples=self._segments_completed * self._segment,
-                request=self._open_head,
+                request=self._open_request,
             )
         )
         # Framing restarts per segment (exactly the batched engine's geometry);
         # the sub-hop STFT carry never crosses a segment boundary.
         self._stft.reset()
         self._frames = []
-        self._open_head = None
+        self._open_request = None
         self._fill = 0
 
     def _build_result(
@@ -524,22 +526,26 @@ class StreamingProtector:
         )
 
     def _drain_ready(self) -> List[ProtectionResult]:
-        """Stage 2: submit closed segments and the open segment's head block;
-        tick a private batch holding requests."""
+        """Stage 2: submit closed segments and the open segment's due early
+        blocks; tick a private batch holding requests."""
         frames = sum(block.shape[1] for block in self._frames)
-        head_due = self._open_head is None and 0 < self._head_frames <= frames
-        if self._ready or head_due:
+        queued = 0 if self._open_request is None else self._open_request.queued
+        due = [end for end in self._early_bounds if queued < end <= frames]
+        if self._ready or due:
             embedding = self.system.embedding  # fail fast *before* consuming state
             while self._ready:
                 segment = self._ready[0]
-                # An early head's request carries the d-vector it read.
+                # An early block's request carries the d-vector it read.
                 segment.request = self._batch.submit(
                     magnitude(segment.stft), embedding, segment.request
                 )
                 self._submitted.append(self._ready.pop(0))
-            if head_due:
-                head = np.ascontiguousarray(self._joined_frames()[:, : self._head_frames])
-                self._open_head = self._batch.submit_head(magnitude(head), embedding)
+            for end in due:
+                block = magnitude(self._joined_frames()[:, queued:end])
+                self._open_request = self._batch.submit_block(
+                    block, embedding, self._open_request
+                )
+                queued = end
         if self.stream_batch is not None:
             return []
         while self._batch.pending_requests:

@@ -28,15 +28,19 @@ The network has one training pass and one inference pass over stacked
 :meth:`Selector.forward_batch` runs gradient-free (convolutions through
 :meth:`Conv2d.infer`).  Both are pinned against the one-segment autograd
 oracle ``selector_reference`` in ``tests/oracles.py``.  The gradient-free
-pass is one primitive, :meth:`Selector.row_block`, run twice on a rolling
-:class:`PassState`: a head block over frames ``[0, S)`` and a tail block
-over ``[S, T)``, ``S = T − L`` and ``L`` the stack's look-ahead.  The head
-block needs only the first ``S`` frames, so the streaming path runs it
-before the segment ends.
+pass is one primitive, :meth:`Selector.row_block`, run on a rolling
+:class:`PassState` over one fixed grid of three blocks
+(:meth:`Selector.block_bounds`): frames ``[0, T−L)``, ``[T−L, T−⌈L/2⌉)``
+and ``[T−⌈L/2⌉, T)``, ``L`` the stack's look-ahead.  Each convolution
+carries partial sums between blocks (:class:`~repro.nn.conv.PartialRows`),
+so every input row goes through the GEMM once however the pass is blocked,
+and every path blocks alike, so they all give the same bits.  Only the
+last block needs the segment's last frames, so the streaming path runs the
+first two while the segment is still being spoken.
 
 :class:`StreamBatch` is the inference queue of the streaming and serving
-paths: each request is one stream's segment, queued as a head block and a
-tail block, and a tick runs the queued blocks in submit order.
+paths: each request is one stream's segment, queued as the grid's blocks,
+and a tick runs the queued blocks, closing blocks that are ready first.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ import numpy as np
 
 from repro.core.config import NECConfig
 from repro.nn import Conv2d, Dense, Module, Tensor
+from repro.nn.conv import PartialRows
 from repro.nn.layers import CastCache
 
 #: Most segments one gradient-free Selector pass stacks.  At the deployment
@@ -190,9 +195,19 @@ class Selector(Module):
         """
         return sum(layer.padding[0] for layer in self._convs())
 
-    def head_frames(self, frames: int) -> int:
-        """``S = T − L``: the frames the head block of a ``T``-frame pass reads."""
-        return max(frames - self.lookahead_frames, 0)
+    def block_bounds(self, frames: int) -> Tuple[int, ...]:
+        """The end frames of a ``T``-frame pass's blocks: ``T−L``, ``T−⌈L/2⌉`` and ``T``.
+
+        Every gradient-free pass runs on this grid: ``(80, 89, 99)`` at
+        ``NECConfig.default()``.  The first block ends ``L`` frames (190 ms
+        at ``default()``) before the segment does, the second ``⌈L/2⌉``
+        frames (100 ms), so a stream fed in chunks no longer than that runs
+        both before the segment closes.  Empty blocks are left out, so a
+        segment of at most ``⌈L/2⌉`` frames is one block.
+        """
+        lookahead = self.lookahead_frames
+        early = {max(frames - lookahead, 0), max(frames - (lookahead + 1) // 2, 0)}
+        return tuple(sorted(early - {0, frames})) + (frames,)
 
     def _cast(self, spectrograms: np.ndarray) -> np.ndarray:
         """``(N, F, T)`` spectrograms in the pass's dtype: float32 stays, else float64."""
@@ -210,7 +225,7 @@ class Selector(Module):
         self,
         spectrograms: np.ndarray,
         d_vector: np.ndarray,
-        head: Optional["PassState"] = None,
+        state: Optional["PassState"] = None,
     ) -> np.ndarray:
         """Selector output for a batch of segments, without autograd.
 
@@ -225,19 +240,18 @@ class Selector(Module):
         convolution's gather-buffer cache keeps) is bounded by
         construction, whatever ``N`` a caller stacks.  Rows are independent:
         each row is the same whichever rows share its pass.  Every pass runs
-        :meth:`row_block` twice, split at frame ``S = T − L``
-        (:meth:`head_frames`): the head block over frames ``[0, S)``, then the
-        tail block over ``[S, T)``.  A caller that already ran the head block
-        of a one-pass batch passes its :class:`PassState` as ``head``, and
-        only the tail block runs here; the streaming path does so to run the
-        head while the segment is still being spoken.  Both ways issue the
-        same convolutions on the same shapes, so they give the same bits.
+        :meth:`row_block` once per block of the grid (:meth:`block_bounds`).
+        A caller that already ran the first blocks of a one-pass batch passes
+        its :class:`PassState` as ``state``, and only the remaining blocks
+        run here; the streaming path does so to run the early blocks while
+        the segment is still being spoken.  Both ways issue the same
+        convolutions on the same shapes, so they give the same bits.
 
         The numerical constants match :meth:`forward`, and the convolutions
         run through :meth:`Conv2d.infer`; in float64 each row is within
         1e-12 relative of the one-segment autograd oracle (pinned by the
         test suite).  The pass computes in the dtype of ``spectrograms``
-        (float32 stays float32, anything else is float64), or in ``head``'s;
+        (float32 stays float32, anything else is float64), or in ``state``'s;
         the float32 gates are in ``tests/test_precision.py``.
         """
         batch = self._cast(spectrograms)
@@ -250,23 +264,26 @@ class Selector(Module):
             )
         if d_vector.ndim not in (1, 2):
             raise ValueError("d_vector must be (dim,) or (N, dim)")
-        split = self.head_frames(frames)
-        if head is not None and (head.frames != split or num_segments > ROWS_PER_PASS):
-            raise ValueError(f"a head state covers the first {split} frames of one pass")
+        bounds = self.block_bounds(frames)
+        if state is not None and (
+            state.frames not in (0, *bounds[:-1]) or num_segments > ROWS_PER_PASS
+        ):
+            raise ValueError(f"a pass state must stop at a block edge {bounds[:-1]} of one pass")
         if num_segments == 0:
             return np.zeros((0, frames, freq_bins), dtype=batch.dtype)
         passes = []
-        for start in range(0, num_segments, ROWS_PER_PASS):
-            rows = slice(start, start + ROWS_PER_PASS)
-            state = head
-            if state is None:
+        for first in range(0, num_segments, ROWS_PER_PASS):
+            rows = slice(first, first + ROWS_PER_PASS)
+            run = state
+            if run is None:
                 vectors = d_vector if d_vector.ndim == 1 else d_vector[rows]
-                state = self.open_pass(vectors, batch.dtype)
-                for _ in self.row_block(state, batch[rows, :, :split]):
-                    pass
-            for _ in self.row_block(state, batch[rows, :, split:], last=True):
-                pass
-            passes.append(state.output)
+                run = self.open_pass(vectors, batch.dtype)
+            for end in bounds:
+                if end > run.frames:
+                    block = batch[rows, :, run.frames : end]
+                    for _ in self.row_block(run, block, last=end == frames):
+                        pass
+            passes.append(run.output)
         output = np.concatenate(passes, axis=0)
         if self.config.output_mode == "mask":
             output = 1.0 / (1.0 + np.exp(-np.clip(output, -60.0, 60.0)))
@@ -308,18 +325,19 @@ class Selector(Module):
         the ``t`` frames after the ``state.frames`` already run.  A
         generator: it yields after each convolution, so a scheduler can run
         other work between the layers (:class:`StreamBatch` runs a closing
-        segment's tail block there).  ``state`` advances when the block
+        segment's last block there).  ``state`` advances when the block
         ends, so a block that raises leaves it as it was, to be run again.
 
-        A conv layer with vertical padding ``p`` that has seen ``n`` input
-        rows, ``done`` of its output rows computed, pads the top by
-        ``max(p − done, 0)`` and computes output rows up to ``n − p``, or up
-        to ``n`` in the ``last`` block, which alone pads the bottom.  It
-        keeps its input rows from ``max(new_done − p, 0)`` on, the rows the
-        next block reads, in ``state.halos``.  The FC head's pre-sigmoid
-        rows collect in ``state.output``.  Only the split ``S = T − L``
-        gives the bits of a whole pass (:meth:`forward_batch`): GEMMs over
-        other row slices round differently.
+        Each conv layer runs :meth:`Conv2d.infer` on the rows the layer
+        before it finished in this block, with the layer's
+        :class:`~repro.nn.conv.PartialRows` from ``state.partials``: a layer
+        with vertical padding ``p`` that has seen ``n`` input rows finishes
+        its output rows up to ``n − p``, or all of them in the ``last``
+        block, and carries the partial sums of the ``2p`` rows after those.
+        The FC head's pre-sigmoid rows collect in ``state.output``.  Only
+        the grid of :meth:`block_bounds` gives the bits of
+        :meth:`forward_batch`: GEMMs over other row blocks round
+        differently.
         """
         batch = self._cast(spectrograms).astype(state.vector_term.dtype, copy=False)
         if batch.shape[0] > ROWS_PER_PASS or (
@@ -334,26 +352,11 @@ class Selector(Module):
         hidden += 1e-12
         np.log(hidden, out=hidden)
         hidden = hidden[:, None]
-        seen = state.frames  # the layer's input rows before this block
-        halos = []
+        partials = []
         for index, layer in enumerate(self._convs()):
-            pad = layer.padding[0]
-            done = max(seen - pad, 0)
-            seen += hidden.shape[2]
-            new_done = seen if last else max(seen - pad, 0)
-            if state.halos and state.halos[index].shape[2]:
-                hidden = np.concatenate((state.halos[index], hidden), axis=2)
-            if not last:
-                keep = seen - max(new_done - pad, 0)
-                halos.append(hidden[:, :, hidden.shape[2] - keep :].copy())
-            if new_done > done:
-                hidden = layer.infer(
-                    hidden, activation="relu", pad_rows=(max(pad - done, 0), pad if last else 0)
-                )
-            else:
-                num, _, _, width = hidden.shape
-                hidden = np.zeros((num, layer.out_channels, 0, width), dtype=batch.dtype)
-            seen = done  # the next layer's input rows before this block
+            partial = state.partials[index] if state.partials else PartialRows()
+            hidden, partial = layer.infer(hidden, "relu", partial, last)
+            partials.append(partial)
             yield None
         # The FC head: [features, d] @ W1 = features @ W1[:2F] + d @ W1[2F:], the
         # d-vector term added to every frame by broadcasting; the (N, t, in) @
@@ -368,14 +371,16 @@ class Selector(Module):
         output += fc2_bias
         if state.output is not None:
             output = np.concatenate((state.output, output), axis=1)
-        state.frames, state.halos, state.output = state.frames + batch.shape[2], halos, output
+        state.frames, state.partials, state.output = (
+            state.frames + batch.shape[2], [] if last else partials, output
+        )
 
     # ------------------------------------------------------------------
     def shadow_spectrogram_batch(
         self,
         spectrograms: np.ndarray,
         d_vector: np.ndarray,
-        head: Optional["PassState"] = None,
+        state: Optional["PassState"] = None,
     ) -> np.ndarray:
         """Signed shadow spectrograms ``S_shadow`` for a ``(N, F, T)`` batch.
 
@@ -384,12 +389,12 @@ class Selector(Module):
         to the mixed spectrogram leaves ``(1 - M) * S_mixed ~= S_bk``.  In
         ``spectrogram`` mode the head output is used directly.  ``d_vector``
         may be one shared ``(dim,)`` embedding or per-segment ``(N, dim)``
-        rows, and ``head`` is a pass whose head block has run (see
+        rows, and ``state`` is a pass whose first blocks have run (see
         :meth:`forward_batch`, also for the dtype rule).  One segment is
         ``shadow_spectrogram_batch(spectrogram[None], d_vector)[0]``.
         """
         mixed = np.asarray(spectrograms)
-        output = self.forward_batch(mixed, d_vector, head).transpose(0, 2, 1)  # (N, F, T)
+        output = self.forward_batch(mixed, d_vector, state).transpose(0, 2, 1)  # (N, F, T)
         if self.config.output_mode == "mask":
             return -(output * mixed)
         return output
@@ -400,43 +405,48 @@ class PassState:
     """One gradient-free pass part-way through its segment, for :meth:`Selector.row_block`.
 
     Made by :meth:`Selector.open_pass`.  ``frames`` counts the input frames
-    run so far.  ``halos[l]`` holds the rows of conv layer ``l``'s input
-    that the next block reads: its last ``2·pad_l`` rows at most (none for
-    the first layer).  ``output`` holds the FC head's pre-sigmoid rows so
-    far, and ``vector_term`` the d-vector's FC term, so later blocks read
-    no d-vector.  After the head block at ``NECConfig.default()`` in
-    float32 it takes 0.43 MB (:attr:`nbytes`).
+    run so far.  ``partials[l]`` is conv layer ``l``'s
+    :class:`~repro.nn.conv.PartialRows`: the partial sums of the output
+    rows its inputs so far touched but did not finish, ``2·pad_l`` rows
+    once past the first few (none for the first layer), empty before the
+    first block and after the last.  ``output`` holds the FC head's
+    pre-sigmoid rows so far, and ``vector_term`` the d-vector's FC term, so
+    later blocks read no d-vector.  Between blocks at
+    ``NECConfig.default()`` in float32 it takes about 0.4 MB
+    (:attr:`nbytes`).
     """
 
     vector_term: np.ndarray                   # (H,) or (N, 1, H)
     frames: int = 0
-    halos: List[np.ndarray] = field(default_factory=list)
+    partials: List[PartialRows] = field(default_factory=list)
     output: Optional[np.ndarray] = None       # (N, rows so far, F), pre-sigmoid
 
     @property
     def nbytes(self) -> int:
-        arrays = (*self.halos, self.vector_term, self.output)
-        return int(sum(array.nbytes for array in arrays if array is not None))
+        arrays = (self.vector_term, self.output)
+        held = sum(array.nbytes for array in arrays if array is not None)
+        return int(held + sum(partial.nbytes for partial in self.partials))
 
 
 @dataclass
 class StreamRequest:
-    """One stream's segment inside a :class:`StreamBatch`, run as two row blocks.
+    """One stream's segment inside a :class:`StreamBatch`, run as the blocks of the grid.
 
-    The head block runs :meth:`Selector.row_block` on ``head_spectrogram``,
-    the segment's first ``S`` frames, with ``d_vector``; it can run while
-    the segment is still being spoken, and leaves its :class:`PassState` in
-    ``state``.  The tail block needs ``mixed_spectrogram``, the whole
-    ``(F, T)`` segment; once it has run, ``shadow_spectrogram`` holds the
-    signed ``(F, T)`` shadow.  Each block drops the input it no longer needs.
+    Every block but the closing one runs :meth:`Selector.row_block` on its
+    own frames, queued by :meth:`StreamBatch.submit_block` as soon as they
+    exist, with ``d_vector``; they leave the pass in ``state``.  The closing
+    block needs ``mixed_spectrogram``, the whole ``(F, T)`` segment, and
+    runs the pass's remaining blocks; once it has, ``shadow_spectrogram``
+    holds the signed ``(F, T)`` shadow and ``state`` is dropped.
     """
 
-    head_spectrogram: Optional[np.ndarray]           # (F, S) until the head block ran
     d_vector: np.ndarray                             # (embedding_dim,)
+    closing_start: int                               # the closing block's first frame
+    queued: int = 0                                  # frames queued: a block end
+    state: Optional[PassState] = None                # after the blocks that ran
     mixed_spectrogram: Optional[np.ndarray] = None   # (F, T) once the segment closed
-    state: Optional[PassState] = None                # between the two blocks
     shadow_spectrogram: Optional[np.ndarray] = None  # (F, T) once ticked
-    #: A head block that yielded to a tail, resumed by the next tick.
+    #: An early block that yielded to a closing one, resumed by the next tick.
     steps: Optional[Iterator[None]] = field(default=None, repr=False)
 
     @property
@@ -445,8 +455,14 @@ class StreamRequest:
 
     @property
     def tail_ready(self) -> bool:
-        """True once the head block has run, so the tail block can run."""
-        return self.state is not None
+        """True once every block before the closing one has run."""
+        ran = 0 if self.state is None else self.state.frames
+        return not self.done and ran == self.closing_start
+
+
+#: A queued block: its request, its end frame, and its ``(F, t)`` frames,
+#: ``None`` for the closing block, which reads the request's whole segment.
+_Stage = Tuple[StreamRequest, int, Optional[np.ndarray]]
 
 
 class StreamBatch:
@@ -454,26 +470,28 @@ class StreamBatch:
 
     Concurrent streaming protectors each complete segments at their own
     pace.  A segment is one :class:`StreamRequest` carrying its speaker's
-    d-vector, and runs as two queued stages: :meth:`submit_head` queues the
-    head block as soon as the segment's first ``S`` frames exist, and
-    :meth:`submit` queues the tail block when the segment closes (both, if
-    the head was not submitted early).  :meth:`tick` runs every queued stage,
-    tails whose head has run first and the rest in submit order, and marks
-    each request done as soon as its shadow exists.  A head runs one
-    convolution at a time and yields to a tail that becomes runnable
-    meanwhile: the next tick runs that tail, then the rest of the head.  So
-    a closing segment waits for at most one head layer, not a whole head
-    block, and a stream's head never delays another stream's shadow by
-    more.  A request's shadow is exactly what a dedicated per-stream pass
-    produces, whichever streams and speakers share the tick and whenever
-    its head ran (pinned by the test suite).  Requests are not stacked into
+    d-vector, and runs as the blocks of the Selector's grid
+    (:meth:`Selector.block_bounds`), each a queued stage:
+    :meth:`submit_block` queues an early block as soon as its frames exist,
+    and :meth:`submit` queues the closing block when the segment closes
+    (with every early block not yet queued, ahead of it).  :meth:`tick`
+    runs every queued stage, closing blocks whose earlier blocks have run
+    first and the rest in submit order, and marks each request done as soon
+    as its shadow exists.  An early block runs one convolution at a time
+    and yields to a closing block that becomes runnable meanwhile: the next
+    tick runs that one, then the rest of the early block.  So a closing
+    segment waits for at most one layer of another stream's block, and a
+    stream's early blocks never delay another stream's shadow by more.  A
+    request's shadow is exactly what a dedicated per-stream pass produces,
+    whichever streams and speakers share the tick and whenever its early
+    blocks ran (pinned by the test suite).  Requests are not stacked into
     one pass: at the deployment geometry stacking saves no time per segment
     and multiplies the convolution working set.
 
     The queue owns retries: a tick whose stage raises puts the failed stage
     and every stage behind it back at the head of the queue, ahead of any
     later submit, and re-raises; the next tick runs them in order, so a
-    failed head still runs before its own tail.
+    failed early block still runs before its request's later blocks.
 
     The batch is also where a serving process synchronises: producer
     threads (streaming sessions) submit while one ticker thread drives
@@ -488,8 +506,9 @@ class StreamBatch:
 
     def __init__(self, selector: Selector) -> None:
         self.selector = selector
-        #: Queued stages: ``(request, tail)``, ``tail`` False for a head stage.
-        self._pending: List[Tuple[StreamRequest, bool]] = []
+        #: The block ends of every segment's pass.
+        self._bounds = selector.block_bounds(selector.config.num_frames)
+        self._pending: List[_Stage] = []
         self._cond = threading.Condition()
         self._closed = False
         self.ticks = 0
@@ -501,20 +520,18 @@ class StreamBatch:
     def pending_requests(self) -> int:
         """Queued segments: those with a stage awaiting a tick."""
         with self._cond:
-            return len({id(request) for request, _ in self._pending})
+            return len({id(request) for request, _, _ in self._pending})
 
     @property
     def closed(self) -> bool:
         return self._closed
 
-    def _checked(self, spectrogram, d_vector, head: bool):
+    def _checked(self, spectrogram, d_vector, frames: int):
         """Check shapes up front: a malformed request would fail every tick
         and, requeued at the head, hold up every request behind it."""
         spectrogram, d_vector = np.asarray(spectrogram), np.asarray(d_vector)
         config = self.selector.config
-        bins, frames = config.frequency_bins, config.num_frames
-        if head:
-            frames = self.selector.head_frames(frames)
+        bins = config.frequency_bins
         if spectrogram.shape != (bins, frames) or d_vector.shape != (config.embedding_dim,):
             raise ValueError(
                 f"expected a ({bins}, {frames}) spectrogram and a "
@@ -525,19 +542,38 @@ class StreamBatch:
             raise RuntimeError("StreamBatch is closed")
         return spectrogram, d_vector
 
-    def submit_head(self, head_spectrogram: np.ndarray, d_vector: np.ndarray) -> StreamRequest:
-        """Queue a segment's head stage: its first ``S`` frames, ``(F, S)``.
+    def _request(self, d_vector: np.ndarray) -> StreamRequest:
+        return StreamRequest(d_vector=d_vector, closing_start=(0, *self._bounds)[-2])
 
-        ``S = selector.head_frames(T)``.  The segment's d-vector is read
-        here, once; pass the returned request to :meth:`submit` when the
-        segment closes.
-        """
-        head_spectrogram, d_vector = self._checked(head_spectrogram, d_vector, head=True)
-        request = StreamRequest(head_spectrogram=head_spectrogram, d_vector=d_vector)
+    def _queue(self, request: StreamRequest, stages: List[_Stage]) -> StreamRequest:
+        request.queued = stages[-1][1]
         with self._cond:
-            self._pending.append((request, False))
+            self._pending.extend(stages)
             self._cond.notify_all()
         return request
+
+    def submit_block(
+        self,
+        frames: np.ndarray,
+        d_vector: Optional[np.ndarray] = None,
+        request: Optional[StreamRequest] = None,
+    ) -> StreamRequest:
+        """Queue a segment's next early block: its ``(F, t)`` frames.
+
+        The block is the next one of the grid after those ``request``
+        queued, or the first one without ``request``, whose d-vector is
+        read here, once.  Pass the returned request to the next
+        :meth:`submit_block` and to :meth:`submit` when the segment closes.
+        """
+        queued = 0 if request is None else request.queued
+        end = next((bound for bound in self._bounds[:-1] if bound > queued), None)
+        if end is None:
+            raise ValueError("the closing block is queued by submit()")
+        vector = request.d_vector if request is not None else d_vector
+        frames, vector = self._checked(frames, vector, end - queued)
+        if request is None:
+            request = self._request(vector)
+        return self._queue(request, [(request, end, frames)])
 
     def submit(
         self,
@@ -547,22 +583,24 @@ class StreamBatch:
     ) -> StreamRequest:
         """Queue a closed segment's ``(F, T)`` spectrogram for the next tick.
 
-        ``request`` is the segment's request from :meth:`submit_head`, whose
-        d-vector the tail uses.  Without it, the head stage (with
-        ``d_vector``) is queued here too, just ahead of the tail.
+        ``request`` is the segment's request from :meth:`submit_block`,
+        whose d-vector every block uses.  Without it, or if it did not
+        queue every early block, the missing ones (with ``d_vector``) are
+        queued here too, just ahead of the closing block.
         """
         vector = request.d_vector if request is not None else d_vector
-        mixed, vector = self._checked(mixed_spectrogram, vector, head=False)
-        stages = [(request, True)]
+        mixed, vector = self._checked(mixed_spectrogram, vector, self._bounds[-1])
         if request is None:
-            split = self.selector.head_frames(mixed.shape[1])
-            request = StreamRequest(head_spectrogram=mixed[:, :split], d_vector=vector)
-            stages = [(request, False), (request, True)]
+            request = self._request(vector)
+        stages: List[_Stage] = []
+        start = request.queued
+        for end in self._bounds[:-1]:
+            if end > start:
+                stages.append((request, end, mixed[:, start:end]))
+                start = end
+        stages.append((request, self._bounds[-1], None))
         request.mixed_spectrogram = mixed
-        with self._cond:
-            self._pending.extend((request, tail) for _, tail in stages)
-            self._cond.notify_all()
-        return request
+        return self._queue(request, stages)
 
     def close(self) -> None:
         """Refuse further submits.
@@ -586,17 +624,23 @@ class StreamBatch:
         with self._cond:
             self._cond.notify_all()
 
-    def _tail_waiting(self) -> bool:
-        with self._cond:
-            return any(tail and request.tail_ready for request, tail in self._pending)
+    @staticmethod
+    def _closing_ready(stage: _Stage) -> bool:
+        request, _, frames = stage
+        return frames is None and request.tail_ready
 
-    def _run(self, request: StreamRequest, tail: bool) -> bool:
-        """One block of one request; False if a head yielded to a waiting tail."""
+    def _closing_waiting(self) -> bool:
+        with self._cond:
+            return any(self._closing_ready(stage) for stage in self._pending)
+
+    def _run(self, stage: _Stage) -> bool:
+        """One block of one request; False if an early block yielded to a closing one."""
+        request = stage[0]
         if request.steps is None:
-            request.steps = self._block(request, tail)
+            request.steps = self._block(stage)
         try:
-            for _ in request.steps:  # only a head block yields
-                if self._tail_waiting():
+            for _ in request.steps:  # only an early block yields
+                if self._closing_waiting():
                     return False
         except BaseException:
             request.steps = None  # a retry starts the block again
@@ -604,35 +648,38 @@ class StreamBatch:
         request.steps = None
         return True
 
-    def _block(self, request: StreamRequest, tail: bool) -> Iterator[None]:
-        if tail:  # inside forward_batch, like every closing block
+    def _block(self, stage: _Stage) -> Iterator[None]:
+        request, _, frames = stage
+        if frames is None:  # inside forward_batch, like every closing block
             request.shadow_spectrogram = self.selector.shadow_spectrogram_batch(
                 request.mixed_spectrogram[None], request.d_vector, request.state
             )[0]
             request.state = None
             return
-        head = request.head_spectrogram[None]
-        state = self.selector.open_pass(request.d_vector, head.dtype)
-        yield from self.selector.row_block(state, head)
-        request.state, request.head_spectrogram = state, None
+        state = request.state
+        if state is None:
+            state = self.selector.open_pass(request.d_vector, frames.dtype)
+        yield from self.selector.row_block(state, frames[None])
+        request.state = state
 
     def tick(self) -> int:
         """Run the pending stages; returns the segments finished.
 
-        Tails whose head has run go first, then every other stage in submit
-        order.  The tick ends early when a head yields to a tail submitted
-        during it; the yielded head and every stage behind it stay queued,
-        ahead of later submits.  Waiters are notified as each request's
-        shadow comes to exist, before the next stage runs.
+        Closing blocks whose earlier blocks have run go first, then every
+        other stage in submit order.  The tick ends early when an early
+        block yields to a closing block submitted during it; the yielded
+        block and every stage behind it stay queued, ahead of later
+        submits.  Waiters are notified as each request's shadow comes to
+        exist, before the next stage runs.
         """
         with self._cond:
             queued, self._pending = self._pending, []
         # sorted() is stable: submit order holds within each group.
-        pending = sorted(queued, key=lambda stage: not (stage[1] and stage[0].tail_ready))
+        pending = sorted(queued, key=lambda stage: not self._closing_ready(stage))
         finished = 0
-        for position, (request, tail) in enumerate(pending):
+        for position, stage in enumerate(pending):
             try:
-                complete = self._run(request, tail)
+                complete = self._run(stage)
             except BaseException:
                 with self._cond:
                     self._pending[:0] = pending[position:]
@@ -641,7 +688,7 @@ class StreamBatch:
                 with self._cond:
                     self._pending[:0] = pending[position:]
                 break
-            if tail:
+            if stage[2] is None:
                 finished += 1
                 self.notify()
         self.ticks += 1

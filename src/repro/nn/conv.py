@@ -3,17 +3,29 @@
 Every pass zero-pads each channel into a flat ``(C, Hp*Wp + slack)`` buffer
 and gathers the ``kw`` horizontal taps into ``(C*kw, Hp*Wp)`` columns.  One
 GEMM of the stacked weights, ``(kh*O, C*kw) @ (C*kw, Hp*Wp)``, then gives
-every vertical tap's partial sums over the whole padded plane, and ``kh``
-shifted adds sum them into the output (:func:`_stacked_conv`): tap ``ky``
-is the accumulator's ``ky``-th block of ``O`` rows read ``ky*dil_h`` plane
-rows further down.  A GEMM stacks only as many taps as keep the
-accumulator within the gather (:func:`_taps_per_gemm`): every 5×5 layer is
-one GEMM, the 7×1 layer one per tap.  :meth:`Conv2d.infer` is the
-gradient-free pass; its gather, :func:`strided_im2col`, and its accumulator
-live in a per-thread workspace that every block height shares.
-:meth:`Conv2d.forward` is the autograd pass: it gathers one example at a
-time into reused buffers and keeps nothing for backward beyond the graph's
-own arrays.  Backward re-gathers the input
+every vertical tap's partial sums over the plane, and ``kh`` shifted adds
+sum them into the output: tap ``ky`` is the GEMM's ``ky``-th block of ``O``
+rows, and its input row ``r`` feeds output row ``r + top − ky*dil_h``.  A
+GEMM stacks only as many taps as keep its result within the gather
+(:func:`_taps_per_gemm`): every 5×5 layer is one GEMM, the 7×1 layer one per
+tap.
+
+:meth:`Conv2d.infer` is the gradient-free pass, and it runs in row blocks.
+A block's GEMM covers only the block's new input rows: no zero pad row and
+no row of an earlier block goes through it again.  Each tap's rows are
+added into the output rows they feed, in ascending tap order after the
+bias, and an output row is final (and gets the ReLU) once every input row
+it reads has arrived; the unfinished rows' partial sums carry to the next
+block in a :class:`PartialRows`.  So a pass sends every input row through
+the GEMM exactly once however it is blocked, and two passes on the same
+block grid issue the same GEMMs and give the same bits.  A whole plane is
+the one-block case.  The gather, :func:`strided_im2col`, and the GEMM's
+result live in a per-thread workspace that every block height shares.
+
+:meth:`Conv2d.forward` is the autograd pass: it gathers one zero-padded
+example at a time into reused buffers, runs the stacked GEMM over the whole
+padded plane (:func:`_stacked_conv`), and keeps nothing for backward beyond
+the graph's own arrays.  Backward re-gathers the input
 for the weight gradient, the stacked GEMM turned round, and runs the input
 gradient through the same kernel: the output gradient convolved with the
 flipped, channel-swapped weights.  Both passes are stride 1 and both are
@@ -25,6 +37,7 @@ from __future__ import annotations
 
 import math
 import threading
+from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
@@ -39,10 +52,10 @@ IntPair = Union[int, Tuple[int, int]]
 Padding = Tuple[Union[int, Tuple[int, int]], int]
 
 #: Thread-local workspace of the gradient-free pass: the padded, column and
-#: accumulator buffers, keyed on the gather signature without the block
-#: height, ``(N, C, W, kw, dil_w, side, dtype)``.  Each buffer grows to the
-#: largest request its key has seen, so the Selector's head block, tail block
-#: and a whole pass share one set.  Fresh multi-megabyte allocations page-fault
+#: accumulator (GEMM result) buffers, keyed on the gather signature without
+#: the block height, ``(N, C, W, kw, dil_w, side, dtype)``.  Each buffer grows
+#: to the largest request its key has seen, so every block of the Selector's
+#: grid and a whole plane share one set.  Fresh multi-megabyte allocations page-fault
 #: on every call; reusing warm buffers changes no bit, only the destination
 #: memory.  Thread-local because the serving tick thread and callers on other
 #: threads share the layer objects.  The Selector runs at most
@@ -51,8 +64,8 @@ _workspace = threading.local()
 
 #: Cap on the bytes of one thread's workspace.  A buffer that would take the
 #: total past it first drops every other key's buffers, so a thread holds at
-#: most the cap or one key's set, whichever is larger.  Inference at
-#: ``NECConfig.default()`` holds 12.4 MB in float32, in 3 entries.
+#: most the cap or one key's set, whichever is larger.  The Selector's blocked
+#: pass at ``NECConfig.default()`` holds 11.9 MB in float32, in 3 entries.
 _WORKSPACE_MAX_BYTES = 256 << 20
 
 
@@ -137,13 +150,13 @@ def _sides(padding: Padding) -> Tuple[int, int, int]:
 
 
 def _checked_output_size(
-    x: np.ndarray,
+    size: Tuple[int, int],
     kernel_size: Tuple[int, int],
     dilation: Tuple[int, int],
     padding: Padding,
 ) -> Tuple[int, int]:
-    """The stride-1 output size of ``x``'s planes, refusing an empty output."""
-    h, w = x.shape[2:]
+    """The stride-1 output size of ``(H, W)`` planes, refusing an empty output."""
+    h, w = size
     top, bottom, side = _sides(padding)
     out_h = h + top + bottom - (kernel_size[0] - 1) * dilation[0]
     out_w = w + 2 * side - (kernel_size[1] - 1) * dilation[1]
@@ -221,16 +234,15 @@ def _stacked_conv(
     out: np.ndarray,
     acc: np.ndarray,
 ) -> np.ndarray:
-    """The kernel from gathered columns: stacked GEMMs, then ``kh`` shifted adds.
+    """The training kernel from gathered columns: stacked GEMMs, then ``kh`` shifted adds.
 
     ``cols`` is ``(..., C*kw, Hp*Wp)`` with ``Wp = width`` and ``stacked`` the
     ``(kh*O, C*kw)`` weights.  One GEMM covers :func:`_taps_per_gemm`
     vertical taps, over the plane rows they read, into the flat ``acc``
     (:func:`_accumulator_size` elements per leading index).  Tap ``ky`` is
     its block of ``O`` rows, and plane row ``y + ky*dil_h`` adds into row
-    ``y`` of ``out``, ``(..., O, out_h, w)``, bias first and the ReLU last.
-    ``w`` is ``out_w``, or ``Wp`` for contiguous adds whose last
-    ``Wp - out_w`` columns (read across a row boundary) the caller drops.
+    ``y`` of ``out``, ``(..., O, out_h, out_w)``, bias first and the ReLU
+    last.
     """
     out_c, out_h, out_w = out.shape[-3:]
     lead = cols.shape[:-2]
@@ -297,9 +309,16 @@ def strided_im2col(
     height of the same ``(N, C, W)`` signature.  Inference-only: no autograd
     graph is recorded, and the returned array aliases the workspace — it is
     valid until the next call of the same signature on the same thread (the
-    inference engine consumes it immediately in the following GEMM).
+    inference engine consumes it immediately in the following GEMM).  A
+    block of any height gathers (:meth:`Conv2d.infer` pads no row); only a
+    width that leaves the horizontal taps no output column raises.
     """
-    _checked_output_size(x, kernel_size, dilation, padding)
+    side = padding[1]
+    if x.shape[3] + 2 * side - (kernel_size[1] - 1) * dilation[1] <= 0:
+        raise ValueError(
+            f"Convolution output would be empty: width {x.shape[3]}, "
+            f"kernel width {kernel_size[1]}, dilation {dilation}, padding {padding}"
+        )
     key = _workspace_key(x, kernel_size, dilation, padding)
     return _gather(
         x, kernel_size, dilation, padding,
@@ -439,7 +458,7 @@ class Conv2d(Module):
         (kh, kw), dilation, padding = self.kernel_size, self.dilation, self.padding
         w_data = weight.data
         relu = activation == "relu"
-        out_h, out_w = _checked_output_size(x.data, (kh, kw), dilation, padding)
+        out_h, out_w = _checked_output_size(x.shape[2:], (kh, kw), dilation, padding)
         stacked = _stacked(w_data)
         out_data = _tap_conv(
             x.data, np.empty((x.shape[0], self.out_channels, out_h, out_w)),
@@ -509,49 +528,135 @@ class Conv2d(Module):
         self,
         x: np.ndarray,
         activation: Optional[str] = None,
-        pad_rows: Optional[Tuple[int, int]] = None,
-    ) -> np.ndarray:
-        """Gradient-free forward pass on a ``(N, C, H, W)`` numpy array.
+        partial: Optional["PartialRows"] = None,
+        last: bool = True,
+    ):
+        """Gradient-free forward pass on a ``(N, C, H, W)`` numpy array, in row blocks.
 
-        The tap-wise kernel on this thread's workspace: :func:`strided_im2col`
-        gathers the ``kw`` horizontal taps of the zero-padded input into
-        ``cols`` of shape ``(N, C*kw, Hp*Wp)``, one GEMM of the stacked
-        ``(kh*O, C*kw)`` weights gives every vertical tap's partial sums, and
-        ``kh`` shifted strided adds (:func:`_stacked_conv`) write them into the
-        cropped output, bias first and, with ``activation="relu"``, the ReLU
-        last.  The pass computes in the dtype of ``x`` (float32 stays
-        float32, anything else is float64), with the weights cast once per
-        dtype and cached.  This is the building block of the batched
-        inference engine.
+        :func:`strided_im2col` gathers the ``kw`` horizontal taps of the
+        block's input rows, width-padded only, into ``cols`` of shape
+        ``(N, C*kw, H*Wp)``; one GEMM of the stacked ``(kh*O, C*kw)``
+        weights (one per :func:`_taps_per_gemm` group) gives every vertical
+        tap's partial sums, and each tap's rows are added into the output
+        rows they feed, in ascending tap order after the bias.  Output row
+        ``y`` reads input rows up to ``y + reach`` (``reach = (kh−1)·dil_h −
+        pad_h``, the bottom padding of a ``same`` layer), so it is final,
+        and gets the ReLU with ``activation="relu"``, once they have all
+        arrived, or in the ``last`` block, where the rows past the plane are
+        the zero padding.  The pass computes in the dtype of ``x`` (float32
+        stays float32, anything else is float64), with the weights cast once
+        per dtype and cached.
 
-        ``pad_rows=(top, bottom)`` replaces the layer's zero padding of the
-        height (time) axis, so a block of rows can run on its own: the
-        Selector's head block pads only the top, its tail block carries the
-        head's last rows and pads only the bottom.
+        Without ``partial``, ``x`` is a whole plane, and the output array is
+        returned.  A row-blocked pass starts from ``PartialRows()`` and
+        passes each block's returned carry to the next: it returns
+        ``(rows, carry)``, the output rows this block finished and the
+        partial sums of those it touched but did not.  The carry is new, so
+        a block that raises leaves the one passed in as it was.  The GEMMs
+        depend only on the block heights, so passes blocked alike give the
+        same bits.
         """
         if activation not in (None, "relu"):
             raise ValueError(f"unsupported activation: {activation!r}")
         if x.ndim != 4:
             raise ValueError("Conv2d expects (N, C, H, W) input")
+        if partial is None and not last:
+            raise ValueError("a block before the last must start from a PartialRows")
         x = x.astype(np.result_type(x, np.float32), copy=False)
-        padding = self.padding if pad_rows is None else (tuple(pad_rows), self.padding[1])
-        out_h, out_w = _checked_output_size(x, self.kernel_size, self.dilation, padding)
-        cols = strided_im2col(x, self.kernel_size, self.dilation, padding)
+        rows, carry = self._infer_rows(
+            x, activation == "relu", PartialRows() if partial is None else partial, last
+        )
+        return rows if partial is None else (rows, carry)
+
+    def _infer_rows(
+        self, x: np.ndarray, relu: bool, partial: "PartialRows", last: bool
+    ) -> Tuple[np.ndarray, "PartialRows"]:
+        """One block of :meth:`infer`: the rows it finishes and the next carry."""
+        (kh, kw), (dil_h, dil_w) = self.kernel_size, self.dilation
+        top, side = self.padding
+        out_c = self.out_channels
+        reach = (kh - 1) * dil_h - top
+        num, _, height, in_w = x.shape
+        seen = partial.seen + height
+        width = in_w + 2 * side
+        # Output rows [done, end): the carried unfinished ones, then those this
+        # block touches first; in the last block, the plane's remaining rows.
+        done = max(partial.seen - reach, 0)
+        end, out_w = seen + top, width - (kw - 1) * dil_w
+        if last:
+            end, out_w = _checked_output_size(
+                (seen, in_w), self.kernel_size, self.dilation, self.padding
+            )
+        count = end - done
+        acc = np.empty((num, out_c, count, width), dtype=x.dtype)
+        kept = 0 if partial.sums is None else min(partial.sums.shape[2], count)
+        if kept:
+            acc[:, :, :kept] = partial.sums[:, :, :kept]
         bias = None if self.bias is None else self.bias.data
         stacked, bias_column = self._infer_weights.get(
             (self.weight.data, bias), x.dtype, _inference_weights
         )
-        num = x.shape[0]
-        width = x.shape[3] + 2 * self.padding[1]
-        size = _accumulator_size(stacked, self.out_channels, out_h, width, self.dilation[0])
-        acc = _workspace_buffer(
-            _workspace_key(x, self.kernel_size, self.dilation, padding),
-            "accumulator", (num * size,), x.dtype,
-        )
-        # The adds run over whole plane rows, contiguous, wrap columns too, and
-        # the result is a view that drops those columns.
-        out = np.empty((num, self.out_channels, out_h, width), dtype=x.dtype)
-        _stacked_conv(
-            cols, stacked, width, self.dilation[0], bias_column, activation == "relu", out, acc
-        )
-        return out[..., :out_w]
+        # Tap 0 reads each new row's first arrived input row, so it starts the
+        # rows from the carried ones on: it adds the bias as it writes them.
+        # Only rows it does not reach (the top padding's) start at the bias.
+        first_tap = kept if partial.seen else min(top, count)
+        if height == 0:
+            first_tap = count
+        acc[:, :, kept:first_tap] = 0.0 if bias_column is None else bias_column
+        if height:
+            cols = strided_im2col(x, self.kernel_size, self.dilation, (0, side))
+            group = _taps_per_gemm(stacked, out_c)
+            plane = height * width
+            result = _workspace_buffer(
+                _workspace_key(x, self.kernel_size, self.dilation, self.padding),
+                "accumulator", (num * group * out_c * plane,), x.dtype,
+            )
+            for first in range(0, kh, group):
+                weights = stacked[first * out_c : (first + group) * out_c]
+                taps = weights.shape[0] // out_c
+                part = result[: num * weights.shape[0] * plane]
+                part = part.reshape(num, weights.shape[0], plane)
+                np.matmul(weights, cols, out=part)
+                part = part.reshape(num, taps, out_c, height, width)
+                for j in range(taps):
+                    # This block's input row i feeds accumulator row i + offset.
+                    offset = partial.seen + top - (first + j) * dil_h - done
+                    low, high = max(-offset, 0), min(count - offset, height)
+                    if high <= low:
+                        continue
+                    # Whole plane rows, wrap columns too, so the adds are
+                    # contiguous; the returned rows drop those columns.
+                    rows, tap = acc[:, :, low + offset : high + offset], part[:, j, :, low:high]
+                    if first + j:
+                        rows += tap
+                    elif bias_column is None:
+                        np.copyto(rows, tap)
+                    else:
+                        np.add(tap, bias_column, out=rows)
+        final = count if last else max(seen - reach, 0) - done
+        rows = acc[:, :, :final]
+        if relu:
+            np.maximum(rows, 0.0, out=rows)
+        carry = PartialRows(seen, None if last else acc[:, :, final:].copy())
+        return rows[..., :out_w], carry
+
+
+@dataclass(frozen=True)
+class PartialRows:
+    """A row-blocked :meth:`Conv2d.infer` part-way through its input plane.
+
+    ``seen`` counts the input rows run so far.  ``sums`` holds, as
+    ``(N, O, rows, Wp)``, the partial sums of the output rows those inputs
+    touched but did not finish: rows ``[max(seen − reach, 0), seen +
+    pad_h)``, bias and every tap that read an arrived row added in, no
+    ReLU.  That is ``pad_h + reach`` rows once ``seen`` passes ``reach``:
+    the two vertical paddings of a ``same`` layer.  Columns past the output
+    width hold sums of reads across a row boundary and are never returned.
+    """
+
+    seen: int = 0
+    sums: Optional[np.ndarray] = None
+
+    @property
+    def nbytes(self) -> int:
+        return 0 if self.sums is None else self.sums.nbytes

@@ -147,6 +147,12 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        """Add a gradient that may alias another array: a first one is copied.
+
+        For pass-through backward functions, whose ``grad`` is the child's
+        gradient or a view of it (reshape, transpose, slices, an add whose
+        operand was not broadcast).
+        """
         if not self.requires_grad:
             return
         if self.grad is None:
@@ -157,13 +163,22 @@ class Tensor:
     def _accumulate_owned(self, grad: np.ndarray) -> None:
         """:meth:`_accumulate` for a fresh float64 array the caller gives up.
 
-        Binds ``grad`` without the defensive copy; the convolution's
-        multi-megabyte batched gradients make that copy count.  Safe because
-        nothing mutates a ``.grad`` array in place (the optimiser only reads).
+        Binds ``grad`` without the defensive copy: every backward function
+        that computes a new array (a product, a reduction, the convolution's
+        batched gradients) hands it over here.  Safe because nothing mutates
+        a ``.grad`` array in place (the optimiser only reads).
         """
         if not self.requires_grad:
             return
         self.grad = grad if self.grad is None else self.grad + grad
+
+    def _accumulate_unbroadcast(self, grad: np.ndarray) -> None:
+        """Add ``grad`` summed down to this tensor's shape; copied only if passed through."""
+        reduced = _unbroadcast(grad, self.shape)
+        if np.may_share_memory(reduced, grad):
+            self._accumulate(reduced)
+        else:
+            self._accumulate_owned(reduced)
 
     # ------------------------------------------------------------------
     # Arithmetic
@@ -173,8 +188,8 @@ class Tensor:
         out_data = self.data + other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad, self.shape))
-            other._accumulate(_unbroadcast(grad, other.shape))
+            self._accumulate_unbroadcast(grad)
+            other._accumulate_unbroadcast(grad)
 
         return self._make(out_data, (self, other), backward)
 
@@ -182,7 +197,7 @@ class Tensor:
 
     def __neg__(self) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(-grad)
+            self._accumulate_owned(-grad)
 
         return self._make(-self.data, (self,), backward)
 
@@ -197,8 +212,8 @@ class Tensor:
         out_data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad * other.data, self.shape))
-            other._accumulate(_unbroadcast(grad * self.data, other.shape))
+            self._accumulate_owned(_unbroadcast(grad * other.data, self.shape))
+            other._accumulate_owned(_unbroadcast(grad * self.data, other.shape))
 
         return self._make(out_data, (self, other), backward)
 
@@ -209,8 +224,8 @@ class Tensor:
         out_data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad / other.data, self.shape))
-            other._accumulate(
+            self._accumulate_owned(_unbroadcast(grad / other.data, self.shape))
+            other._accumulate_owned(
                 _unbroadcast(-grad * self.data / (other.data ** 2), other.shape)
             )
 
@@ -225,7 +240,7 @@ class Tensor:
         out_data = self.data ** exponent
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1))
+            self._accumulate_owned(grad * exponent * self.data ** (exponent - 1))
 
         return self._make(out_data, (self,), backward)
 
@@ -239,13 +254,13 @@ class Tensor:
                     grad_self = np.outer(grad, other.data) if grad.ndim == 1 else grad[..., None] * other.data
                 else:
                     grad_self = grad @ np.swapaxes(other.data, -1, -2)
-                self._accumulate(_unbroadcast(grad_self, self.shape))
+                self._accumulate_owned(_unbroadcast(grad_self, self.shape))
             if other.requires_grad:
                 if self.data.ndim == 1:
                     grad_other = np.outer(self.data, grad)
                 else:
                     grad_other = np.swapaxes(self.data, -1, -2) @ grad
-                other._accumulate(_unbroadcast(grad_other, other.shape))
+                other._accumulate_owned(_unbroadcast(grad_other, other.shape))
 
         return self._make(out_data, (self, other), backward)
 
@@ -263,7 +278,7 @@ class Tensor:
                 if not keepdims:
                     g = np.expand_dims(g, axis=axis)
                 expanded = np.broadcast_to(g, self.shape)
-            self._accumulate(expanded.astype(np.float64))
+            self._accumulate_owned(expanded.astype(np.float64))
 
         return self._make(out_data, (self,), backward)
 
@@ -283,13 +298,13 @@ class Tensor:
             if axis is None:
                 mask = (self.data == out_data).astype(np.float64)
                 mask /= mask.sum()
-                self._accumulate(mask * g)
+                self._accumulate_owned(mask * g)
             else:
                 expanded_out = out_data if keepdims else np.expand_dims(out_data, axis=axis)
                 g_expanded = g if keepdims else np.expand_dims(g, axis=axis)
                 mask = (self.data == expanded_out).astype(np.float64)
                 mask /= mask.sum(axis=axis, keepdims=True)
-                self._accumulate(mask * g_expanded)
+                self._accumulate_owned(mask * g_expanded)
 
         return self._make(out_data, (self,), backward)
 
@@ -329,7 +344,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             full = np.zeros_like(self.data)
             np.add.at(full, index, grad)
-            self._accumulate(full)
+            self._accumulate_owned(full)
 
         return self._make(out_data, (self,), backward)
 
@@ -354,7 +369,7 @@ class Tensor:
         out_data = self.data * mask
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
+            self._accumulate_owned(grad * mask)
 
         return self._make(out_data, (self,), backward)
 
@@ -362,7 +377,7 @@ class Tensor:
         out_data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data * (1.0 - out_data))
+            self._accumulate_owned(grad * out_data * (1.0 - out_data))
 
         return self._make(out_data, (self,), backward)
 
@@ -370,7 +385,7 @@ class Tensor:
         out_data = np.tanh(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1.0 - out_data ** 2))
+            self._accumulate_owned(grad * (1.0 - out_data ** 2))
 
         return self._make(out_data, (self,), backward)
 
@@ -378,7 +393,7 @@ class Tensor:
         out_data = np.exp(np.clip(self.data, -700.0, 700.0))
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data)
+            self._accumulate_owned(grad * out_data)
 
         return self._make(out_data, (self,), backward)
 
@@ -386,7 +401,7 @@ class Tensor:
         out_data = np.log(self.data + eps)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / (self.data + eps))
+            self._accumulate_owned(grad / (self.data + eps))
 
         return self._make(out_data, (self,), backward)
 
@@ -398,7 +413,7 @@ class Tensor:
         out_data = np.abs(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * sign)
+            self._accumulate_owned(grad * sign)
 
         return self._make(out_data, (self,), backward)
 
@@ -407,7 +422,7 @@ class Tensor:
         out_data = np.clip(self.data, low, high)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
+            self._accumulate_owned(grad * mask)
 
         return self._make(out_data, (self,), backward)
 
@@ -477,7 +492,9 @@ class Tensor:
             if self.size != 1:
                 raise RuntimeError("grad must be provided for non-scalar outputs")
             grad = np.ones_like(self.data)
-        grad = np.asarray(grad, dtype=np.float64)
+        else:
+            # A copy: the root binds its gradient, and a leaf root keeps it.
+            grad = np.array(grad, dtype=np.float64, copy=True)
 
         ordering: list[Tensor] = []
         visited: set[int] = set()

@@ -2,8 +2,9 @@
 
 Sessions feed audio from wherever their traffic arrives (request handlers,
 reader threads, a benchmark loop); each segment becomes one request in the
-shared :class:`~repro.core.selector.StreamBatch`, queued as a head stage
-before the segment ends and a tail stage when it closes.  The
+shared :class:`~repro.core.selector.StreamBatch`, queued as the Selector
+grid's early blocks before the segment ends and its closing block when it
+closes.  The
 :class:`TickLoop` thread is the only place inference runs: it sleeps in
 :meth:`StreamBatch.wait_for` until a stage is queued, then runs one
 :meth:`~repro.core.selector.StreamBatch.tick` over every queued stage across
@@ -104,7 +105,7 @@ class TickLoop:
         batch = self.batch
         try:
             while True:
-                # A tick can end with work queued (a head that yielded).
+                # A tick can end with work queued (an early block that yielded).
                 batch.wait_for(lambda: self._stopping or batch.pending_requests)
                 if self._stopping:
                     break

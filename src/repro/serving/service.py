@@ -10,7 +10,8 @@ costs no extra weights:
 - every open :class:`~repro.serving.session.ProtectionSession` submits each
   segment as one request to one shared
   :class:`~repro.core.selector.StreamBatch`, carrying that tenant's
-  d-vector: its head block before the segment ends, its tail when it closes;
+  d-vector: its early blocks before the segment ends, its closing block
+  when it closes;
 - the :class:`~repro.serving.loop.TickLoop` thread, started with the
   service, runs every pending request — across sessions and tenants — one
   tick at a time.  The batch is the one place serving synchronises: a

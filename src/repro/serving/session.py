@@ -9,9 +9,9 @@ plus the per-session latency ledger
 (:class:`~repro.core.pipeline.StreamLatencyStats`).
 
 Sessions never run inference themselves: feeding only buffers samples and
-queues each segment to the shared batch as one request (its head block as
-soon as the segment's first ``T − L`` frames exist, its tail when it
-closes); the
+queues each segment to the shared batch as one request (each early block
+of the Selector's grid as soon as its frames exist, the closing block when
+the segment closes); the
 service's :class:`~repro.serving.loop.TickLoop` runs the Selector pass and
 the session picks results up with :meth:`collect`.  A submit alone wakes the
 loop (the batch notifies under the lock that queues it), so a session never
@@ -94,7 +94,7 @@ class ProtectionSession:
 
     # -- lifecycle ---------------------------------------------------------
     def feed(self, chunk: Union[AudioSignal, np.ndarray]) -> None:
-        """Buffer a chunk; due head blocks and completed segments join the next tick.
+        """Buffer a chunk; due early blocks and completed segments join the next tick.
 
         Never returns results (the shared batch ticks on the service's
         loop); pick them up with :meth:`collect`.  Raises once the session

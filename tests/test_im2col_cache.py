@@ -158,11 +158,12 @@ def test_cache_is_thread_local():
 def test_shape_churn_guard_resets_store(monkeypatch):
     """The byte cap bounds the workspace: past it, a growing entry drops the others.
 
-    The bytes count every buffer of an entry, the accumulator too.
+    The bytes count every buffer of an entry, the accumulator too.  Inference
+    pads no row: the plane is the input's 16 rows, 18 columns wide.
     """
     layer = Conv2d(4, 4, (3, 3), padding=1)
     layer.infer(np.zeros((1, 4, 16, 16)))
-    padded, columns, accumulator = 4 * (18 * 18 + 2), 4 * 3 * 18 * 18, 3 * 4 * 18 * 18
+    padded, columns, accumulator = 4 * (16 * 18 + 2), 4 * 3 * 16 * 18, 3 * 4 * 16 * 18
     one_entry = 8 * (padded + columns + accumulator)
     assert im2col_buffer_cache_info() == {"entries": 1, "bytes": one_entry}
     monkeypatch.setattr(conv_module, "_WORKSPACE_MAX_BYTES", 3 * one_entry)
@@ -176,7 +177,7 @@ def test_shape_churn_guard_resets_store(monkeypatch):
 
 
 def test_selector_blocks_leave_the_whole_pass_workspace():
-    """At default(), a head block, a tail block and a whole pass hold what a whole pass holds.
+    """At default(), the grid's blocks run one at a time hold what a whole pass holds.
 
     The accumulator counts in the bytes; each block height reuses the buffers
     of its key instead of keeping a set of its own.
@@ -190,12 +191,12 @@ def test_selector_blocks_leave_the_whole_pass_workspace():
     selector.forward_batch(segment, d_vector)
     whole = im2col_buffer_cache_info()
     clear_im2col_buffer_cache()
-    split = selector.head_frames(frames)
     state = selector.open_pass(d_vector, np.float32)
-    for _ in selector.row_block(state, segment[:, :, :split]):
-        pass
-    for _ in selector.row_block(state, segment[:, :, split:], last=True):
-        pass
+    start = 0
+    for end in selector.block_bounds(frames):
+        for _ in selector.row_block(state, segment[:, :, start:end], last=end == frames):
+            pass
+        start = end
     selector.forward_batch(segment, d_vector)
     assert im2col_buffer_cache_info() == whole
     assert whole["entries"] == 3  # the 1x7, the 7x1 and every 5x5 layer

@@ -193,6 +193,41 @@ class TestGraphMechanics:
             (hidden * 2.0).sum().backward()
         np.testing.assert_array_equal(a.grad, spent)
 
+    def test_leaf_grads_alias_no_other_gradient_or_the_seed(self):
+        """Pass-through backwards copy a first gradient; fresh ones are bound as they are."""
+        rng = np.random.default_rng(0)
+        a, b, c = (_param(rng.normal(size=(2, 3))) for _ in range(3))
+        bias = _param(rng.normal(size=(3,)))
+        d = _param(rng.normal(size=(3, 2)))
+        e, f = (_param(rng.normal(size=(2, 3))) for _ in range(2))
+        leaves = [a, b, c, bias, d, e, f]
+        out = Tensor.concatenate(
+            [
+                b + f,                                   # identity unbroadcast, both sides
+                (c + bias).reshape(3, 2).transpose(),    # broadcast, reshape, transpose
+                Tensor.stack([a, e])[1],                 # stack, then a slice
+                (a @ d).pad(((0, 0), (0, 1))),           # fresh products, then a pad view
+                (e * 2.0).relu() - e.sigmoid(),
+            ],
+            axis=0,
+        )
+        seed = rng.normal(size=out.shape)
+        out.backward(seed)
+        for index, leaf in enumerate(leaves):
+            assert leaf.grad is not None
+            assert not np.shares_memory(leaf.grad, seed)
+            for other in leaves[index + 1 :]:
+                assert not np.shares_memory(leaf.grad, other.grad)
+        kept = [leaf.grad.copy() for leaf in leaves]
+        seed[...] = 0.0
+        for leaf, grad in zip(leaves, kept):
+            np.testing.assert_array_equal(leaf.grad, grad)
+        # A leaf that is the root binds a copy of the seed.
+        root = _param([1.0, 2.0])
+        seed = np.array([3.0, 4.0])
+        root.backward(seed)
+        assert not np.shares_memory(root.grad, seed)
+
     def test_deep_chain_does_not_recurse(self):
         a = _param([1.0])
         out = a

@@ -18,6 +18,7 @@ from oracles import conv2d_reference, protect_looped, protect_segment, selector_
 
 from repro.audio.signal import AudioSignal
 from repro.core import (
+    NECConfig,
     NECSystem,
     ProtectionResult,
     StreamingProtector,
@@ -26,6 +27,7 @@ from repro.core import (
 from repro.core.selector import ROWS_PER_PASS, Selector
 from repro.nn import Conv2d, Tensor, clear_im2col_buffer_cache
 from repro.nn import conv as conv_module
+from repro.nn.conv import PartialRows
 
 
 @pytest.fixture(scope="module")
@@ -341,11 +343,15 @@ class TestStreamingProtector:
 FLOAT32_RTOL = 1e-4
 
 
-def _head_state(selector, head_spectrograms, d_vector):
-    """A :class:`PassState` after its head block over ``head_spectrograms``."""
-    state = selector.open_pass(d_vector, head_spectrograms.dtype)
-    for _ in selector.row_block(state, head_spectrograms):
-        pass
+def _early_state(selector, spectrograms, d_vector, frames):
+    """A :class:`PassState` after the grid's blocks over the first ``frames`` frames."""
+    state = selector.open_pass(d_vector, spectrograms.dtype)
+    start = 0
+    for end in selector.block_bounds(spectrograms.shape[2]):
+        if end <= frames:
+            for _ in selector.row_block(state, spectrograms[:, :, start:end]):
+                pass
+            start = end
     return state
 
 
@@ -429,33 +435,38 @@ class TestBatchedSelector:
 
     @pytest.mark.parametrize("frames", [15, 11, 8])
     def test_short_geometry_matches_selector_reference(self, tiny_config, frames):
-        """``S − la_l ≤ 0`` at deep layers (and ``S = 0`` for 11 and 8 frames)."""
+        """Deep layers finish no row in the early blocks (``T − L ≤ 0`` for 11 and 8 frames)."""
+        bounds = {15: (4, 9, 15), 11: (5, 11), 8: (2, 8)}[frames]
         selector = Selector(tiny_config, seed=4)
         freq_bins = tiny_config.frequency_bins
         rng = np.random.default_rng(5)
         specs = np.abs(rng.normal(size=(2, freq_bins, frames)))
         d_vector = rng.normal(size=tiny_config.embedding_dim)
-        split = selector.head_frames(frames)
-        assert split == max(frames - 11, 0)
+        assert selector.lookahead_frames == 11 and selector.block_bounds(frames) == bounds
         batched = selector.forward_batch(specs, d_vector)
         for row in range(2):
             _assert_relative(batched[row], selector_reference(selector, specs[row], d_vector).data)
-            # A head block run on its own gives the same bits.
-            head = _head_state(selector, specs[row : row + 1, :, :split], d_vector)
-            np.testing.assert_array_equal(
-                selector.forward_batch(specs[row : row + 1], d_vector, head)[0], batched[row]
-            )
+            # Early blocks run on their own give the same bits.
+            for early in bounds[:-1]:
+                state = _early_state(selector, specs[row : row + 1], d_vector, early)
+                assert state.frames == early
+                np.testing.assert_array_equal(
+                    selector.forward_batch(specs[row : row + 1], d_vector, state)[0],
+                    batched[row],
+                )
 
     def test_forward_batch_rejects_a_mismatched_head(self, tiny_config):
         selector = Selector(tiny_config, seed=0)
         freq_bins, frames = tiny_config.spectrogram_shape
         specs = np.ones((2, freq_bins, frames))
         d_vector = np.zeros(tiny_config.embedding_dim)
-        split = selector.head_frames(frames)
-        head = _head_state(selector, specs[:1, :, : split - 1], d_vector)
+        split = selector.block_bounds(frames)[0]
+        off_grid = selector.open_pass(d_vector, specs.dtype)
+        for _ in selector.row_block(off_grid, specs[:1, :, : split - 1]):
+            pass
         with pytest.raises(ValueError):
-            selector.forward_batch(specs[:1], d_vector, head)
-        head = _head_state(selector, specs[:1, :, :split], d_vector)
+            selector.forward_batch(specs[:1], d_vector, off_grid)
+        head = _early_state(selector, specs[:1], d_vector, split)
         with pytest.raises(ValueError):
             selector.forward_batch(specs, d_vector, head)
         for bad in (specs[:, :, :split], specs[:1, :-1, :split]):  # two rows; wrong bins
@@ -468,19 +479,24 @@ class TestBatchedSelector:
         specs = np.abs(rng.normal(size=(1,) + tiny_config.spectrogram_shape))
         d_vector = rng.normal(size=tiny_config.embedding_dim)
         whole = selector.forward_batch(specs, d_vector)
-        split = selector.head_frames(specs.shape[2])
-        head = _head_state(selector, specs[:, :, :split], d_vector)
-        halos = [halo.copy() for halo in head.halos]
+        bounds = selector.block_bounds(specs.shape[2])
+        head = _early_state(selector, specs, d_vector, bounds[0])
+        partials = [(partial.seen, partial.sums.copy()) for partial in head.partials]
+        output = head.output.copy()
+
         def fail(*args, **kwargs):
-            raise MemoryError("no room for the tail block")
+            raise MemoryError("no room for the middle block")
 
         monkeypatch.setattr(selector.conv_out, "infer", fail)
         with pytest.raises(MemoryError):
             selector.forward_batch(specs, d_vector, head)
         monkeypatch.undo()
-        assert head.frames == split and head.output.shape[1] == split - selector.lookahead_frames
-        for halo, kept in zip(head.halos, halos):
-            np.testing.assert_array_equal(halo, kept)
+        assert head.frames == bounds[0]
+        assert head.output.shape[1] == bounds[0] - selector.lookahead_frames
+        np.testing.assert_array_equal(head.output, output)
+        for partial, (seen, sums) in zip(head.partials, partials):
+            assert partial.seen == seen
+            np.testing.assert_array_equal(partial.sums, sums)
         np.testing.assert_array_equal(selector.forward_batch(specs, d_vector, head), whole)
 
     def test_forward_batch_rejects_bad_shapes(self, tiny_config):
@@ -495,6 +511,72 @@ class TestBatchedSelector:
         freq_bins, frames = tiny_config.spectrogram_shape
         out = selector.forward_batch(np.zeros((0, freq_bins, frames)), np.zeros(tiny_config.embedding_dim))
         assert out.shape == (0, frames, freq_bins)
+
+
+class TestGemmRows:
+    """Every input row goes through each convolution's GEMMs once per pass, however blocked."""
+
+    def test_forward_batch_gemms_cover_only_real_input_rows(self, monkeypatch):
+        """One ``forward_batch`` row at ``default()``: no halo row, no zero pad row.
+
+        A layer's GEMM columns are plane rows × padded width, one GEMM per
+        group of stacked taps; over a pass they total the layer's 99 input
+        rows × its padded width × its tap groups, over the grid's 3 blocks.
+        """
+        config = NECConfig.default()
+        selector = Selector(config, seed=0)
+        rng = np.random.default_rng(8)
+        frames, bins = config.num_frames, config.frequency_bins
+        segment = np.abs(rng.normal(size=(1, bins, frames))).astype(np.float32)
+        d_vector = rng.normal(size=config.embedding_dim).astype(np.float32)
+        names = {
+            id(layer): name
+            for name, layer in [
+                ("conv_freq", selector.conv_freq),
+                ("conv_time", selector.conv_time),
+                *((f"dilated.{i}", layer) for i, layer in enumerate(selector.dilated)),
+                ("conv_out", selector.conv_out),
+            ]
+        }
+        columns = {name: 0 for name in names.values()}
+        calls = {name: 0 for name in names.values()}
+        current = []
+        matmul = np.matmul
+
+        def counted(a, b, *args, **kwargs):
+            if current:
+                columns[current[-1]] += b.shape[-1]
+            return matmul(a, b, *args, **kwargs)
+
+        def infer_of(layer):
+            infer = layer.infer
+
+            def traced(x, *args, **kwargs):
+                current.append(names[id(layer)])
+                calls[current[-1]] += 1
+                try:
+                    return infer(x, *args, **kwargs)
+                finally:
+                    current.pop()
+
+            return traced
+
+        for layer in selector._convs():
+            monkeypatch.setattr(layer, "infer", infer_of(layer))
+        monkeypatch.setattr(np, "matmul", counted)
+        selector.forward_batch(segment, d_vector)
+        monkeypatch.undo()
+        # padded width = 161 + 2·side; tap groups: 1 for the 1×7 and 5×5
+        # layers (all taps stacked), 7 for the 7×1 layer (one GEMM per tap).
+        assert columns == {
+            "conv_freq": frames * 167 * 1,
+            "conv_time": frames * 161 * 7,
+            "dilated.0": frames * 165 * 1,
+            "dilated.1": frames * 165 * 1,
+            "dilated.2": frames * 165 * 1,
+            "conv_out": frames * 165 * 1,
+        }
+        assert set(calls.values()) == {len(selector.block_bounds(frames))} == {3}
 
 
 class TestConvInfer:
@@ -516,17 +598,34 @@ class TestConvInfer:
         _assert_relative(conv.infer(x), conv2d_reference(conv, Tensor(x)).data)
 
     def test_pad_rows_runs_a_block_of_rows(self):
-        """Head rows pad the top only; tail rows carry their halo and pad the bottom."""
+        """Blocks of rows carry the partial sums of ``2·pad`` unfinished output rows.
+
+        Each block sends only its own input rows through the GEMM; an output
+        row comes out once the rows ``pad`` below it have arrived, all of
+        them in the last block.
+        """
         rng = np.random.default_rng(1)
         conv = Conv2d(3, 4, (5, 5), padding=(8, 2), dilation=(4, 1), rng=rng)
         conv.bias.data = rng.normal(size=conv.bias.data.shape)
         x = rng.normal(size=(1, 3, 40, 17))
         full = conv2d_reference(conv, Tensor(x)).data
-        split, pad = 25, 8
-        head = conv.infer(x[:, :, :split], pad_rows=(pad, 0))
-        tail = conv.infer(x[:, :, split - 2 * pad :], pad_rows=(0, pad))
-        _assert_relative(head, full[:, :, : split - pad])
-        _assert_relative(tail, full[:, :, split - pad :])
+        pad = 8
+        partial = PartialRows()
+        start = 0
+        for end in (3, 25, 31, 40):  # the first block finishes no row
+            last = end == 40
+            rows, partial = conv.infer(x[:, :, start:end], partial=partial, last=last)
+            done = max(start - pad, 0)
+            finished = 40 if last else end - pad
+            assert rows.shape[2] == max(finished, 0) - done
+            if rows.shape[2]:
+                _assert_relative(rows, full[:, :, done:finished])
+            assert partial.seen == end
+            if not last:
+                assert partial.sums.shape[2] == end + pad - max(end - pad, 0)
+            start = end
+        with pytest.raises(ValueError, match="PartialRows"):
+            conv.infer(x, last=False)
 
     @pytest.mark.parametrize("precision", ["float64", "float32"])
     @pytest.mark.parametrize(

@@ -340,18 +340,18 @@ class TestTickLoop:
 
         class BlocksSecondTail:
             config = tiny_config
-            head_frames = system.selector.head_frames
+            block_bounds = system.selector.block_bounds
             open_pass = system.selector.open_pass
             row_block = system.selector.row_block
 
             def __init__(self):
                 self.tails = 0
 
-            def shadow_spectrogram_batch(self, mixed, d_vector, head):
+            def shadow_spectrogram_batch(self, mixed, d_vector, state):
                 self.tails += 1
                 if self.tails == 2:
                     release.wait(30.0)
-                return system.selector.shadow_spectrogram_batch(mixed, d_vector, head)
+                return system.selector.shadow_spectrogram_batch(mixed, d_vector, state)
 
         batch = StreamBatch(BlocksSecondTail())
         loop = TickLoop(batch).start()
@@ -374,8 +374,8 @@ class TestTickLoop:
         class Exploding:
             config = tiny_config
 
-            def head_frames(self, frames):
-                return frames // 2
+            def block_bounds(self, frames):
+                return (frames // 2, frames)
 
             def open_pass(self, d_vector, dtype):
                 raise RuntimeError("boom")

@@ -250,8 +250,27 @@ def _streamed(protector, data, chunk):
     return np.concatenate(waves)
 
 
+class _RecordingBatch(StreamBatch):
+    """A :class:`StreamBatch` that records the end frame of every early block queued."""
+
+    def __init__(self, selector):
+        super().__init__(selector)
+        self.blocks = []
+
+    def submit_block(self, frames, d_vector=None, request=None):
+        request = super().submit_block(frames, d_vector, request)
+        self.blocks.append(request.queued)
+        return request
+
+
+def _grid_chunks(config, lookahead):
+    """1, 63, 64, ``⌈L/2⌉·hop ± 1``, ``L·hop ± 1``, 500 and a whole segment."""
+    half, whole = (lookahead + 1) // 2 * config.hop_length, lookahead * config.hop_length
+    return [1, 63, 64, half - 1, half + 1, whole - 1, whole + 1, 500, config.segment_samples]
+
+
 class TestHeadTailSplit:
-    """Each segment's head block runs before its last sample; nothing changes a bit."""
+    """Each segment's early blocks run before its last sample; nothing changes a bit."""
 
     @pytest.fixture(scope="class")
     def deployed(self):
@@ -266,20 +285,34 @@ class TestHeadTailSplit:
             streamed = _streamed(StreamingProtector(deployed), audio.data, chunk)
             np.testing.assert_array_equal(streamed, whole)
 
+    @pytest.mark.parametrize("precision", ["tiny-float64", "default-float32"])
+    def test_grid_chunkings_stream_bitwise_equal_protect(self, system, deployed, precision):
+        """Chunks around ``⌈L/2⌉·hop`` and ``L·hop``, in the dtype each geometry serves."""
+        nec = system if precision == "tiny-float64" else deployed
+        config = nec.config
+        assert config.inference_dtype == precision.split("-")[1]
+        audio = AudioSignal(_noise(int(2.35 * config.segment_samples), seed=80), config.sample_rate)
+        whole = nec.protect(audio).shadow_wave.data
+        for chunk in _grid_chunks(config, nec.selector.lookahead_frames):
+            streamed = _streamed(StreamingProtector(nec), audio.data, chunk)
+            np.testing.assert_array_equal(streamed, whole)
+
     def test_default_head_is_submitted_at_the_0_9_s_feed(self, deployed):
         config = deployed.config
         selector = deployed.selector
         assert selector.lookahead_frames == 19
-        assert selector.head_frames(config.num_frames) == config.num_frames - 19
-        batch = StreamBatch(selector)
+        assert selector.block_bounds(config.num_frames) == (80, 89, 99)
+        batch = _RecordingBatch(selector)
         protector = StreamingProtector(deployed, stream_batch=batch)
         chunk = config.sample_rate // 10
         data = _noise(config.segment_samples, seed=72)
         queued = []
         for start in range(0, data.size, chunk):
             protector.feed(data[start : start + chunk])
-            queued.append(batch.pending_requests)
-        assert queued == [0] * 8 + [1, 1]  # one segment: its head, then its tail
+            queued.append((batch.pending_requests, list(batch.blocks)))
+        # One segment: the 0.9 s feed queues its head and middle blocks, the
+        # 1.0 s feed its closing block.
+        assert queued == [(0, [])] * 8 + [(1, [80, 89])] * 2
         assert protector.pending_inference_segments == 1
         batch.tick()
         (result,) = protector.collect()
@@ -287,17 +320,20 @@ class TestHeadTailSplit:
         np.testing.assert_array_equal(result.shadow_wave.data, direct.shadow_wave.data)
 
     def test_head_state_is_bounded(self, deployed):
+        """Between blocks a pass carries ``2·pad`` partial rows per layer, under 0.5 MB."""
         config = deployed.config
         selector = deployed.selector
-        split = selector.head_frames(config.num_frames)
         state = selector.open_pass(deployed.embedding, np.float32)
-        for _ in selector.row_block(
-            state, np.ones((1, config.frequency_bins, split), dtype=np.float32)
-        ):
-            pass
-        # The halo rows and the FC rows the tail reads: about 0.43 MB.
-        assert state.frames == split and state.nbytes < 0.5e6
-        assert [halo.shape[2] for halo in state.halos] == [0, 6, 4, 8, 16, 4]
+        start = 0
+        for end in selector.block_bounds(config.num_frames)[:-1]:
+            block = np.ones((1, config.frequency_bins, end - start), dtype=np.float32)
+            for _ in selector.row_block(state, block):
+                pass
+            start = end
+            # The partial rows and the FC rows so far: about 0.4 MB.
+            assert state.frames == end and state.nbytes < 0.5e6
+            assert [partial.sums.shape[2] for partial in state.partials] == [0, 6, 4, 8, 16, 4]
+            assert state.output.shape[1] == end - selector.lookahead_frames
 
     @pytest.mark.parametrize("chunk", [1, 63, 64, 500, 11 * 64])
     def test_head_is_submitted_before_the_last_sample(self, system, tiny_config, chunk):
@@ -322,6 +358,74 @@ class TestHeadTailSplit:
         waves = [result.shadow_wave.data for result in protector.collect()]
         whole = system.protect(AudioSignal(data, tiny_config.sample_rate))
         np.testing.assert_array_equal(np.concatenate(waves), whole.shadow_wave.data)
+
+    @pytest.mark.parametrize("chunk", [1, 63, 64, 100, 5 * 64, 6 * 64 - 1, 6 * 64])
+    def test_middle_block_is_submitted_before_the_last_feed(self, system, tiny_config, chunk):
+        """For every chunk of at most ``⌈L/2⌉·hop`` samples, both early blocks precede close."""
+        bounds = system.selector.block_bounds(tiny_config.num_frames)
+        assert chunk <= (system.selector.lookahead_frames + 1) // 2 * tiny_config.hop_length
+        batch = _RecordingBatch(system.selector)
+        protector = StreamingProtector(system, stream_batch=batch)
+        segment = tiny_config.segment_samples
+        data = _noise(2 * segment, seed=81)
+        blocks_before_close = []
+        for start in range(0, data.size, chunk):
+            queued = list(batch.blocks)
+            completed = protector.pending_inference_segments
+            protector.feed(data[start : start + chunk])
+            if protector.pending_inference_segments > completed:
+                blocks_before_close.append(queued)
+        early = list(bounds[:-1])
+        assert blocks_before_close == [early, early + early]
+        batch.tick()
+        waves = [result.shadow_wave.data for result in protector.collect()]
+        whole = system.protect(AudioSignal(data, tiny_config.sample_rate))
+        np.testing.assert_array_equal(np.concatenate(waves), whole.shadow_wave.data)
+
+    def test_failed_middle_block_requeues_ahead_of_its_tail(self, system, tiny_config):
+        spectrogram = np.abs(
+            stft(
+                _noise(tiny_config.segment_samples, seed=82),
+                tiny_config.n_fft,
+                tiny_config.win_length,
+                tiny_config.hop_length,
+            )
+        )
+        head, middle = system.selector.block_bounds(spectrogram.shape[1])[:-1]
+        clean = system.selector.shadow_spectrogram_batch(spectrogram[None], system.embedding)[0]
+
+        class FailsOnFirstMiddle:
+            config = tiny_config
+            block_bounds = system.selector.block_bounds
+            open_pass = system.selector.open_pass
+
+            def __init__(self):
+                self.stages = []
+
+            def row_block(self, state, block, last=False):
+                self.stages.append(state.frames)
+                steps = system.selector.row_block(state, block, last)
+                if self.stages == [0, head]:
+                    next(steps)  # one layer runs, then the block fails
+                    raise MemoryError("no room for the middle block")
+                return steps
+
+            def shadow_spectrogram_batch(self, mixed, d_vector, state):
+                self.stages.append("closing")
+                return system.selector.shadow_spectrogram_batch(mixed, d_vector, state)
+
+        selector = FailsOnFirstMiddle()
+        batch = StreamBatch(selector)
+        request = batch.submit_block(spectrogram[:, :head], system.embedding)
+        batch.submit_block(spectrogram[:, head:middle], request=request)
+        with pytest.raises(MemoryError):
+            batch.tick()
+        assert batch.pending_requests == 1 and request.state.frames == head
+        assert batch.submit(spectrogram, request=request) is request
+        assert batch.tick() == 1
+        assert selector.stages == [0, head, head, "closing"]
+        np.testing.assert_array_equal(request.shadow_spectrogram, clean)
+        assert request.state is None
 
     def test_set_embedding_between_head_and_tail_keeps_one_d_vector(self, system, tiny_config):
         tenant = NECSystem(tiny_config, encoder=system.encoder, selector=system.selector)
@@ -355,47 +459,48 @@ class TestHeadTailSplit:
                 tiny_config.hop_length,
             )
         )
-        split = system.selector.head_frames(spectrogram.shape[1])
+        split = system.selector.block_bounds(spectrogram.shape[1])[0]
         clean = system.selector.shadow_spectrogram_batch(spectrogram[None], system.embedding)[0]
 
         class FailsOnFirstHead:
             config = tiny_config
-            head_frames = system.selector.head_frames
+            block_bounds = system.selector.block_bounds
             open_pass = system.selector.open_pass
 
             def __init__(self):
                 self.stages = []
 
             def row_block(self, state, block, last=False):
-                self.stages.append("head")
+                self.stages.append("head" if state.frames == 0 else "middle")
                 steps = system.selector.row_block(state, block, last)
                 if self.stages == ["head"]:
                     next(steps)  # one layer runs, then the block fails
                     raise MemoryError("no room for the head block")
                 return steps
 
-            def shadow_spectrogram_batch(self, mixed, d_vector, head):
+            def shadow_spectrogram_batch(self, mixed, d_vector, state):
                 self.stages.append("tail")
-                return system.selector.shadow_spectrogram_batch(mixed, d_vector, head)
+                return system.selector.shadow_spectrogram_batch(mixed, d_vector, state)
 
         selector = FailsOnFirstHead()
         batch = StreamBatch(selector)
-        request = batch.submit_head(spectrogram[:, :split], system.embedding)
+        request = batch.submit_block(spectrogram[:, :split], system.embedding)
         with pytest.raises(MemoryError):
             batch.tick()
         assert batch.pending_requests == 1 and request.state is None
         assert batch.submit(spectrogram, request=request) is request
         assert batch.tick() == 1
-        assert selector.stages == ["head", "head", "tail"]
+        # submit() queued the middle block the early submits had not.
+        assert selector.stages == ["head", "head", "middle", "tail"]
         np.testing.assert_array_equal(request.shadow_spectrogram, clean)
-        assert request.state is None and request.head_spectrogram is None
+        assert request.state is None
 
     def test_head_yields_to_a_tail_submitted_during_it(self, system, tiny_config):
-        """A closing segment waits for one head layer, not the whole head block."""
+        """A closing segment waits for one layer of another block, not the whole block."""
         rng = np.random.default_rng(79)
         frequency_bins, frames = tiny_config.spectrogram_shape
         spectrograms = [np.abs(rng.normal(size=(frequency_bins, frames))) for _ in range(2)]
-        split = system.selector.head_frames(frames)
+        head, middle = system.selector.block_bounds(frames)[:-1]
         clean = [
             system.selector.shadow_spectrogram_batch(spectrogram[None], system.embedding)[0]
             for spectrogram in spectrograms
@@ -405,30 +510,31 @@ class TestHeadTailSplit:
 
         class SubmitsDuringHead:
             config = tiny_config
-            head_frames = system.selector.head_frames
+            block_bounds = system.selector.block_bounds
             open_pass = system.selector.open_pass
 
-            def shadow_spectrogram_batch(self, mixed, d_vector, head):
+            def shadow_spectrogram_batch(self, mixed, d_vector, state):
                 events.append("tail")
-                return system.selector.shadow_spectrogram_batch(mixed, d_vector, head)
+                return system.selector.shadow_spectrogram_batch(mixed, d_vector, state)
 
             def row_block(self, state, block, last=False):
                 for step in system.selector.row_block(state, block, last):
                     events.append("head layer")
-                    if len(events) == layers + 2:  # B's first layer: A's segment closes now
+                    if len(events) == 2 * (layers + 1) + 1:  # B's first layer: A closes now
                         batch.submit(spectrograms[0], request=first)
                     yield step
                 events.append("head done")
 
         batch = StreamBatch(SubmitsDuringHead())
-        first = batch.submit_head(spectrograms[0][:, :split], system.embedding)
-        assert batch.tick() == 0 and first.tail_ready
-        second = batch.submit_head(spectrograms[1][:, :split], system.embedding)
+        first = batch.submit_block(spectrograms[0][:, :head], system.embedding)
+        batch.submit_block(spectrograms[0][:, head:middle], request=first)
+        assert batch.tick() == 0 and first.tail_ready  # A's head and middle blocks
+        second = batch.submit_block(spectrograms[1][:, :head], system.embedding)
         assert batch.tick() == 0  # B's head yielded after one layer
         assert not first.done and not second.tail_ready and batch.pending_requests == 2
-        assert batch.tick() == 1  # A's tail first, then the rest of B's head
-        assert first.done and second.tail_ready
-        assert events[layers + 1 :] == (
+        assert batch.tick() == 1  # A's closing block first, then the rest of B's head
+        assert first.done and second.state.frames == head
+        assert events[2 * (layers + 1) :] == (
             ["head layer", "tail"] + ["head layer"] * (layers - 1) + ["head done"]
         )
         batch.submit(spectrograms[1], request=second)
@@ -438,10 +544,18 @@ class TestHeadTailSplit:
 
     def test_submit_head_rejects_bad_shapes(self, system, tiny_config):
         frequency_bins, frames = tiny_config.spectrogram_shape
+        head, middle = system.selector.block_bounds(frames)[:-1]
         batch = StreamBatch(system.selector)
         with pytest.raises(ValueError):
-            batch.submit_head(np.zeros((frequency_bins, frames)), system.embedding)
+            batch.submit_block(np.zeros((frequency_bins, frames)), system.embedding)
         assert batch.pending_requests == 0
+        request = batch.submit_block(np.zeros((frequency_bins, head)), system.embedding)
+        with pytest.raises(ValueError):  # the middle block is middle − head frames
+            batch.submit_block(np.zeros((frequency_bins, head)), request=request)
+        batch.submit_block(np.zeros((frequency_bins, middle - head)), request=request)
+        with pytest.raises(ValueError, match="submit"):  # the closing block goes to submit()
+            batch.submit_block(np.zeros((frequency_bins, frames - middle)), request=request)
+        assert batch.pending_requests == 1 and request.queued == middle
 
     @pytest.mark.parametrize("frames", [15, 11, 8])
     def test_short_geometry_streaming_matches_protect(self, frames):
@@ -618,18 +732,18 @@ class TestStreamBatch:
 
         class FailsOnSecondPass:
             config = tiny_config
-            head_frames = system.selector.head_frames
+            block_bounds = system.selector.block_bounds
             open_pass = system.selector.open_pass
             row_block = system.selector.row_block
 
             def __init__(self):
                 self.inputs = []
 
-            def shadow_spectrogram_batch(self, mixed, d_vector, head):
+            def shadow_spectrogram_batch(self, mixed, d_vector, state):
                 self.inputs.append(mixed[0])
                 if len(self.inputs) == 2:
                     raise MemoryError("no room for the pass")
-                return system.selector.shadow_spectrogram_batch(mixed, d_vector, head)
+                return system.selector.shadow_spectrogram_batch(mixed, d_vector, state)
 
         selector = FailsOnSecondPass()
         batch = StreamBatch(selector)
