@@ -355,8 +355,9 @@ class StreamingProtector:
       Selector pass, one stage per block of the grid
       (:meth:`Selector.block_bounds`: frames ``[0, T−L)``,
       ``[T−L, T−⌈L/2⌉)``, ``[T−⌈L/2⌉, T)``).  As soon as the incremental
-      STFT has an early block's last frame, that block's frames are queued
-      (:meth:`StreamBatch.submit_block`): the first ends ``L·hop`` samples
+      STFT has an early block's last frame, that block's frames are queued,
+      with every other early block the same feed completed, in one
+      :meth:`StreamBatch.submit_block`: the first ends ``L·hop`` samples
       (190 ms at ``NECConfig.default()``) before the segment does, the
       second ``⌈L/2⌉·hop`` (100 ms).  When the segment completes
       (:meth:`flush` zero-pads the tail to a full one), the ``(F, T)``
@@ -405,7 +406,6 @@ class StreamingProtector:
         self._frames: List[np.ndarray] = []
         #: The open segment's request, once its first block's frames exist.
         self._open_request: Optional[StreamRequest] = None
-        self._early_bounds = system.selector.block_bounds(config.num_frames)[:-1]
         self._ready: List[_PendingSegment] = []      # completed, not yet submitted
         self._submitted: List[_PendingSegment] = []  # submitted, not yet collected
         self._segments_completed = 0
@@ -528,10 +528,9 @@ class StreamingProtector:
     def _drain_ready(self) -> List[ProtectionResult]:
         """Stage 2: submit closed segments and the open segment's due early
         blocks; tick a private batch holding requests."""
-        frames = sum(block.shape[1] for block in self._frames)
         queued = 0 if self._open_request is None else self._open_request.queued
-        due = [end for end in self._early_bounds if queued < end <= frames]
-        if self._ready or due:
+        end = self._batch.early_end(sum(block.shape[1] for block in self._frames))
+        if self._ready or end > queued:
             embedding = self.system.embedding  # fail fast *before* consuming state
             while self._ready:
                 segment = self._ready[0]
@@ -540,12 +539,12 @@ class StreamingProtector:
                     magnitude(segment.stft), embedding, segment.request
                 )
                 self._submitted.append(self._ready.pop(0))
-            for end in due:
+            if end > queued:
+                # Every early block this feed completed, in one submit.
                 block = magnitude(self._joined_frames()[:, queued:end])
                 self._open_request = self._batch.submit_block(
                     block, embedding, self._open_request
                 )
-                queued = end
         if self.stream_batch is not None:
             return []
         while self._batch.pending_requests:

@@ -472,16 +472,17 @@ class StreamBatch:
     pace.  A segment is one :class:`StreamRequest` carrying its speaker's
     d-vector, and runs as the blocks of the Selector's grid
     (:meth:`Selector.block_bounds`), each a queued stage:
-    :meth:`submit_block` queues an early block as soon as its frames exist,
+    :meth:`submit_block` queues early blocks as soon as their frames exist,
     and :meth:`submit` queues the closing block when the segment closes
     (with every early block not yet queued, ahead of it).  :meth:`tick`
     runs every queued stage, closing blocks whose earlier blocks have run
     first and the rest in submit order, and marks each request done as soon
     as its shadow exists.  An early block runs one convolution at a time
-    and yields to a closing block that becomes runnable meanwhile: the next
-    tick runs that one, then the rest of the early block.  So a closing
-    segment waits for at most one layer of another stream's block, and a
-    stream's early blocks never delay another stream's shadow by more.  A
+    and yields to a closing block that becomes runnable meanwhile, and does
+    not start while one waits: the next tick runs that one, then the rest
+    of the early blocks.  So a closing segment waits for at most one layer
+    of another stream's block, and a stream's early blocks never delay
+    another stream's shadow by more.  A
     request's shadow is exactly what a dedicated per-stream pass produces,
     whichever streams and speakers share the tick and whenever its early
     blocks ran (pinned by the test suite).  Requests are not stacked into
@@ -552,28 +553,53 @@ class StreamBatch:
             self._cond.notify_all()
         return request
 
+    def _early_stages(
+        self, request: StreamRequest, frames: np.ndarray, first: int
+    ) -> List[_Stage]:
+        """A stage per early block after those ``request`` queued that ends
+        within ``frames``, the segment's ``(F, t)`` frames from frame ``first``."""
+        stages: List[_Stage] = []
+        start = request.queued
+        for end in self._bounds[:-1]:
+            if start < end <= first + frames.shape[1]:
+                stages.append((request, end, frames[:, start - first : end - first]))
+                start = end
+        return stages
+
+    def early_end(self, frames: int) -> int:
+        """The end of the last early block within a segment's first ``frames`` frames, or 0.
+
+        A streaming caller hands :meth:`submit_block` its frames up to here.
+        """
+        return max((end for end in self._bounds[:-1] if end <= frames), default=0)
+
     def submit_block(
         self,
         frames: np.ndarray,
         d_vector: Optional[np.ndarray] = None,
         request: Optional[StreamRequest] = None,
     ) -> StreamRequest:
-        """Queue a segment's next early block: its ``(F, t)`` frames.
+        """Queue a segment's next early blocks: its ``(F, t)`` frames after those queued.
 
-        The block is the next one of the grid after those ``request``
-        queued, or the first one without ``request``, whose d-vector is
-        read here, once.  Pass the returned request to the next
+        The frames start after the blocks ``request`` queued, or at the
+        segment's first frame without ``request``, whose d-vector is read
+        here, once, and end at an early block's end (:meth:`early_end`).
+        Each block they span is queued as its own stage, all under one lock
+        and one notify.  Pass the returned request to the next
         :meth:`submit_block` and to :meth:`submit` when the segment closes.
         """
         queued = 0 if request is None else request.queued
-        end = next((bound for bound in self._bounds[:-1] if bound > queued), None)
-        if end is None:
-            raise ValueError("the closing block is queued by submit()")
+        end = queued + np.shape(frames)[-1]
+        if end not in self._bounds[:-1] or end == queued:
+            raise ValueError(
+                f"early blocks end at frames {self._bounds[:-1]}, after frame {queued}; "
+                "the closing block is queued by submit()"
+            )
         vector = request.d_vector if request is not None else d_vector
         frames, vector = self._checked(frames, vector, end - queued)
         if request is None:
             request = self._request(vector)
-        return self._queue(request, [(request, end, frames)])
+        return self._queue(request, self._early_stages(request, frames, queued))
 
     def submit(
         self,
@@ -592,12 +618,7 @@ class StreamBatch:
         mixed, vector = self._checked(mixed_spectrogram, vector, self._bounds[-1])
         if request is None:
             request = self._request(vector)
-        stages: List[_Stage] = []
-        start = request.queued
-        for end in self._bounds[:-1]:
-            if end > start:
-                stages.append((request, end, mixed[:, start:end]))
-                start = end
+        stages = self._early_stages(request, mixed, 0)
         stages.append((request, self._bounds[-1], None))
         request.mixed_spectrogram = mixed
         return self._queue(request, stages)
@@ -635,8 +656,11 @@ class StreamBatch:
 
     def _run(self, stage: _Stage) -> bool:
         """One block of one request; False if an early block yielded to a closing one."""
-        request = stage[0]
+        request, _, frames = stage
         if request.steps is None:
+            # Early blocks queued together share a tick; one not yet begun waits too.
+            if frames is not None and self._closing_waiting():
+                return False
             request.steps = self._block(stage)
         try:
             for _ in request.steps:  # only an early block yields
@@ -667,10 +691,10 @@ class StreamBatch:
 
         Closing blocks whose earlier blocks have run go first, then every
         other stage in submit order.  The tick ends early when an early
-        block yields to a closing block submitted during it; the yielded
-        block and every stage behind it stay queued, ahead of later
-        submits.  Waiters are notified as each request's shadow comes to
-        exist, before the next stage runs.
+        block yields to a closing block submitted during the tick, after a
+        layer or before its first; that block and every stage behind it
+        stay queued, ahead of later submits.  Waiters are notified as each
+        request's shadow comes to exist, before the next stage runs.
         """
         with self._cond:
             queued, self._pending = self._pending, []

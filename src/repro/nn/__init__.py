@@ -8,13 +8,14 @@ reverse-mode automatic differentiation, the layers the NEC Selector, the
 convolution with dilation, LSTM), the encoder's cross-entropy loss, the Adam
 optimiser and model (de)serialisation.
 
-A convolution runs one kernel, the tap-wise one: each channel is
-zero-padded once, the ``kw`` horizontal taps are gathered, one GEMM of the
-stacked ``(kh*O, C*kw)`` weights covers the vertical taps (one GEMM per tap
-where the stack would outgrow the gather), and ``kh`` shifted adds sum the
-taps into the output.  :meth:`Conv2d.forward` is
-its autograd pass and :meth:`Conv2d.infer` its gradient-free pass (gathering
-through :func:`strided_im2col` into a per-thread workspace).  The frequency-domain :func:`fft_conv2d` is
+A convolution runs one kernel, the tap-wise row kernel: each channel is
+zero-padded at the sides, the ``kw`` horizontal taps are gathered, one GEMM
+of the stacked ``(kh*O, C*kw)`` weights covers the vertical taps (one GEMM
+per tap where the stack would outgrow the gather), and ``kh`` shifted adds
+sum the taps into the output rows they feed.  :meth:`Conv2d.forward` is its
+autograd pass, one whole-plane block per example, and :meth:`Conv2d.infer`
+its gradient-free pass, a plane or a row block (gathering through
+:func:`strided_im2col` into a per-thread workspace).  The frequency-domain :func:`fft_conv2d` is
 not on either path; it remains exported until the benchmark's tracer stops
 looking it up.
 

@@ -1,44 +1,44 @@
-"""2-D convolution with dilation: one tap-wise kernel for training and inference.
+"""2-D convolution with dilation: one row kernel for training and inference.
 
-Every pass zero-pads each channel into a flat ``(C, Hp*Wp + slack)`` buffer
-and gathers the ``kw`` horizontal taps into ``(C*kw, Hp*Wp)`` columns.  One
-GEMM of the stacked weights, ``(kh*O, C*kw) @ (C*kw, Hp*Wp)``, then gives
-every vertical tap's partial sums over the plane, and ``kh`` shifted adds
-sum them into the output: tap ``ky`` is the GEMM's ``ky``-th block of ``O``
-rows, and its input row ``r`` feeds output row ``r + top − ky*dil_h``.  A
+Every pass zero-pads each channel at the sides only into a flat ``(C, H*Wp
++ slack)`` buffer and gathers the ``kw`` horizontal taps into ``(C*kw,
+H*Wp)`` columns.  One GEMM of the stacked weights, ``(kh*O, C*kw) @ (C*kw,
+H*Wp)``, then gives every vertical tap's partial sums over the input rows,
+and :func:`_conv_rows` adds them into the output rows they feed: tap ``ky``
+is the GEMM's ``ky``-th block of ``O`` rows, and its input row ``r`` feeds
+output row ``r + top − ky*dil_h`` (:func:`_tap_rows`).  No pass pads a
+row: the output rows no input row of a tap reaches get nothing from it.  A
 GEMM stacks only as many taps as keep its result within the gather
-(:func:`_taps_per_gemm`): every 5×5 layer is one GEMM, the 7×1 layer one per
-tap.
+(:func:`_taps_per_gemm`): every 5×5 layer is one GEMM, the 7×1 layer one
+per tap.
 
-:meth:`Conv2d.infer` is the gradient-free pass, and it runs in row blocks.
-A block's GEMM covers only the block's new input rows: no zero pad row and
-no row of an earlier block goes through it again.  Each tap's rows are
-added into the output rows they feed, in ascending tap order after the
-bias, and an output row is final (and gets the ReLU) once every input row
-it reads has arrived; the unfinished rows' partial sums carry to the next
-block in a :class:`PartialRows`.  So a pass sends every input row through
-the GEMM exactly once however it is blocked, and two passes on the same
-block grid issue the same GEMMs and give the same bits.  A whole plane is
-the one-block case.  The gather, :func:`strided_im2col`, and the GEMM's
-result live in a per-thread workspace that every block height shares.
+The kernel runs a plane in row blocks.  Each tap's rows are added into the
+output rows they feed, in ascending tap order after the bias, and an output
+row is final (and gets the ReLU) once every input row it reads has arrived;
+the unfinished rows' partial sums carry to the next block in a
+:class:`PartialRows`.  So a pass sends every input row through the GEMM
+exactly once however it is blocked, and two passes on the same block grid
+issue the same GEMMs and give the same bits.  A whole plane is the
+one-block case.
 
-:meth:`Conv2d.forward` is the autograd pass: it gathers one zero-padded
-example at a time into reused buffers, runs the stacked GEMM over the whole
-padded plane (:func:`_stacked_conv`), and keeps nothing for backward beyond
-the graph's own arrays.  Backward re-gathers the input
-for the weight gradient, the stacked GEMM turned round, and runs the input
-gradient through the same kernel: the output gradient convolved with the
-flipped, channel-swapped weights.  Both passes are stride 1 and both are
-pinned against the tap-sum reference ``conv2d_reference`` in
-``tests/oracles.py``.
+:meth:`Conv2d.infer` is the gradient-free pass: a whole plane or one row
+block, gathered by :func:`strided_im2col` into a per-thread workspace that
+every block height shares.  :meth:`Conv2d.forward` is the autograd pass: it
+runs each example as one whole-plane block through buffers reused for the
+call, so in float64 it gives the bits of ``infer``.  Backward runs the
+input gradient through the same kernel (the output gradient convolved with
+the flipped, channel-swapped weights) and the weight gradient as the
+stacked GEMM turned round.  Both passes are stride 1 and both are pinned
+against the tap-sum reference ``conv2d_reference`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterable, Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -48,8 +48,7 @@ from repro.nn.layers import CastCache, Module
 from repro.nn.tensor import Tensor
 
 IntPair = Union[int, Tuple[int, int]]
-#: ``(pad_h, pad_w)``, where ``pad_h`` may be a ``(top, bottom)`` pair.
-Padding = Tuple[Union[int, Tuple[int, int]], int]
+Allocate = Callable[[str, Tuple[int, ...]], np.ndarray]
 
 #: Thread-local workspace of the gradient-free pass: the padded, column and
 #: accumulator (GEMM result) buffers, keyed on the gather signature without
@@ -66,6 +65,7 @@ _workspace = threading.local()
 #: total past it first drops every other key's buffers, so a thread holds at
 #: most the cap or one key's set, whichever is larger.  The Selector's blocked
 #: pass at ``NECConfig.default()`` holds 11.9 MB in float32, in 3 entries.
+#: The autograd pass keeps its buffers per call instead, not here.
 _WORKSPACE_MAX_BYTES = 256 << 20
 
 
@@ -92,10 +92,10 @@ def _held_bytes(store: Dict[Hashable, Dict[str, np.ndarray]]) -> int:
 
 
 def _workspace_key(
-    x: np.ndarray, kernel_size: Tuple[int, int], dilation: Tuple[int, int], padding: Padding
+    x: np.ndarray, kernel_size: Tuple[int, int], dilation: Tuple[int, int], pad_w: int
 ) -> Hashable:
     num, channels, _, width = x.shape
-    return (num, channels, width, kernel_size[1], dilation[1], padding[1], x.dtype.str)
+    return (num, channels, width, kernel_size[1], dilation[1], pad_w, x.dtype.str)
 
 
 def _grown(
@@ -131,38 +131,12 @@ def conv_output_size(
     dilation: Tuple[int, int] = (1, 1),
     padding: Tuple[int, int] = (0, 0),
 ) -> Tuple[int, int]:
-    """Spatial output size of a stride-1 2-D convolution."""
-    kh, kw = kernel_size
-    out_h = height + 2 * padding[0] - (kh - 1) * dilation[0]
-    out_w = width + 2 * padding[1] - (kw - 1) * dilation[1]
-    return out_h, out_w
-
-
-def _sides(padding: Padding) -> Tuple[int, int, int]:
-    """``(top, bottom, side)`` of a ``(pad_h, pad_w)`` padding.
-
-    ``pad_h`` is one count for both ends of the height axis or a
-    ``(top, bottom)`` pair: the Selector's row blocks pad only one end.
-    """
-    rows, side = padding
-    top, bottom = rows if isinstance(rows, tuple) else (rows, rows)
-    return top, bottom, side
-
-
-def _checked_output_size(
-    size: Tuple[int, int],
-    kernel_size: Tuple[int, int],
-    dilation: Tuple[int, int],
-    padding: Padding,
-) -> Tuple[int, int]:
-    """The stride-1 output size of ``(H, W)`` planes, refusing an empty output."""
-    h, w = size
-    top, bottom, side = _sides(padding)
-    out_h = h + top + bottom - (kernel_size[0] - 1) * dilation[0]
-    out_w = w + 2 * side - (kernel_size[1] - 1) * dilation[1]
+    """Spatial output size of a stride-1 2-D convolution, refusing an empty output."""
+    out_h = height + 2 * padding[0] - (kernel_size[0] - 1) * dilation[0]
+    out_w = width + 2 * padding[1] - (kernel_size[1] - 1) * dilation[1]
     if out_h <= 0 or out_w <= 0:
         raise ValueError(
-            f"Convolution output would be empty: input {h}x{w}, "
+            f"Convolution output would be empty: input {height}x{width}, "
             f"kernel {kernel_size[0]}x{kernel_size[1]}, dilation {dilation}, "
             f"padding {padding}"
         )
@@ -170,37 +144,29 @@ def _checked_output_size(
 
 
 def _gather(
-    x: np.ndarray,
-    kernel_size: Tuple[int, int],
-    dilation: Tuple[int, int],
-    padding: Padding,
-    allocate: Callable[[str, Tuple[int, ...]], np.ndarray],
+    x: np.ndarray, kernel_w: int, dil_w: int, pad_w: int, allocate: Allocate
 ) -> np.ndarray:
-    """Pad ``x`` into a flat buffer, then gather its ``kw`` horizontal taps.
+    """Pad ``x`` at the sides into a flat buffer, then gather its ``kw`` horizontal taps.
 
     ``allocate(name, shape)`` supplies the flat ``"padded"`` buffer and the
     ``"columns"`` buffer (none for ``kw == 1``, where the padded buffer is
-    the result).  Their previous contents are never read: the pad border and
-    the slack after the last row are zeroed on every call, because the
+    the result).  Their previous contents are never read: the side columns
+    and the slack after the last row are zeroed on every call, because the
     plane's layout moves with the block height.
     """
     n, c, h, w = x.shape
-    kw, dil_w = kernel_size[1], dilation[1]
-    top, bottom, side = _sides(padding)
-    height, width = h + top + bottom, w + 2 * side
-    plane = height * width
-    flat = allocate("padded", (n, c, plane + (kw - 1) * dil_w))
-    padded = flat[:, :, :plane].reshape(n, c, height, width)
-    padded[:, :, :top] = 0.0
-    padded[:, :, top + h :] = 0.0
-    padded[:, :, top : top + h, :side] = 0.0
-    padded[:, :, top : top + h, side + w :] = 0.0
-    padded[:, :, top : top + h, side : side + w] = x
+    width = w + 2 * pad_w
+    plane = h * width
+    flat = allocate("padded", (n, c, plane + (kernel_w - 1) * dil_w))
+    padded = flat[:, :, :plane].reshape(n, c, h, width)
+    padded[..., :pad_w] = 0.0
+    padded[..., pad_w + w :] = 0.0
+    padded[..., pad_w : pad_w + w] = x
     flat[:, :, plane:] = 0.0
-    if kw == 1:
+    if kernel_w == 1:
         return flat
-    columns = allocate("columns", (n, c, kw, plane))
-    for kx in range(kw):
+    columns = allocate("columns", (n, c, kernel_w, plane))
+    for kx in range(kernel_w):
         shift = kx * dil_w
         columns[:, :, kx] = flat[:, :, shift : shift + plane]
     return columns.reshape(n, -1, plane)
@@ -212,61 +178,134 @@ def _taps_per_gemm(stacked: np.ndarray, out_c: int) -> int:
     Capping the stacked rows at the columns matrix's row count keeps the
     accumulator no larger than the gather it is computed from.  Every 5×5
     layer of the Selector stacks all five taps, one GEMM per layer; the 7×1
-    layer, with ``C*kw = O``, runs one GEMM per tap over just the rows that
-    tap reads, where stacking would make its accumulator 7× its input.
+    layer, with ``C*kw = O``, runs one GEMM per tap, where stacking would
+    make its accumulator 7× its input.
     """
     return max(1, min(stacked.shape[0], stacked.shape[1]) // out_c)
 
 
-def _accumulator_size(stacked: np.ndarray, out_c: int, out_h: int, width: int, dil_h: int) -> int:
-    """Elements of one example's accumulator for :func:`_stacked_conv`."""
-    taps = _taps_per_gemm(stacked, out_c)
-    return taps * out_c * ((taps - 1) * dil_h + out_h) * width
+def _tap_rows(
+    ky: int, dil_h: int, top: int, seen: int, first: int, height: int, count: int
+) -> Tuple[int, int, int]:
+    """Which input rows of a block tap ``ky`` adds into which output rows.
 
-
-def _stacked_conv(
-    cols: np.ndarray,
-    stacked: np.ndarray,
-    width: int,
-    dil_h: int,
-    bias_column: Optional[np.ndarray],
-    relu: bool,
-    out: np.ndarray,
-    acc: np.ndarray,
-) -> np.ndarray:
-    """The training kernel from gathered columns: stacked GEMMs, then ``kh`` shifted adds.
-
-    ``cols`` is ``(..., C*kw, Hp*Wp)`` with ``Wp = width`` and ``stacked`` the
-    ``(kh*O, C*kw)`` weights.  One GEMM covers :func:`_taps_per_gemm`
-    vertical taps, over the plane rows they read, into the flat ``acc``
-    (:func:`_accumulator_size` elements per leading index).  Tap ``ky`` is
-    its block of ``O`` rows, and plane row ``y + ky*dil_h`` adds into row
-    ``y`` of ``out``, ``(..., O, out_h, out_w)``, bias first and the ReLU
-    last.
+    Input row ``r`` of tap ``ky`` feeds output row ``r + top − ky*dil_h``.
+    The block's input rows are plane rows ``seen ..`` on, ``height`` of
+    them, and the output rows at hand are ``[first, first + count)``.
+    Returns ``(offset, low, high)``: the block's input rows ``[low, high)``
+    feed rows ``[low + offset, high + offset)`` of those, none when
+    ``high <= low``.
     """
-    out_c, out_h, out_w = out.shape[-3:]
-    lead = cols.shape[:-2]
-    group = _taps_per_gemm(stacked, out_c)
-    for first in range(0, stacked.shape[0] // out_c, group):
-        weights = stacked[first * out_c : (first + group) * out_c]
-        taps = weights.shape[0] // out_c
-        rows = (taps - 1) * dil_h + out_h
-        part = acc[: math.prod(lead) * weights.shape[0] * rows * width]
-        part = part.reshape(*lead, weights.shape[0], rows * width)
-        start = first * dil_h * width
-        np.matmul(weights, cols[..., start : start + rows * width], out=part)
-        part = part.reshape(*lead, taps, out_c, rows, width)
-        for j in range(taps):
-            tap = part[..., j, :, j * dil_h : j * dil_h + out_h, :out_w]
-            if first + j:
-                out += tap
-            elif bias_column is None:
-                np.copyto(out, tap)
-            else:
-                np.add(tap, bias_column, out=out)
+    offset = seen + top - ky * dil_h - first
+    return offset, max(-offset, 0), min(count - offset, height)
+
+
+@dataclass(frozen=True)
+class PartialRows:
+    """A row-blocked :meth:`Conv2d.infer` part-way through its input plane.
+
+    ``seen`` counts the input rows run so far.  ``sums`` holds, as
+    ``(N, O, rows, Wp)``, the partial sums of the output rows those inputs
+    touched but did not finish: rows ``[max(seen − reach, 0), seen +
+    pad_h)``, bias and every tap that read an arrived row added in, no
+    ReLU.  That is ``pad_h + reach`` rows once ``seen`` passes ``reach``:
+    the two vertical paddings of a ``same`` layer.  Columns past the output
+    width hold sums of reads across a row boundary and are never returned.
+    """
+
+    seen: int = 0
+    sums: Optional[np.ndarray] = None
+
+    @property
+    def nbytes(self) -> int:
+        return 0 if self.sums is None else self.sums.nbytes
+
+
+def _conv_rows(
+    cols: Optional[np.ndarray],
+    shape: Tuple[int, int, int, int],
+    stacked: np.ndarray,
+    bias_column: Optional[np.ndarray],
+    kernel_size: Tuple[int, int],
+    dilation: Tuple[int, int],
+    padding: Tuple[int, int],
+    allocate: Allocate,
+    partial: PartialRows = PartialRows(),
+    last: bool = True,
+    relu: bool = False,
+) -> Tuple[np.ndarray, PartialRows]:
+    """The convolution kernel: one row block, from its gathered columns.
+
+    ``cols`` is the ``(N, C*kw, h*Wp)`` gather of a ``shape = (N, C, h, W)``
+    block (``None`` when ``h`` is 0), ``stacked`` the ``(kh*O, C*kw)``
+    weights and ``bias_column`` the ``(O, 1, 1)`` bias; ``allocate(name,
+    shape)`` supplies the GEMM's ``"accumulator"``.  Output row ``y`` reads
+    input rows up to ``y + reach`` (``reach = (kh−1)·dil_h − pad_h``), so it
+    is final once they have all arrived, or in the ``last`` block, where the
+    rows past the plane are the zero padding.  Returns ``(rows, carry)``:
+    the ``(N, O, rows, out_w)`` output rows this block finished (a view
+    that drops the wrap columns), with the ReLU if ``relu``, and the next
+    block's :class:`PartialRows`.  A whole plane is one block from
+    ``PartialRows()`` with ``last``.
+    """
+    (kh, kw), (dil_h, dil_w), (top, side) = kernel_size, dilation, padding
+    num, _, height, in_w = shape
+    out_c = stacked.shape[0] // kh
+    reach = (kh - 1) * dil_h - top
+    seen = partial.seen + height
+    width = in_w + 2 * side
+    # Output rows [done, end): the carried unfinished ones, then those this
+    # block touches first; in the last block, the plane's remaining rows.
+    # Earlier blocks returned the rows before ``done``; the first block
+    # returns from row 0, also rows that read only the top padding.
+    done =max(partial.seen - reach, 0) if partial.seen else 0
+    end, out_w = seen + top, width - (kw - 1) * dil_w
+    if last:
+        end, out_w = conv_output_size(seen, in_w, kernel_size, dilation, padding)
+    count = end - done
+    acc = np.empty((num, out_c, count, width), dtype=stacked.dtype)
+    kept = 0 if partial.sums is None else min(partial.sums.shape[2], count)
+    if kept:
+        acc[:, :, :kept] = partial.sums[:, :, :kept]
+    # Tap 0 reads each new row's first arrived input row, so it starts the
+    # rows from the carried ones on: it adds the bias as it writes them.
+    # Only rows it does not reach (the padding's) start at the bias.
+    offset, low, high = _tap_rows(0, dil_h, top, partial.seen, done, height, count)
+    start = 0.0 if bias_column is None else bias_column
+    acc[:, :, kept : low + offset] = start
+    acc[:, :, max(high, low) + offset :] = start
+    if cols is not None:
+        group = _taps_per_gemm(stacked, out_c)
+        plane = height * width
+        result = allocate("accumulator", (num * group * out_c * plane,))
+        for first in range(0, kh, group):
+            weights = stacked[first * out_c : (first + group) * out_c]
+            taps = weights.shape[0] // out_c
+            part = result[: num * weights.shape[0] * plane]
+            part = part.reshape(num, weights.shape[0], plane)
+            np.matmul(weights, cols, out=part)
+            part = part.reshape(num, taps, out_c, height, width)
+            for j in range(taps):
+                offset, low, high = _tap_rows(
+                    first + j, dil_h, top, partial.seen, done, height, count
+                )
+                if high <= low:
+                    continue
+                # Whole plane rows, wrap columns too, so the adds are
+                # contiguous; the returned rows drop those columns.
+                rows, tap = acc[:, :, low + offset : high + offset], part[:, j, :, low:high]
+                if first + j:
+                    rows += tap
+                elif bias_column is None:
+                    np.copyto(rows, tap)
+                else:
+                    np.add(tap, bias_column, out=rows)
+    final = count if last else max(seen - reach, 0) - done
+    rows = acc[:, :, :final]
     if relu:
-        np.maximum(out, 0.0, out=out)
-    return out
+        np.maximum(rows, 0.0, out=rows)
+    carry = PartialRows(seen, None if last else acc[:, :, final:].copy())
+    return rows[..., :out_w], carry
 
 
 def _stacked(weight: np.ndarray) -> np.ndarray:
@@ -290,19 +329,18 @@ def strided_im2col(
     x: np.ndarray,
     kernel_size: Tuple[int, int],
     dilation: Tuple[int, int] = (1, 1),
-    padding: Padding = (0, 0),
+    pad_w: int = 0,
 ) -> np.ndarray:
-    """Horizontal-tap gather of a ``(N, C, H, W)`` array, shape ``(N, C*kw, Hp*Wp)``.
+    """Horizontal-tap gather of a ``(N, C, H, W)`` array, shape ``(N, C*kw, H*Wp)``.
 
-    ``Hp, Wp`` is the zero-padded size; ``padding[0]`` may be a
-    ``(top, bottom)`` pair.  Row ``c*kw + kx`` is channel ``c`` of
-    the padded image, flattened row-major, shifted left by ``kx * dil_w``
-    elements: ``cols[n, c*kw + kx, p] = flat[n, c, p + kx*dil_w]``.  The
-    vertical taps need no copy of their own — tap ``ky`` of an output row is
-    the same matrix read ``ky * dil_h * Wp`` columns further on, which is how
-    :func:`_stacked_conv` reads the stacked GEMM's result.  Columns
-    ``out_w..Wp-1`` of each padded row read across a row boundary (or into
-    the zero slack after the last row) and are cropped there.
+    ``Wp = W + 2*pad_w`` is the width zero-padded at both sides; no row is
+    padded.  Row ``c*kw + kx`` is channel ``c`` of the padded image,
+    flattened row-major, shifted left by ``kx * dil_w`` elements:
+    ``cols[n, c*kw + kx, p] = flat[n, c, p + kx*dil_w]``.  The vertical taps
+    need no copy of their own — tap ``ky`` is a block of the stacked GEMM's
+    result, whose rows :func:`_conv_rows` adds ``ky * dil_h`` output rows
+    higher.  Columns ``out_w..Wp-1`` of each row read across a row boundary
+    (or into the zero slack after the last row) and are cropped there.
 
     For ``kw == 1`` the result is a view of the padded buffer, no gather at
     all.  Both buffers come from this thread's workspace, shared by every
@@ -310,67 +348,48 @@ def strided_im2col(
     graph is recorded, and the returned array aliases the workspace — it is
     valid until the next call of the same signature on the same thread (the
     inference engine consumes it immediately in the following GEMM).  A
-    block of any height gathers (:meth:`Conv2d.infer` pads no row); only a
-    width that leaves the horizontal taps no output column raises.
+    block of any height gathers; only a width that leaves the horizontal
+    taps no output column raises.
     """
-    side = padding[1]
-    if x.shape[3] + 2 * side - (kernel_size[1] - 1) * dilation[1] <= 0:
-        raise ValueError(
-            f"Convolution output would be empty: width {x.shape[3]}, "
-            f"kernel width {kernel_size[1]}, dilation {dilation}, padding {padding}"
-        )
-    key = _workspace_key(x, kernel_size, dilation, padding)
+    # Width only: a row block may be shorter than the kernel.
+    conv_output_size(1, x.shape[3], (1, kernel_size[1]), (1, dilation[1]), (0, pad_w))
+    key = _workspace_key(x, kernel_size, dilation, pad_w)
     return _gather(
-        x, kernel_size, dilation, padding,
+        x, kernel_size[1], dilation[1], pad_w,
         lambda name, shape: _workspace_buffer(key, name, shape, x.dtype),
     )
 
 
-def _example_columns(
-    examples: Iterable[np.ndarray],
-    kernel_size: Tuple[int, int],
-    dilation: Tuple[int, int],
-    padding: Tuple[int, int],
-    buffers: Dict[str, np.ndarray],
-) -> Iterator[np.ndarray]:
-    """Each ``(C, H, W)`` example's ``(C*kw, Hp*Wp)`` tap gather, in turn, through ``buffers``.
-
-    The autograd pass gathers one example at a time: the working set is one
-    example's columns instead of the whole minibatch's, and the buffers stay
-    warm across examples instead of page-faulting in fresh for every layer.
-    Each yielded array is overwritten by the next one.
-    """
-    for example in examples:
-        yield _gather(
-            example[None], kernel_size, dilation, padding,
-            lambda name, shape: _grown(buffers, name, shape),
-        )[0]
-
-
-def _tap_conv(
+def _example_conv(
     examples: Iterable[np.ndarray],
     out: np.ndarray,
     stacked: np.ndarray,
+    bias_column: Optional[np.ndarray],
     kernel_size: Tuple[int, int],
     dilation: Tuple[int, int],
     padding: Tuple[int, int],
+    relu: bool,
     buffers: Dict[str, np.ndarray],
-    bias_column: Optional[np.ndarray] = None,
-    relu: bool = False,
 ) -> np.ndarray:
-    """The kernel over a minibatch of ``(C, H, W)`` examples, one at a time, into ``out``.
+    """:func:`_conv_rows` over a minibatch of ``(C, H, W)`` examples, one at a time, into ``out``.
 
-    The autograd pass runs it twice: forward on the input, and backward on the
-    output gradient for the input gradient, whose examples it masks one at a
-    time.  Every example's stacked GEMM reuses one accumulator, and the gather
-    and accumulator come from ``buffers``, which backward hands on to the
-    weight gradient.
+    Each example is one whole-plane block.  The autograd pass runs it twice:
+    forward on the input, and backward on the output gradient for the input
+    gradient, whose examples it masks one at a time.  Going one example at a
+    time keeps the working set at one example's columns instead of the whole
+    minibatch's; the gather and the accumulator come from ``buffers``, which
+    stay warm across examples and which backward hands on to the weight
+    gradient.
     """
-    width = out.shape[3] + (kernel_size[1] - 1) * dilation[1]
-    size = _accumulator_size(stacked, out.shape[1], out.shape[2], width, dilation[0])
-    acc = _grown(buffers, "accumulator", (size,))
-    for n, cols in enumerate(_example_columns(examples, kernel_size, dilation, padding, buffers)):
-        _stacked_conv(cols, stacked, width, dilation[0], bias_column, relu, out[n], acc)
+    allocate = functools.partial(_grown, buffers)
+    for n, example in enumerate(examples):
+        block = example[None]
+        cols = _gather(block, kernel_size[1], dilation[1], padding[1], allocate)
+        rows, _ = _conv_rows(
+            cols, block.shape, stacked, bias_column, kernel_size, dilation, padding,
+            allocate, relu=relu,
+        )
+        out[n] = rows[0]
     return out
 
 
@@ -432,19 +451,21 @@ class Conv2d(Module):
         return conv_output_size(height, width, self.kernel_size, self.dilation, self.padding)
 
     def forward(self, x: Tensor, activation: Optional[str] = None) -> Tensor:
-        """Autograd pass of the tap-wise kernel; ``activation="relu"`` fuses the ReLU.
+        """Autograd pass of the row kernel; ``activation="relu"`` fuses the ReLU.
 
+        Each example runs through :func:`_conv_rows` as one whole-plane
+        block, the computation :meth:`infer` runs on a whole float64 plane.
         Nothing beyond the graph's own arrays is kept for backward, which
         works one example at a time: it masks the example's output gradient
         ``G_n`` with the ReLU into a reused buffer, and never holds a masked
-        copy of the whole minibatch.  The weight gradient is the stacked GEMM
-        turned round: for each GEMM's group of taps, tap ``j``'s copy of
-        ``G_n`` is written ``j*dil_h`` plane rows down a zeroed matrix, which
-        one GEMM multiplies by the re-gathered columns of ``x``, transposed.
-        The input gradient is the same kernel run on ``G_n`` with the weights
-        flipped and channel-swapped, at padding ``k_eff - 1 - pad``, and is
-        skipped when ``x`` needs none.  The result equals the tap-sum
-        convolution to GEMM round-off.
+        copy of the whole minibatch.  The input gradient is the same kernel
+        run on ``G_n`` with the weights flipped and channel-swapped, at
+        padding ``k_eff - 1 - pad``, and is skipped when ``x`` needs none.
+        The weight gradient is the stacked GEMM turned round: for each GEMM's
+        group of taps, tap ``ky``'s rows of ``G_n`` are written at the input
+        rows they read (:func:`_tap_rows`) into a matrix that one GEMM
+        multiplies by the re-gathered columns of ``x``, transposed.  The
+        result equals the tap-sum convolution to GEMM round-off.
         """
         if activation not in (None, "relu"):
             raise ValueError(f"unsupported activation: {activation!r}")
@@ -458,12 +479,12 @@ class Conv2d(Module):
         (kh, kw), dilation, padding = self.kernel_size, self.dilation, self.padding
         w_data = weight.data
         relu = activation == "relu"
-        out_h, out_w = _checked_output_size(x.shape[2:], (kh, kw), dilation, padding)
+        out_h, out_w = self.output_size(*x.shape[2:])
         stacked = _stacked(w_data)
-        out_data = _tap_conv(
-            x.data, np.empty((x.shape[0], self.out_channels, out_h, out_w)),
-            stacked, (kh, kw), dilation, padding, {},
-            None if bias is None else bias.data.reshape(-1, 1, 1), relu,
+        out_data = _example_conv(
+            x.data, np.empty((x.shape[0], self.out_channels, out_h, out_w)), stacked,
+            None if bias is None else bias.data.reshape(-1, 1, 1),
+            (kh, kw), dilation, padding, relu, {},
         )
 
         def backward(grad: np.ndarray) -> None:
@@ -483,35 +504,37 @@ class Conv2d(Module):
                 # A negative full padding (``pad > k_eff - 1``) is a crop.
                 full = [(k - 1) * d - p for k, d, p in zip((kh, kw), dilation, padding)]
                 crop_h, crop_w = (max(-q, 0) for q in full)
-                x._accumulate_owned(_tap_conv(
+                x._accumulate_owned(_example_conv(
                     examples(slice(crop_h, out_h - crop_h), slice(crop_w, out_w - crop_w)),
                     np.empty(x.shape), _stacked(w_data[:, :, ::-1, ::-1].swapaxes(0, 1)),
-                    (kh, kw), dilation, (max(full[0], 0), max(full[1], 0)), buffers,
+                    None, (kh, kw), dilation, (max(full[0], 0), max(full[1], 0)), False,
+                    buffers,
                 ))
             if weight.requires_grad:
-                # Tap ``first + j``'s copy of ``G_n`` sits ``j*dil_h`` rows down
-                # ``spread``; the rest of it, wrap columns included, stays zero
-                # for every example of a group shape.
-                width = x.shape[3] + 2 * padding[1]
-                out_c, dil_h = self.out_channels, dilation[0]
+                # Tap ``first + j``'s rows of ``G_n`` sit in ``spread[j]`` at
+                # the input rows they read; the rest of it, wrap columns
+                # included, is zero.
+                height, width = x.shape[2], x.shape[3] + 2 * padding[1]
+                out_c = self.out_channels
                 group = _taps_per_gemm(stacked, out_c)
                 dw = np.zeros(stacked.shape)
-                zeroed = None
-                columns = _example_columns(x.data, (kh, kw), dilation, padding, buffers)
-                for g, cols in zip(examples(), columns):
+                allocate = functools.partial(_grown, buffers)
+                for g, example in zip(examples(), x.data):
+                    cols = _gather(example[None], kw, dilation[1], padding[1], allocate)[0]
                     for first in range(0, kh, group):
                         taps = min(group, kh - first)
-                        rows = (taps - 1) * dil_h + out_h
-                        spread = _grown(buffers, "accumulator", (taps, out_c, rows, width))
-                        if zeroed != spread.shape:
-                            spread[...] = 0.0
-                            zeroed = spread.shape
+                        spread = _grown(buffers, "accumulator", (taps, out_c, height, width))
                         for j in range(taps):
-                            spread[j, :, j * dil_h : j * dil_h + out_h, :out_w] = g
-                        start = first * dil_h * width
-                        read = cols[:, start : start + rows * width]
+                            offset, low, high = _tap_rows(
+                                first + j, dilation[0], padding[0], 0, 0, height, out_h
+                            )
+                            high = max(high, low)
+                            spread[j, :, :low] = 0.0
+                            spread[j, :, high:] = 0.0
+                            spread[j, :, low:high, out_w:] = 0.0
+                            spread[j, :, low:high, :out_w] = g[:, low + offset : high + offset]
                         dw[first * out_c : (first + taps) * out_c] += (
-                            spread.reshape(taps * out_c, -1) @ read.T
+                            spread.reshape(taps * out_c, -1) @ cols.T
                         )
                 weight._accumulate_owned(np.ascontiguousarray(
                     dw.reshape(kh, self.out_channels, self.in_channels, kw).transpose(1, 2, 0, 3)
@@ -528,33 +551,29 @@ class Conv2d(Module):
         self,
         x: np.ndarray,
         activation: Optional[str] = None,
-        partial: Optional["PartialRows"] = None,
+        partial: Optional[PartialRows] = None,
         last: bool = True,
     ):
         """Gradient-free forward pass on a ``(N, C, H, W)`` numpy array, in row blocks.
 
         :func:`strided_im2col` gathers the ``kw`` horizontal taps of the
-        block's input rows, width-padded only, into ``cols`` of shape
-        ``(N, C*kw, H*Wp)``; one GEMM of the stacked ``(kh*O, C*kw)``
-        weights (one per :func:`_taps_per_gemm` group) gives every vertical
-        tap's partial sums, and each tap's rows are added into the output
-        rows they feed, in ascending tap order after the bias.  Output row
-        ``y`` reads input rows up to ``y + reach`` (``reach = (kh−1)·dil_h −
-        pad_h``, the bottom padding of a ``same`` layer), so it is final,
-        and gets the ReLU with ``activation="relu"``, once they have all
-        arrived, or in the ``last`` block, where the rows past the plane are
-        the zero padding.  The pass computes in the dtype of ``x`` (float32
-        stays float32, anything else is float64), with the weights cast once
-        per dtype and cached.
+        block's input rows, width-padded only, into this thread's workspace,
+        and :func:`_conv_rows` runs the block: one GEMM of the stacked
+        weights (one per :func:`_taps_per_gemm` group), each tap's rows added
+        into the output rows they feed, in ascending tap order after the
+        bias, and the ReLU with ``activation="relu"`` on the rows the block
+        finishes.  The pass computes in the dtype of ``x`` (float32 stays
+        float32, anything else is float64), with the weights cast once per
+        dtype and cached.
 
         Without ``partial``, ``x`` is a whole plane, and the output array is
         returned.  A row-blocked pass starts from ``PartialRows()`` and
         passes each block's returned carry to the next: it returns
         ``(rows, carry)``, the output rows this block finished and the
-        partial sums of those it touched but did not.  The carry is new, so
-        a block that raises leaves the one passed in as it was.  The GEMMs
-        depend only on the block heights, so passes blocked alike give the
-        same bits.
+        partial sums of those it touched but did not; the ``last`` block
+        finishes the plane.  The carry is new, so a block that raises leaves
+        the one passed in as it was.  The GEMMs depend only on the block
+        heights, so passes blocked alike give the same bits.
         """
         if activation not in (None, "relu"):
             raise ValueError(f"unsupported activation: {activation!r}")
@@ -563,100 +582,16 @@ class Conv2d(Module):
         if partial is None and not last:
             raise ValueError("a block before the last must start from a PartialRows")
         x = x.astype(np.result_type(x, np.float32), copy=False)
-        rows, carry = self._infer_rows(
-            x, activation == "relu", PartialRows() if partial is None else partial, last
-        )
-        return rows if partial is None else (rows, carry)
-
-    def _infer_rows(
-        self, x: np.ndarray, relu: bool, partial: "PartialRows", last: bool
-    ) -> Tuple[np.ndarray, "PartialRows"]:
-        """One block of :meth:`infer`: the rows it finishes and the next carry."""
-        (kh, kw), (dil_h, dil_w) = self.kernel_size, self.dilation
-        top, side = self.padding
-        out_c = self.out_channels
-        reach = (kh - 1) * dil_h - top
-        num, _, height, in_w = x.shape
-        seen = partial.seen + height
-        width = in_w + 2 * side
-        # Output rows [done, end): the carried unfinished ones, then those this
-        # block touches first; in the last block, the plane's remaining rows.
-        done = max(partial.seen - reach, 0)
-        end, out_w = seen + top, width - (kw - 1) * dil_w
-        if last:
-            end, out_w = _checked_output_size(
-                (seen, in_w), self.kernel_size, self.dilation, self.padding
-            )
-        count = end - done
-        acc = np.empty((num, out_c, count, width), dtype=x.dtype)
-        kept = 0 if partial.sums is None else min(partial.sums.shape[2], count)
-        if kept:
-            acc[:, :, :kept] = partial.sums[:, :, :kept]
+        side = self.padding[1]
         bias = None if self.bias is None else self.bias.data
         stacked, bias_column = self._infer_weights.get(
             (self.weight.data, bias), x.dtype, _inference_weights
         )
-        # Tap 0 reads each new row's first arrived input row, so it starts the
-        # rows from the carried ones on: it adds the bias as it writes them.
-        # Only rows it does not reach (the top padding's) start at the bias.
-        first_tap = kept if partial.seen else min(top, count)
-        if height == 0:
-            first_tap = count
-        acc[:, :, kept:first_tap] = 0.0 if bias_column is None else bias_column
-        if height:
-            cols = strided_im2col(x, self.kernel_size, self.dilation, (0, side))
-            group = _taps_per_gemm(stacked, out_c)
-            plane = height * width
-            result = _workspace_buffer(
-                _workspace_key(x, self.kernel_size, self.dilation, self.padding),
-                "accumulator", (num * group * out_c * plane,), x.dtype,
-            )
-            for first in range(0, kh, group):
-                weights = stacked[first * out_c : (first + group) * out_c]
-                taps = weights.shape[0] // out_c
-                part = result[: num * weights.shape[0] * plane]
-                part = part.reshape(num, weights.shape[0], plane)
-                np.matmul(weights, cols, out=part)
-                part = part.reshape(num, taps, out_c, height, width)
-                for j in range(taps):
-                    # This block's input row i feeds accumulator row i + offset.
-                    offset = partial.seen + top - (first + j) * dil_h - done
-                    low, high = max(-offset, 0), min(count - offset, height)
-                    if high <= low:
-                        continue
-                    # Whole plane rows, wrap columns too, so the adds are
-                    # contiguous; the returned rows drop those columns.
-                    rows, tap = acc[:, :, low + offset : high + offset], part[:, j, :, low:high]
-                    if first + j:
-                        rows += tap
-                    elif bias_column is None:
-                        np.copyto(rows, tap)
-                    else:
-                        np.add(tap, bias_column, out=rows)
-        final = count if last else max(seen - reach, 0) - done
-        rows = acc[:, :, :final]
-        if relu:
-            np.maximum(rows, 0.0, out=rows)
-        carry = PartialRows(seen, None if last else acc[:, :, final:].copy())
-        return rows[..., :out_w], carry
-
-
-@dataclass(frozen=True)
-class PartialRows:
-    """A row-blocked :meth:`Conv2d.infer` part-way through its input plane.
-
-    ``seen`` counts the input rows run so far.  ``sums`` holds, as
-    ``(N, O, rows, Wp)``, the partial sums of the output rows those inputs
-    touched but did not finish: rows ``[max(seen − reach, 0), seen +
-    pad_h)``, bias and every tap that read an arrived row added in, no
-    ReLU.  That is ``pad_h + reach`` rows once ``seen`` passes ``reach``:
-    the two vertical paddings of a ``same`` layer.  Columns past the output
-    width hold sums of reads across a row boundary and are never returned.
-    """
-
-    seen: int = 0
-    sums: Optional[np.ndarray] = None
-
-    @property
-    def nbytes(self) -> int:
-        return 0 if self.sums is None else self.sums.nbytes
+        cols = strided_im2col(x, self.kernel_size, self.dilation, side) if x.shape[2] else None
+        key = _workspace_key(x, self.kernel_size, self.dilation, side)
+        rows, carry = _conv_rows(
+            cols, x.shape, stacked, bias_column, self.kernel_size, self.dilation, self.padding,
+            lambda name, shape: _workspace_buffer(key, name, shape, x.dtype),
+            PartialRows() if partial is None else partial, last, activation == "relu",
+        )
+        return rows if partial is None else (rows, carry)

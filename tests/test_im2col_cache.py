@@ -1,11 +1,11 @@
 """The per-thread workspace behind the inference gather.
 
-``strided_im2col`` gathers the ``kw`` horizontal taps of the zero-padded
-input into a ``(N, C*kw, Hp*Wp)`` matrix in this thread's convolution
+``strided_im2col`` gathers the ``kw`` horizontal taps of the input, zero-padded
+at the sides only, into a ``(N, C*kw, H*Wp)`` matrix in this thread's convolution
 workspace, whose buffers are keyed on everything but the block height and
 grow to the largest request; these tests pin the properties the recycling
 must not break — the matrix stays bit-identical to a plain loop gather call
-after call, whatever heights and paddings went before, dtypes get their own
+after call, whatever heights went before, dtypes get their own
 buffers, worker threads never share storage, and the workspace stays within
 its byte cap.
 """
@@ -29,17 +29,16 @@ def fresh_cache():
     clear_im2col_buffer_cache()
 
 
-def _reference_im2col(x, kernel_size, dilation=(1, 1), padding=(0, 0)):
+def _reference_im2col(x, kernel_size, dilation=(1, 1), pad_w=0):
     """Horizontal taps gathered one (channel, tap) row at a time.
 
-    Each channel is zero-padded, flattened row-major and followed by
-    ``(kw - 1) * dil_w`` zeros; row ``c*kw + kx`` is that flat channel read
-    from offset ``kx * dil_w``.  ``padding[0]`` may be a ``(top, bottom)`` pair.
+    Each channel is zero-padded at both sides, flattened row-major and
+    followed by ``(kw - 1) * dil_w`` zeros; row ``c*kw + kx`` is that flat
+    channel read from offset ``kx * dil_w``.
     """
     num, channels, height, width = x.shape
-    (kernel_h, kernel_w), (dil_h, dil_w), (pad_h, pad_w) = kernel_size, dilation, padding
-    top, bottom = pad_h if isinstance(pad_h, tuple) else (pad_h, pad_h)
-    padded = np.pad(x, ((0, 0), (0, 0), (top, bottom), (pad_w, pad_w)))
+    kernel_w, dil_w = kernel_size[1], dilation[1]
+    padded = np.pad(x, ((0, 0), (0, 0), (0, 0), (pad_w, pad_w)))
     plane = padded.shape[2] * padded.shape[3]
     slack = np.zeros((num, channels, (kernel_w - 1) * dil_w), dtype=x.dtype)
     flat = np.concatenate([padded.reshape(num, channels, plane), slack], axis=2)
@@ -53,11 +52,11 @@ def _reference_im2col(x, kernel_size, dilation=(1, 1), padding=(0, 0)):
 
 
 CASES = [
-    dict(kernel_size=(1, 7), padding=(0, 3)),
-    dict(kernel_size=(7, 1), padding=(3, 0)),
-    dict(kernel_size=(5, 5), padding=(8, 2), dilation=(4, 1)),
-    dict(kernel_size=(3, 3), padding=(0, 0)),
-    dict(kernel_size=(3, 3), padding=(1, 2), dilation=(1, 2)),
+    dict(kernel_size=(1, 7), pad_w=3),
+    dict(kernel_size=(7, 1)),
+    dict(kernel_size=(5, 5), pad_w=2, dilation=(4, 1)),
+    dict(kernel_size=(3, 3)),
+    dict(kernel_size=(3, 3), pad_w=2, dilation=(1, 2)),
     dict(kernel_size=(1, 1)),
 ]
 
@@ -73,7 +72,7 @@ def test_matches_fancy_index_reference(case):
 
 def test_buffer_reuse_stays_bit_identical_and_border_stays_zero():
     rng = np.random.default_rng(1)
-    case = dict(kernel_size=(5, 5), padding=(2, 2))
+    case = dict(kernel_size=(5, 5), pad_w=2)
     for _ in range(4):  # every call after the first hits the warm buffers
         x = rng.normal(size=(3, 2, 10, 8))
         np.testing.assert_array_equal(
@@ -85,62 +84,61 @@ def test_buffer_reuse_stays_bit_identical_and_border_stays_zero():
 def test_distinct_signatures_get_distinct_entries():
     """Every part of the signature but the height gets its own entry.
 
-    Heights and ``(top, bottom)`` row paddings share one entry.
+    Heights and the kernel's height and row dilation share one entry.
     """
-    for height, rows in ((8, 1), (5, (2, 0)), (11, (0, 3)), (8, 1)):
-        strided_im2col(np.zeros((1, 1, height, 8)), (3, 3), padding=(rows, 1))
+    for height, kernel_h in ((8, 3), (5, 5), (11, 1), (8, 3)):
+        strided_im2col(np.zeros((1, 1, height, 8)), (kernel_h, 3), pad_w=1)
     assert im2col_buffer_cache_info()["entries"] == 1
-    strided_im2col(np.zeros((1, 1, 8, 8)), (3, 3), padding=(1, 0))  # side
-    strided_im2col(np.zeros((1, 1, 8, 9)), (3, 3), padding=(1, 1))  # width
-    strided_im2col(np.zeros((2, 1, 8, 8)), (3, 3), padding=(1, 1))  # rows per pass
-    strided_im2col(np.zeros((1, 2, 8, 8)), (3, 3), padding=(1, 1))  # channels
-    strided_im2col(np.zeros((1, 1, 8, 8)), (3, 5), padding=(1, 2))  # kw
-    strided_im2col(np.zeros((1, 1, 8, 8)), (3, 3), (1, 2), padding=(1, 2))  # dil_w
+    strided_im2col(np.zeros((1, 1, 8, 8)), (3, 3), (2, 1), pad_w=1)  # dil_h
+    assert im2col_buffer_cache_info()["entries"] == 1
+    strided_im2col(np.zeros((1, 1, 8, 8)), (3, 3), pad_w=0)  # side
+    strided_im2col(np.zeros((1, 1, 8, 9)), (3, 3), pad_w=1)  # width
+    strided_im2col(np.zeros((2, 1, 8, 8)), (3, 3), pad_w=1)  # rows per pass
+    strided_im2col(np.zeros((1, 2, 8, 8)), (3, 3), pad_w=1)  # channels
+    strided_im2col(np.zeros((1, 1, 8, 8)), (3, 5), pad_w=2)  # kw
+    strided_im2col(np.zeros((1, 1, 8, 8)), (3, 3), (1, 2), pad_w=2)  # dil_w
     assert im2col_buffer_cache_info()["entries"] == 7
     clear_im2col_buffer_cache()
     assert im2col_buffer_cache_info() == {"entries": 0, "bytes": 0}
 
 
 def test_tall_short_tall_gathers_stay_bit_identical():
-    """A shorter block with other row padding, between two tall ones, reads no stale rows.
+    """Shorter blocks between two tall ones read no stale rows.
 
-    The shared buffers keep the tall block's contents, and the short block's
-    plane starts its rows, side columns and slack at other offsets, so every
-    call must zero the whole border again.
+    The shared buffers keep the tall block's contents, and a short block's
+    plane ends its rows and starts its slack at other offsets, so every call
+    must zero the side columns and the slack again.
     """
     rng = np.random.default_rng(4)
-    case = dict(kernel_size=(5, 5), dilation=(2, 1))
-    for height, rows in ((20, (4, 4)), (7, (0, 4)), (9, (4, 0)), (20, (4, 4))):
+    case = dict(kernel_size=(5, 5), dilation=(2, 1), pad_w=2)
+    for height in (20, 7, 9, 20):
         x = rng.normal(size=(1, 3, height, 9))
-        np.testing.assert_array_equal(
-            strided_im2col(x, padding=(rows, 2), **case),
-            _reference_im2col(x, padding=(rows, 2), **case),
-        )
+        np.testing.assert_array_equal(strided_im2col(x, **case), _reference_im2col(x, **case))
     assert im2col_buffer_cache_info()["entries"] == 1
 
 
 def test_dtype_keys_buffers_under_float32_policy():
     x64 = np.random.default_rng(2).normal(size=(1, 2, 9, 7))
-    columns64 = strided_im2col(x64, (3, 3), padding=(1, 1)).copy()
+    columns64 = strided_im2col(x64, (3, 3), pad_w=1).copy()
     x32 = x64.astype(np.float32)
-    columns32 = strided_im2col(x32, (3, 3), padding=(1, 1))
+    columns32 = strided_im2col(x32, (3, 3), pad_w=1)
     assert columns32.dtype == np.float32
-    np.testing.assert_array_equal(columns32, _reference_im2col(x32, (3, 3), padding=(1, 1)))
+    np.testing.assert_array_equal(columns32, _reference_im2col(x32, (3, 3), pad_w=1))
     # The float32 call allocated its own buffers; the float64 entry is intact.
     assert im2col_buffer_cache_info()["entries"] == 2
     np.testing.assert_array_equal(
-        strided_im2col(x64, (3, 3), padding=(1, 1)), columns64
+        strided_im2col(x64, (3, 3), pad_w=1), columns64
     )
 
 
 def test_cache_is_thread_local():
     x = np.random.default_rng(3).normal(size=(1, 1, 6, 6))
-    strided_im2col(x, (3, 3), padding=(1, 1))
+    strided_im2col(x, (3, 3), pad_w=1)
     seen = {}
 
     def worker():
         seen["before"] = im2col_buffer_cache_info()["entries"]
-        result = strided_im2col(x, (3, 3), padding=(1, 1))
+        result = strided_im2col(x, (3, 3), pad_w=1)
         seen["columns"] = result.copy()
         seen["after"] = im2col_buffer_cache_info()["entries"]
 
@@ -150,7 +148,7 @@ def test_cache_is_thread_local():
     assert seen["before"] == 0  # the worker starts with an empty store
     assert seen["after"] == 1
     np.testing.assert_array_equal(
-        seen["columns"], _reference_im2col(x, (3, 3), padding=(1, 1))
+        seen["columns"], _reference_im2col(x, (3, 3), pad_w=1)
     )
     assert im2col_buffer_cache_info()["entries"] == 1  # main thread untouched
 

@@ -588,6 +588,8 @@ class TestConvInfer:
             pytest.param((1, 7), (0, 3), (1, 1), id="kernel1-1-padding1-dilation1"),
             pytest.param((5, 5), (8, 2), (4, 1), id="kernel2-1-padding2-dilation2"),
             pytest.param((3, 3), "same", (3, 3), id="kernel4-1-same-dilation4"),
+            # Padding past k_eff - 1: the first and last rows read only zero padding.
+            pytest.param((1, 3), (2, 3), (1, 1), id="over-padded-1x3"),
         ],
     )
     def test_infer_matches_forward(self, kernel, padding, dilation):

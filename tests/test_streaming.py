@@ -258,8 +258,9 @@ class _RecordingBatch(StreamBatch):
         self.blocks = []
 
     def submit_block(self, frames, d_vector=None, request=None):
+        queued = 0 if request is None else request.queued
         request = super().submit_block(frames, d_vector, request)
-        self.blocks.append(request.queued)
+        self.blocks += [end for end in self._bounds if queued < end <= request.queued]
         return request
 
 
@@ -318,6 +319,23 @@ class TestHeadTailSplit:
         (result,) = protector.collect()
         direct = deployed.protect(AudioSignal(data, config.sample_rate))
         np.testing.assert_array_equal(result.shadow_wave.data, direct.shadow_wave.data)
+
+    def test_default_0_9_s_feed_queues_both_early_blocks_in_one_notify(self, deployed):
+        """The head and the middle block the 0.9 s feed completes wake the ticker once."""
+        config = deployed.config
+        batch = StreamBatch(deployed.selector)
+        protector = StreamingProtector(deployed, stream_batch=batch)
+        chunk = config.sample_rate // 10
+        data = _noise(config.segment_samples, seed=83)
+        for start in range(0, 8 * chunk, chunk):
+            protector.feed(data[start : start + chunk])
+        assert batch.pending_requests == 0
+        notify_all = batch._cond.notify_all
+        notifies = []
+        batch._cond.notify_all = lambda: notifies.append(1) or notify_all()
+        protector.feed(data[8 * chunk : 9 * chunk])
+        assert notifies == [1]
+        assert [end for _, end, _ in batch._pending] == [80, 89]
 
     def test_head_state_is_bounded(self, deployed):
         """Between blocks a pass carries ``2·pad`` partial rows per layer, under 0.5 MB."""
@@ -536,6 +554,52 @@ class TestHeadTailSplit:
         assert first.done and second.state.frames == head
         assert events[2 * (layers + 1) :] == (
             ["head layer", "tail"] + ["head layer"] * (layers - 1) + ["head done"]
+        )
+        batch.submit(spectrograms[1], request=second)
+        assert batch.tick() == 1
+        for request, want in zip((first, second), clean):
+            np.testing.assert_array_equal(request.shadow_spectrogram, want)
+
+    def test_early_block_does_not_start_while_a_tail_waits(self, system, tiny_config):
+        """B's head and middle share a tick; A closing as B's head ends runs before B's middle."""
+        rng = np.random.default_rng(80)
+        frequency_bins, frames = tiny_config.spectrogram_shape
+        spectrograms = [np.abs(rng.normal(size=(frequency_bins, frames))) for _ in range(2)]
+        head, middle = system.selector.block_bounds(frames)[:-1]
+        clean = [
+            system.selector.shadow_spectrogram_batch(spectrogram[None], system.embedding)[0]
+            for spectrogram in spectrograms
+        ]
+        layers = system.selector.num_conv_layers()
+        events = []
+
+        class SubmitsAsHeadEnds:
+            config = tiny_config
+            block_bounds = system.selector.block_bounds
+            open_pass = system.selector.open_pass
+
+            def shadow_spectrogram_batch(self, mixed, d_vector, state):
+                events.append("tail")
+                return system.selector.shadow_spectrogram_batch(mixed, d_vector, state)
+
+            def row_block(self, state, block, last=False):
+                name = "head" if state.frames == 0 else "middle"
+                for step in system.selector.row_block(state, block, last):
+                    events.append(name)
+                    yield step
+                events.append(name + " done")
+                if name == "head" and events.count("head done") == 2:  # B's head ended: A closes
+                    batch.submit(spectrograms[0], request=first)
+
+        batch = StreamBatch(SubmitsAsHeadEnds())
+        first = batch.submit_block(spectrograms[0][:, :middle], system.embedding)
+        assert batch.tick() == 0 and first.tail_ready  # A's head and middle blocks
+        second = batch.submit_block(spectrograms[1][:, :middle], system.embedding)
+        assert batch.tick() == 0  # B's head; B's middle did not start
+        assert second.state.frames == head and batch.pending_requests == 2
+        assert batch.tick() == 1  # A's closing block first, then B's middle
+        assert events[2 * (layers + 1) :] == (
+            ["head"] * layers + ["head done", "tail"] + ["middle"] * layers + ["middle done"]
         )
         batch.submit(spectrograms[1], request=second)
         assert batch.tick() == 1

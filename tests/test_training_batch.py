@@ -41,7 +41,7 @@ from oracles import (
 )
 
 from repro.audio.corpus import SyntheticCorpus
-from repro.core.config import TrainingConfig
+from repro.core.config import NECConfig, TrainingConfig
 from repro.core.encoder import SpectralEncoder
 from repro.core.seeding import derive_seed
 from repro.core.selector import Selector
@@ -187,9 +187,9 @@ class TestTapConvEquivalence:
         x_tap = Tensor(x_data.copy(), requires_grad=x_needs_grad)
         out_tap = layer(x_tap, activation="relu")
         calls = []
-        kernel_fn = conv_module._tap_conv
+        kernel_fn = conv_module._conv_rows
         monkeypatch.setattr(
-            conv_module, "_tap_conv", lambda *a, **k: calls.append(1) or kernel_fn(*a, **k)
+            conv_module, "_conv_rows", lambda *a, **k: calls.append(1) or kernel_fn(*a, **k)
         )
         (out_tap * out_tap).mean().backward()
 
@@ -197,7 +197,7 @@ class TestTapConvEquivalence:
         for ref, tap in zip(ref_grads[1:], [p.grad for p in params]):
             assert _grad_error(ref, tap) < 1e-9
         if x_needs_grad:
-            assert calls == [1]  # the input gradient runs the forward kernel
+            assert calls == [1] * shape[0]  # the input gradient runs the forward kernel
             assert _grad_error(ref_grads[0], x_tap.grad) < 1e-9
         else:
             assert calls == []  # no input gradient is computed at all
@@ -260,6 +260,34 @@ class TestTapConvEquivalence:
 # The class's former name, collected a second time so the test ids recorded
 # under it keep resolving; delete it together with ``nn/fftconv.py``.
 TestFFTConvEquivalence = TestTapConvEquivalence
+
+
+class TestTrainingEqualsInference:
+    """``Conv2d.forward`` and ``Conv2d.infer`` run the one row kernel."""
+
+    @pytest.mark.parametrize("activation", [None, "relu"])
+    def test_forward_equals_infer_bit_for_bit(self, activation):
+        """Training and inference run one kernel: in float64 they give the same bits.
+
+        Every Selector layer at ``tiny()`` on the tiny image, and
+        ``default()``'s ``dilated.2`` (5x5, dilation (4, 1)) on the deployment
+        image.  ``forward`` runs each example as one whole-plane block, so
+        the two-example batch checks that too.
+        """
+        rng = np.random.default_rng(12)
+        tiny, default = NECConfig.tiny(), NECConfig.default()
+        layers = [
+            (layer, (2, layer.in_channels, tiny.num_frames, tiny.frequency_bins))
+            for layer in Selector(tiny, seed=0)._convs()
+        ]
+        deployed = Selector(default, seed=0).dilated[2]
+        layers.append((deployed, (1, 16, default.num_frames, default.frequency_bins)))
+        for layer, shape in layers:
+            layer.bias.data = rng.normal(size=layer.bias.data.shape) * 0.1
+            x = rng.normal(size=shape)
+            np.testing.assert_array_equal(
+                layer(Tensor(x), activation=activation).data, layer.infer(x, activation)
+            )
 
 
 class TestGraphLifetime:
