@@ -9,15 +9,20 @@ import numpy as np
 
 from repro.dsp.filters import amplitude_to_db, db_to_amplitude, rms
 
+#: The sample dtypes :class:`AudioSignal` keeps as given.
+_KEPT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
 
 @dataclass
 class AudioSignal:
     """A mono audio signal: samples plus a sample rate.
 
-    The samples are stored as float64 in nominal full-scale units (typical
-    speech sits around +-0.1 .. +-0.5).  Sound-pressure levels are attached via
-    :meth:`with_spl` / :attr:`reference_spl` so that the propagation model can
-    convert between digital amplitude and dB SPL.
+    The samples are in nominal full-scale units (typical speech sits around
+    +-0.1 .. +-0.5).  float32 and float64 samples are kept as given, the rule
+    every kernel follows, so a float32 shadow wave is served in float32;
+    anything else (integers, float16, lists) becomes float64.  Sound-pressure
+    levels are attached via :meth:`with_spl` / :attr:`reference_spl` so that
+    the propagation model can convert between digital amplitude and dB SPL.
     """
 
     data: np.ndarray
@@ -25,7 +30,10 @@ class AudioSignal:
     reference_spl: Optional[float] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        self.data = np.asarray(self.data, dtype=np.float64).reshape(-1)
+        data = np.asarray(self.data)
+        if data.dtype not in _KEPT_DTYPES:
+            data = data.astype(np.float64)
+        self.data = data.reshape(-1)
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
 

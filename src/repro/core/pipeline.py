@@ -164,8 +164,10 @@ class NECSystem:
         against the per-segment oracle in ``tests/oracles.py``).  This is where
         ``config.inference_dtype`` takes effect: the matrix is cast once, and
         every kernel after it computes in that dtype (the float32 gates are in
-        ``tests/test_precision.py``).  The mixed audio and the shadow waves
-        come out as float64 :class:`AudioSignal` objects either way.
+        ``tests/test_precision.py``).  Each row's shadow wave comes out in
+        that dtype, as a view into the one batch iSTFT array; its mixed audio
+        is a view of the matrix's float64 row.  :meth:`protect` and
+        :meth:`protect_batch` concatenate the rows into a fresh array per clip.
         """
         matrix = np.asarray(segment_matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[1] != self.config.segment_samples:
@@ -515,14 +517,13 @@ class StreamingProtector:
         inverter.feed(complex_shadow(segment.stft, mixed_spec, shadow_spec))
         wave = inverter.flush(length=self._segment)
         emitted_length = segment.stream_samples
-        shadow_wave = AudioSignal(wave, config.sample_rate).trim_to(emitted_length)
         self._segments_emitted += 1
         self.latency.record_emit(self._samples_fed - segment.completed_at_samples)
         return ProtectionResult(
             mixed_audio=AudioSignal(segment.raw[:emitted_length], config.sample_rate),
             mixed_spectrogram=mixed_spec,
             shadow_spectrogram=shadow_spec,
-            shadow_wave=shadow_wave,
+            shadow_wave=AudioSignal(wave[:emitted_length], config.sample_rate),
         )
 
     def _drain_ready(self) -> List[ProtectionResult]:

@@ -319,9 +319,8 @@ class TestStreamingProtector:
         assert protector.pending_samples == 0
 
     def test_emitted_shadow_dtypes_under_both_policies(self, system, system32, tiny_config):
-        """Emitted shadow waves are float64 in *both* inference dtypes
-        (AudioSignal is the interchange boundary); only the internal
-        spectrograms follow ``config.inference_dtype``."""
+        """Emitted shadow waves and the internal spectrograms follow
+        ``config.inference_dtype``."""
         audio = _noise(tiny_config, tiny_config.segment_samples + 50, seed=13)
 
         def stream(protector):
@@ -333,7 +332,7 @@ class TestStreamingProtector:
             assert result.shadow_wave.data.dtype == np.float64
             assert result.shadow_spectrogram.dtype == np.float64
         for result in stream(StreamingProtector(system32)):
-            assert result.shadow_wave.data.dtype == np.float64
+            assert result.shadow_wave.data.dtype == np.float32
             assert result.shadow_spectrogram.dtype == np.float32
             assert result.record_spectrogram.dtype == np.float32
 

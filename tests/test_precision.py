@@ -26,7 +26,8 @@ DTW distance (relative)     ~5e-9 (no geometry)         1e-6
 
 The other half of the contract: float64 stays bit-identical whatever float32
 passes ran before on the same layers, and training is float64 by
-construction (``Tensor`` data is always float64).
+construction (``Tensor`` data is always float64).  Every path serves its
+shadow waves in the pass's dtype, so a float32 deployment emits float32.
 """
 
 from dataclasses import dataclass, replace
@@ -37,7 +38,7 @@ from oracles import conv2d_reference
 
 from repro.audio.signal import AudioSignal
 from repro.core.config import NECConfig
-from repro.core.pipeline import NECSystem, ProtectionResult
+from repro.core.pipeline import NECSystem, ProtectionResult, StreamingProtector
 from repro.core.selector import Selector
 from repro.core.training import SelectorTrainer, TrainingExample
 from repro.nn import Tensor
@@ -155,12 +156,105 @@ def test_float32_mode_runs_kernels_in_float32(protected_pairs):
         assert pair.result64.shadow_spectrogram.dtype == np.float64
         assert pair.result32.shadow_spectrogram.dtype == np.float32
         assert pair.result32.record_spectrogram.dtype == np.float32
-        # AudioSignal is the interchange boundary: the mixed audio and the
-        # emitted waves are float64 in both modes, and the mixed audio is
+        # The emitted waves are in the pass's dtype; the mixed audio stays
         # the caller's samples, not their float32 rounding.
         assert pair.result64.shadow_wave.data.dtype == np.float64
-        assert pair.result32.shadow_wave.data.dtype == np.float64
+        assert pair.result32.shadow_wave.data.dtype == np.float32
+        assert pair.result32.mixed_audio.data.dtype == np.float64
         assert np.array_equal(pair.result32.mixed_audio.data, pair.clip.data)
+
+
+# ---------------------------------------------------------------------------
+# Served waves keep the pass's dtype
+# ---------------------------------------------------------------------------
+def test_audio_signal_keeps_float32_and_float64_and_widens_the_rest():
+    for dtype in (np.float32, np.float64):
+        samples = np.linspace(-0.5, 0.5, 8, dtype=dtype)
+        signal = AudioSignal(samples, 16_000)
+        assert signal.data.dtype == dtype
+        assert np.shares_memory(signal.data, samples)
+    for samples in (
+        np.arange(-4, 4, dtype=np.int16),
+        np.linspace(-0.5, 0.5, 8, dtype=np.float16),
+        [0.0, 0.25, -0.5, 1],
+    ):
+        signal = AudioSignal(samples, 16_000)
+        assert signal.data.dtype == np.float64
+        assert np.array_equal(signal.data, np.asarray(samples, dtype=np.float64))
+
+
+def _stream_with_tail(system, clip):
+    """``clip`` plus a third of a segment, streamed in third-segment chunks
+    and flushed: the results of every full segment, then the tail's."""
+    segment = system.config.segment_samples
+    audio = np.concatenate([clip.data, clip.data[: segment // 3]])
+    protector = StreamingProtector(system)
+    results = []
+    for start in range(0, audio.size, segment // 3):
+        results += protector.feed(audio[start : start + segment // 3])
+    results.append(protector.flush())
+    return audio, results
+
+
+def _served_session(system, clip):
+    """The shadow waves a :class:`ProtectionService` session serves for ``clip``."""
+    registry = EnrollmentRegistry(None, config=system.config)
+    registry.register("alice", system.embedding)
+    chunk = system.config.segment_samples // 3
+    with ProtectionService(registry, system=system) as service:
+        session = service.open_session("alice")
+        waves = []
+        for start in range(0, clip.num_samples, chunk):
+            session.feed(clip.data[start : start + chunk])
+            waves += [result.shadow_wave.data for result in session.collect()]
+        waves += [result.shadow_wave.data for result in session.close(timeout=60.0)]
+    return waves
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+def test_every_path_serves_shadows_in_the_pass_dtype(protected_pairs, geometry):
+    """``protect``, ``protect_batch``, ``protect_segment_matrix``, streaming and
+    the service emit ``config.inference_dtype`` waves: float32 at ``default()``,
+    float64 at ``tiny()`` (and the reverse for each preset's twin)."""
+    pair = protected_pairs[geometry]
+    for system in (pair.system64, pair.system32):
+        dtype = np.dtype(system.config.inference_dtype)
+        segment = system.config.segment_samples
+        short = AudioSignal(pair.clip.data[: segment // 2], pair.clip.sample_rate)
+        assert system.protect(pair.clip).shadow_wave.data.dtype == dtype
+        for result in system.protect_batch([pair.clip, short]):
+            assert result.shadow_wave.data.dtype == dtype
+            assert result.mixed_audio.data.dtype == np.float64
+        matrix = pair.clip.data.reshape(-1, segment)
+        for result in system.protect_segment_matrix(matrix):
+            assert result.shadow_wave.data.dtype == dtype
+            assert result.mixed_audio.data.dtype == np.float64
+        audio, results = _stream_with_tail(system, pair.clip)
+        for result in results:
+            assert result.shadow_wave.data.dtype == dtype
+        streamed = np.concatenate([result.shadow_wave.data for result in results])
+        whole = system.protect(AudioSignal(audio, pair.clip.sample_rate))
+        np.testing.assert_array_equal(streamed, whole.shadow_wave.data)
+        for wave in _served_session(system, pair.clip):
+            assert wave.dtype == dtype
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+def test_streamed_waves_hold_only_their_own_samples(protected_pairs, geometry):
+    """A collected streamed wave, full segment or flush tail, keeps its own
+    samples in the pass's dtype and at most one segment's buffer alive: no
+    float64 widening, no copy of a longer array."""
+    pair = protected_pairs[geometry]
+    for system in (pair.system64, pair.system32):
+        itemsize = np.dtype(system.config.inference_dtype).itemsize
+        segment = system.config.segment_samples
+        _, results = _stream_with_tail(system, pair.clip)
+        emitted = [segment] * (len(results) - 1) + [segment // 3]
+        assert [result.shadow_wave.num_samples for result in results] == emitted
+        for result, samples in zip(results, emitted):
+            wave = result.shadow_wave.data
+            assert wave.nbytes == samples * itemsize
+            assert wave.base is None or wave.base.nbytes <= segment * itemsize
 
 
 def test_stft_istft_preserve_policy_dtypes(rng):
@@ -297,19 +391,8 @@ def test_float32_service_session_matches_protect_at_deployment(protected_pairs):
     """What the service serves at ``default()``: float32 ``protect`` bit for bit,
     and float64 ``protect`` within the shadow-wave gate."""
     pair = protected_pairs["default"]
-    config = pair.system32.config
-    registry = EnrollmentRegistry(None, config=config)
-    registry.register("alice", pair.system32.embedding)
-    chunk = config.segment_samples // 3
-    with ProtectionService(registry, system=pair.system32) as service:
-        session = service.open_session("alice")
-        waves = []
-        for start in range(0, pair.clip.num_samples, chunk):
-            session.feed(pair.clip.data[start : start + chunk])
-            waves += [result.shadow_wave.data for result in session.collect()]
-        waves += [result.shadow_wave.data for result in session.close(timeout=60.0)]
-    served = np.concatenate(waves)
-    assert served.dtype == np.float64
+    served = np.concatenate(_served_session(pair.system32, pair.clip))
+    assert served.dtype == np.float32
     np.testing.assert_array_equal(served, pair.result32.shadow_wave.data)
     assert _relative_wave_drift(pair.result64.shadow_wave.data, served) <= WAVE_RTOL
 
