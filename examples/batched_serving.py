@@ -6,7 +6,7 @@ Three ways to drive the same inference engine:
 1. ``protect``       — one clip, all segments through one batched STFT,
    the Selector and one batched iSTFT;
 2. ``protect_batch`` — many clips per call (segments of all clips share the
-   STFT and iSTFT calls), the serving entry point;
+   STFT and iSTFT calls), the offline evaluation path;
 3. ``StreamingProtector`` — chunked audio in, shadow waves out, with
    carried-over state — the deployment-shaped interface.
 

@@ -1,14 +1,14 @@
 """The end-to-end NEC system: enroll, protect, superpose.
 
-Shadow generation runs on one gradient-free engine: an arbitrary-length clip
-is split into segments, stacked into a ``(N, segment_samples)`` matrix, and
-transformed by one batched STFT; the Selector infers the shadow spectrograms
+Whole clips run on one gradient-free engine: :meth:`NECSystem.protect` (one
+clip) and :meth:`NECSystem.protect_batch` (many) cut every clip into the rows
+of one zero-padded ``(N, segment_samples)`` matrix, transform it with one
+batched STFT, infer the shadow spectrograms
 (:meth:`Selector.shadow_spectrogram_batch`, at most
-:data:`~repro.core.selector.ROWS_PER_PASS` rows per pass) and one batched
-iSTFT inverts them (:meth:`NECSystem.protect`).  The same engine powers
-:meth:`NECSystem.protect_batch` (many clips per call) and
-:class:`StreamingProtector` (chunked audio in, shadow waves out, with
-carried-over state), which queues each segment as one request to a
+:data:`~repro.core.selector.ROWS_PER_PASS` rows per pass) and invert them with
+one batched iSTFT.  :class:`StreamingProtector` (chunked audio in, shadow
+waves out, with carried-over state) transforms each chunk's frames as they
+arrive and queues each segment as one request to a
 :class:`~repro.core.selector.StreamBatch`: each block of the Selector's grid
 as soon as its frames exist, the last when the segment closes.
 Each path is bit-identical to protecting one segment at a time; that oracle
@@ -40,9 +40,14 @@ from repro.dsp.stft import (
 
 @dataclass
 class ProtectionResult:
-    """Everything NEC produces for one mixed-audio segment."""
+    """The shadow NEC produces for one clip or streamed segment.
 
-    mixed_audio: AudioSignal
+    ``shadow_wave`` is what the device broadcasts.  ``mixed_spectrogram`` is
+    the magnitude the Selector read; :attr:`record_spectrogram` and
+    :attr:`predicted_suppression_db` are derived from it.  The input audio is
+    not echoed back: the caller already holds it.
+    """
+
     mixed_spectrogram: np.ndarray       # (F, T)
     shadow_spectrogram: np.ndarray      # (F, T), signed
     shadow_wave: AudioSignal
@@ -136,92 +141,60 @@ class NECSystem:
         return self._embedding
 
     # -- shadow generation ---------------------------------------------------------
-    def _segments(self, audio: AudioSignal) -> List[AudioSignal]:
-        """Split audio into segment-sized chunks (the last one zero-padded)."""
-        segment = self.config.segment_samples
-        chunks: List[AudioSignal] = []
-        for start in range(0, max(audio.num_samples, 1), segment):
-            chunk = AudioSignal(audio.data[start : start + segment], audio.sample_rate)
-            if chunk.num_samples == 0:
-                break
-            chunks.append(chunk.fit_to(segment))
-        return chunks or [audio.fit_to(segment)]
-
     def _check_sample_rate(self, audio: AudioSignal) -> None:
         if audio.sample_rate != self.config.sample_rate:
             raise ValueError(
                 f"expected {self.config.sample_rate} Hz audio, got {audio.sample_rate}"
             )
 
-    def protect_segment_matrix(self, segment_matrix: np.ndarray) -> List[ProtectionResult]:
-        """The batched engine core: protect ``(N, segment_samples)`` stacked segments.
+    def _protect_clips(self, clips: Sequence[AudioSignal]) -> List[ProtectionResult]:
+        """The batched engine: protect one or more clips together.
 
-        One complex STFT, one :meth:`Selector.shadow_spectrogram_batch` call
-        (which bounds its own passes at :data:`~repro.core.selector.ROWS_PER_PASS`
-        rows) and one batched iSTFT cover the whole matrix.  Returns one
-        full-segment :class:`ProtectionResult` per row, each bit-identical to
-        protecting that row alone (pinned by ``tests/test_pipeline_batch.py``
-        against the per-segment oracle in ``tests/oracles.py``).  This is where
-        ``config.inference_dtype`` takes effect: the matrix is cast once, and
-        every kernel after it computes in that dtype (the float32 gates are in
-        ``tests/test_precision.py``).  Each row's shadow wave comes out in
-        that dtype, as a view into the one batch iSTFT array; its mixed audio
-        is a view of the matrix's float64 row.  :meth:`protect` and
-        :meth:`protect_batch` concatenate the rows into a fresh array per clip.
+        Every clip is cut into ``segment_samples`` rows of one zeroed
+        ``(N, segment_samples)`` matrix in ``config.inference_dtype`` (its
+        last row zero-padded, an empty clip one all-zero row), so each
+        sample is copied once and cast on the way in.  One STFT, one
+        :meth:`Selector.shadow_spectrogram_batch` call (which bounds its own
+        passes at :data:`~repro.core.selector.ROWS_PER_PASS` rows) and one
+        batched iSTFT cover the whole matrix, and every kernel after the cast
+        computes in that dtype (the float32 gates are in
+        ``tests/test_precision.py``).  Each clip's result holds its rows'
+        frames side by side and one fresh shadow wave of exactly its samples.
         """
-        matrix = np.asarray(segment_matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[1] != self.config.segment_samples:
-            raise ValueError(
-                f"expected a (N, {self.config.segment_samples}) segment matrix, "
-                f"got shape {matrix.shape}"
-            )
-        embedding = self.embedding  # fail fast if not enrolled
-        stfts = batch_stft(
-            matrix.astype(self.config.inference_dtype, copy=False),
-            self.config.n_fft,
-            self.config.win_length,
-            self.config.hop_length,
-        )  # (N, F, T) complex
+        embedding = self.embedding  # fail fast, before any transform runs
+        config = self.config
+        segment = config.segment_samples
+        rows = []
+        for clip in clips:
+            self._check_sample_rate(clip)
+            rows.append(max(-(-clip.num_samples // segment), 1))
+        matrix = np.zeros((sum(rows), segment), dtype=config.inference_dtype)
+        samples = matrix.reshape(-1)
+        starts = np.cumsum([0, *rows])
+        for clip, start in zip(clips, starts):
+            samples[start * segment : start * segment + clip.num_samples] = clip.data
+        stfts = batch_stft(matrix, config.n_fft, config.win_length, config.hop_length)
         mixed_specs = magnitude(stfts)
         shadow_specs = self.selector.shadow_spectrogram_batch(mixed_specs, embedding)
-        # One batched iSTFT inverts every shadow at once; each row of
-        # batch_istft equals istft of that row bit for bit (pinned by the
-        # test suite).
+        # Each row of batch_istft equals istft of that row bit for bit
+        # (pinned by the test suite).
         waves = batch_istft(
             complex_shadow(stfts, mixed_specs, shadow_specs),
-            self.config.win_length,
-            self.config.hop_length,
-            length=self.config.segment_samples,
-        )
+            config.win_length,
+            config.hop_length,
+            length=segment,
+        ).reshape(-1)
         return [
             ProtectionResult(
-                mixed_audio=AudioSignal(matrix[row], self.config.sample_rate),
-                mixed_spectrogram=mixed_specs[row],
-                shadow_spectrogram=shadow_specs[row],
-                shadow_wave=AudioSignal(waves[row], self.config.sample_rate),
+                mixed_spectrogram=np.concatenate(mixed_specs[start:stop], axis=1),
+                shadow_spectrogram=np.concatenate(shadow_specs[start:stop], axis=1),
+                shadow_wave=AudioSignal(
+                    waves[start * segment : start * segment + clip.num_samples].copy(),
+                    config.sample_rate,
+                ),
             )
-            for row in range(matrix.shape[0])
+            for clip, start, stop in zip(clips, starts, starts[1:])
         ]
-
-    def _assemble(
-        self, mixed_audio: AudioSignal, results: Sequence[ProtectionResult]
-    ) -> ProtectionResult:
-        """Stitch per-segment results back into one clip-level result."""
-        shadow = np.concatenate([result.shadow_wave.data for result in results])
-        shadow = shadow[: mixed_audio.num_samples]
-        mixed_spec = np.concatenate([result.mixed_spectrogram for result in results], axis=1)
-        shadow_spec = np.concatenate([result.shadow_spectrogram for result in results], axis=1)
-        return ProtectionResult(
-            mixed_audio=mixed_audio,
-            mixed_spectrogram=mixed_spec,
-            shadow_spectrogram=shadow_spec,
-            shadow_wave=AudioSignal(shadow, self.config.sample_rate),
-        )
-
-    def _segment_matrix(self, mixed_audio: AudioSignal) -> np.ndarray:
-        """The clip's segments stacked into a ``(N, segment_samples)`` matrix."""
-        self._check_sample_rate(mixed_audio)
-        return np.stack([segment.data for segment in self._segments(mixed_audio)])
 
     def protect(self, mixed_audio: AudioSignal) -> ProtectionResult:
         """Protect an arbitrary-length mixed audio via the batched engine.
@@ -231,28 +204,17 @@ class NECSystem:
         segment at a time (pinned against the looped oracle in
         ``tests/oracles.py``).
         """
-        results = self.protect_segment_matrix(self._segment_matrix(mixed_audio))
-        return self._assemble(mixed_audio, results)
+        return self._protect_clips([mixed_audio])[0]
 
     def protect_batch(self, mixed_audios: Sequence[AudioSignal]) -> List[ProtectionResult]:
-        """Protect many clips in one call — the serving entry point.
+        """Protect many clips in one call, the offline evaluation path.
 
-        Segments of *all* clips are stacked into one matrix so the clips
-        share the STFT and iSTFT calls; the results are then split and
-        reassembled per clip.  ``protect_batch([a, b])`` returns exactly
-        ``[protect(a), protect(b)]``.
+        Segments of *all* clips share one matrix, so the clips share the STFT,
+        Selector and iSTFT calls.  ``protect_batch([a, b])`` returns exactly
+        ``[protect(a), protect(b)]``.  Live audio goes through
+        :class:`StreamingProtector` instead (the serving layer streams).
         """
-        if not mixed_audios:
-            return []
-        matrices = [self._segment_matrix(audio) for audio in mixed_audios]
-        segment_results = self.protect_segment_matrix(np.concatenate(matrices, axis=0))
-        assembled: List[ProtectionResult] = []
-        offset = 0
-        for audio, matrix in zip(mixed_audios, matrices):
-            count = matrix.shape[0]
-            assembled.append(self._assemble(audio, segment_results[offset : offset + count]))
-            offset += count
-        return assembled
+        return self._protect_clips(mixed_audios) if mixed_audios else []
 
     # -- recording models --------------------------------------------------------
     def superpose(
@@ -327,31 +289,25 @@ class StreamLatencyStats:
 class _PendingSegment:
     """One completed segment travelling through the streaming pipeline."""
 
-    raw: np.ndarray                 # float64 segment samples (possibly zero-padded)
     stft: np.ndarray                # (F, T) complex frames, inference dtype
     completed_at_samples: int       # samples_fed when the segment completed
-    trim_to: Optional[int] = None   # emitted wave length (flush tails)
+    stream_samples: int             # stream audio it covers: a tail's zero pad is not
     request: Optional[StreamRequest] = None  # from its early blocks' submits, or its own
-
-    @property
-    def stream_samples(self) -> int:
-        """Stream audio this segment covers: the zero pad of a tail is not."""
-        return self.trim_to if self.trim_to is not None else self.raw.size
 
 
 class StreamingProtector:
-    """Real-time incremental protection on a fixed-lookahead ring pipeline.
+    """Real-time incremental protection on a fixed-lookahead segment pipeline.
 
     A deployment NEC device does not see whole clips: audio arrives from the
     microphone in arbitrary-sized chunks, and the shadow wave is only useful
     if it is broadcast while the speech is still in the air.  This pipeline
     therefore does bounded work per chunk:
 
-    - samples land in a **preallocated segment ring buffer** (no growing
-      array, no concatenate-and-slice);
     - the **incremental STFT** (:class:`~repro.dsp.stft.StreamingSTFT`)
       transforms only the frames each chunk completes, so the segment
-      spectrogram is already standing when its last sample arrives;
+      spectrogram is already standing when its last sample arrives; no
+      samples are kept past their frames, only a count of how far the open
+      segment has filled;
     - each segment is one request to a
       :class:`~repro.core.selector.StreamBatch` for its gradient-free
       Selector pass, one stage per block of the grid
@@ -400,8 +356,7 @@ class StreamingProtector:
         self._batch = stream_batch if stream_batch is not None else StreamBatch(system.selector)
         config = system.config
         self._segment = config.segment_samples
-        self._ring = np.zeros(self._segment, dtype=np.float64)
-        self._fill = 0
+        self._fill = 0  # samples of the open segment fed so far
         self._stft = StreamingSTFT(
             config.n_fft, config.win_length, config.hop_length, dtype=config.inference_dtype
         )
@@ -465,13 +420,11 @@ class StreamingProtector:
 
     # -- pipeline stages -------------------------------------------------------
     def _buffer_chunk(self, data: np.ndarray) -> None:
-        """Stage 1: ring-buffer fill + incremental STFT, segment by segment."""
+        """Stage 1: incremental STFT, segment by segment."""
         position = 0
         while position < data.size:
             take = min(self._segment - self._fill, data.size - position)
-            piece = data[position : position + take]
-            self._ring[self._fill : self._fill + take] = piece
-            frames = self._stft.feed(piece)
+            frames = self._stft.feed(data[position : position + take])
             if frames.shape[1]:
                 self._frames.append(frames)
             self._fill += take
@@ -486,13 +439,13 @@ class StreamingProtector:
         return self._frames[0]
 
     def _complete_segment(self) -> None:
-        """A full segment is standing in the ring: queue it for inference."""
+        """A full segment's frames are standing: queue it for inference."""
         self._segments_completed += 1
         self._ready.append(
             _PendingSegment(
-                raw=self._ring.copy(),
                 stft=self._joined_frames(),
                 completed_at_samples=self._segments_completed * self._segment,
+                stream_samples=self._segment,
                 request=self._open_request,
             )
         )
@@ -516,14 +469,12 @@ class StreamingProtector:
         )
         inverter.feed(complex_shadow(segment.stft, mixed_spec, shadow_spec))
         wave = inverter.flush(length=self._segment)
-        emitted_length = segment.stream_samples
         self._segments_emitted += 1
         self.latency.record_emit(self._samples_fed - segment.completed_at_samples)
         return ProtectionResult(
-            mixed_audio=AudioSignal(segment.raw[:emitted_length], config.sample_rate),
             mixed_spectrogram=mixed_spec,
             shadow_spectrogram=shadow_spec,
-            shadow_wave=AudioSignal(wave[:emitted_length], config.sample_rate),
+            shadow_wave=AudioSignal(wave[: segment.stream_samples], config.sample_rate),
         )
 
     def _drain_ready(self) -> List[ProtectionResult]:
@@ -615,7 +566,7 @@ class StreamingProtector:
         pending = self._fill
         self._buffer_chunk(np.zeros(self._segment - pending))
         tail_segment = self._ready[-1]
-        tail_segment.trim_to = pending
+        tail_segment.stream_samples = pending
         # The pad samples are pipeline filler, not stream audio: completion
         # happened when the last real sample arrived.
         tail_segment.completed_at_samples = self._samples_fed

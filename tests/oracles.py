@@ -122,7 +122,6 @@ def protect_segment(system: NECSystem, mixed_segment: AudioSignal) -> Protection
         length=mixed_segment.num_samples,
     )
     return ProtectionResult(
-        mixed_audio=mixed_segment,
         mixed_spectrogram=mixed_spec,
         shadow_spectrogram=shadow_spec,
         shadow_wave=AudioSignal(wave, config.sample_rate),
@@ -130,9 +129,29 @@ def protect_segment(system: NECSystem, mixed_segment: AudioSignal) -> Protection
 
 
 def protect_looped(system: NECSystem, mixed_audio: AudioSignal) -> ProtectionResult:
-    """``NECSystem.protect`` one segment at a time."""
-    results = [protect_segment(system, segment) for segment in system._segments(mixed_audio)]
-    return system._assemble(mixed_audio, results)
+    """``NECSystem.protect`` one segment at a time.
+
+    The clip is cut into ``segment_samples`` pieces, the last one zero-padded
+    (an empty clip is one all-zero piece); each piece goes through
+    :func:`protect_segment`, and the pieces' spectrograms and waves are
+    joined, the wave cut back to the clip's length.
+    """
+    segment = system.config.segment_samples
+    data = mixed_audio.data
+    pieces = []
+    for start in range(0, max(data.size, 1), segment):
+        piece = np.zeros(segment, dtype=data.dtype)
+        chunk = data[start : start + segment]
+        piece[: chunk.size] = chunk
+        pieces.append(protect_segment(system, AudioSignal(piece, mixed_audio.sample_rate)))
+    return ProtectionResult(
+        mixed_spectrogram=np.concatenate([p.mixed_spectrogram for p in pieces], axis=1),
+        shadow_spectrogram=np.concatenate([p.shadow_spectrogram for p in pieces], axis=1),
+        shadow_wave=AudioSignal(
+            np.concatenate([p.shadow_wave.data for p in pieces])[: data.size],
+            mixed_audio.sample_rate,
+        ),
+    )
 
 
 # -- inverse STFT ---------------------------------------------------------------

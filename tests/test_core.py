@@ -175,8 +175,12 @@ class TestOvershadow:
             rng.normal(scale=0.1, size=config.segment_samples + 40), config.sample_rate
         )
         result = system.protect(audio)
+        segments = np.pad(audio.data, (0, 2 * config.segment_samples - audio.num_samples))
         stfts = batch_stft(
-            system._segment_matrix(audio), config.n_fft, config.win_length, config.hop_length
+            segments.reshape(2, config.segment_samples),
+            config.n_fft,
+            config.win_length,
+            config.hop_length,
         )
         spectrum = np.concatenate(list(stfts), axis=1)
         shadow = result.shadow_spectrogram

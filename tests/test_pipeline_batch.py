@@ -24,6 +24,7 @@ from repro.core import (
     StreamingProtector,
     superpose_spectrograms,
 )
+from repro.core import pipeline as pipeline_module
 from repro.core.selector import ROWS_PER_PASS, Selector
 from repro.nn import Conv2d, Tensor, clear_im2col_buffer_cache
 from repro.nn import conv as conv_module
@@ -59,101 +60,95 @@ def _noise(config, num_samples, seed=5):
     return AudioSignal(rng.normal(scale=0.1, size=num_samples), config.sample_rate)
 
 
+def _assert_matches_looped(nec, audio):
+    """``protect(audio)`` equals the looped oracle bit for bit; returns it."""
+    looped = protect_looped(nec, audio)
+    batched = nec.protect(audio)
+    assert batched.shadow_spectrogram.dtype == nec.config.inference_dtype
+    assert batched.shadow_wave.num_samples == audio.num_samples
+    np.testing.assert_array_equal(looped.mixed_spectrogram, batched.mixed_spectrogram)
+    np.testing.assert_array_equal(looped.shadow_spectrogram, batched.shadow_spectrogram)
+    np.testing.assert_array_equal(looped.record_spectrogram, batched.record_spectrogram)
+    np.testing.assert_array_equal(looped.shadow_wave.data, batched.shadow_wave.data)
+    return batched
+
+
 class TestBatchedEquivalence:
     def test_multi_segment_protect_matches_looped_exactly(self, system, system32, tiny_config):
-        """Bit-identical in both inference dtypes."""
-        audio = _noise(tiny_config, int(3.4 * tiny_config.segment_samples))
-        for nec in (system, system32):
-            looped = protect_looped(nec, audio)
-            batched = nec.protect(audio)
-            assert batched.shadow_spectrogram.dtype == nec.config.inference_dtype
-            np.testing.assert_array_equal(looped.mixed_spectrogram, batched.mixed_spectrogram)
-            np.testing.assert_array_equal(looped.shadow_spectrogram, batched.shadow_spectrogram)
-            np.testing.assert_array_equal(looped.record_spectrogram, batched.record_spectrogram)
-            np.testing.assert_array_equal(looped.shadow_wave.data, batched.shadow_wave.data)
+        """Bit-identical in both inference dtypes, on whole and partial last segments."""
+        segment = tiny_config.segment_samples
+        for num_samples in (3 * segment, int(3.4 * segment)):
+            audio = _noise(tiny_config, num_samples)
+            for nec in (system, system32):
+                _assert_matches_looped(nec, audio)
 
     def test_segment_matrix_rows_match_protect_segment(self, system, tiny_config):
+        """``protect_batch`` of one-segment clips: each matrix row equals that
+        segment protected on its own."""
         segment = tiny_config.segment_samples
-        matrix = np.stack(
-            [_noise(tiny_config, segment, seed=s).data for s in range(3)]
-        )
-        batched = system.protect_segment_matrix(matrix)
-        for row in range(3):
-            single = protect_segment(
-                system, AudioSignal(matrix[row], tiny_config.sample_rate)
-            )
-            np.testing.assert_array_equal(
-                single.shadow_spectrogram, batched[row].shadow_spectrogram
-            )
-            np.testing.assert_array_equal(
-                single.shadow_wave.data, batched[row].shadow_wave.data
-            )
+        clips = [_noise(tiny_config, segment, seed=s) for s in range(3)]
+        batched = system.protect_batch(clips)
+        for clip, result in zip(clips, batched):
+            single = protect_segment(system, clip)
+            np.testing.assert_array_equal(single.shadow_spectrogram, result.shadow_spectrogram)
+            np.testing.assert_array_equal(single.shadow_wave.data, result.shadow_wave.data)
 
     def test_matrix_past_rows_per_pass_matches_oracle(self, system, tiny_config):
-        rows = ROWS_PER_PASS + 2
-        matrix = np.stack(
-            [_noise(tiny_config, tiny_config.segment_samples, seed=s).data for s in range(rows)]
-        )
+        """A clip of more segments than one Selector pass holds."""
+        audio = _noise(tiny_config, (ROWS_PER_PASS + 2) * tiny_config.segment_samples)
         clear_im2col_buffer_cache()
-        batched = system.protect_segment_matrix(matrix)
+        _assert_matches_looped(system, audio)
         cached_rows = [key[0] for key in conv_module._workspace_store()]  # key[0] is N
         assert cached_rows and max(cached_rows) <= ROWS_PER_PASS
-        for row in range(rows):
-            single = protect_segment(system, AudioSignal(matrix[row], tiny_config.sample_rate))
-            np.testing.assert_array_equal(
-                single.shadow_spectrogram, batched[row].shadow_spectrogram
-            )
-            np.testing.assert_array_equal(single.shadow_wave.data, batched[row].shadow_wave.data)
 
-    def test_segment_matrix_rejects_wrong_width(self, system, tiny_config):
-        with pytest.raises(ValueError):
-            system.protect_segment_matrix(np.zeros((2, tiny_config.segment_samples + 1)))
+    def test_segment_matrix_requires_enrollment(self, tiny_config, monkeypatch):
+        """An unenrolled ``protect_batch`` raises before any transform runs."""
 
-    def test_segment_matrix_requires_enrollment(self, tiny_config):
-        with pytest.raises(RuntimeError):
-            NECSystem(tiny_config).protect_segment_matrix(
-                np.zeros((1, tiny_config.segment_samples))
-            )
+        def no_stft(*args, **kwargs):
+            raise AssertionError("the STFT ran before the enrollment check")
+
+        monkeypatch.setattr(pipeline_module, "batch_stft", no_stft)
+        clip = _noise(tiny_config, tiny_config.segment_samples)
+        with pytest.raises(RuntimeError, match="no speaker enrolled"):
+            NECSystem(tiny_config).protect_batch([clip, clip])
 
 
 class TestSegmentationEdgeCases:
-    def test_empty_audio(self, system, tiny_config):
+    """Clip lengths around the segment boundary, in both inference dtypes,
+    against the looped oracle (which cuts the clip itself)."""
+
+    def test_empty_audio(self, system, system32, tiny_config):
         empty = AudioSignal(np.zeros(0), tiny_config.sample_rate)
-        looped = protect_looped(system, empty)
-        batched = system.protect(empty)
-        assert batched.shadow_wave.num_samples == 0
-        # One all-zero segment is still analysed; both paths agree on it.
-        assert batched.mixed_spectrogram.shape == tiny_config.spectrogram_shape
-        np.testing.assert_array_equal(looped.shadow_spectrogram, batched.shadow_spectrogram)
+        for nec in (system, system32):
+            batched = _assert_matches_looped(nec, empty)
+            # One all-zero segment is still analysed.
+            assert batched.mixed_spectrogram.shape == tiny_config.spectrogram_shape
 
-    def test_exactly_one_segment(self, system, tiny_config):
+    def test_exactly_one_segment(self, system, system32, tiny_config):
         audio = _noise(tiny_config, tiny_config.segment_samples)
-        looped = protect_looped(system, audio)
-        batched = system.protect(audio)
-        assert batched.shadow_wave.num_samples == tiny_config.segment_samples
-        assert batched.mixed_spectrogram.shape == tiny_config.spectrogram_shape
-        np.testing.assert_array_equal(looped.shadow_wave.data, batched.shadow_wave.data)
+        for nec in (system, system32):
+            batched = _assert_matches_looped(nec, audio)
+            assert batched.mixed_spectrogram.shape == tiny_config.spectrogram_shape
 
-    def test_shorter_than_one_segment(self, system, tiny_config):
-        audio = _noise(tiny_config, tiny_config.segment_samples // 3)
-        batched = system.protect(audio)
-        # The shadow wave is trimmed back to the input length...
-        assert batched.shadow_wave.num_samples == audio.num_samples
-        # ...but the spectrogram covers the full zero-padded segment.
-        assert batched.mixed_spectrogram.shape == tiny_config.spectrogram_shape
-        np.testing.assert_array_equal(
-            protect_looped(system, audio).shadow_wave.data, batched.shadow_wave.data
-        )
-
-    def test_non_multiple_length(self, system, tiny_config):
+    def test_shorter_than_one_segment(self, system, system32, tiny_config):
         segment = tiny_config.segment_samples
-        audio = _noise(tiny_config, 2 * segment + segment // 2)
-        looped = protect_looped(system, audio)
-        batched = system.protect(audio)
-        assert batched.shadow_wave.num_samples == audio.num_samples
-        # Three segments' worth of frames (the last zero-padded).
-        assert batched.mixed_spectrogram.shape[1] == 3 * tiny_config.num_frames
-        np.testing.assert_array_equal(looped.shadow_wave.data, batched.shadow_wave.data)
+        for num_samples in (1, segment // 3, segment - 1):
+            audio = _noise(tiny_config, num_samples)
+            for nec in (system, system32):
+                # The shadow wave is trimmed back to the input length (checked
+                # in the helper), but the spectrogram covers the full
+                # zero-padded segment.
+                batched = _assert_matches_looped(nec, audio)
+                assert batched.mixed_spectrogram.shape == tiny_config.spectrogram_shape
+
+    def test_non_multiple_length(self, system, system32, tiny_config):
+        segment = tiny_config.segment_samples
+        for num_samples, segments in ((segment + 1, 2), (2 * segment + segment // 2, 3)):
+            audio = _noise(tiny_config, num_samples)
+            for nec in (system, system32):
+                batched = _assert_matches_looped(nec, audio)
+                # Whole segments' worth of frames (the last zero-padded).
+                assert batched.mixed_spectrogram.shape[1] == segments * tiny_config.num_frames
 
     def test_sample_rate_mismatch_rejected(self, system, tiny_config):
         with pytest.raises(ValueError):
@@ -309,8 +304,7 @@ class TestStreamingProtector:
         protector.feed(tail_audio)
         tail = protector.flush()
         assert tail is not None
-        # The result's mixed_audio is the fed samples, without the zero pad.
-        np.testing.assert_array_equal(tail.mixed_audio.data, tail_audio.data)
+        # The shadow wave covers the fed samples, without the zero pad.
         assert tail.shadow_wave.num_samples == 123
         # The spectrograms cover the padded segment (full analysis geometry).
         assert tail.shadow_spectrogram.shape == tuple(tiny_config.spectrogram_shape)
@@ -366,7 +360,6 @@ class TestRecordSpectrogram:
         result = system.protect(_noise(tiny_config, 100))
         with pytest.raises(TypeError):
             ProtectionResult(
-                mixed_audio=result.mixed_audio,
                 mixed_spectrogram=result.mixed_spectrogram,
                 shadow_spectrogram=result.shadow_spectrogram,
                 shadow_wave=result.shadow_wave,

@@ -1,8 +1,9 @@
 """The float32 serving mode: tolerance-gated equivalence suite.
 
 ``NECConfig.inference_dtype`` is the one dtype setting of the protection
-path.  ``NECSystem.protect_segment_matrix`` casts its segment matrix to it
-once and the streaming transforms are built with it; every kernel after that
+path.  ``NECSystem.protect`` and ``protect_batch`` write the caller's samples
+into a segment matrix of that dtype and the streaming transforms are built
+with it; every kernel after that
 computes in the dtype of its input.  The deployment preset,
 ``NECConfig.default()``, serves float32; ``tiny()``, ``paper()`` and the
 evaluation studies run float64.  This suite is the gate that makes the
@@ -156,12 +157,9 @@ def test_float32_mode_runs_kernels_in_float32(protected_pairs):
         assert pair.result64.shadow_spectrogram.dtype == np.float64
         assert pair.result32.shadow_spectrogram.dtype == np.float32
         assert pair.result32.record_spectrogram.dtype == np.float32
-        # The emitted waves are in the pass's dtype; the mixed audio stays
-        # the caller's samples, not their float32 rounding.
+        # The emitted waves are in the pass's dtype.
         assert pair.result64.shadow_wave.data.dtype == np.float64
         assert pair.result32.shadow_wave.data.dtype == np.float32
-        assert pair.result32.mixed_audio.data.dtype == np.float64
-        assert np.array_equal(pair.result32.mixed_audio.data, pair.clip.data)
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +182,16 @@ def test_audio_signal_keeps_float32_and_float64_and_widens_the_rest():
 
 
 def _stream_with_tail(system, clip):
-    """``clip`` plus a third of a segment, streamed in third-segment chunks
-    and flushed: the results of every full segment, then the tail's."""
+    """``clip`` plus a third of a segment, streamed in third-segment
+    :class:`AudioSignal` chunks of the clip's dtype and flushed: the results
+    of every full segment, then the tail's."""
     segment = system.config.segment_samples
     audio = np.concatenate([clip.data, clip.data[: segment // 3]])
     protector = StreamingProtector(system)
     results = []
     for start in range(0, audio.size, segment // 3):
-        results += protector.feed(audio[start : start + segment // 3])
+        chunk = AudioSignal(audio[start : start + segment // 3], clip.sample_rate)
+        results += protector.feed(chunk)
     results.append(protector.flush())
     return audio, results
 
@@ -213,28 +213,34 @@ def _served_session(system, clip):
 
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
 def test_every_path_serves_shadows_in_the_pass_dtype(protected_pairs, geometry):
-    """``protect``, ``protect_batch``, ``protect_segment_matrix``, streaming and
-    the service emit ``config.inference_dtype`` waves: float32 at ``default()``,
-    float64 at ``tiny()`` (and the reverse for each preset's twin)."""
+    """``protect``, ``protect_batch``, streaming and the service emit
+    ``config.inference_dtype`` waves: float32 at ``default()``, float64 at
+    ``tiny()`` (and the reverse for each preset's twin), whatever the dtype of
+    the caller's samples.  A float32 caller clip is served exactly as its
+    float64 widening is, on every path."""
     pair = protected_pairs[geometry]
+    rate = pair.clip.sample_rate
+    clip32 = AudioSignal(pair.clip.data.astype(np.float32), rate)
+    widened = AudioSignal(clip32.data.astype(np.float64), rate)
     for system in (pair.system64, pair.system32):
         dtype = np.dtype(system.config.inference_dtype)
-        segment = system.config.segment_samples
-        short = AudioSignal(pair.clip.data[: segment // 2], pair.clip.sample_rate)
-        assert system.protect(pair.clip).shadow_wave.data.dtype == dtype
-        for result in system.protect_batch([pair.clip, short]):
+        short = AudioSignal(pair.clip.data[: system.config.segment_samples // 2], rate)
+        expected = [system.protect(clip) for clip in (pair.clip, short, widened)]
+        # The float32 clip alone, then in a mixed-dtype batch.
+        served = [system.protect(clip32), *system.protect_batch([pair.clip, short, clip32])]
+        for result, reference in zip(served, [expected[2], *expected]):
             assert result.shadow_wave.data.dtype == dtype
-            assert result.mixed_audio.data.dtype == np.float64
-        matrix = pair.clip.data.reshape(-1, segment)
-        for result in system.protect_segment_matrix(matrix):
-            assert result.shadow_wave.data.dtype == dtype
-            assert result.mixed_audio.data.dtype == np.float64
-        audio, results = _stream_with_tail(system, pair.clip)
-        for result in results:
-            assert result.shadow_wave.data.dtype == dtype
-        streamed = np.concatenate([result.shadow_wave.data for result in results])
-        whole = system.protect(AudioSignal(audio, pair.clip.sample_rate))
-        np.testing.assert_array_equal(streamed, whole.shadow_wave.data)
+            np.testing.assert_array_equal(result.shadow_wave.data, reference.shadow_wave.data)
+            np.testing.assert_array_equal(
+                result.shadow_spectrogram, reference.shadow_spectrogram
+            )
+        for clip in (pair.clip, clip32):
+            audio, results = _stream_with_tail(system, clip)
+            for result in results:
+                assert result.shadow_wave.data.dtype == dtype
+            streamed = np.concatenate([result.shadow_wave.data for result in results])
+            whole = system.protect(AudioSignal(audio, rate))
+            np.testing.assert_array_equal(streamed, whole.shadow_wave.data)
         for wave in _served_session(system, pair.clip):
             assert wave.dtype == dtype
 

@@ -896,5 +896,4 @@ class TestFlushSemantics:
         batch.tick()
         (tail,) = protector.collect()
         assert tail.shadow_wave.num_samples == pending
-        assert tail.mixed_audio.num_samples == pending
         assert protector.pending_samples == 0
