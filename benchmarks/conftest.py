@@ -15,7 +15,7 @@ import pytest
 import repro.nn.tensor as _tensor_module
 from repro.asr.recognizer import TemplateRecognizer
 from repro.core.config import NECConfig
-from repro.eval.common import prepare_context
+from repro.eval.common import EVAL_TRAINING, prepare_context
 
 # Scale knobs for the benchmark harness.
 BENCH_NUM_SPEAKERS = 8
@@ -60,9 +60,10 @@ def bench_context(bench_config):
         config=bench_config,
         num_speakers=BENCH_NUM_SPEAKERS,
         num_targets=BENCH_NUM_TARGETS,
-        examples_per_target=BENCH_EXAMPLES_PER_TARGET,
-        training_epochs=BENCH_TRAINING_EPOCHS,
         seed=BENCH_SEED,
+        training=EVAL_TRAINING.replace(
+            epochs=BENCH_TRAINING_EPOCHS, num_examples_per_target=BENCH_EXAMPLES_PER_TARGET
+        ),
     )
 
 

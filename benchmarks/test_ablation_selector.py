@@ -1,11 +1,14 @@
 """Ablation benches (E14): selector output head and dilation depth."""
 
 from repro.eval.ablation import run_dilation_ablation, run_output_mode_ablation
+from repro.eval.common import EVAL_TRAINING
 
 
 def test_ablation_output_mode(benchmark):
     result = benchmark.pedantic(
-        lambda: run_output_mode_ablation(epochs=4, examples_per_target=3),
+        lambda: run_output_mode_ablation(
+            training=EVAL_TRAINING.replace(epochs=4, num_examples_per_target=3)
+        ),
         rounds=1,
         iterations=1,
     )
@@ -18,7 +21,10 @@ def test_ablation_output_mode(benchmark):
 
 def test_ablation_dilations(benchmark):
     result = benchmark.pedantic(
-        lambda: run_dilation_ablation(dilation_sets=((1,), (1, 2)), epochs=3, examples_per_target=3),
+        lambda: run_dilation_ablation(
+            dilation_sets=((1,), (1, 2)),
+            training=EVAL_TRAINING.replace(epochs=3, num_examples_per_target=3),
+        ),
         rounds=1,
         iterations=1,
     )

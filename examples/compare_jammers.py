@@ -12,12 +12,15 @@ Run with:  python examples/compare_jammers.py
 from __future__ import annotations
 
 from repro.eval.comparison import run_comparison_study
-from repro.eval.common import prepare_context
+from repro.eval.common import EVAL_TRAINING, prepare_context
 
 
 def main() -> None:
     context = prepare_context(
-        num_speakers=8, num_targets=2, examples_per_target=5, training_epochs=8, seed=5
+        num_speakers=8,
+        num_targets=2,
+        seed=5,
+        training=EVAL_TRAINING.replace(epochs=8, num_examples_per_target=5),
     )
     result = run_comparison_study(context, num_audios=6)
     print("Median SDR over 6 joint-conversation audios:")

@@ -14,13 +14,16 @@ Run with:  python examples/protect_meeting.py
 from __future__ import annotations
 
 from repro.channel import Recorder, SceneSource, record_over_the_air
-from repro.eval.common import prepare_context
+from repro.eval.common import EVAL_TRAINING, prepare_context
 from repro.metrics import sonr
 
 
 def main() -> None:
     context = prepare_context(
-        num_speakers=6, num_targets=1, examples_per_target=5, training_epochs=6, seed=3
+        num_speakers=6,
+        num_targets=1,
+        seed=3,
+        training=EVAL_TRAINING.replace(num_examples_per_target=5),
     )
     config = context.config
     corpus = context.corpus

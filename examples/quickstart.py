@@ -19,7 +19,7 @@ import numpy as np
 from repro.audio import SyntheticCorpus, joint_conversation
 from repro.core import NECConfig, NECSystem, Selector, SelectorTrainer, SpectralEncoder
 from repro.core.config import TrainingConfig
-from repro.core.training import build_training_examples
+from repro.core.training import ExampleStream
 from repro.metrics import sdr
 
 
@@ -32,14 +32,15 @@ def main() -> None:
     targets, others = corpus.split_speakers(2, 4)
     bob, alice = targets[0], others[0]
 
-    # 2. Train the Selector on crafted mixtures (frozen spectral encoder):
-    #    Adam at the default constant learning rate, batches of 8, 8 epochs.
+    # 2. Train the Selector on crafted mixtures (frozen spectral encoder) under
+    #    one recipe: 5 mixtures per target, Adam at the default constant
+    #    learning rate, batches of 8, 8 epochs.
+    training = TrainingConfig(epochs=8, num_examples_per_target=5)
     encoder = SpectralEncoder(config, seed=0)
     selector = Selector(config, seed=0)
-    trainer = SelectorTrainer(selector, config=TrainingConfig(epochs=8))
-    examples = build_training_examples(
-        corpus, encoder, trainer, targets, others, num_examples_per_target=5, seed=1
-    )
+    stream = ExampleStream(corpus, encoder, config, targets, others, training=training, seed=1)
+    examples = stream.take(len(targets) * training.num_examples_per_target)
+    trainer = SelectorTrainer(selector, config=training)
     history = trainer.fit(examples)
     print(f"Selector training loss: {history.initial_loss:.3f} -> {history.final_loss:.3f}")
 

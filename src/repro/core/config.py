@@ -151,13 +151,18 @@ DEFAULT_LEARNING_RATE = 2e-3
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """The one training recipe of the Selector (and the encoder's learning rate).
+    """The one training recipe of the Selector (and of the encoder's pre-training).
 
     NEC trains on one regression loss (Eq. 6) with Adam at a constant
     ``learning_rate``; this dataclass is the only place a learning rate,
-    batch size or synthetic-mixture recipe is set.  Every field has a
-    sensible default, so ``TrainingConfig()`` is the canonical recipe and
-    call sites override only what they mean to change.
+    epoch count, batch size, shuffle seed or synthetic-mixture recipe is set.
+    Its readers: ``SelectorTrainer.fit`` and ``fit_streaming`` (the trainer's
+    recipe), ``ExampleStream`` (the mixture fields), ``NeuralEncoder.pretrain``
+    (``epochs`` and ``learning_rate``) and ``repro.eval.common.prepare_context``
+    (default ``EVAL_TRAINING``), which the ablations call.  None of them takes
+    a keyword that sets a field again.  Every field has a sensible default,
+    so ``TrainingConfig()`` is the canonical recipe and call sites override
+    only what they mean to change, with :meth:`replace`.
     """
 
     # -- optimisation ---------------------------------------------------------

@@ -160,18 +160,18 @@ class NeuralEncoder(SpeakerEncoder):
     def pretrain(
         self,
         utterances_by_speaker: Dict[str, Sequence[AudioSignal | np.ndarray]],
-        epochs: int = 30,
         config: Optional[TrainingConfig] = None,
     ) -> List[float]:
         """Train the encoder to classify speakers; returns the loss history.
 
         ``utterances_by_speaker`` maps speaker ids to lists of utterances.  The
         classification head is discarded after training; only the trunk is used
-        for embedding (the standard d-vector recipe).  Adam runs at the
-        ``learning_rate`` of ``config`` (default ``TrainingConfig()``), the
-        one place a learning rate is set.
+        for embedding (the standard d-vector recipe).  One full-batch Adam step
+        per epoch, at the ``epochs`` and ``learning_rate`` of ``config``, the
+        one place a recipe is set.  The default ``TrainingConfig()`` runs 5
+        epochs; the ``epochs`` keyword this replaced defaulted to 30.
         """
-        learning_rate = (config or TrainingConfig()).validate().learning_rate
+        training = (config or TrainingConfig()).validate()
         speaker_ids = sorted(utterances_by_speaker)
         if len(speaker_ids) < 2:
             raise ValueError("encoder pre-training needs at least two speakers")
@@ -192,9 +192,9 @@ class NeuralEncoder(SpeakerEncoder):
         network = _EncoderNetwork(
             self.feature_dim, self.config.embedding_dim, len(speaker_ids), self.seed
         )
-        optimizer = Adam(network.parameters(), lr=learning_rate)
+        optimizer = Adam(network.parameters(), lr=training.learning_rate)
         history: List[float] = []
-        for _ in range(epochs):
+        for _ in range(training.epochs):
             optimizer.zero_grad()
             logits = network(Tensor(matrix))
             loss = cross_entropy_loss(logits, labels_array)

@@ -517,11 +517,11 @@ class StreamingProtector:
         segments stay queued and the next feed retries them.
         """
         started = time.perf_counter()
-        if isinstance(chunk, AudioSignal):
-            self.system._check_sample_rate(chunk)
-            data = chunk.data
-        else:
-            data = np.asarray(chunk, dtype=np.float64).reshape(-1)
+        if not isinstance(chunk, AudioSignal):
+            # AudioSignal's dtype rule: float32 and float64 stay as given.
+            chunk = AudioSignal(chunk, self.system.config.sample_rate)
+        self.system._check_sample_rate(chunk)
+        data = chunk.data
         self._samples_fed += data.size
         self._buffer_chunk(data)
         results = self._drain_ready()

@@ -15,15 +15,19 @@ per-example losses, so one backward produces exactly the mean of the
 per-example gradients (pinned per-op and end-to-end by
 ``check_batched_gradients`` in ``tests/oracles.py``).  The original
 per-example loop survives only as a test oracle (``tests/oracles.py``):
-``fit(batch_size=1)`` follows its example order and matches its trained
-parameters and losses to 1e-12 relative (``tests/test_training_batch.py``).
+:meth:`SelectorTrainer.fit` under a ``batch_size=1`` recipe follows its
+example order and matches its trained parameters and losses to 1e-12
+relative (``tests/test_training_batch.py``).
 
 Training data comes from :class:`ExampleStream`, a deterministic synthetic-
 mixture pipeline: example ``i`` is a pure function of ``(base_seed, i)`` via
 :func:`repro.core.seeding.derive_seed` chains, so the stream is bit-identical
-whether examples are built as the step needs them or ahead of time.  Adam
-runs at the constant learning rate of the one
-:class:`repro.core.config.TrainingConfig`, which holds the whole recipe.
+whether examples are built as the step needs them (``iterate``) or ahead of
+time (``take``).  The whole recipe is one
+:class:`repro.core.config.TrainingConfig`: the stream reads its mixture
+fields, and :meth:`SelectorTrainer.fit` and
+:meth:`~SelectorTrainer.fit_streaming` read their trainer's for the learning
+rate, epochs, batch size, shuffle and seed.  Neither takes a keyword that sets one of them again.
 """
 
 from __future__ import annotations
@@ -163,77 +167,52 @@ class SelectorTrainer:
         self.optimizer.step()
         return float(loss.data)
 
-    def fit(
-        self,
-        examples: Sequence[TrainingExample],
-        epochs: Optional[int] = None,
-        shuffle: Optional[bool] = None,
-        seed: Optional[int] = None,
-        verbose: bool = False,
-        batch_size: Optional[int] = None,
-    ) -> TrainingHistory:
-        """Minibatched training over the example set for ``epochs`` passes.
+    def fit(self, examples: Sequence[TrainingExample]) -> TrainingHistory:
+        """Minibatched training over the example set, by ``train_config``.
 
-        Defaults come from ``train_config``; keyword overrides win.  Each
-        epoch shuffles the example order (same RNG consumption for every
-        batch size), partitions it into consecutive batches of ``batch_size``
-        (last batch possibly partial) and takes one :meth:`step_batch` per
-        batch.  ``batch_size=1`` visits examples in exactly the order the
-        per-example oracle in ``tests/oracles.py`` does and matches its
-        trained parameters to 1e-12 relative (pinned by
-        ``tests/test_training_batch.py``).
+        Each of the recipe's ``epochs`` shuffles the example order when
+        ``shuffle`` is set (RNG seeded by ``seed``; same RNG consumption for
+        every batch size), partitions it into consecutive batches of
+        ``batch_size`` (last batch possibly partial) and takes one
+        :meth:`step_batch` per batch.  A recipe with ``batch_size=1`` visits
+        examples in exactly the order the per-example oracle in
+        ``tests/oracles.py`` does and matches its trained parameters to 1e-12
+        relative (pinned by ``tests/test_training_batch.py``).
         """
         config = self.train_config
-        epochs = config.epochs if epochs is None else int(epochs)
-        shuffle = config.shuffle if shuffle is None else bool(shuffle)
-        seed = config.seed if seed is None else int(seed)
-        batch_size = config.batch_size if batch_size is None else int(batch_size)
         if not examples:
             raise ValueError("fit() needs at least one training example")
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
         examples = list(examples)
-        history = TrainingHistory(epochs=epochs, batch_size=batch_size)
-        rng = np.random.default_rng(seed)
+        history = TrainingHistory(epochs=config.epochs, batch_size=config.batch_size)
+        rng = np.random.default_rng(config.seed)
         order = np.arange(len(examples))
-        for epoch in range(epochs):
-            if shuffle:
+        for _ in range(config.epochs):
+            if config.shuffle:
                 rng.shuffle(order)
             history.losses.extend(
-                self.step_batch([examples[i] for i in order[start : start + batch_size]])
-                for start in range(0, len(order), batch_size)
+                self.step_batch([examples[i] for i in order[start : start + config.batch_size]])
+                for start in range(0, len(order), config.batch_size)
             )
-            if verbose:  # pragma: no cover - logging aid
-                print(f"epoch {epoch + 1}/{epochs}: loss {history.losses[-1]:.4f}")
         return history
 
     def fit_streaming(
-        self,
-        stream: "ExampleStream",
-        steps: int,
-        batch_size: Optional[int] = None,
-        start_index: int = 0,
-        verbose: bool = False,
+        self, stream: "ExampleStream", steps: int, start_index: int = 0
     ) -> TrainingHistory:
         """Train for ``steps`` optimiser steps on an example stream.
 
-        Consecutive stream examples form consecutive batches, so the data a
-        run sees depends only on ``(stream seed, start_index, steps,
-        batch_size)``.  The learning rate does not depend on ``steps``, so
-        ``n`` calls of one step each, ``start_index`` advancing by
-        ``batch_size``, train exactly as one call of ``n`` steps.
+        Consecutive stream examples form consecutive batches of the recipe's
+        ``batch_size``, so the data a run sees depends only on ``(stream
+        seed, start_index, steps, batch_size)``.  The learning rate does not
+        depend on ``steps``, so ``n`` calls of one step each, ``start_index``
+        advancing by ``batch_size``, train exactly as one call of ``n`` steps.
         """
-        batch_size = self.train_config.batch_size if batch_size is None else int(batch_size)
+        batch_size = self.train_config.batch_size
         if steps < 1:
             raise ValueError("fit_streaming() needs at least one step")
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
         history = TrainingHistory(epochs=1, batch_size=batch_size)
         examples = stream.iterate(start=start_index, count=steps * batch_size)
         for _ in range(steps):
             history.losses.append(self.step_batch(list(islice(examples, batch_size))))
-        if verbose:  # pragma: no cover - logging aid
-            print(f"{steps} streaming steps: loss {history.final_loss:.4f}")
         return history
 
     # -- evaluation ---------------------------------------------------------------
@@ -294,11 +273,12 @@ class ExampleStream:
     trained on the *same* utterances mixed with themselves.
 
     The index layout interleaves targets in blocks of
-    ``num_examples_per_target``: indices ``0 .. k*T-1`` reproduce the eager
-    builder's target-major order, and the stream then continues with fresh
-    draws forever — streaming training never runs out of data.  Because
-    :meth:`example_at` is pure, :meth:`iterate` (built as the step consumes
-    it) and :meth:`take` (built ahead) yield bit-identical examples.
+    ``num_examples_per_target``: indices ``0 .. k*T-1`` hold ``k`` draws per
+    target in target-major order (``take(k * T)`` is the epoch set
+    :meth:`SelectorTrainer.fit` trains on), and the stream then continues
+    with fresh draws forever — streaming training never runs out of data.
+    Because :meth:`example_at` is pure, :meth:`iterate` (built as the step
+    consumes it) and :meth:`take` (built ahead) yield bit-identical examples.
 
     Every example mixes its target with an interference speaker or a noise
     scenario, so a stream with neither is rejected at construction.
@@ -399,44 +379,3 @@ class ExampleStream:
         """Examples ``start .. start + count - 1``, each built as it is consumed."""
         for index in range(start, start + count):
             yield self.example_at(index)
-
-
-def build_training_examples(
-    corpus: SyntheticCorpus,
-    encoder: SpeakerEncoder,
-    trainer: SelectorTrainer,
-    target_speakers: Sequence[str],
-    interference_speakers: Sequence[str],
-    num_examples_per_target: int = 4,
-    noise_scenarios: Sequence[str] = ("babble", "vehicle"),
-    snr_db_range: tuple = (-3.0, 3.0),
-    seed: int = 0,
-    config: Optional[TrainingConfig] = None,
-) -> List[TrainingExample]:
-    """Craft the paper's training mixtures (the eager front of :class:`ExampleStream`).
-
-    For each target speaker: mix a target utterance with either another
-    speaker's utterance or a NOISEX-like noise at a random SNR; the background
-    component alone is the regression target.  The d-vector comes from the
-    frozen encoder applied to the target's reference audios (never the test
-    utterance itself).  Randomness is :func:`derive_seed`-chained per draw,
-    so the target and interference utterances can never collide (the historic
-    ``seed * 977 + index`` / ``seed * 991 + index`` scheme collapsed to the
-    same stream at ``seed=0``).
-    """
-    training = config or TrainingConfig()
-    training = training.replace(
-        num_examples_per_target=int(num_examples_per_target),
-        noise_scenarios=tuple(noise_scenarios),
-        snr_db_range=tuple(snr_db_range),
-    )
-    stream = ExampleStream(
-        corpus,
-        encoder,
-        trainer.config,
-        target_speakers,
-        interference_speakers,
-        training=training,
-        seed=seed,
-    )
-    return stream.take(len(list(target_speakers)) * int(num_examples_per_target))

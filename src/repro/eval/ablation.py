@@ -8,9 +8,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.config import NECConfig
+from repro.core.config import NECConfig, TrainingConfig
 from repro.core.selector import Selector
-from repro.eval.common import prepare_context
+from repro.eval.common import EVAL_TRAINING, prepare_context
 from repro.eval.reporting import format_table
 
 
@@ -46,18 +46,11 @@ class AblationResult:
 
 
 def _train_variant(
-    name: str,
-    config: NECConfig,
-    epochs: int,
-    examples_per_target: int,
-    seed: int,
+    name: str, config: NECConfig, training: Optional[TrainingConfig], seed: int
 ) -> AblationArm:
-    context = prepare_context(
-        config=config,
-        examples_per_target=examples_per_target,
-        training_epochs=epochs,
-        seed=seed,
-    )
+    # Without a recipe, a shorter run than the evaluation's.
+    training = training or EVAL_TRAINING.replace(epochs=4, num_examples_per_target=3)
+    context = prepare_context(config=config, seed=seed, training=training)
     history = context.training_history
     return AblationArm(
         name=name,
@@ -69,29 +62,33 @@ def _train_variant(
 
 def run_output_mode_ablation(
     base_config: Optional[NECConfig] = None,
-    epochs: int = 4,
-    examples_per_target: int = 3,
+    training: Optional[TrainingConfig] = None,
     seed: int = 0,
 ) -> AblationResult:
-    """Mask head (this reproduction's default) vs the paper-literal linear head."""
+    """Mask head (this reproduction's default) vs the paper-literal linear head.
+
+    Each arm trains under ``training`` (default: :data:`EVAL_TRAINING` at 4
+    epochs of 3 examples per target).
+    """
     base_config = (base_config or NECConfig.tiny()).validate()
     result = AblationResult()
     for mode in ("mask", "spectrogram"):
         config = base_config.with_output_mode(mode)
-        result.arms.append(
-            _train_variant(f"output={mode}", config, epochs, examples_per_target, seed)
-        )
+        result.arms.append(_train_variant(f"output={mode}", config, training, seed))
     return result
 
 
 def run_dilation_ablation(
     base_config: Optional[NECConfig] = None,
     dilation_sets: Sequence[Sequence[int]] = ((1,), (1, 2), (1, 2, 4)),
-    epochs: int = 4,
-    examples_per_target: int = 3,
+    training: Optional[TrainingConfig] = None,
     seed: int = 0,
 ) -> AblationResult:
-    """How much do the dilated time-context layers matter? (Sec. IV-B1)."""
+    """How much do the dilated time-context layers matter? (Sec. IV-B1).
+
+    Each arm trains under ``training``, with the same default as
+    :func:`run_output_mode_ablation`.
+    """
     from dataclasses import replace
 
     base_config = (base_config or NECConfig.tiny()).validate()
@@ -99,8 +96,6 @@ def run_dilation_ablation(
     for dilations in dilation_sets:
         config = replace(base_config, selector_dilations=tuple(dilations)).validate()
         result.arms.append(
-            _train_variant(
-                f"dilations={tuple(dilations)}", config, epochs, examples_per_target, seed
-            )
+            _train_variant(f"dilations={tuple(dilations)}", config, training, seed)
         )
     return result

@@ -209,38 +209,31 @@ def probe_broadcasts(
     }
 
 
+#: The evaluation's default recipe: one optimiser step per example, the
+#: dynamics every pinned benchmark quality gate was measured under.  Callers
+#: that train more pass ``training=EVAL_TRAINING.replace(...)``.
+EVAL_TRAINING = TrainingConfig(batch_size=1, epochs=6, num_examples_per_target=4)
+
+
 def prepare_context(
     config: Optional[NECConfig] = None,
     num_speakers: int = 8,
     num_targets: int = 2,
     num_others: Optional[int] = None,
-    examples_per_target: Optional[int] = None,
-    training_epochs: Optional[int] = None,
-    learning_rate: Optional[float] = None,
     train: bool = True,
     seed: int = 0,
     training: Optional[TrainingConfig] = None,
 ) -> ExperimentContext:
     """Build (and optionally train) a complete experiment context.
 
-    The training recipe is one :class:`TrainingConfig` (``training``), used
-    whole.  Without one the recipe is ``batch_size=1, epochs=6,
-    num_examples_per_target=4`` — one optimiser step per example, the
-    dynamics every pinned benchmark quality gate was measured under.  The
-    ``examples_per_target`` / ``training_epochs`` / ``learning_rate``
-    keywords override the matching field only when passed; ``seed`` always
-    seeds the recipe (and the corpus, encoder and Selector).
+    The training recipe is one :class:`TrainingConfig` (``training``,
+    default :data:`EVAL_TRAINING`), used whole: it sets the examples per
+    target, epochs, batch size and learning rate.  ``seed`` is applied on top
+    of it and also seeds the corpus, the encoder, the Selector and the
+    example stream.
     """
     config = (config or NECConfig.tiny()).validate()
-    train_config = training or TrainingConfig(batch_size=1, epochs=6, num_examples_per_target=4)
-    overrides = {"seed": int(seed)}
-    if examples_per_target is not None:
-        overrides["num_examples_per_target"] = int(examples_per_target)
-    if training_epochs is not None:
-        overrides["epochs"] = int(training_epochs)
-    if learning_rate is not None:
-        overrides["learning_rate"] = float(learning_rate)
-    train_config = train_config.replace(**overrides)
+    train_config = (training or EVAL_TRAINING).replace(seed=int(seed))
     corpus = SyntheticCorpus(num_speakers=num_speakers, sample_rate=config.sample_rate, seed=seed)
     targets, others = corpus.split_speakers(num_targets, num_others)
     encoder = SpectralEncoder(config, seed=seed)

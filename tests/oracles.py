@@ -304,30 +304,22 @@ def step(trainer: SelectorTrainer, example: TrainingExample) -> float:
     return float(loss.data)
 
 
-def fit_looped(
-    trainer: SelectorTrainer,
-    examples: Sequence[TrainingExample],
-    epochs: Optional[int] = None,
-    shuffle: Optional[bool] = None,
-    seed: Optional[int] = None,
-) -> TrainingHistory:
-    """One :func:`step` per example at the configured learning rate.
+def fit_looped(trainer: SelectorTrainer, examples: Sequence[TrainingExample]) -> TrainingHistory:
+    """One :func:`step` per example, by the trainer's recipe.
 
-    ``fit(batch_size=1)`` visits the same examples in the same order.
+    ``fit`` under a ``batch_size=1`` recipe visits the same examples in the
+    same order.
     """
     config = trainer.train_config
-    epochs = config.epochs if epochs is None else int(epochs)
-    shuffle = config.shuffle if shuffle is None else bool(shuffle)
-    seed = config.seed if seed is None else int(seed)
     if not examples:
         raise ValueError("fit_looped() needs at least one training example")
     examples = list(examples)
-    history = TrainingHistory(epochs=epochs, batch_size=1)
+    history = TrainingHistory(epochs=config.epochs, batch_size=1)
     trainer.optimizer.lr = config.learning_rate
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.seed)
     order = np.arange(len(examples))
-    for _ in range(epochs):
-        if shuffle:
+    for _ in range(config.epochs):
+        if config.shuffle:
             rng.shuffle(order)
         for index in order:
             history.losses.append(step(trainer, examples[index]))

@@ -19,7 +19,7 @@ from repro.core import (
     superpose_spectrograms,
 )
 from repro.core.config import TrainingConfig
-from repro.core.training import build_training_examples
+from repro.core.training import ExampleStream
 from repro.dsp.stft import batch_stft, istft, magnitude, magnitude_spectrogram
 from repro.metrics import cosine_similarity, sdr
 
@@ -79,7 +79,7 @@ class TestEncoders:
             speaker: [corpus.utterance(speaker, seed=index).audio for index in range(3)]
             for speaker in corpus.speaker_ids[:3]
         }
-        history = encoder.pretrain(data, epochs=40, config=TrainingConfig(learning_rate=5e-3))
+        history = encoder.pretrain(data, config=TrainingConfig(epochs=40, learning_rate=5e-3))
         assert history[-1] < history[0]
         assert encoder.is_trained
         a1 = encoder.embed([corpus.utterance("spk000", seed=9).audio])
@@ -276,12 +276,14 @@ class TestTrainingAndPipeline:
         corpus = SyntheticCorpus(num_speakers=5, sample_rate=tiny_config.sample_rate, seed=3)
         encoder = SpectralEncoder(tiny_config, seed=0)
         selector = Selector(tiny_config, seed=0)
-        trainer = SelectorTrainer(selector)
+        training = TrainingConfig(epochs=4, num_examples_per_target=3)
+        trainer = SelectorTrainer(selector, config=training)
         targets, others = corpus.split_speakers(2, 3)
-        examples = build_training_examples(
-            corpus, encoder, trainer, targets, others, num_examples_per_target=3, seed=1
+        stream = ExampleStream(
+            corpus, encoder, tiny_config, targets, others, training=training, seed=1
         )
-        history = trainer.fit(examples, epochs=4, seed=0)
+        examples = stream.take(len(targets) * training.num_examples_per_target)
+        history = trainer.fit(examples)
         return corpus, encoder, selector, trainer, targets, others, history, examples
 
     def test_training_reduces_loss(self, trained):

@@ -6,6 +6,7 @@ import pytest
 import repro.eval as E
 from repro.core.config import TrainingConfig
 from repro.eval import prepare_context
+from repro.eval.common import EVAL_TRAINING
 from repro.eval.datasets import PAPER_TABLE1_COUNTS, compile_benchmark_dataset
 from repro.eval.reporting import format_table, summarize
 
@@ -13,7 +14,12 @@ from repro.eval.reporting import format_table, summarize
 @pytest.fixture(scope="module")
 def context():
     """One trained tiny-scale context shared by all harness tests."""
-    return prepare_context(num_speakers=6, num_targets=2, examples_per_target=3, training_epochs=4, seed=0)
+    return prepare_context(
+        num_speakers=6,
+        num_targets=2,
+        seed=0,
+        training=EVAL_TRAINING.replace(epochs=4, num_examples_per_target=3),
+    )
 
 
 class TestReporting:
@@ -43,16 +49,6 @@ class TestContext:
         assert context.trainer.train_config == recipe.replace(seed=3)
         # One target x 2 examples in batches of 2, for one epoch.
         assert context.training_history.steps == 1
-
-    def test_legacy_keywords_override_only_when_passed(self):
-        default = prepare_context(num_speakers=4, num_targets=1, train=False)
-        recipe = default.trainer.train_config
-        assert (recipe.batch_size, recipe.epochs, recipe.num_examples_per_target) == (1, 6, 4)
-        given = TrainingConfig(epochs=20, num_examples_per_target=7)
-        context = prepare_context(
-            num_speakers=4, num_targets=1, train=False, training=given, training_epochs=2
-        )
-        assert context.trainer.train_config == given.replace(epochs=2)
 
     def test_system_cache(self, context):
         a = context.system_for(context.target_speakers[0])
@@ -209,11 +205,16 @@ class TestMultiRecorder:
 
 class TestAblations:
     def test_output_mode_ablation_produces_two_arms(self):
-        result = E.run_output_mode_ablation(epochs=2, examples_per_target=2)
+        result = E.run_output_mode_ablation(
+            training=EVAL_TRAINING.replace(epochs=2, num_examples_per_target=2)
+        )
         assert {arm.name for arm in result.arms} == {"output=mask", "output=spectrogram"}
         assert result.best_arm() in result.arms
 
     def test_dilation_ablation_orders_parameter_counts(self):
-        result = E.run_dilation_ablation(dilation_sets=((1,), (1, 2)), epochs=2, examples_per_target=2)
+        result = E.run_dilation_ablation(
+            dilation_sets=((1,), (1, 2)),
+            training=EVAL_TRAINING.replace(epochs=2, num_examples_per_target=2),
+        )
         assert result.arms[0].num_parameters < result.arms[1].num_parameters
         assert "variant" in result.table()

@@ -42,6 +42,7 @@ from repro.core.config import NECConfig
 from repro.core.pipeline import NECSystem, ProtectionResult, StreamingProtector
 from repro.core.selector import Selector
 from repro.core.training import SelectorTrainer, TrainingExample
+from repro.dsp.stft import StreamingSTFT
 from repro.nn import Tensor
 from repro.nn.conv import Conv2d
 from repro.nn.layers import CastCache
@@ -243,6 +244,38 @@ def test_every_path_serves_shadows_in_the_pass_dtype(protected_pairs, geometry):
             np.testing.assert_array_equal(streamed, whole.shadow_wave.data)
         for wave in _served_session(system, pair.clip):
             assert wave.dtype == dtype
+
+
+def test_float32_ndarray_chunks_reach_the_stft_as_float32(protected_pairs, monkeypatch):
+    """At ``default()`` an ndarray chunk follows :class:`AudioSignal`'s dtype
+    rule: a float32 chunk reaches ``StreamingSTFT.feed`` as float32, as the
+    same samples in an ``AudioSignal`` do, instead of widened to float64 and
+    cast back.  Streamed float32 ndarray chunks equal ``protect`` bit for bit."""
+    pair = protected_pairs["default"]
+    system = pair.system32
+    rate = pair.clip.sample_rate
+    samples = pair.clip.data.astype(np.float32)
+    chunk = system.config.segment_samples // 3
+    feed = StreamingSTFT.feed
+    seen = []
+
+    def spy(self, data):
+        seen.append(data.dtype)
+        return feed(self, data)
+
+    monkeypatch.setattr(StreamingSTFT, "feed", spy)
+    whole = system.protect(AudioSignal(samples, rate)).shadow_wave.data
+    for wrap in (lambda data: data, lambda data: AudioSignal(data, rate)):
+        seen.clear()
+        protector = StreamingProtector(system)
+        results = []
+        for start in range(0, samples.size, chunk):
+            results += protector.feed(wrap(samples[start : start + chunk]))
+        tail = protector.flush()
+        results += [tail] if tail is not None else []
+        assert seen and set(seen) == {np.dtype(np.float32)}
+        streamed = np.concatenate([result.shadow_wave.data for result in results])
+        np.testing.assert_array_equal(streamed, whole)
 
 
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))

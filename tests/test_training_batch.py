@@ -11,8 +11,8 @@ This suite pins the four contracts of the batched training engine:
   per-example backwards of ``selector_reference``
   (``check_batched_gradients`` in ``tests/oracles.py``).  Training never
   reaches the frequency-domain kernel :func:`repro.nn.fftconv.fft_conv2d`.
-- **The fast path degrades to the reference.**  ``fit(batch_size=1)`` matches
-  the per-example oracle ``fit_looped`` (``tests/oracles.py``) to 1e-12
+- **The fast path degrades to the reference.**  ``fit`` under a
+  ``batch_size=1`` recipe matches the per-example oracle ``fit_looped`` (``tests/oracles.py``) to 1e-12
   relative; partial last batches and oversized batch sizes behave; batched
   evaluation matches looped evaluation.
 - **The data stream is a pure function of its seed.**  ``ExampleStream``
@@ -27,6 +27,8 @@ This suite pins the four contracts of the batched training engine:
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -42,10 +44,12 @@ from oracles import (
 
 from repro.audio.corpus import SyntheticCorpus
 from repro.core.config import NECConfig, TrainingConfig
-from repro.core.encoder import SpectralEncoder
+from repro.core.encoder import NeuralEncoder, SpectralEncoder
 from repro.core.seeding import derive_seed
 from repro.core.selector import Selector
-from repro.core.training import ExampleStream, SelectorTrainer, build_training_examples
+from repro.core.training import ExampleStream, SelectorTrainer
+from repro.eval.ablation import run_dilation_ablation, run_output_mode_ablation
+from repro.eval.common import EVAL_TRAINING, prepare_context
 from repro.nn import Adam, Tensor, fft_conv2d, next_fast_len
 from repro.nn import conv as conv_module
 from repro.nn import fftconv as fftconv_module
@@ -373,10 +377,11 @@ class TestFitEquivalenceAndBatching:
         tap-sum graph: the two agree to GEMM round-off, not bit for bit."""
         stream = _stream(tiny_config, corpus)
         examples = stream.take(6)
-        looped = SelectorTrainer(Selector(tiny_config, seed=0))
-        batched = SelectorTrainer(Selector(tiny_config, seed=0))
-        history_l = fit_looped(looped, examples, epochs=2, seed=3)
-        history_b = batched.fit(examples, epochs=2, seed=3, batch_size=1)
+        config = TrainingConfig(epochs=2, seed=3, batch_size=1)
+        looped = SelectorTrainer(Selector(tiny_config, seed=0), config=config)
+        batched = SelectorTrainer(Selector(tiny_config, seed=0), config=config)
+        history_l = fit_looped(looped, examples)
+        history_b = batched.fit(examples)
         np.testing.assert_allclose(history_b.losses, history_l.losses, rtol=1e-12, atol=0)
         for p_l, p_b in zip(looped.optimizer.parameters, batched.optimizer.parameters):
             scale = np.max(np.abs(p_l.data))
@@ -395,11 +400,14 @@ class TestFitEquivalenceAndBatching:
     def test_partial_last_batch_and_oversized_batch(self, tiny_config, corpus):
         stream = _stream(tiny_config, corpus)
         examples = stream.take(5)
-        trainer = SelectorTrainer(Selector(tiny_config, seed=0))
-        history = trainer.fit(examples, epochs=1, batch_size=3, shuffle=False)
+        config = TrainingConfig(epochs=1, batch_size=3, shuffle=False)
+        trainer = SelectorTrainer(Selector(tiny_config, seed=0), config=config)
+        history = trainer.fit(examples)
         assert history.steps == 2  # batches of 3 and 2
-        oversized = SelectorTrainer(Selector(tiny_config, seed=0))
-        history = oversized.fit(examples[:3], epochs=1, batch_size=16, shuffle=False)
+        oversized = SelectorTrainer(
+            Selector(tiny_config, seed=0), config=config.replace(batch_size=16)
+        )
+        history = oversized.fit(examples[:3])
         assert history.steps == 1
 
     def test_shuffle_order_is_seeded_and_batch_size_independent(
@@ -409,10 +417,9 @@ class TestFitEquivalenceAndBatching:
         examples = stream.take(6)
         runs = []
         for batch_size in (1, 1, 3):
-            trainer = SelectorTrainer(Selector(tiny_config, seed=0))
-            runs.append(
-                trainer.fit(examples, epochs=2, seed=12, batch_size=batch_size)
-            )
+            config = TrainingConfig(epochs=2, seed=12, batch_size=batch_size)
+            trainer = SelectorTrainer(Selector(tiny_config, seed=0), config=config)
+            runs.append(trainer.fit(examples))
         # Same seed, same batch size -> identical trace; a different batch
         # size consumes the shuffle RNG identically (the per-epoch order is
         # drawn once, then partitioned), so epoch boundaries see the same
@@ -450,6 +457,35 @@ class TestTrainingConfig:
     def test_rejects_bad_recipes(self, overrides):
         with pytest.raises(ValueError):
             TrainingConfig(**overrides).validate()
+
+    def test_recipe_is_set_only_in_training_config(self):
+        """Every entry point that trains takes a whole recipe (or reads its
+        trainer's): none has a keyword that sets a field of it again.  Two
+        names are exempt: an experiment's ``seed`` seeds the corpus, encoder
+        and Selector as well as the recipe, and ``evaluate``'s ``batch_size``
+        only chunks a gradient-free pass."""
+        fields = {field.name for field in dataclasses.fields(TrainingConfig)}
+        # Aliases too: a field without its ``num_`` prefix or with a
+        # ``training_`` one, the shape the retired keywords had.
+        recipe_names = fields | {f"training_{name}" for name in fields}
+        recipe_names |= {name[len("num_"):] for name in fields if name.startswith("num_")}
+        for function, exempt in (
+            (SelectorTrainer.fit, set()),
+            (SelectorTrainer.fit_streaming, set()),
+            (NeuralEncoder.pretrain, set()),
+            (prepare_context, {"seed"}),
+            (run_output_mode_ablation, {"seed"}),
+            (run_dilation_ablation, {"seed"}),
+            (SelectorTrainer.evaluate, {"batch_size"}),
+        ):
+            shared = (recipe_names - exempt) & set(inspect.signature(function).parameters)
+            assert not shared, f"{function.__qualname__} re-sets {sorted(shared)}"
+        # Without a recipe, the evaluation trains its own, seeded by ``seed``.
+        recipe = (EVAL_TRAINING.batch_size, EVAL_TRAINING.epochs, EVAL_TRAINING.num_examples_per_target)
+        assert recipe == (1, 6, 4)
+        for seed in (0, 3):
+            context = prepare_context(num_speakers=4, num_targets=1, train=False, seed=seed)
+            assert context.trainer.train_config == EVAL_TRAINING.replace(seed=seed)
 
 
 class TestExampleStream:
@@ -490,25 +526,6 @@ class TestExampleStream:
         }
         assert len(seen) == 8 * 64
 
-    def test_build_training_examples_matches_stream_prefix(
-        self, tiny_config, corpus
-    ):
-        encoder = SpectralEncoder(tiny_config, seed=0)
-        targets, others = corpus.split_speakers(2, None)
-        trainer = SelectorTrainer(Selector(tiny_config, seed=0))
-        eager = build_training_examples(
-            corpus, encoder, trainer, targets, others,
-            num_examples_per_target=3, seed=0,
-        )
-        stream = ExampleStream(
-            corpus, encoder, tiny_config, targets, others,
-            training=TrainingConfig(num_examples_per_target=3), seed=0,
-        )
-        assert len(eager) == 6
-        for built, streamed in zip(eager, stream.take(6)):
-            assert np.array_equal(built.mixed_spectrogram, streamed.mixed_spectrogram)
-            assert built.target_speaker == streamed.target_speaker
-
     def test_rejects_a_stream_with_nothing_to_mix(self, tiny_config, corpus):
         """No interference speakers and no noise scenarios: every example
         would fail to draw a background, so construction must refuse."""
@@ -530,13 +547,13 @@ class TestExampleStream:
         assert example.mixed_spectrogram.shape == stream.example_at(0).mixed_spectrogram.shape
 
     def test_fit_streaming_matches_fit_on_the_same_prefix(self, tiny_config, corpus):
-        config = TrainingConfig(batch_size=2, shuffle=False)
+        config = TrainingConfig(batch_size=2, epochs=1, shuffle=False)
         stream = _stream(tiny_config, corpus, training=config)
         examples = stream.take(4)
         eager = SelectorTrainer(Selector(tiny_config, seed=0), config=config)
         streaming = SelectorTrainer(Selector(tiny_config, seed=0), config=config)
-        history_e = eager.fit(examples, epochs=1, shuffle=False)
-        history_s = streaming.fit_streaming(stream, steps=2, batch_size=2)
+        history_e = eager.fit(examples)
+        history_s = streaming.fit_streaming(stream, steps=2)
         assert history_s.losses == pytest.approx(history_e.losses, abs=0.0)
         for p_e, p_s in zip(eager.optimizer.parameters, streaming.optimizer.parameters):
             assert np.array_equal(p_e.data, p_s.data)
